@@ -1,27 +1,30 @@
-//! Borrowed bit-plane views and reusable four-state scratch buffers.
+//! Four-state word kernels over borrowed bit planes, and reusable
+//! scratch buffers.
 //!
-//! [`LogicVec`](crate::vec::LogicVec) owns its `(aval, bval)` planes and
-//! spills to the heap above 64 bits. The evaluation hot path wants
-//! neither ownership nor spilling: a compiled expression's slot widths
-//! are known at lowering time, so the simulator sizes a scratch arena
-//! once and executes every operation in place against borrowed plane
-//! slices. This module provides the two pieces of that discipline:
+//! This module is the one implementation of four-state word logic in
+//! the crate. Every value is a pair of `(aval, bval)` bit planes of
+//! `u64` words, and every operation works on whole words — 64 lanes of
+//! value and unknown bits at a time:
 //!
 //! * [`BitsRef`] — a cheap read-only view of `(width, aval, bval)`
-//!   planes, usable over both `LogicVec` storage and scratch storage;
-//! * [`ScratchBuf`] — an owned, capacity-retaining plane pair with
-//!   in-place word-parallel four-state operations (`dst = dst op rhs`).
+//!   planes carrying every predicate (truthiness, reductions,
+//!   equality, ordering);
+//! * `BitsMut` — the mutable view every value-producing kernel runs
+//!   on, in place (`dst = dst op rhs`), over borrowed `&mut [u64]`
+//!   planes;
+//! * [`ScratchBuf`] — an owned, capacity-retaining plane pair whose
+//!   operations size the destination and then run a `BitsMut` kernel.
 //!
-//! All operations process 64 lanes per word over the packed planes and
-//! follow the exact IEEE 1364 semantics of their `LogicVec`
-//! counterparts; `crates/hdl/tests/logicvec_diff.rs` pins the two
-//! implementations against a scalar per-bit oracle.
+//! [`LogicVec`](crate::vec::LogicVec) runs the same kernels over its own
+//! planes (inline for ≤ 64 bits, so narrow results stay heap-free); its
+//! ops only choose the result width. `crates/hdl/tests/logicvec_diff.rs`
+//! checks both owners against a scalar per-bit reference.
 //!
 //! # Invariant
 //!
 //! Plane bits at positions `>= width` in the top word are always zero.
-//! Every mutating operation re-establishes this via [`ScratchBuf`]'s
-//! top-word masking, mirroring `LogicVec::mask_top`.
+//! Every kernel that can set them re-establishes this with
+//! `BitsMut::mask_top`.
 
 use crate::logic::Logic;
 use crate::vec::LogicVec;
@@ -41,14 +44,31 @@ pub(crate) fn low_mask(width: u32) -> u64 {
     }
 }
 
+/// Valid-bit mask for word `i` of a `width`-bit vector's planes.
+pub(crate) fn word_mask_for(width: u32, i: usize) -> u64 {
+    let rem = width % 64;
+    if rem != 0 && i == words_for(width) - 1 {
+        (1u64 << rem) - 1
+    } else {
+        u64::MAX
+    }
+}
+
+/// Normalises a `[msb:lsb]` select written in either order to
+/// `(lsb, width)`.
+pub(crate) fn select_range(msb: u32, lsb: u32) -> (u32, u32) {
+    let (lo, hi) = (msb.min(lsb), msb.max(lsb));
+    (lo, hi - lo + 1)
+}
+
 /// Word `i` of a plane, reading zero beyond its end (the implicit
 /// zero-extension every width-mixing operation relies on).
-pub(crate) fn word_at(plane: &[u64], i: usize) -> u64 {
+fn word_at(plane: &[u64], i: usize) -> u64 {
     plane.get(i).copied().unwrap_or(0)
 }
 
 /// The 64 plane bits starting at bit position `bit`, zero-extended.
-pub(crate) fn extract_word(plane: &[u64], bit: u32) -> u64 {
+fn extract_word(plane: &[u64], bit: u32) -> u64 {
     let (ws, bs) = ((bit / 64) as usize, bit % 64);
     let lo = word_at(plane, ws) >> bs;
     let hi = if bs > 0 {
@@ -60,8 +80,8 @@ pub(crate) fn extract_word(plane: &[u64], bit: u32) -> u64 {
 }
 
 /// ORs `src` shifted left by `shift` bits into `dst` (bits falling
-/// beyond `dst` are dropped). Used by concatenation and replication.
-pub(crate) fn or_shifted(dst: &mut [u64], src: &[u64], shift: u32) {
+/// beyond `dst` are dropped).
+fn or_shifted(dst: &mut [u64], src: &[u64], shift: u32) {
     let (ws, bs) = ((shift / 64) as usize, shift % 64);
     for (i, &w) in src.iter().enumerate() {
         let pos = ws + i;
@@ -103,6 +123,21 @@ pub(crate) fn xnor_words(a1: u64, b1: u64, a2: u64, b2: u64) -> (u64, u64) {
     (!(a1 ^ a2) | unk, unk)
 }
 
+/// A known shift amount saturated to `u32`, or `None` for an X/Z amount
+/// (IEEE 1364-2005 §5.1.12). Saturation keeps amounts of 2^32 and above
+/// — however many words they span — on the "shift out every bit" path
+/// instead of wrapping to a small count.
+fn shift_amount(amount: BitsRef<'_>) -> Option<u32> {
+    if amount.has_unknown() {
+        return None;
+    }
+    Some(
+        amount
+            .to_u64()
+            .map_or(u32::MAX, |n| u32::try_from(n).unwrap_or(u32::MAX)),
+    )
+}
+
 /// A borrowed read-only view of a four-state vector's packed planes.
 ///
 /// Works identically over [`LogicVec`] storage (via
@@ -135,11 +170,6 @@ impl<'a> BitsRef<'a> {
     /// Word `i` of both planes, zero-extended beyond the end.
     pub(crate) fn word(self, i: usize) -> (u64, u64) {
         (word_at(self.aval, i), word_at(self.bval, i))
-    }
-
-    /// The underlying planes.
-    pub(crate) fn planes(self) -> (&'a [u64], &'a [u64]) {
-        (self.aval, self.bval)
     }
 
     /// Returns the bit at `index` (LSB = 0), or `Logic::X` out of range.
@@ -185,17 +215,14 @@ impl<'a> BitsRef<'a> {
         Some(false)
     }
 
-    /// Valid-bit mask for word `i` of these planes.
-    fn word_mask(self, i: usize) -> u64 {
-        word_mask_for(self.width, i)
-    }
-
-    /// Reduction AND over all bits (same fold as `LogicVec::reduce_and`).
+    /// Reduction AND over all bits: `0` if any bit is a known zero, else
+    /// `X` if any bit is unknown, else `1` (matches the per-bit
+    /// [`Logic::and`] fold because AND is monotone and commutative).
     #[must_use]
     pub fn reduce_and(self) -> Logic {
         let mut unknown = false;
         for (i, (&a, &b)) in self.aval.iter().zip(self.bval).enumerate() {
-            if !a & !b & self.word_mask(i) != 0 {
+            if !a & !b & word_mask_for(self.width, i) != 0 {
                 return Logic::Zero;
             }
             unknown |= b != 0;
@@ -207,7 +234,8 @@ impl<'a> BitsRef<'a> {
         }
     }
 
-    /// Reduction OR over all bits.
+    /// Reduction OR over all bits: `1` if any bit is a known one, else
+    /// `X` if any bit is unknown, else `0`.
     #[must_use]
     pub fn reduce_or(self) -> Logic {
         let mut unknown = false;
@@ -224,7 +252,7 @@ impl<'a> BitsRef<'a> {
         }
     }
 
-    /// Reduction XOR (parity) over all bits.
+    /// Reduction XOR (parity) over all bits: `X` if any bit is unknown.
     #[must_use]
     pub fn reduce_xor(self) -> Logic {
         if self.has_unknown() {
@@ -240,8 +268,7 @@ impl<'a> BitsRef<'a> {
         if self.has_unknown() || rhs.has_unknown() {
             return Logic::X;
         }
-        let n = self.aval.len().max(rhs.aval.len());
-        Logic::from_bool((0..n).all(|i| word_at(self.aval, i) == word_at(rhs.aval, i)))
+        Logic::from_bool(self.case_eq(rhs))
     }
 
     /// Case equality (`===`): exact four-state comparison with implicit
@@ -249,10 +276,7 @@ impl<'a> BitsRef<'a> {
     #[must_use]
     pub fn case_eq(self, rhs: BitsRef<'_>) -> bool {
         let n = self.aval.len().max(rhs.aval.len());
-        (0..n).all(|i| {
-            word_at(self.aval, i) == word_at(rhs.aval, i)
-                && word_at(self.bval, i) == word_at(rhs.bval, i)
-        })
+        (0..n).all(|i| self.word(i) == rhs.word(i))
     }
 
     /// Unsigned value comparison; `None` when unknown bits are present.
@@ -262,23 +286,302 @@ impl<'a> BitsRef<'a> {
             return None;
         }
         let n = self.aval.len().max(rhs.aval.len());
-        for i in (0..n).rev() {
-            match word_at(self.aval, i).cmp(&word_at(rhs.aval, i)) {
-                Ordering::Equal => continue,
-                ord => return Some(ord),
-            }
-        }
-        Some(Ordering::Equal)
+        let ord = (0..n)
+            .rev()
+            .map(|i| word_at(self.aval, i).cmp(&word_at(rhs.aval, i)))
+            .find(|&ord| ord != Ordering::Equal);
+        Some(ord.unwrap_or(Ordering::Equal))
+    }
+
+    /// `X` on unknown operands, else whether the value ordering
+    /// satisfies `holds`.
+    fn compare(self, rhs: BitsRef<'_>, holds: fn(Ordering) -> bool) -> Logic {
+        self.value_cmp(rhs)
+            .map_or(Logic::X, |ord| Logic::from_bool(holds(ord)))
+    }
+
+    /// Unsigned less-than: `X` on unknown operands.
+    #[must_use]
+    pub fn lt(self, rhs: BitsRef<'_>) -> Logic {
+        self.compare(rhs, Ordering::is_lt)
+    }
+
+    /// Unsigned less-or-equal: `X` on unknown operands.
+    #[must_use]
+    pub fn le(self, rhs: BitsRef<'_>) -> Logic {
+        self.compare(rhs, Ordering::is_le)
+    }
+
+    /// Unsigned greater-than: `X` on unknown operands.
+    #[must_use]
+    pub fn gt(self, rhs: BitsRef<'_>) -> Logic {
+        self.compare(rhs, Ordering::is_gt)
+    }
+
+    /// Unsigned greater-or-equal: `X` on unknown operands.
+    #[must_use]
+    pub fn ge(self, rhs: BitsRef<'_>) -> Logic {
+        self.compare(rhs, Ordering::is_ge)
     }
 }
 
-/// Valid-bit mask for word `i` of a `width`-bit vector's planes.
-fn word_mask_for(width: u32, i: usize) -> u64 {
-    let rem = width % 64;
-    if rem != 0 && i == words_for(width) - 1 {
-        (1u64 << rem) - 1
-    } else {
-        u64::MAX
+/// A mutable view of a `width`-bit value's planes: the destination of
+/// every in-place kernel.
+///
+/// The owner sizes the planes to the result width before calling a
+/// kernel; width-changing kernels (`slice_from`, `concat_low`,
+/// `replicate`, `select_merge`) document what the destination must
+/// already hold.
+pub(crate) struct BitsMut<'a> {
+    width: u32,
+    aval: &'a mut [u64],
+    bval: &'a mut [u64],
+}
+
+impl<'a> BitsMut<'a> {
+    /// Wraps planes holding exactly `width.div_ceil(64)` words.
+    pub(crate) fn new(width: u32, aval: &'a mut [u64], bval: &'a mut [u64]) -> BitsMut<'a> {
+        debug_assert_eq!(aval.len(), words_for(width));
+        debug_assert_eq!(bval.len(), words_for(width));
+        BitsMut { width, aval, bval }
+    }
+
+    fn view(&self) -> BitsRef<'_> {
+        BitsRef::new(self.width, self.aval, self.bval)
+    }
+
+    /// Clears plane bits above `width` in the top word.
+    pub(crate) fn mask_top(&mut self) {
+        let rem = self.width % 64;
+        if rem != 0 {
+            let mask = (1u64 << rem) - 1;
+            let last = self.aval.len() - 1;
+            self.aval[last] &= mask;
+            self.bval[last] &= mask;
+        }
+    }
+
+    /// Sets every bit to `fill`.
+    pub(crate) fn fill(&mut self, fill: Logic) {
+        let (a, b) = fill.to_avab();
+        self.aval.fill(if a { u64::MAX } else { 0 });
+        self.bval.fill(if b { u64::MAX } else { 0 });
+        self.mask_top();
+    }
+
+    /// Copies `src` in, zero-extending or truncating it to `width`.
+    pub(crate) fn copy_from(&mut self, src: BitsRef<'_>) {
+        for i in 0..self.aval.len() {
+            (self.aval[i], self.bval[i]) = src.word(i);
+        }
+        self.mask_top();
+    }
+
+    /// Sets the value to the low bits of `value`.
+    pub(crate) fn set_u64(&mut self, value: u64) {
+        self.fill(Logic::Zero);
+        if let Some(w) = self.aval.first_mut() {
+            *w = value;
+        }
+        self.mask_top();
+    }
+
+    /// `self = f(self, rhs)` word by word, `rhs` zero-extended; `f` is
+    /// one of the `*_words` resolution functions.
+    pub(crate) fn bitwise(&mut self, rhs: BitsRef<'_>, f: fn(u64, u64, u64, u64) -> (u64, u64)) {
+        for i in 0..self.aval.len() {
+            let (a2, b2) = rhs.word(i);
+            (self.aval[i], self.bval[i]) = f(self.aval[i], self.bval[i], a2, b2);
+        }
+        self.mask_top();
+    }
+
+    /// `self = ~self`: known bits invert, X/Z become X.
+    pub(crate) fn not(&mut self) {
+        for (a, &b) in self.aval.iter_mut().zip(self.bval.iter()) {
+            *a = !*a | b;
+        }
+        self.mask_top();
+    }
+
+    /// Fills with X and returns `true` if either operand has an unknown
+    /// bit — the all-X rule of every arithmetic operator.
+    fn x_if_unknown(&mut self, rhs: BitsRef<'_>) -> bool {
+        let unknown = self.view().has_unknown() || rhs.has_unknown();
+        if unknown {
+            self.fill(Logic::X);
+        }
+        unknown
+    }
+
+    /// `self = self + rhs_word + carry_in` over the value plane, as one
+    /// ripple-carry chain of whole words.
+    fn carry_chain(&mut self, carry_in: u64, rhs_word: impl Fn(usize) -> u64) {
+        let mut carry = u128::from(carry_in);
+        for (i, a) in self.aval.iter_mut().enumerate() {
+            let sum = u128::from(*a) + u128::from(rhs_word(i)) + carry;
+            *a = sum as u64;
+            carry = sum >> 64;
+        }
+        self.mask_top();
+    }
+
+    /// `self = self + rhs` (wrapping at `width`), all-X on unknowns.
+    pub(crate) fn add(&mut self, rhs: BitsRef<'_>) {
+        if !self.x_if_unknown(rhs) {
+            self.carry_chain(0, |i| rhs.word(i).0);
+        }
+    }
+
+    /// `self = self - rhs` as `self + !rhs + 1`, all-X on unknowns. The
+    /// complement's bits above `width` only reach bits that
+    /// `mask_top` clears, so `rhs` needs no masking.
+    pub(crate) fn sub(&mut self, rhs: BitsRef<'_>) {
+        if !self.x_if_unknown(rhs) {
+            self.carry_chain(1, |i| !rhs.word(i).0);
+        }
+    }
+
+    /// `self = -self` as `!self + 1`, all-X on unknown bits.
+    pub(crate) fn neg(&mut self) {
+        if self.view().has_unknown() {
+            self.fill(Logic::X);
+        } else {
+            self.not();
+            self.carry_chain(1, |_| 0);
+        }
+    }
+
+    /// `self = self * rhs`, keeping the product of the low words only
+    /// (exact for results of ≤ 64 bits); all-X on unknowns.
+    pub(crate) fn mul(&mut self, rhs: BitsRef<'_>) {
+        if !self.x_if_unknown(rhs) {
+            let low = self.view().word(0).0.wrapping_mul(rhs.word(0).0);
+            self.set_u64(low);
+        }
+    }
+
+    /// `self = self / rhs`; all-X on unknowns, division by zero, or an
+    /// operand that does not fit in 64 bits.
+    pub(crate) fn div(&mut self, rhs: BitsRef<'_>) {
+        self.div_rem(rhs, |a, b| a / b);
+    }
+
+    /// `self = self % rhs`; all-X under the same conditions as `div`.
+    pub(crate) fn rem(&mut self, rhs: BitsRef<'_>) {
+        self.div_rem(rhs, |a, b| a % b);
+    }
+
+    fn div_rem(&mut self, rhs: BitsRef<'_>, op: fn(u64, u64) -> u64) {
+        match (self.view().to_u64(), rhs.to_u64()) {
+            (Some(a), Some(b)) if b != 0 => self.set_u64(op(a, b)),
+            _ => self.fill(Logic::X),
+        }
+    }
+
+    /// `self = self << amount`: all-X for an X/Z amount, zeros for a
+    /// known amount `>= width`.
+    pub(crate) fn shl(&mut self, amount: BitsRef<'_>) {
+        match shift_amount(amount) {
+            Some(n) => self.shl_const(n),
+            None => self.fill(Logic::X),
+        }
+    }
+
+    /// `self = self >> amount`, with the same amount rules as `shl`.
+    pub(crate) fn shr(&mut self, amount: BitsRef<'_>) {
+        match shift_amount(amount) {
+            Some(n) => self.shr_const(n),
+            None => self.fill(Logic::X),
+        }
+    }
+
+    /// Shift left by a constant, filling with zeros. Runs top-down so
+    /// every word is read before it is overwritten.
+    pub(crate) fn shl_const(&mut self, n: u32) {
+        if n >= self.width {
+            self.fill(Logic::Zero);
+            return;
+        }
+        let (ws, bs) = ((n / 64) as usize, n % 64);
+        for plane in [&mut *self.aval, &mut *self.bval] {
+            for i in (ws..plane.len()).rev() {
+                let carried = if bs > 0 && i > ws {
+                    plane[i - ws - 1] >> (64 - bs)
+                } else {
+                    0
+                };
+                plane[i] = plane[i - ws] << bs | carried;
+            }
+            plane[..ws].fill(0);
+        }
+        self.mask_top();
+    }
+
+    /// Shift right by a constant, filling with zeros. Runs bottom-up so
+    /// every word is read before it is overwritten.
+    pub(crate) fn shr_const(&mut self, n: u32) {
+        if n >= self.width {
+            self.fill(Logic::Zero);
+            return;
+        }
+        for plane in [&mut *self.aval, &mut *self.bval] {
+            for i in 0..plane.len() {
+                plane[i] = extract_word(plane, n + 64 * i as u32);
+            }
+        }
+        self.mask_top();
+    }
+
+    /// `self = src[lsb + width - 1 : lsb]`; bits beyond `src` read X.
+    pub(crate) fn slice_from(&mut self, src: BitsRef<'_>, lsb: u32) {
+        let known = src.width.saturating_sub(lsb);
+        for i in 0..self.aval.len() {
+            let bit = lsb + 64 * i as u32;
+            self.aval[i] = extract_word(src.aval, bit);
+            self.bval[i] = extract_word(src.bval, bit);
+        }
+        if known < self.width {
+            let (ws, bs) = ((known / 64) as usize, known % 64);
+            for i in ws..self.aval.len() {
+                let m = if i == ws { u64::MAX << bs } else { u64::MAX };
+                self.aval[i] |= m;
+                self.bval[i] |= m;
+            }
+        }
+        self.mask_top();
+    }
+
+    /// `self = {self, low}`: the destination, sized to the concatenated
+    /// width, holds the high part zero-extended on entry.
+    pub(crate) fn concat_low(&mut self, low: BitsRef<'_>) {
+        self.shl_const(low.width);
+        or_shifted(self.aval, low.aval, 0);
+        or_shifted(self.bval, low.bval, 0);
+    }
+
+    /// `self = {count{pattern}}`: the destination is sized to
+    /// `count * pattern.width()` bits.
+    pub(crate) fn replicate(&mut self, pattern: BitsRef<'_>, count: u32) {
+        self.fill(Logic::Zero);
+        for k in 0..count {
+            or_shifted(self.aval, pattern.aval, k * pattern.width);
+            or_shifted(self.bval, pattern.bval, k * pattern.width);
+        }
+    }
+
+    /// Ternary merge under an unknown condition, sized to the wider arm:
+    /// for each bit of the zero-extended arms, the shared value where
+    /// both agree and are known, X otherwise.
+    pub(crate) fn select_merge(&mut self, then: BitsRef<'_>, els: BitsRef<'_>) {
+        for i in 0..self.aval.len() {
+            let (a1, b1) = then.word(i);
+            let (a2, b2) = els.word(i);
+            let same = !(a1 ^ a2) & !b1 & !b2;
+            self.aval[i] = (a1 & same) | !same;
+            self.bval[i] = !same;
+        }
+        self.mask_top();
     }
 }
 
@@ -346,6 +649,10 @@ impl ScratchBuf {
         BitsRef::new(self.width, &self.aval, &self.bval)
     }
 
+    fn bits_mut(&mut self) -> BitsMut<'_> {
+        BitsMut::new(self.width, &mut self.aval, &mut self.bval)
+    }
+
     /// An owned canonical [`LogicVec`] copy of the current value
     /// (allocates for widths above 64 — test and cold-path use only).
     #[must_use]
@@ -364,17 +671,7 @@ impl ScratchBuf {
         self.aval.resize(n, 0);
         self.bval.resize(n, 0);
         self.width = width;
-        self.mask_top();
-    }
-
-    fn mask_top(&mut self) {
-        let rem = self.width % 64;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            let last = self.aval.len() - 1;
-            self.aval[last] &= mask;
-            self.bval[last] &= mask;
-        }
+        self.bits_mut().mask_top();
     }
 
     /// Copies `src` in, adopting its width.
@@ -385,287 +682,125 @@ impl ScratchBuf {
     /// Copies `src` in at `width` bits (zero-extending or truncating).
     pub fn load_resized(&mut self, src: BitsRef<'_>, width: u32) {
         self.set_width(width);
-        for i in 0..self.aval.len() {
-            let (a, b) = src.word(i);
-            self.aval[i] = a;
-            self.bval[i] = b;
-        }
-        self.mask_top();
+        self.bits_mut().copy_from(src);
     }
 
     /// Loads the low bits of `value` at `width` bits.
     pub fn load_u64(&mut self, width: u32, value: u64) {
         self.set_width(width);
-        self.aval.fill(0);
-        self.bval.fill(0);
-        if !self.aval.is_empty() {
-            self.aval[0] = value;
-        }
-        self.mask_top();
+        self.bits_mut().set_u64(value);
     }
 
     /// Loads a single-bit scalar.
     pub fn load_logic(&mut self, value: Logic) {
-        self.set_width(1);
-        let (a, b) = value.to_avab();
-        self.aval[0] = u64::from(a);
-        self.bval[0] = u64::from(b);
+        self.fill(1, value);
     }
 
     /// Sets every bit to `fill` at `width` bits.
     pub fn fill(&mut self, width: u32, fill: Logic) {
         self.set_width(width);
-        let (a, b) = fill.to_avab();
-        self.aval.fill(if a { u64::MAX } else { 0 });
-        self.bval.fill(if b { u64::MAX } else { 0 });
-        self.mask_top();
+        self.bits_mut().fill(fill);
     }
 
-    fn bitwise_assign(&mut self, rhs: BitsRef<'_>, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) {
-        let width = self.width.max(rhs.width());
-        self.set_width(width);
-        for i in 0..self.aval.len() {
-            let (a2, b2) = rhs.word(i);
-            let (av, bv) = f(self.aval[i], self.bval[i], a2, b2);
-            self.aval[i] = av;
-            self.bval[i] = bv;
-        }
-        self.mask_top();
+    /// Widens to the larger operand width, then runs `kernel` in place.
+    fn binary(&mut self, rhs: BitsRef<'_>, kernel: impl FnOnce(&mut BitsMut<'_>, BitsRef<'_>)) {
+        self.set_width(self.width.max(rhs.width()));
+        kernel(&mut self.bits_mut(), rhs);
     }
 
     /// `self = self & rhs` with four-state resolution.
     pub fn and_assign(&mut self, rhs: BitsRef<'_>) {
-        self.bitwise_assign(rhs, and_words);
+        self.binary(rhs, |d, r| d.bitwise(r, and_words));
     }
 
     /// `self = self | rhs` with four-state resolution.
     pub fn or_assign(&mut self, rhs: BitsRef<'_>) {
-        self.bitwise_assign(rhs, or_words);
+        self.binary(rhs, |d, r| d.bitwise(r, or_words));
     }
 
     /// `self = self ^ rhs` with four-state resolution.
     pub fn xor_assign(&mut self, rhs: BitsRef<'_>) {
-        self.bitwise_assign(rhs, xor_words);
+        self.binary(rhs, |d, r| d.bitwise(r, xor_words));
     }
 
     /// `self = self ~^ rhs` with four-state resolution.
     pub fn xnor_assign(&mut self, rhs: BitsRef<'_>) {
-        self.bitwise_assign(rhs, xnor_words);
+        self.binary(rhs, |d, r| d.bitwise(r, xnor_words));
     }
 
     /// `self = ~self`: known bits invert, X/Z become X.
     pub fn not_self(&mut self) {
-        for i in 0..self.aval.len() {
-            let unk = self.bval[i];
-            self.aval[i] = !self.aval[i] | unk;
-            self.bval[i] = unk;
-        }
-        self.mask_top();
+        self.bits_mut().not();
     }
 
     /// `self = self + rhs` at the max operand width, all-X on any
     /// unknown operand bit.
     pub fn add_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        if self.as_bits().has_unknown() || rhs.has_unknown() {
-            self.fill(width, Logic::X);
-            return;
-        }
-        self.set_width(width);
-        let mut carry = 0u128;
-        for i in 0..self.aval.len() {
-            let sum = self.aval[i] as u128 + rhs.word(i).0 as u128 + carry;
-            self.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        self.mask_top();
+        self.binary(rhs, |d, r| d.add(r));
     }
 
     /// `self = self - rhs` (two's-complement wraparound), all-X on any
-    /// unknown operand bit. Mirrors `LogicVec::sub`'s `a + !b + 1`
-    /// formulation so the borrow chain wraps identically.
+    /// unknown operand bit.
     pub fn sub_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        if self.as_bits().has_unknown() || rhs.has_unknown() {
-            self.fill(width, Logic::X);
-            return;
-        }
-        self.set_width(width);
-        let last = self.aval.len() - 1;
-        let mut carry = 1u128;
-        for i in 0..self.aval.len() {
-            let m = if i == last {
-                low_mask(((width - 1) % 64) + 1)
-            } else {
-                u64::MAX
-            };
-            let sum = self.aval[i] as u128 + (!rhs.word(i).0 & m) as u128 + carry;
-            self.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        self.mask_top();
+        self.binary(rhs, |d, r| d.sub(r));
     }
 
     /// `self = -self` (two's complement), all-X on unknown bits.
     pub fn neg_self(&mut self) {
-        let width = self.width;
-        if self.as_bits().has_unknown() {
-            self.fill(width, Logic::X);
-            return;
-        }
-        // 0 - self via the same `0 + !self + 1` chain as `sub_assign`.
-        let last = self.aval.len() - 1;
-        let mut carry = 1u128;
-        for i in 0..self.aval.len() {
-            let m = if i == last {
-                low_mask(((width - 1) % 64) + 1)
-            } else {
-                u64::MAX
-            };
-            let sum = ((!self.aval[i]) & m) as u128 + carry;
-            self.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        self.mask_top();
+        self.bits_mut().neg();
     }
 
-    /// `self = self * rhs` (low 64 bits, like `LogicVec::mul`), all-X on
-    /// unknown operands.
+    /// `self = self * rhs` (low 64 bits), all-X on unknown operands.
     pub fn mul_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        if self.as_bits().has_unknown() || rhs.has_unknown() {
-            self.fill(width, Logic::X);
-            return;
-        }
-        let low = word_at(&self.aval, 0).wrapping_mul(rhs.word(0).0);
-        self.load_u64(width, low);
+        self.binary(rhs, |d, r| d.mul(r));
     }
 
     /// `self = self / rhs`; division by zero or unknown operands yield
     /// all-X.
     pub fn div_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        match (self.as_bits().to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => self.load_u64(width, a / b),
-            _ => self.fill(width, Logic::X),
-        }
+        self.binary(rhs, |d, r| d.div(r));
     }
 
     /// `self = self % rhs`; modulo zero or unknown operands yield all-X.
     pub fn rem_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        match (self.as_bits().to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => self.load_u64(width, a % b),
-            _ => self.fill(width, Logic::X),
-        }
+        self.binary(rhs, |d, r| d.rem(r));
     }
 
-    /// `self = self << amount`; unknown amount yields all-X at the
-    /// current width.
+    /// `self = self << amount` at the current width; an X/Z amount
+    /// yields all-X, a known amount `>= width` yields zeros.
     pub fn shl_assign(&mut self, amount: BitsRef<'_>) {
-        match amount.to_u64() {
-            Some(n) => self.shl_assign_const(n as u32),
-            None => {
-                let w = self.width;
-                self.fill(w, Logic::X);
-            }
-        }
+        self.bits_mut().shl(amount);
     }
 
-    /// `self = self >> amount`; unknown amount yields all-X at the
-    /// current width.
+    /// `self = self >> amount` at the current width; an X/Z amount
+    /// yields all-X, a known amount `>= width` yields zeros.
     pub fn shr_assign(&mut self, amount: BitsRef<'_>) {
-        match amount.to_u64() {
-            Some(n) => self.shr_assign_const(n as u32),
-            None => {
-                let w = self.width;
-                self.fill(w, Logic::X);
-            }
-        }
+        self.bits_mut().shr(amount);
     }
 
-    /// Shift left by a constant, filling with zeros. Runs top-down so
-    /// every word is read before it is overwritten.
+    /// Shift left by a constant, filling with zeros.
     pub fn shl_assign_const(&mut self, n: u32) {
-        if n >= self.width {
-            let w = self.width;
-            self.fill(w, Logic::Zero);
-            return;
-        }
-        let (ws, bs) = ((n / 64) as usize, n % 64);
-        for i in (ws..self.aval.len()).rev() {
-            let lo_a = self.aval[i - ws] << bs;
-            let lo_b = self.bval[i - ws] << bs;
-            let (hi_a, hi_b) = if bs > 0 && i > ws {
-                (
-                    self.aval[i - ws - 1] >> (64 - bs),
-                    self.bval[i - ws - 1] >> (64 - bs),
-                )
-            } else {
-                (0, 0)
-            };
-            self.aval[i] = lo_a | hi_a;
-            self.bval[i] = lo_b | hi_b;
-        }
-        for i in 0..ws {
-            self.aval[i] = 0;
-            self.bval[i] = 0;
-        }
-        self.mask_top();
+        self.bits_mut().shl_const(n);
     }
 
-    /// Shift right by a constant, filling with zeros. Runs bottom-up so
-    /// every word is read before it is overwritten.
+    /// Shift right by a constant, filling with zeros.
     pub fn shr_assign_const(&mut self, n: u32) {
-        if n >= self.width {
-            let w = self.width;
-            self.fill(w, Logic::Zero);
-            return;
-        }
-        for i in 0..self.aval.len() {
-            let bit = n + 64 * i as u32;
-            self.aval[i] = extract_word(&self.aval, bit);
-            self.bval[i] = extract_word(&self.bval, bit);
-        }
-        self.mask_top();
+        self.bits_mut().shr_const(n);
     }
 
     /// `self = src[msb:lsb]` (inclusive, LSB-0). Out-of-range bits read
-    /// as X, matching `LogicVec::slice`.
+    /// as X.
     pub fn slice_from(&mut self, src: BitsRef<'_>, msb: u32, lsb: u32) {
-        let (msb, lsb) = if msb >= lsb { (msb, lsb) } else { (lsb, msb) };
-        let width = msb - lsb + 1;
-        let known = src.width().saturating_sub(lsb);
+        let (lsb, width) = select_range(msb, lsb);
         self.set_width(width);
-        let (src_a, src_b) = src.planes();
-        for i in 0..self.aval.len() {
-            let bit = lsb + 64 * i as u32;
-            self.aval[i] = extract_word(src_a, bit);
-            self.bval[i] = extract_word(src_b, bit);
-        }
-        if known < width {
-            let (ws, bs) = ((known / 64) as usize, known % 64);
-            for i in ws..self.aval.len() {
-                let m = if i == ws { u64::MAX << bs } else { u64::MAX };
-                self.aval[i] |= m;
-                self.bval[i] |= m;
-            }
-        }
-        self.mask_top();
+        self.bits_mut().slice_from(src, lsb);
     }
 
     /// `self = {self, low}` — `self` supplies the high bits, as in the
     /// Verilog concatenation `{a, b}` where `a` is written first.
     pub fn concat_low(&mut self, low: BitsRef<'_>) {
-        let low_width = low.width();
-        let width = self.width + low_width;
-        self.set_width(width);
-        self.shl_assign_const(low_width);
-        let (low_a, low_b) = low.planes();
-        for (i, (&a, &b)) in low_a.iter().zip(low_b).enumerate() {
-            self.aval[i] |= a;
-            self.bval[i] |= b;
-        }
+        self.set_width(self.width + low.width());
+        self.bits_mut().concat_low(low);
     }
 
     /// `self = {count{self}}`, staging the source pattern in `spare`.
@@ -676,28 +811,16 @@ impl ScratchBuf {
     pub fn replicate_self(&mut self, count: u32, spare: &mut ScratchBuf) {
         debug_assert!(count > 0, "replication count must be non-zero");
         spare.load(self.as_bits());
-        let w = self.width;
-        self.fill(w * count, Logic::Zero);
-        for k in 0..count {
-            or_shifted(&mut self.aval, &spare.aval, k * w);
-            or_shifted(&mut self.bval, &spare.bval, k * w);
-        }
+        self.set_width(self.width * count);
+        self.bits_mut().replicate(spare.as_bits(), count);
     }
 
     /// Ternary merge under an unknown condition: for each bit of the
     /// zero-extended arms, the result is the shared value where both
     /// arms agree and are known, X otherwise.
     pub fn select_merge(&mut self, then: BitsRef<'_>, els: BitsRef<'_>) {
-        let width = then.width().max(els.width());
-        self.set_width(width);
-        for i in 0..self.aval.len() {
-            let (a1, b1) = then.word(i);
-            let (a2, b2) = els.word(i);
-            let same = !(a1 ^ a2) & !b1 & !b2;
-            self.aval[i] = (a1 & same) | !same;
-            self.bval[i] = !same;
-        }
-        self.mask_top();
+        self.set_width(then.width().max(els.width()));
+        self.bits_mut().select_merge(then, els);
     }
 }
 
@@ -707,6 +830,15 @@ mod tests {
 
     fn lv(s: &str) -> LogicVec {
         LogicVec::parse_binary(s).expect("valid literal")
+    }
+
+    /// A `width`-bit vector with exactly the listed bits set to `1`.
+    fn ones_at(width: u32, bits: &[u32]) -> LogicVec {
+        let mut v = LogicVec::zeros(width);
+        for &b in bits {
+            v.set(b, Logic::One);
+        }
+        v
     }
 
     #[test]
@@ -737,72 +869,88 @@ mod tests {
     }
 
     #[test]
-    fn in_place_ops_match_logicvec() {
+    fn bitwise_ops_hand_worked() {
         let a = lv("1x01zzz010110x01");
         let b = lv("0110x01z01101010");
         let mut buf = ScratchBuf::with_width(64);
-
-        buf.load(a.as_bits());
-        buf.and_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.and(&b));
-
-        buf.load(a.as_bits());
-        buf.or_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.or(&b));
-
-        buf.load(a.as_bits());
-        buf.xor_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.xor(&b));
-
-        buf.load(a.as_bits());
-        buf.xnor_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.xnor(&b));
-
+        type Op = fn(&mut ScratchBuf, BitsRef<'_>);
+        let cases: [(Op, &str); 4] = [
+            (ScratchBuf::and_assign, "0x00x0x000100000"),
+            (ScratchBuf::or_assign, "1111xx1x11111x11"),
+            (ScratchBuf::xor_assign, "1x11xxxx11011x11"),
+            (ScratchBuf::xnor_assign, "0x00xxxx00100x00"),
+        ];
+        for (op, want) in cases {
+            buf.load(a.as_bits());
+            op(&mut buf, b.as_bits());
+            assert_eq!(buf.to_logic_vec(), lv(want), "{a} op {b}");
+        }
         buf.load(a.as_bits());
         buf.not_self();
-        assert_eq!(buf.to_logic_vec(), a.not());
+        assert_eq!(buf.to_logic_vec(), lv("0x10xxx101001x10"));
     }
 
     #[test]
-    fn wide_arithmetic_matches_logicvec() {
-        let a = LogicVec::filled(129, Logic::One);
-        let b = LogicVec::from_u64(129, 1);
-        let mut buf = ScratchBuf::with_width(129);
-
-        buf.load(a.as_bits());
-        buf.add_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.add(&b));
-
-        buf.load(a.as_bits());
-        buf.sub_assign(b.as_bits());
-        assert_eq!(buf.to_logic_vec(), a.sub(&b));
-
-        buf.load(b.as_bits());
+    fn wide_arithmetic_hand_worked() {
+        let mut buf = ScratchBuf::with_width(130);
+        // (2^128 - 1) + 1 carries across both word boundaries of a
+        // 130-bit value into bit 128.
+        let low128 = LogicVec::filled(128, Logic::One);
+        let one = LogicVec::from_u64(130, 1);
+        buf.load(low128.as_bits());
+        buf.add_assign(one.as_bits());
+        assert_eq!(buf.to_logic_vec(), ones_at(130, &[128]));
+        // ...and 2^128 - 1 borrows back down through both boundaries.
+        buf.sub_assign(one.as_bits());
+        assert_eq!(buf.to_logic_vec(), low128.resize(130));
+        // 0 - 1 and -1 wrap to all ones at the full width.
+        buf.load(LogicVec::zeros(130).as_bits());
+        buf.sub_assign(one.as_bits());
+        assert_eq!(buf.to_logic_vec(), LogicVec::filled(130, Logic::One));
+        buf.load(one.as_bits());
         buf.neg_self();
-        assert_eq!(buf.to_logic_vec(), b.negate());
+        assert_eq!(buf.to_logic_vec(), LogicVec::filled(130, Logic::One));
+        // 13 * 11 = 143; 143 / 11 = 13; 100 % 7 = 2; x / 0 = X.
+        buf.load_u64(8, 13);
+        buf.mul_assign(LogicVec::from_u64(8, 11).as_bits());
+        assert_eq!(buf.to_logic_vec(), LogicVec::from_u64(8, 143));
+        buf.div_assign(LogicVec::from_u64(8, 11).as_bits());
+        assert_eq!(buf.to_logic_vec(), LogicVec::from_u64(8, 13));
+        buf.load_u64(8, 100);
+        buf.rem_assign(LogicVec::from_u64(8, 7).as_bits());
+        assert_eq!(buf.to_logic_vec(), LogicVec::from_u64(8, 2));
+        buf.div_assign(LogicVec::zeros(8).as_bits());
+        assert_eq!(buf.to_logic_vec(), LogicVec::xes(8));
     }
 
     #[test]
     fn concat_replicate_slice_roundtrip() {
-        let hi = LogicVec::from_u64(40, 0xAB_CDEF_0123);
-        let lo = LogicVec::from_u64(40, 0x45_6789_ABCD);
+        // {64'h8000_0000_0000_0001, 65'h1_0000_0000_0000_0001}: the low
+        // part owns bits 0 and 64, the high part lands at 65 and 128.
+        let hi = ones_at(64, &[0, 63]);
+        let lo = ones_at(65, &[0, 64]);
         let mut buf = ScratchBuf::new();
         buf.load(hi.as_bits());
         buf.concat_low(lo.as_bits());
-        assert_eq!(buf.to_logic_vec(), hi.concat(&lo));
+        let cat = ones_at(129, &[0, 64, 65, 128]);
+        assert_eq!(buf.to_logic_vec(), cat);
 
         let mut spare = ScratchBuf::new();
-        let pat = lv("10x");
-        buf.load(pat.as_bits());
+        buf.load(lv("10x").as_bits());
         buf.replicate_self(5, &mut spare);
-        assert_eq!(buf.to_logic_vec(), pat.replicate(5));
+        assert_eq!(buf.to_logic_vec(), lv("10x10x10x10x10x"));
 
-        let src = hi.concat(&lo);
-        buf.slice_from(src.as_bits(), 70, 9);
-        assert_eq!(buf.to_logic_vec(), src.slice(70, 9));
-        // Out-of-range slices read X.
-        buf.slice_from(src.as_bits(), 100, 70);
-        assert_eq!(buf.to_logic_vec(), src.slice(100, 70));
+        // [128:64] of the concatenation, written in either order.
+        buf.slice_from(cat.as_bits(), 128, 64);
+        assert_eq!(buf.to_logic_vec(), ones_at(65, &[0, 1, 64]));
+        buf.slice_from(cat.as_bits(), 64, 128);
+        assert_eq!(buf.to_logic_vec(), ones_at(65, &[0, 1, 64]));
+        // [130:100]: bits 100..=128 exist (bit 128 -> 28), 129/130 read X.
+        buf.slice_from(cat.as_bits(), 130, 100);
+        let mut want = ones_at(31, &[28]);
+        want.set(29, Logic::X);
+        want.set(30, Logic::X);
+        assert_eq!(buf.to_logic_vec(), want);
     }
 
     #[test]

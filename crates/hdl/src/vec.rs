@@ -14,11 +14,13 @@
 //! suite), spilling to heap-allocated `Vec<u64>` planes only for wider
 //! vectors. The representation is canonical — a given width always uses
 //! the same variant — so structural equality and hashing are unaffected.
-//! Every operation additionally has a word-level fast path for the
-//! one-word case, and the multi-word paths operate on whole words with
-//! implicit zero-extension rather than materialising resized copies.
+//!
+//! The four-state word logic itself lives in [`crate::bits`]: each
+//! operation here only picks its result width and runs, over these
+//! planes, the same in-place kernel that
+//! [`ScratchBuf`](crate::bits::ScratchBuf) runs.
 
-use crate::bits::{self, extract_word, low_mask, or_shifted, word_at, words_for, BitsRef};
+use crate::bits::{self, low_mask, select_range, word_mask_for, words_for, BitsMut, BitsRef};
 use crate::logic::Logic;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -34,12 +36,12 @@ enum Words {
 }
 
 impl Words {
-    /// A plane of `n` words, each set to `fill`.
-    fn filled(n: usize, fill: u64) -> Words {
+    /// A plane of `n` zero words.
+    fn zeroed(n: usize) -> Words {
         if n == 1 {
-            Words::Inline(fill)
+            Words::Inline(0)
         } else {
-            Words::Spilled(vec![fill; n])
+            Words::Spilled(vec![0; n])
         }
     }
 }
@@ -124,14 +126,12 @@ impl LogicVec {
     pub fn filled(width: u32, fill: Logic) -> LogicVec {
         assert!(width > 0, "LogicVec width must be non-zero");
         let n = words_for(width);
-        let (a, b) = fill.to_avab();
-        let mut v = LogicVec {
+        let v = LogicVec {
             width,
-            aval: Words::filled(n, if a { u64::MAX } else { 0 }),
-            bval: Words::filled(n, if b { u64::MAX } else { 0 }),
+            aval: Words::zeroed(n),
+            bval: Words::zeroed(n),
         };
-        v.mask_top();
-        v
+        v.apply(|d| d.fill(fill))
     }
 
     /// All-zero vector of `width` bits.
@@ -183,30 +183,14 @@ impl LogicVec {
     /// Panics if `bits` has zero width.
     #[must_use]
     pub fn from_bits(bits: BitsRef<'_>) -> LogicVec {
-        let width = bits.width();
-        assert!(width > 0, "LogicVec width must be non-zero");
-        if width <= 64 {
-            let (a, b) = bits.word(0);
-            return LogicVec::inline(width, a, b);
-        }
-        let (aval, bval) = bits.planes();
-        LogicVec {
-            width,
-            aval: Words::Spilled(aval.to_vec()),
-            bval: Words::Spilled(bval.to_vec()),
-        }
+        LogicVec::zeros(bits.width()).apply(|d| d.copy_from(bits))
     }
 
     /// Overwrites this vector in place from `bits`, keeping its own
     /// width (zero-extending or truncating `bits` — the same resize
     /// semantics as a full-net assignment). Never reallocates.
     pub fn assign_bits(&mut self, bits: BitsRef<'_>) {
-        for i in 0..self.aval.len() {
-            let (a, b) = bits.word(i);
-            self.aval[i] = a;
-            self.bval[i] = b;
-        }
-        self.mask_top();
+        self.bits_mut().copy_from(bits);
     }
 
     /// Compares this vector against `bits` under the same resize
@@ -215,7 +199,7 @@ impl LogicVec {
     #[must_use]
     pub fn equals_bits(&self, bits: BitsRef<'_>) -> bool {
         for i in 0..self.aval.len() {
-            let m = self.word_mask(i);
+            let m = word_mask_for(self.width, i);
             let (a, b) = bits.word(i);
             if self.aval[i] != a & m || self.bval[i] != b & m {
                 return false;
@@ -295,7 +279,7 @@ impl LogicVec {
     /// `true` if any bit is `X` or `Z`.
     #[must_use]
     pub fn has_unknown(&self) -> bool {
-        self.bval.iter().any(|&w| w != 0)
+        self.as_bits().has_unknown()
     }
 
     /// Interprets the vector as an unsigned integer.
@@ -304,13 +288,7 @@ impl LogicVec {
     /// with non-zero high bits.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
-        if self.has_unknown() {
-            return None;
-        }
-        if self.aval.iter().skip(1).any(|&w| w != 0) {
-            return None;
-        }
-        Some(self.aval[0])
+        self.as_bits().to_u64()
     }
 
     /// Truthiness in a Verilog `if`: `Some(true)` when any bit is `1`,
@@ -318,18 +296,7 @@ impl LogicVec {
     /// on unknown bits.
     #[must_use]
     pub fn to_bool(&self) -> Option<bool> {
-        let any_one = self
-            .aval
-            .iter()
-            .zip(&*self.bval)
-            .any(|(&a, &b)| a & !b != 0);
-        if any_one {
-            return Some(true);
-        }
-        if self.has_unknown() {
-            return None;
-        }
-        Some(false)
+        self.as_bits().to_bool()
     }
 
     /// Iterates over bits from LSB to MSB.
@@ -337,425 +304,200 @@ impl LogicVec {
         (0..self.width).map(move |i| self.get(i))
     }
 
-    fn mask_top(&mut self) {
-        let rem = self.width % 64;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            let last = self.aval.len() - 1;
-            self.aval[last] &= mask;
-            self.bval[last] &= mask;
-        }
+    fn bits_mut(&mut self) -> BitsMut<'_> {
+        BitsMut::new(self.width, &mut self.aval, &mut self.bval)
     }
 
-    /// Valid-bit mask for word `i` of this vector's planes.
-    fn word_mask(&self, i: usize) -> u64 {
-        let rem = self.width % 64;
-        if rem != 0 && i == words_for(self.width) - 1 {
-            (1u64 << rem) - 1
-        } else {
-            u64::MAX
-        }
+    /// Runs an in-place [`crate::bits`] kernel over this vector.
+    fn apply(mut self, kernel: impl FnOnce(&mut BitsMut<'_>)) -> LogicVec {
+        kernel(&mut self.bits_mut());
+        self
+    }
+
+    /// A copy zero-extended to the wider of the two operands: the
+    /// destination of every width-mixing binary operator.
+    fn widened(&self, rhs: &LogicVec) -> LogicVec {
+        self.resize(self.width.max(rhs.width))
     }
 
     /// Zero-extends or truncates to `width` bits.
     #[must_use]
     pub fn resize(&self, width: u32) -> LogicVec {
-        if width <= 64 && self.width <= 64 {
-            return LogicVec::inline(width, self.aval[0], self.bval[0]);
-        }
-        let mut out = LogicVec::zeros(width);
-        let n = out.aval.len().min(self.aval.len());
-        out.aval[..n].copy_from_slice(&self.aval[..n]);
-        out.bval[..n].copy_from_slice(&self.bval[..n]);
-        out.mask_top();
-        out
+        LogicVec::zeros(width).apply(|d| d.copy_from(self.as_bits()))
     }
 
-    /// Bitwise AND with Verilog four-state resolution, computed
-    /// word-parallel over the (aval, bval) planes:
-    /// a bit is known-0 iff `!a & !b`; the result is 0 where either
+    /// Bitwise AND with Verilog four-state resolution: 0 where either
     /// operand is known-0, 1 where both are known-1, X otherwise.
     #[must_use]
     pub fn and(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::and_words)
+        self.widened(rhs)
+            .apply(|d| d.bitwise(rhs.as_bits(), bits::and_words))
     }
 
-    /// Bitwise OR with Verilog four-state resolution (word-parallel):
-    /// 1 where either operand is known-1, 0 where both are known-0, X
-    /// otherwise.
+    /// Bitwise OR with Verilog four-state resolution: 1 where either
+    /// operand is known-1, 0 where both are known-0, X otherwise.
     #[must_use]
     pub fn or(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::or_words)
+        self.widened(rhs)
+            .apply(|d| d.bitwise(rhs.as_bits(), bits::or_words))
     }
 
-    /// Bitwise XOR with Verilog four-state resolution (word-parallel):
-    /// X wherever either operand is unknown, else the plain XOR.
+    /// Bitwise XOR with Verilog four-state resolution: X wherever either
+    /// operand is unknown, else the plain XOR.
     #[must_use]
     pub fn xor(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::xor_words)
+        self.widened(rhs)
+            .apply(|d| d.bitwise(rhs.as_bits(), bits::xor_words))
     }
 
-    /// Bitwise XNOR with Verilog four-state resolution (word-parallel).
+    /// Bitwise XNOR with Verilog four-state resolution.
     #[must_use]
     pub fn xnor(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::xnor_words)
+        self.widened(rhs)
+            .apply(|d| d.bitwise(rhs.as_bits(), bits::xnor_words))
     }
 
-    /// Word-parallel bitwise combinator: `f` receives one 64-bit word of
-    /// each operand's (aval, bval) planes (zero-extended to the common
-    /// width) and returns the result word's planes.
-    fn word_bitwise(
-        &self,
-        rhs: &LogicVec,
-        f: impl Fn(u64, u64, u64, u64) -> (u64, u64),
-    ) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if width <= 64 {
-            let (av, bv) = f(self.aval[0], self.bval[0], rhs.aval[0], rhs.bval[0]);
-            return LogicVec::inline(width, av, bv);
-        }
-        let mut out = LogicVec::zeros(width);
-        for i in 0..out.aval.len() {
-            let (av, bv) = f(
-                word_at(&self.aval, i),
-                word_at(&self.bval, i),
-                word_at(&rhs.aval, i),
-                word_at(&rhs.bval, i),
-            );
-            out.aval[i] = av;
-            out.bval[i] = bv;
-        }
-        out.mask_top();
-        out
-    }
-
-    /// Bitwise NOT with four-state resolution (word-parallel): known
-    /// bits invert; X/Z become X.
+    /// Bitwise NOT with four-state resolution: known bits invert; X/Z
+    /// become X.
     #[must_use]
     pub fn not(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..self.aval.len() {
-            let unk = self.bval[i];
-            out.aval[i] = !self.aval[i] | unk;
-            out.bval[i] = unk;
-        }
-        out.mask_top();
-        out
+        self.clone().apply(|d| d.not())
     }
 
     /// Reduction AND over all bits: `0` if any bit is a known zero, else
-    /// `X` if any bit is unknown, else `1` (word-parallel; matches the
-    /// per-bit [`Logic::and`] fold because AND is monotone and
-    /// commutative).
+    /// `X` if any bit is unknown, else `1`.
     #[must_use]
     pub fn reduce_and(&self) -> Logic {
-        let mut unknown = false;
-        for (i, (&a, &b)) in self.aval.iter().zip(&*self.bval).enumerate() {
-            if !a & !b & self.word_mask(i) != 0 {
-                return Logic::Zero;
-            }
-            unknown |= b != 0;
-        }
-        if unknown {
-            Logic::X
-        } else {
-            Logic::One
-        }
+        self.as_bits().reduce_and()
     }
 
     /// Reduction OR over all bits: `1` if any bit is a known one, else
-    /// `X` if any bit is unknown, else `0` (word-parallel).
+    /// `X` if any bit is unknown, else `0`.
     #[must_use]
     pub fn reduce_or(&self) -> Logic {
-        let mut unknown = false;
-        for (&a, &b) in self.aval.iter().zip(&*self.bval) {
-            if a & !b != 0 {
-                return Logic::One;
-            }
-            unknown |= b != 0;
-        }
-        if unknown {
-            Logic::X
-        } else {
-            Logic::Zero
-        }
+        self.as_bits().reduce_or()
     }
 
-    /// Reduction XOR over all bits (parity): `X` if any bit is unknown,
-    /// else the popcount parity (word-parallel).
+    /// Reduction XOR over all bits (parity): `X` if any bit is unknown.
     #[must_use]
     pub fn reduce_xor(&self) -> Logic {
-        if self.has_unknown() {
-            return Logic::X;
-        }
-        let ones: u32 = self.aval.iter().map(|w| w.count_ones()).sum();
-        Logic::from_bool(ones % 2 == 1)
-    }
-
-    /// Word-level arithmetic helper, exact for results that fit in the low
-    /// 64 bits (multiplication of wider values keeps only the low word, the
-    /// same truncation Verilog applies at the result width).
-    fn binary_arith(&self, rhs: &LogicVec, width: u32, op: impl Fn(u64, u64) -> u64) -> LogicVec {
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        let low = op(self.aval[0], rhs.aval[0]);
-        if width <= 64 {
-            return LogicVec::inline(width, low, 0);
-        }
-        let mut out = LogicVec::zeros(width);
-        out.aval[0] = low;
-        out
+        self.as_bits().reduce_xor()
     }
 
     /// Addition with Verilog X-propagation: any unknown operand bit makes
     /// the whole result `X`. Result width is the max operand width.
     #[must_use]
     pub fn add(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        if width <= 64 {
-            return LogicVec::inline(width, self.aval[0].wrapping_add(rhs.aval[0]), 0);
-        }
-        let mut out = LogicVec::zeros(width);
-        let mut carry = 0u128;
-        for i in 0..out.aval.len() {
-            let sum = word_at(&self.aval, i) as u128 + word_at(&rhs.aval, i) as u128 + carry;
-            out.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        out.mask_top();
-        out
+        self.widened(rhs).apply(|d| d.add(rhs.as_bits()))
     }
 
     /// Subtraction (two's complement wraparound) with X-propagation.
     #[must_use]
     pub fn sub(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        if width <= 64 {
-            return LogicVec::inline(width, self.aval[0].wrapping_sub(rhs.aval[0]), 0);
-        }
-        // a - b == a + (!b + 1) over the common width; `!b` is computed
-        // per word against that width's masks, so the borrow chain wraps
-        // exactly like the two's-complement path it replaces.
-        let mut out = LogicVec::zeros(width);
-        let last = out.aval.len() - 1;
-        let mut carry = 1u128;
-        for i in 0..out.aval.len() {
-            let m = if i == last {
-                low_mask(((width - 1) % 64) + 1)
-            } else {
-                u64::MAX
-            };
-            let sum = word_at(&self.aval, i) as u128 + (!word_at(&rhs.aval, i) & m) as u128 + carry;
-            out.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        out.mask_top();
-        out
+        self.widened(rhs).apply(|d| d.sub(rhs.as_bits()))
     }
 
     /// Two's-complement negation with X-propagation.
     #[must_use]
     pub fn negate(&self) -> LogicVec {
-        if self.has_unknown() {
-            return LogicVec::xes(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0].wrapping_neg(), 0);
-        }
-        LogicVec::zeros(self.width).sub(self)
+        self.clone().apply(|d| d.neg())
     }
 
     /// Multiplication (low bits) with X-propagation.
     #[must_use]
     pub fn mul(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        self.binary_arith(rhs, width, u64::wrapping_mul)
+        self.widened(rhs).apply(|d| d.mul(rhs.as_bits()))
     }
 
     /// Division; division by zero or unknown operands yield all-`X`,
     /// matching IEEE 1364.
     #[must_use]
     pub fn div(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        match (self.to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => LogicVec::from_u64(width, a / b),
-            _ => LogicVec::xes(width),
-        }
+        self.widened(rhs).apply(|d| d.div(rhs.as_bits()))
     }
 
     /// Remainder; modulo zero or unknown operands yield all-`X`.
     #[must_use]
     pub fn rem(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        match (self.to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => LogicVec::from_u64(width, a % b),
-            _ => LogicVec::xes(width),
-        }
+        self.widened(rhs).apply(|d| d.rem(rhs.as_bits()))
     }
 
-    /// Logical shift left; an unknown shift amount yields all-`X`.
+    /// Logical shift left (IEEE 1364-2005 §5.1.12): an X/Z shift amount
+    /// yields all-`X`; a known amount `>= width` yields zeros.
     #[must_use]
     pub fn shl(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(n) => self.shift_left_const(n as u32),
-            None => LogicVec::xes(self.width),
-        }
+        self.clone().apply(|d| d.shl(amount.as_bits()))
     }
 
-    /// Logical shift right; an unknown shift amount yields all-`X`.
+    /// Logical shift right, with the same amount rules as
+    /// [`shl`](Self::shl).
     #[must_use]
     pub fn shr(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(n) => self.shift_right_const(n as u32),
-            None => LogicVec::xes(self.width),
-        }
+        self.clone().apply(|d| d.shr(amount.as_bits()))
     }
 
     /// Shift left by a constant amount, filling with zeros.
     #[must_use]
     pub fn shift_left_const(&self, n: u32) -> LogicVec {
-        if n >= self.width {
-            return LogicVec::zeros(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0] << n, self.bval[0] << n);
-        }
-        let mut out = LogicVec::zeros(self.width);
-        let (ws, bs) = ((n / 64) as usize, n % 64);
-        for i in ws..out.aval.len() {
-            let lo_a = self.aval[i - ws] << bs;
-            let lo_b = self.bval[i - ws] << bs;
-            let (hi_a, hi_b) = if bs > 0 && i > ws {
-                (
-                    self.aval[i - ws - 1] >> (64 - bs),
-                    self.bval[i - ws - 1] >> (64 - bs),
-                )
-            } else {
-                (0, 0)
-            };
-            out.aval[i] = lo_a | hi_a;
-            out.bval[i] = lo_b | hi_b;
-        }
-        out.mask_top();
-        out
+        self.clone().apply(|d| d.shl_const(n))
     }
 
     /// Shift right by a constant amount, filling with zeros.
     #[must_use]
     pub fn shift_right_const(&self, n: u32) -> LogicVec {
-        if n >= self.width {
-            return LogicVec::zeros(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0] >> n, self.bval[0] >> n);
-        }
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.aval.len() {
-            let bit = n + 64 * i as u32;
-            out.aval[i] = extract_word(&self.aval, bit);
-            out.bval[i] = extract_word(&self.bval, bit);
-        }
-        out.mask_top();
-        out
+        self.clone().apply(|d| d.shr_const(n))
     }
 
     /// Logical equality (`==`): returns `X` if either operand has unknown
     /// bits, else `0`/`1`.
     #[must_use]
     pub fn logic_eq(&self, rhs: &LogicVec) -> Logic {
-        if self.has_unknown() || rhs.has_unknown() {
-            return Logic::X;
-        }
-        Logic::from_bool(self.known_equal(rhs))
+        self.as_bits().logic_eq(rhs.as_bits())
     }
 
     /// Case equality (`===`): exact four-state comparison, always `0`/`1`
     /// (the shorter operand zero-extends, like the per-bit definition).
     #[must_use]
     pub fn case_eq(&self, rhs: &LogicVec) -> bool {
-        let n = self.aval.len().max(rhs.aval.len());
-        (0..n).all(|i| {
-            word_at(&self.aval, i) == word_at(&rhs.aval, i)
-                && word_at(&self.bval, i) == word_at(&rhs.bval, i)
-        })
-    }
-
-    fn known_equal(&self, rhs: &LogicVec) -> bool {
-        let n = self.aval.len().max(rhs.aval.len());
-        (0..n).all(|i| word_at(&self.aval, i) == word_at(&rhs.aval, i))
+        self.as_bits().case_eq(rhs.as_bits())
     }
 
     /// Unsigned less-than: `X` on unknown operands.
     #[must_use]
     pub fn lt(&self, rhs: &LogicVec) -> Logic {
-        match self.value_cmp(rhs) {
-            Some(ord) => Logic::from_bool(ord == std::cmp::Ordering::Less),
-            None => Logic::X,
-        }
+        self.as_bits().lt(rhs.as_bits())
     }
 
     /// Unsigned less-or-equal: `X` on unknown operands.
     #[must_use]
     pub fn le(&self, rhs: &LogicVec) -> Logic {
-        match self.value_cmp(rhs) {
-            Some(ord) => Logic::from_bool(ord != std::cmp::Ordering::Greater),
-            None => Logic::X,
-        }
+        self.as_bits().le(rhs.as_bits())
     }
 
     /// Unsigned greater-than: `X` on unknown operands.
     #[must_use]
     pub fn gt(&self, rhs: &LogicVec) -> Logic {
-        rhs.lt(self)
+        self.as_bits().gt(rhs.as_bits())
     }
 
     /// Unsigned greater-or-equal: `X` on unknown operands.
     #[must_use]
     pub fn ge(&self, rhs: &LogicVec) -> Logic {
-        rhs.le(self)
+        self.as_bits().ge(rhs.as_bits())
     }
 
     /// Unsigned value comparison; `None` when unknown bits are present.
     #[must_use]
     pub fn value_cmp(&self, rhs: &LogicVec) -> Option<std::cmp::Ordering> {
-        if self.has_unknown() || rhs.has_unknown() {
-            return None;
-        }
-        let n = self.aval.len().max(rhs.aval.len());
-        for i in (0..n).rev() {
-            match word_at(&self.aval, i).cmp(&word_at(&rhs.aval, i)) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return Some(ord),
-            }
-        }
-        Some(std::cmp::Ordering::Equal)
+        self.as_bits().value_cmp(rhs.as_bits())
     }
 
     /// Concatenates `{self, low}` — `self` supplies the high bits, as in
     /// the Verilog concatenation `{a, b}` where `a` is written first.
     #[must_use]
     pub fn concat(&self, low: &LogicVec) -> LogicVec {
-        let width = self.width + low.width;
-        if width <= 64 {
-            return LogicVec::inline(
-                width,
-                self.aval[0] << low.width | low.aval[0],
-                self.bval[0] << low.width | low.bval[0],
-            );
-        }
-        let mut out = LogicVec::zeros(width);
-        or_shifted(&mut out.aval, &low.aval, 0);
-        or_shifted(&mut out.bval, &low.bval, 0);
-        or_shifted(&mut out.aval, &self.aval, low.width);
-        or_shifted(&mut out.bval, &self.bval, low.width);
-        out
+        self.resize(self.width + low.width)
+            .apply(|d| d.concat_low(low.as_bits()))
     }
 
     /// Replicates the vector `count` times, as in `{count{v}}`.
@@ -766,11 +508,7 @@ impl LogicVec {
     #[must_use]
     pub fn replicate(&self, count: u32) -> LogicVec {
         assert!(count > 0, "replication count must be non-zero");
-        let mut out = self.clone();
-        for _ in 1..count {
-            out = out.concat(self);
-        }
-        out
+        LogicVec::zeros(self.width * count).apply(|d| d.replicate(self.as_bits(), count))
     }
 
     /// Extracts bits `[msb:lsb]` (inclusive, LSB-0 indexing).
@@ -778,37 +516,18 @@ impl LogicVec {
     /// Out-of-range bits read as `X`, matching Verilog.
     #[must_use]
     pub fn slice(&self, msb: u32, lsb: u32) -> LogicVec {
-        let (msb, lsb) = if msb >= lsb { (msb, lsb) } else { (lsb, msb) };
-        let width = msb - lsb + 1;
-        // Bits at positions >= `known` fall outside the source and read X.
-        let known = self.width.saturating_sub(lsb);
-        if width <= 64 && self.width <= 64 {
-            if known == 0 {
-                return LogicVec::xes(width);
-            }
-            let xfill = low_mask(width) & !low_mask(known);
-            return LogicVec::inline(
-                width,
-                self.aval[0] >> lsb | xfill,
-                self.bval[0] >> lsb | xfill,
-            );
-        }
-        let mut out = LogicVec::zeros(width);
-        for i in 0..out.aval.len() {
-            let bit = lsb + 64 * i as u32;
-            out.aval[i] = extract_word(&self.aval, bit);
-            out.bval[i] = extract_word(&self.bval, bit);
-        }
-        if known < width {
-            let (ws, bs) = ((known / 64) as usize, known % 64);
-            for i in ws..out.aval.len() {
-                let m = if i == ws { u64::MAX << bs } else { u64::MAX };
-                out.aval[i] |= m;
-                out.bval[i] |= m;
-            }
-        }
-        out.mask_top();
-        out
+        let (lsb, width) = select_range(msb, lsb);
+        LogicVec::zeros(width).apply(|d| d.slice_from(self.as_bits(), lsb))
+    }
+
+    /// Ternary merge of `self` (the then-arm) and `els` under an unknown
+    /// condition (IEEE 1364): at the wider arm's width, each bit is the
+    /// shared value where both zero-extended arms agree and are known,
+    /// `X` otherwise.
+    #[must_use]
+    pub fn select_merge(&self, els: &LogicVec) -> LogicVec {
+        LogicVec::zeros(self.width.max(els.width))
+            .apply(|d| d.select_merge(self.as_bits(), els.as_bits()))
     }
 
     /// Writes `value` into bits `[msb:lsb]`, truncating or zero-extending

@@ -1,12 +1,12 @@
-//! Differential property tests for the packed [`LogicVec`].
+//! Differential property tests for the four-state word kernels.
 //!
-//! Every packed operation (including its one-word fast path and the
-//! word-level multi-word paths) is checked against a naive per-bit
-//! reference built directly on `Vec<Logic>` and the scalar [`Logic`]
-//! resolution tables. Widths span 1–200 with extra cases pinned at the
-//! word boundaries (63/64/65/127/128/129), and operands are drawn from
-//! an X/Z-heavy distribution so the four-state corners get real
-//! coverage.
+//! Every operation of `aivril_hdl::bits` is checked, through both of
+//! its owners — the packed [`LogicVec`] (inline and spilled planes) and
+//! the in-place [`ScratchBuf`] — against a naive per-bit reference built
+//! directly on `Vec<Logic>` and the scalar [`Logic`] resolution tables.
+//! Widths span 1–200 with extra cases pinned at the word boundaries
+//! (63/64/65/127/128/129), and operands are drawn from an X/Z-heavy
+//! distribution so the four-state corners get real coverage.
 
 use aivril_hdl::bits::ScratchBuf;
 use aivril_hdl::vec::LogicVec;
@@ -137,21 +137,24 @@ fn ref_shr_const(a: &Bits, n: usize) -> Bits {
         .collect()
 }
 
-/// Variable shifts: an amount that is unknown *or* has bits set at 64
-/// and above yields all-X (the packed form goes through `to_u64`); the
-/// in-range amount is then truncated to u32, exactly like the packed
-/// implementation's cast.
+/// Variable shifts (IEEE 1364-2005 §5.1.12): an amount with any X/Z
+/// bit yields all-X; a known amount shifts by its full value, so one at
+/// or beyond the width — however many bits it has — yields zeros. The
+/// amount is summed per bit, saturating where it exceeds `usize`.
 fn ref_shift(a: &Bits, amount: &Bits, left: bool) -> Bits {
-    match ref_to_u64(amount) {
-        None => xes(a.len()),
-        Some(n) => {
-            let n = n as u32 as usize;
-            if left {
-                ref_shl_const(a, n)
-            } else {
-                ref_shr_const(a, n)
-            }
-        }
+    if !all_known(amount) {
+        return xes(a.len());
+    }
+    let n = amount
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == Logic::One)
+        .map(|(i, _)| 1usize.checked_shl(i as u32).unwrap_or(usize::MAX))
+        .fold(0usize, usize::saturating_add);
+    if left {
+        ref_shl_const(a, n)
+    } else {
+        ref_shr_const(a, n)
     }
 }
 
@@ -592,6 +595,39 @@ proptest! {
         s.select_merge(pa.as_bits(), pb.as_bits());
         prop_assert_eq!(s.grows(), 0, "pre-sized buffer must not regrow");
         prop_assert_eq!(spare.grows(), 0, "spare must not regrow");
+    }
+}
+
+/// Hand-worked shift amounts at the edges the per-bit reference draws
+/// rarely: 2^32 (once truncated to a shift by 0), a 65-bit 2^64 (once
+/// rejected like an unknown) and an X amount. Checked through both the
+/// owned and the in-place form.
+#[test]
+fn shift_amount_edges_hand_worked() {
+    let v = LogicVec::from_u64(8, 0xA5);
+    let mut two_pow_64 = LogicVec::zeros(65);
+    two_pow_64.set(64, Logic::One);
+    let (zeros, xes) = (LogicVec::zeros(8), LogicVec::xes(8));
+    let cases = [
+        (LogicVec::from_u64(33, 1 << 32), &zeros, &zeros),
+        (two_pow_64, &zeros, &zeros),
+        (LogicVec::parse_binary("0x1").expect("literal"), &xes, &xes),
+        (
+            LogicVec::from_u64(4, 3),
+            &LogicVec::from_u64(8, 0x28),
+            &LogicVec::from_u64(8, 0x14),
+        ),
+    ];
+    for (amount, want_shl, want_shr) in cases {
+        assert_eq!(&v.shl(&amount), want_shl, "8'ha5 << {amount}");
+        assert_eq!(&v.shr(&amount), want_shr, "8'ha5 >> {amount}");
+        let mut s = ScratchBuf::new();
+        s.load(v.as_bits());
+        s.shl_assign(amount.as_bits());
+        assert_eq!(&s.to_logic_vec(), want_shl, "8'ha5 <<= {amount}");
+        s.load(v.as_bits());
+        s.shr_assign(amount.as_bits());
+        assert_eq!(&s.to_logic_vec(), want_shr, "8'ha5 >>= {amount}");
     }
 }
 

@@ -127,14 +127,14 @@ impl Value {
 #[must_use]
 pub fn parse(text: &str) -> Option<Value> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    (p.pos == p.bytes.len()).then_some(v)
+    (p.pos == text.len()).then_some(v)
 }
 
 /// Nesting guard: the parser recurses per container, so a pathological
@@ -142,14 +142,14 @@ pub fn parse(text: &str) -> Option<Value> {
 const MAX_DEPTH: u32 = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: u32,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -164,7 +164,7 @@ impl Parser<'_> {
 
     fn lit(&mut self, lit: &str) -> Option<()> {
         let end = self.pos + lit.len();
-        (self.bytes.get(self.pos..end) == Some(lit.as_bytes())).then(|| self.pos = end)
+        (self.text.as_bytes().get(self.pos..end) == Some(lit.as_bytes())).then(|| self.pos = end)
     }
 
     fn value(&mut self) -> Option<Value> {
@@ -190,8 +190,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        text.parse().ok().map(Value::Num)
+        self.text[start..self.pos].parse().ok().map(Value::Num)
     }
 
     fn string(&mut self) -> Option<String> {
@@ -215,9 +214,7 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex =
-                                std::str::from_utf8(self.bytes.get(self.pos + 1..self.pos + 5)?)
-                                    .ok()?;
+                            let hex = self.text.get(self.pos + 1..self.pos + 5)?;
                             let code = u32::from_str_radix(hex, 16).ok()?;
                             // Surrogates would need pairing; the
                             // exporters never emit them, so refuse.
@@ -229,15 +226,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the input is &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    if (c as u32) < 0x20 {
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte. All three are ASCII, which never
+                    // occurs inside a multi-byte UTF-8 sequence, so the
+                    // run ends on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return None; // raw control characters are invalid JSON
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -387,6 +390,20 @@ mod tests {
         // Deep nesting is refused, not a stack overflow.
         let deep = "[".repeat(100_000);
         assert_eq!(parse(&deep), None);
+    }
+
+    #[test]
+    fn multi_megabyte_string_round_trips() {
+        // Long unescaped runs between escapes and multi-byte scalars:
+        // parsing must stay linear in the input (a `result` frame can
+        // carry hundreds of kilobytes of RTL).
+        let text = "module m; // \u{e9}\u{20ac} \"q\" \\ \t\n".repeat(100_000);
+        assert!(text.len() > 2_000_000);
+        let doc = format!("[{},{}]", string(&text), number(1.0));
+        let v = parse(&doc).expect("writer output parses");
+        let items = v.arr().expect("array");
+        assert_eq!(items[0].str(), Some(text.as_str()));
+        assert_eq!(items[1].num(), Some(1.0));
     }
 
     #[test]

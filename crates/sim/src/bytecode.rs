@@ -412,19 +412,19 @@ pub(crate) fn exec(
                         a.load_logic(r);
                     }
                     BinaryOp::Lt => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o == std::cmp::Ordering::Less);
+                        let r = a.as_bits().lt(b);
                         a.load_logic(r);
                     }
                     BinaryOp::Le => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o != std::cmp::Ordering::Greater);
+                        let r = a.as_bits().le(b);
                         a.load_logic(r);
                     }
                     BinaryOp::Gt => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o == std::cmp::Ordering::Greater);
+                        let r = a.as_bits().gt(b);
                         a.load_logic(r);
                     }
                     BinaryOp::Ge => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o != std::cmp::Ordering::Less);
+                        let r = a.as_bits().ge(b);
                         a.load_logic(r);
                     }
                     // The tree walker evaluates both operands' truth
@@ -486,13 +486,6 @@ pub(crate) fn exec(
                 slots[*dst as usize].load_logic(Logic::from_bool(fired));
             }
         }
-    }
-}
-
-fn cmp_logic(a: BitsRef<'_>, b: BitsRef<'_>, f: impl Fn(std::cmp::Ordering) -> bool) -> Logic {
-    match a.value_cmp(b) {
-        Some(ord) => Logic::from_bool(f(ord)),
-        None => Logic::X,
     }
 }
 
@@ -767,6 +760,33 @@ mod tests {
         let prog = compile(&expr, &NET_WIDTHS);
         assert_eq!(prog.slots(), 2);
         assert_eq!(prog.slot_widths(), &[8, 8]);
+    }
+
+    #[test]
+    fn shift_amount_edges_hand_worked() {
+        // IEEE 1364-2005 §5.1.12 on the compiled path: known amounts of
+        // 2^32 and a 65-bit 2^64 shift every bit out; X/Z gives all-X.
+        let mut two_pow_64 = LogicVec::zeros(65);
+        two_pow_64.set(64, Logic::One);
+        let (zeros, xes) = (LogicVec::zeros(8), LogicVec::xes(8));
+        let cases = [
+            (LogicVec::from_u64(33, 1 << 32), &zeros),
+            (two_pow_64, &zeros),
+            (LogicVec::parse_binary("0x1").expect("literal"), &xes),
+        ];
+        for op in [BinaryOp::Shl, BinaryOp::Shr] {
+            for (amount, want) in &cases {
+                let expr = Expr::Binary {
+                    op,
+                    lhs: Box::new(Expr::constant(8, 0xA5)),
+                    rhs: Box::new(Expr::Const(amount.clone())),
+                };
+                let prog = compile(&expr, &NET_WIDTHS);
+                let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
+                exec(&prog, &[], 0, None, &mut arena);
+                assert_eq!(&arena.result_vec(), *want, "8'ha5 {op:?} {amount}");
+            }
+        }
     }
 
     #[test]

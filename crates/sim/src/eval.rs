@@ -40,27 +40,8 @@ impl EvalCtx<'_> {
                 match c.to_bool() {
                     Some(true) => self.eval(then),
                     Some(false) => self.eval(els),
-                    None => {
-                        // IEEE 1364: merge both arms; disagreeing bits go X.
-                        let t = self.eval(then);
-                        let e = self.eval(els);
-                        let width = t.width().max(e.width());
-                        let t = t.resize(width);
-                        let e = e.resize(width);
-                        let mut out = LogicVec::zeros(width);
-                        for i in 0..width {
-                            let (a, b) = (t.get(i), e.get(i));
-                            out.set(
-                                i,
-                                if a == b && !a.is_unknown() {
-                                    a
-                                } else {
-                                    Logic::X
-                                },
-                            );
-                        }
-                        out
-                    }
+                    // IEEE 1364: merge both arms; disagreeing bits go X.
+                    None => self.eval(then).select_merge(&self.eval(els)),
                 }
             }
             Expr::Concat(parts) => {
