@@ -466,6 +466,7 @@ fn submit(
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .map_err(|e| format!("read timeout: {e}"))?;
+    let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -475,12 +476,13 @@ fn submit(
     if !line.contains("\"type\":\"hello\"") {
         return Err(format!("expected hello frame, got {line:?}"));
     }
-    writeln!(
-        writer,
+    let submit = format!(
         "{{\"type\":\"submit\",\"tenant\":\"{tenant}\",\"job\":\"{job}\",\
-         \"task\":\"prob001_or2\"}}"
-    )
-    .map_err(|e| format!("submit: {e}"))?;
+         \"task\":\"prob001_or2\"}}\n"
+    );
+    writer
+        .write_all(submit.as_bytes())
+        .map_err(|e| format!("submit: {e}"))?;
     let mut transcript = Vec::new();
     loop {
         let mut line = String::new();
@@ -520,6 +522,7 @@ fn submit_with_retry(addr: SocketAddr, tenant: &str, job: &str) -> Result<Vec<St
 
 fn shutdown(serve: &mut ServeChild) {
     if let Ok(stream) = TcpStream::connect(serve.addr) {
+        let _ = stream.set_nodelay(true);
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => {
@@ -531,7 +534,7 @@ fn shutdown(serve: &mut ServeChild) {
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         let _ = reader.read_line(&mut line);
-        let _ = writeln!(writer, "{{\"type\":\"shutdown\"}}");
+        let _ = writer.write_all(b"{\"type\":\"shutdown\"}\n");
     }
     let _ = serve.child.wait();
 }

@@ -44,13 +44,19 @@ fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .expect("socket supports read timeouts");
+    // Requests go out as soon as they are written, never held by Nagle
+    // behind an unacknowledged earlier one.
+    let _ = stream.set_nodelay(true);
     let reader = BufReader::new(stream.try_clone().unwrap_or_else(|e| fatal(&e.to_string())));
     (reader, stream)
 }
 
 fn send(stream: &mut TcpStream, req: &Request) {
-    let line = render_request(req);
-    writeln!(stream, "{line}").unwrap_or_else(|e| fatal(&format!("write failed: {e}")));
+    let mut line = render_request(req);
+    line.push('\n');
+    stream
+        .write_all(line.as_bytes())
+        .unwrap_or_else(|e| fatal(&format!("write failed: {e}")));
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {

@@ -31,12 +31,13 @@ pub struct ServeConfig {
     /// `server_full`.
     pub max_jobs: usize,
     /// Per-connection bound on response frames queued for transmission
-    /// (`AIVRIL_SERVE_OUTBOX_CAP`). A connection whose client stops
-    /// reading overflows its outbox and is dropped; workers never block
-    /// on a client socket. Size it above the largest single-job frame
-    /// burst: a completed job's whole transcript is enqueued faster
-    /// than the writer thread can drain it, so a too-small cap would
-    /// condemn clients that are reading perfectly well.
+    /// or being written (`AIVRIL_SERVE_OUTBOX_CAP`). A connection whose
+    /// client stops reading overflows its outbox and is dropped; workers
+    /// never block on a client socket. Size it above the largest
+    /// single-job frame burst: a completed job's whole transcript is
+    /// enqueued faster than the writer thread can drain it, so a
+    /// too-small cap would condemn clients that are reading perfectly
+    /// well.
     pub outbox_cap: usize,
     /// Socket write timeout in wall seconds
     /// (`AIVRIL_SERVE_SEND_TIMEOUT_S`); a write stalled past it
