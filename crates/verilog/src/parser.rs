@@ -12,7 +12,7 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into modules, appending errors to `diags`.
-pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
+pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -25,7 +25,7 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
                 unit.modules.push(std::sync::Arc::new(m));
             }
         } else {
-            let tok = p.peek().clone();
+            let tok = p.peek();
             p.error(
                 format!("expected 'module', found {}", tok.describe()),
                 tok.span,
@@ -40,23 +40,23 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
     unit
 }
 
-struct Parser<'d> {
-    tokens: Vec<Token>,
+struct Parser<'s, 'd> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
     diags: &'d mut Diagnostics,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'s, '_> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
     fn at_eof(&self) -> bool {
         self.peek().kind == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    fn bump(&mut self) -> Token<'s> {
+        let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
@@ -97,11 +97,11 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, p: Punct) -> Option<Token> {
+    fn expect(&mut self, p: Punct) -> Option<Token<'s>> {
         if self.check(p) {
             return Some(self.bump());
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected '{p}', found {}", tok.describe()),
             tok.span,
@@ -112,9 +112,9 @@ impl Parser<'_> {
     fn expect_ident(&mut self) -> Option<(String, Span)> {
         if self.peek().kind == TokenKind::Ident {
             let t = self.bump();
-            return Some((t.text, t.span));
+            return Some((t.value(), t.span));
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected identifier, found {}", tok.describe()),
             tok.span,
@@ -171,7 +171,7 @@ impl Parser<'_> {
                 break;
             }
             if self.at_eof() {
-                let tok = self.peek().clone();
+                let tok = self.peek();
                 self.error("expected 'endmodule', found end of file".into(), tok.span);
                 break;
             }
@@ -270,8 +270,8 @@ impl Parser<'_> {
     }
 
     fn parse_item(&mut self) -> Option<Vec<Item>> {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let tok = self.peek();
+        match tok.kind {
             TokenKind::Keyword(Kw::Input)
             | TokenKind::Keyword(Kw::Output)
             | TokenKind::Keyword(Kw::Inout) => {
@@ -472,7 +472,7 @@ impl Parser<'_> {
                 }
                 let body = self.parse_stmt()?;
                 if !self.eat_kw(Kw::Endfunction) {
-                    let t = self.peek().clone();
+                    let t = self.peek();
                     self.error(
                         format!("expected 'endfunction', found {}", t.describe()),
                         t.span,
@@ -489,7 +489,7 @@ impl Parser<'_> {
             }
             TokenKind::Ident => {
                 // Module instantiation: modname [#(...)] instname ( ... ) ;
-                let module = self.bump().text;
+                let module = self.bump().value();
                 let mut param_overrides = Vec::new();
                 if self.eat(Punct::Hash) {
                     self.expect(Punct::LParen)?;
@@ -598,8 +598,8 @@ impl Parser<'_> {
     // ------------------------------------------------------- statements
 
     fn parse_stmt(&mut self) -> Option<Stmt> {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let tok = self.peek();
+        match tok.kind {
             TokenKind::Keyword(Kw::Begin) => {
                 self.bump();
                 // Optional block label.
@@ -747,13 +747,13 @@ impl Parser<'_> {
                 Some(Stmt::EventControl { events, then })
             }
             TokenKind::SysIdent => {
-                let name = self.bump().text;
+                let name = self.bump().value();
                 let mut args = Vec::new();
                 if self.eat(Punct::LParen) {
                     if !self.check(Punct::RParen) {
                         loop {
                             if self.peek().kind == TokenKind::Str {
-                                args.push(SysArg::Str(self.bump().text));
+                                args.push(SysArg::Str(self.bump().value()));
                             } else {
                                 args.push(SysArg::Expr(self.parse_expr()));
                             }
@@ -810,7 +810,7 @@ impl Parser<'_> {
                         span,
                     })
                 } else {
-                    let t = self.peek().clone();
+                    let t = self.peek();
                     self.error(
                         format!(
                             "expected '=' or '<=' after assignment target, found {}",
@@ -844,19 +844,19 @@ impl Parser<'_> {
             e
         } else {
             // number or identifier
-            let tok = self.peek().clone();
+            let tok = self.peek();
             match tok.kind {
                 TokenKind::Number => {
                     self.bump();
                     Expr::Number {
-                        text: tok.text,
+                        text: tok.value(),
                         span: tok.span,
                     }
                 }
                 TokenKind::Ident => {
                     self.bump();
                     Expr::Ident {
-                        name: tok.text,
+                        name: tok.value(),
                         span: tok.span,
                     }
                 }
@@ -934,13 +934,14 @@ impl Parser<'_> {
         cond
     }
 
-    fn binop_at(&self, level: u8) -> Option<BinOp> {
+    /// The binary operator at the cursor and its binding level, 0
+    /// (`||`) to 10 (`**`), from IEEE 1364-2005 Table 5-4.
+    fn binop(&self) -> Option<(BinOp, u8)> {
         use Punct::*;
-        let p = match self.peek().kind {
-            TokenKind::Punct(p) => p,
-            _ => return None,
+        let TokenKind::Punct(p) = self.peek().kind else {
+            return None;
         };
-        let (op, l) = match p {
+        Some(match p {
             PipePipe => (BinOp::LogicalOr, 0),
             AmpAmp => (BinOp::LogicalAnd, 1),
             Pipe => (BinOp::Or, 2),
@@ -964,16 +965,16 @@ impl Parser<'_> {
             Percent => (BinOp::Rem, 9),
             Star2 => (BinOp::Pow, 10),
             _ => return None,
-        };
-        (l == level).then_some(op)
+        })
     }
 
-    fn parse_binary(&mut self, level: u8) -> Expr {
-        if level > 10 {
-            return self.parse_unary();
-        }
-        let mut lhs = self.parse_binary(level + 1);
-        while let Some(op) = self.binop_at(level) {
+    /// Precedence climbing: an operand, then every binary operator that
+    /// binds at `min_level` or tighter. Every binary operator is
+    /// left-associative (IEEE 1364-2005 §5.1.2), so a right operand
+    /// takes only operators that bind strictly tighter than its own.
+    fn parse_binary(&mut self, min_level: u8) -> Expr {
+        let mut lhs = self.parse_unary();
+        while let Some((op, level)) = self.binop().filter(|&(_, level)| level >= min_level) {
             self.bump();
             let rhs = self.parse_binary(level + 1);
             lhs = Expr::Binary {
@@ -1036,12 +1037,12 @@ impl Parser<'_> {
     }
 
     fn parse_primary(&mut self) -> Expr {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let tok = self.peek();
+        match tok.kind {
             TokenKind::Number => {
                 self.bump();
                 Expr::Number {
-                    text: tok.text,
+                    text: tok.value(),
                     span: tok.span,
                 }
             }
@@ -1061,13 +1062,13 @@ impl Parser<'_> {
                     }
                     self.expect(Punct::RParen);
                     return Expr::Call {
-                        name: tok.text,
+                        name: tok.value(),
                         args: call_args,
                         span: tok.span,
                     };
                 }
                 Expr::Ident {
-                    name: tok.text,
+                    name: tok.value(),
                     span: tok.span,
                 }
             }
@@ -1278,6 +1279,131 @@ mod tests {
             }
             other => panic!("expected assign, got {other:?}"),
         }
+    }
+
+    /// The binary operators of IEEE 1364-2005 Table 5-4, highest level
+    /// last, with the `BinOp` each one parses to.
+    const BINARY_OPS: [(&str, &str, u8); 22] = [
+        ("||", "LogicalOr", 0),
+        ("&&", "LogicalAnd", 1),
+        ("|", "Or", 2),
+        ("^", "Xor", 3),
+        ("~^", "Xnor", 3),
+        ("&", "And", 4),
+        ("==", "Eq", 5),
+        ("!=", "Ne", 5),
+        ("===", "CaseEq", 5),
+        ("!==", "CaseNe", 5),
+        ("<", "Lt", 6),
+        ("<=", "Le", 6),
+        (">", "Gt", 6),
+        (">=", "Ge", 6),
+        ("<<", "Shl", 7),
+        (">>", "Shr", 7),
+        ("+", "Add", 8),
+        ("-", "Sub", 8),
+        ("*", "Mul", 9),
+        ("/", "Div", 9),
+        ("%", "Rem", 9),
+        ("**", "Pow", 10),
+    ];
+
+    /// Renders an expression as a fully parenthesised S-expression.
+    fn sexpr(e: &Expr) -> String {
+        match e {
+            Expr::Ident { name, .. } => name.clone(),
+            Expr::Number { text, .. } => text.clone(),
+            Expr::Binary { op, lhs, rhs } => {
+                format!("({op:?} {} {})", sexpr(lhs), sexpr(rhs))
+            }
+            Expr::Unary { op, operand } => format!("({op:?} {})", sexpr(operand)),
+            Expr::Ternary { cond, then, els } => {
+                format!("(? {} {} {})", sexpr(cond), sexpr(then), sexpr(els))
+            }
+            Expr::Index { base, index } => format!("(Index {} {})", sexpr(base), sexpr(index)),
+            Expr::Concat(parts) => {
+                let parts: Vec<String> = parts.iter().map(sexpr).collect();
+                format!("{{{}}}", parts.join(" "))
+            }
+            other => panic!("unexpected expression {other:?}"),
+        }
+    }
+
+    fn expr_tree(expr: &str) -> String {
+        let unit = parse_clean(&format!("module m; assign y = {expr};\nendmodule"));
+        match &unit.modules[0].items[0] {
+            Item::ContinuousAssign { expr, .. } => sexpr(expr),
+            other => panic!("expected assign, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn precedence_and_associativity_table() {
+        // Every pair of binary operators, both orders: the lower level
+        // ends up on top, and within one level the left operator binds
+        // first (all binary operators are left-associative, §5.1.2).
+        for &(x, xname, xlevel) in &BINARY_OPS {
+            for &(z, zname, zlevel) in &BINARY_OPS {
+                let got = expr_tree(&format!("a {x} b {z} c"));
+                let want = if xlevel >= zlevel {
+                    format!("({zname} ({xname} a b) c)")
+                } else {
+                    format!("({xname} a ({zname} b c))")
+                };
+                assert_eq!(got, want, "a {x} b {z} c");
+            }
+        }
+    }
+
+    #[test]
+    fn expression_trees_match_hand_worked_parses() {
+        for (src, want) in [
+            // Left-associative exponent (IEEE 1364-2005 §5.1.2).
+            ("a ** b ** c", "(Pow (Pow a b) c)"),
+            ("a - b - c", "(Sub (Sub a b) c)"),
+            (
+                "a + b * c - d / e % f",
+                "(Sub (Add a (Mul b c)) (Rem (Div d e) f))",
+            ),
+            (
+                "a || b && c | d ^ e & f == g < h << i + j * k ** l",
+                "(LogicalOr a (LogicalAnd b (Or c (Xor d (And e (Eq f (Lt g \
+                 (Shl h (Add i (Mul j (Pow k l)))))))))))",
+            ),
+            (
+                "a ** b * c + d << e < f == g & h ^ i | j && k || l",
+                "(LogicalOr (LogicalAnd (Or (Xor (And (Eq (Lt (Shl (Add (Mul \
+                 (Pow a b) c) d) e) f) g) h) i) j) k) l)",
+            ),
+            ("(a + b) * c", "(Mul (Add a b) c)"),
+            ("a * (b + c)", "(Mul a (Add b c))"),
+            // Unary operators bind tighter than every binary operator,
+            // `**` included, and apply to a selected operand.
+            ("-a ** b", "(Pow (Negate a) b)"),
+            ("a ** -b", "(Pow a (Negate b))"),
+            ("~a & b", "(And (Not a) b)"),
+            ("!a || b", "(LogicalOr (LogicalNot a) b)"),
+            ("a - -b", "(Sub a (Negate b))"),
+            ("- - a", "(Negate (Negate a))"),
+            ("&a | ~|b", "(Or (ReduceAnd a) (ReduceNor b))"),
+            ("a & ~^b", "(And a (ReduceXnor b))"),
+            ("~a[3] + +b", "(Add (Not (Index a 3)) (Plus b))"),
+            // `?:` is lowest and right-nested in both arms.
+            ("a ? b : c", "(? a b c)"),
+            ("a ? b : c ? d : e", "(? a b (? c d e))"),
+            ("a ? b ? c : d : e", "(? a (? b c d) e)"),
+            (
+                "a || b ? c + d : e & f",
+                "(? (LogicalOr a b) (Add c d) (And e f))",
+            ),
+            ("a ? b : c || d", "(? a b (LogicalOr c d))"),
+            ("{a, b + c} == d", "(Eq {a (Add b c)} d)"),
+        ] {
+            assert_eq!(expr_tree(src), want, "{src}");
+        }
+        // `~&` and `~|` are unary only: a binary use is a syntax error.
+        let (_, diags) = parse_src("module m; assign y = a ~& b;\nendmodule");
+        assert!(diags.has_errors());
     }
 
     #[test]

@@ -4,18 +4,22 @@ use aivril_hdl::source::Span;
 use std::fmt;
 
 /// Kinds of token the lexer produces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword text is kept in [`Token::text`]; keywords
-    /// are distinguished by [`TokenKind::Keyword`].
+    /// Identifier; keywords are [`TokenKind::Keyword`] instead. For an
+    /// escaped identifier (`\bus[0] `) [`Token::text`] omits the
+    /// backslash.
     Ident,
     /// Reserved word (`module`, `always`, ...).
     Keyword(Keyword),
     /// System task/function name including the `$` (e.g. `$display`).
     SysIdent,
-    /// Integer literal, possibly sized/based (`8'hFF`, `42`).
+    /// Integer literal, possibly sized/based (`8'hFF`, `42`). Blanks
+    /// around the base tick stay in [`Token::text`];
+    /// [`Token::value`] drops them.
     Number,
-    /// String literal; [`Token::text`] holds the unquoted contents.
+    /// String literal. [`Token::text`] is the raw contents between the
+    /// quotes; [`Token::value`] decodes the escapes.
     Str,
     /// Operator or punctuation.
     Punct(Punct),
@@ -258,26 +262,65 @@ impl fmt::Display for Punct {
     }
 }
 
-/// One lexed token.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// One lexed token: a `Copy` view into the source text. Lexing
+/// allocates nothing per token; [`Token::value`] builds the owned,
+/// normalised text only where an AST node keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// What kind of token.
     pub kind: TokenKind,
-    /// Source text (unquoted for strings).
-    pub text: String,
     /// Source location.
     pub span: Span,
+    /// The exact source slice of the token. For strings, the raw
+    /// contents between the quotes (escapes undecoded); for escaped
+    /// identifiers, the name after the backslash; empty at end of file.
+    pub text: &'src str,
 }
 
-impl Token {
+impl Token<'_> {
+    /// The token's normalised text as an owned string: string escapes
+    /// decoded (`\n`, `\t`, and `\c` for any other character `c`),
+    /// number blanks removed (`8 'h FF` gives `8'hFF`), anything else
+    /// as written.
+    #[must_use]
+    pub fn value(&self) -> String {
+        match self.kind {
+            TokenKind::Str => unescape(self.text),
+            TokenKind::Number => self.text.replace([' ', '\t'], ""),
+            _ => self.text.to_owned(),
+        }
+    }
+
     /// Short human-readable description for error messages, e.g. `';'`
     /// or `'endmodule'`.
     #[must_use]
     pub fn describe(&self) -> String {
-        match &self.kind {
+        match self.kind {
             TokenKind::Eof => "end of file".to_string(),
-            TokenKind::Str => format!("\"{}\"", self.text),
+            TokenKind::Str => format!("\"{}\"", self.value()),
+            // The canonical spelling: `^~` is reported as `'~^'`.
+            TokenKind::Punct(p) => format!("'{p}'"),
+            TokenKind::Number => format!("'{}'", self.value()),
             _ => format!("'{}'", self.text),
         }
     }
+}
+
+/// Decodes the escapes of raw string-literal contents.
+fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some(other) => out.push(other),
+            None => {}
+        }
+    }
+    out
 }

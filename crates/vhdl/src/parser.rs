@@ -6,7 +6,7 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into a design file, appending errors to `diags`.
-pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
+pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -33,7 +33,7 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
                 p.skip_to_design_unit();
             }
         } else {
-            let tok = p.peek().clone();
+            let tok = p.peek();
             p.error(
                 format!(
                     "expected 'entity' or 'architecture', found {}",
@@ -48,27 +48,27 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
     file
 }
 
-struct Parser<'d> {
-    tokens: Vec<Token>,
+struct Parser<'s, 'd> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
     diags: &'d mut Diagnostics,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'s, '_> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
+    fn peek2(&self) -> Token<'s> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
     fn at_eof(&self) -> bool {
         self.peek().kind == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    fn bump(&mut self) -> Token<'s> {
+        let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
@@ -108,11 +108,11 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, p: Punct) -> Option<Token> {
+    fn expect(&mut self, p: Punct) -> Option<Token<'s>> {
         if self.check(p) {
             return Some(self.bump());
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected '{p}', found {}", tok.describe()),
             tok.span,
@@ -124,7 +124,7 @@ impl Parser<'_> {
         if self.eat_kw(k) {
             return Some(());
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected '{}', found {}", k.as_str(), tok.describe()),
             tok.span,
@@ -135,9 +135,9 @@ impl Parser<'_> {
     fn expect_ident(&mut self) -> Option<(String, Span)> {
         if self.peek().kind == TokenKind::Ident {
             let t = self.bump();
-            return Some((t.text, t.span));
+            return Some((t.value(), t.span));
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected identifier, found {}", tok.describe()),
             tok.span,
@@ -244,7 +244,7 @@ impl Parser<'_> {
                 } else if self.eat_kw(Kw::Inout) {
                     PortDir::Inout
                 } else {
-                    let tok = self.peek().clone();
+                    let tok = self.peek();
                     self.error(
                         format!("expected port direction, found {}", tok.describe()),
                         tok.span,
@@ -288,11 +288,11 @@ impl Parser<'_> {
             "boolean" => Some(TypeMark::Boolean),
             "integer" | "natural" | "positive" => {
                 // Optional range constraint: `integer range 0 to 255`.
-                if self.peek().kind == TokenKind::Ident && self.peek().text == "range" {
+                if self.peek().is_word("range") {
                     self.bump();
                     let _ = self.parse_expr();
                     if !(self.eat_kw(Kw::To) || self.eat_kw(Kw::Downto)) {
-                        let tok = self.peek().clone();
+                        let tok = self.peek();
                         self.error(
                             format!("expected 'to' or 'downto', found {}", tok.describe()),
                             tok.span,
@@ -310,7 +310,7 @@ impl Parser<'_> {
                 } else if self.eat_kw(Kw::To) {
                     false
                 } else {
-                    let tok = self.peek().clone();
+                    let tok = self.peek();
                     self.error(
                         format!("expected 'downto' or 'to', found {}", tok.describe()),
                         tok.span,
@@ -378,7 +378,7 @@ impl Parser<'_> {
                     self.bump();
                 }
             } else {
-                let tok = self.peek().clone();
+                let tok = self.peek();
                 self.error(
                     format!("expected declaration or 'begin', found {}", tok.describe()),
                     tok.span,
@@ -443,7 +443,7 @@ impl Parser<'_> {
             // Process-declarative part: variable declarations.
             let mut variables = Vec::new();
             while !self.check_kw(Kw::Begin) && !self.at_eof() {
-                let tok = self.peek().clone();
+                let tok = self.peek();
                 if self.eat_kw(Kw::Variable) {
                     let mut names = vec![self.expect_ident()?];
                     while self.eat(Punct::Comma) {
@@ -518,7 +518,7 @@ impl Parser<'_> {
                 let (pname, pspan) = self.expect_ident()?;
                 self.expect(Punct::Arrow)?;
                 // `open` connection.
-                if self.peek().kind == TokenKind::Ident && self.peek().text == "open" {
+                if self.peek().is_word("open") {
                     self.bump();
                     port_map.push((pname, None, pspan));
                 } else {
@@ -573,7 +573,7 @@ impl Parser<'_> {
     }
 
     fn parse_seq_stmt(&mut self) -> Option<SeqStmt> {
-        let tok = self.peek().clone();
+        let tok = self.peek();
         if self.eat_kw(Kw::If) {
             let mut arms = Vec::new();
             let cond = self.parse_expr();
@@ -629,7 +629,7 @@ impl Parser<'_> {
         if self.eat_kw(Kw::For) {
             let (var, _) = self.expect_ident()?;
             if !(self.peek().kind == TokenKind::Keyword(Kw::In)) {
-                let t = self.peek().clone();
+                let t = self.peek();
                 self.error(format!("expected 'in', found {}", t.describe()), t.span);
                 return None;
             }
@@ -731,7 +731,7 @@ impl Parser<'_> {
         self.expect(Punct::SigAssign)?;
         let value = self.parse_expr();
         if self.eat_kw(Kw::After) {
-            let t = self.peek().clone();
+            let t = self.peek();
             self.error("'after' delays are not supported".into(), t.span);
             let _ = self.parse_time_expr();
         }
@@ -745,9 +745,9 @@ impl Parser<'_> {
 
     fn parse_message(&mut self) -> Option<String> {
         if self.peek().kind == TokenKind::StrLit {
-            return Some(self.bump().text);
+            return Some(self.bump().value());
         }
-        let tok = self.peek().clone();
+        let tok = self.peek();
         self.error(
             format!("expected a string message, found {}", tok.describe()),
             tok.span,
@@ -776,24 +776,21 @@ impl Parser<'_> {
     /// the unit's multiplier into integer literals (`10 ns` → `10`).
     fn parse_time_expr(&mut self) -> Expr {
         let e = self.parse_expr();
-        if self.peek().kind == TokenKind::Ident {
-            let unit = self.peek().text.clone();
-            let mult: Option<i64> = match unit.as_str() {
-                "ns" => Some(1),
-                "us" => Some(1_000),
-                "ms" => Some(1_000_000),
-                "ps" | "fs" => Some(0),
-                _ => None,
-            };
-            if let Some(m) = mult {
-                self.bump();
-                if let Expr::Int { value, span } = e {
-                    return Expr::Int {
-                        value: value * m,
-                        span,
-                    };
-                }
-                return e;
+        const UNITS: [(&str, i64); 5] = [
+            ("ns", 1),
+            ("us", 1_000),
+            ("ms", 1_000_000),
+            ("ps", 0),
+            ("fs", 0),
+        ];
+        let unit = self.peek();
+        if let Some(&(_, m)) = UNITS.iter().find(|(name, _)| unit.is_word(name)) {
+            self.bump();
+            if let Expr::Int { value, span } = e {
+                return Expr::Int {
+                    value: value * m,
+                    span,
+                };
             }
         }
         e
@@ -949,14 +946,19 @@ impl Parser<'_> {
     }
 
     fn parse_primary(&mut self) -> Expr {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let tok = self.peek();
+        match tok.kind {
             TokenKind::Number => {
                 self.bump();
-                let value = tok.text.parse::<i64>().unwrap_or({
-                    // Lexer guarantees digits; overflow falls back to 0.
-                    0
-                });
+                // Lexer guarantees digits and `_`; overflow falls back to 0.
+                let value = tok
+                    .text
+                    .bytes()
+                    .filter(|&b| b != b'_')
+                    .try_fold(0i64, |acc, b| {
+                        acc.checked_mul(10)?.checked_add(i64::from(b - b'0'))
+                    })
+                    .unwrap_or(0);
                 Expr::Int {
                     value,
                     span: tok.span,
@@ -978,12 +980,12 @@ impl Parser<'_> {
                         .all(|c| matches!(c, '0' | '1' | 'x' | 'X' | 'z' | 'Z'));
                 if is_bits {
                     Expr::BitString {
-                        bits: tok.text,
+                        bits: tok.value(),
                         span: tok.span,
                     }
                 } else {
                     Expr::StrLit {
-                        text: tok.text,
+                        text: tok.value(),
                         span: tok.span,
                     }
                 }
@@ -991,7 +993,7 @@ impl Parser<'_> {
             TokenKind::HexString => {
                 self.bump();
                 Expr::HexString {
-                    digits: tok.text,
+                    digits: tok.value(),
                     span: tok.span,
                 }
             }
@@ -1024,7 +1026,7 @@ impl Parser<'_> {
             }
             TokenKind::Ident => {
                 self.bump();
-                let name = tok.text;
+                let name = tok.value();
                 // Attribute?
                 if self.check(Punct::Tick) {
                     self.bump();
@@ -1108,7 +1110,7 @@ impl Parser<'_> {
     /// Restricted name expression for assignment targets: identifier,
     /// index `a(3)`, or slice `a(7 downto 0)`.
     fn parse_name_expr(&mut self) -> Option<Expr> {
-        let tok = self.peek().clone();
+        let tok = self.peek();
         if tok.kind != TokenKind::Ident {
             self.error(
                 format!("expected a signal name, found {}", tok.describe()),
@@ -1267,6 +1269,25 @@ end architecture;
             }
             other => panic!("expected instance, got {other:?}"),
         }
+    }
+
+    /// `range`, `open` and time units are identifiers, not keywords, and
+    /// still match in any case.
+    #[test]
+    fn contextual_words_ignore_case() {
+        let src = "entity tb is end entity;\narchitecture sim of tb is\n\
+                   signal n : integer range 0 to 7;\nsignal a : std_logic;\nbegin\n\
+                   dut: entity work.counter port map (clk => a, q => open);\n\
+                   process\nbegin\n  wait for 10 ns;\nend process;\n\
+                   end architecture;\n";
+        let lower = parse_clean(src);
+        let upper = parse_clean(
+            &src.replace("range", "RANGE")
+                .replace("open", "Open")
+                .replace("ns;", "NS;"),
+        );
+        assert_eq!(format!("{upper:?}"), format!("{lower:?}"));
+        assert!(format!("{lower:?}").contains("value: 10,"), "{lower:?}");
     }
 
     #[test]

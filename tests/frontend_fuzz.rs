@@ -54,6 +54,30 @@ fn exercise_frontends(text: &str) {
     }
 }
 
+/// A signed marker followed by a multi-byte character, or by nothing,
+/// once split a character or ran past the end of the input; followed
+/// by punctuation, it swallowed it. Each is now a located diagnostic.
+#[test]
+fn signed_marker_with_bad_base_is_a_diagnostic() {
+    const BAD_BASE: &str = "expected base specifier after \"'\" in number literal";
+    for (literal, messages) in [
+        ("4's\u{e9}", vec![BAD_BASE, "unexpected character '\u{e9}'"]),
+        (
+            "'s\u{20ac}",
+            vec![BAD_BASE, "unexpected character '\u{20ac}'"],
+        ),
+        ("4's", vec![BAD_BASE]),
+    ] {
+        exercise_frontends(literal);
+        let text = format!("module m(output [31:0] y);\n  assign y = {literal};\nendmodule\n");
+        let mut sources = SourceMap::new();
+        sources.add_file("m.v", text);
+        let diags = aivril_verilog::compile(&sources, "m").expect_err(literal);
+        let got: Vec<_> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(got, messages, "{literal}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
