@@ -5,9 +5,10 @@
 //! checkpoint directory (`AIVRIL_CHECKPOINT_DIR`); each line is one
 //! finished cell — its [`RunRecord`] (floats as bit patterns), the
 //! cell's journal runs and its metrics delta, all in the `aivril_obs`
-//! codec with an FNV-64 checksum. On startup a shard replays every
-//! cell it finds (from *any* shard's file with a matching evaluation
-//! fingerprint) and computes only the rest, so:
+//! codec and sealed together with the cell index (`cell <seal>`, the
+//! index being the payload's first token). On startup a shard replays
+//! every cell it finds (from *any* shard's file with a matching
+//! evaluation fingerprint) and computes only the rest, so:
 //!
 //! * a killed shard resumes where it stopped, bit-identically;
 //! * the multi-process merge pass (`aivril-shard`) is simply a
@@ -15,27 +16,30 @@
 //!   replays everything and renders through the normal single-process
 //!   path, which is what makes merged artifacts byte-identical.
 //!
-//! Torn tails (a line cut mid-write by `kill -9`) are detected by the
-//! checksum/newline and dropped; on reopen the file is truncated back
-//! to its valid prefix so subsequent appends stay parseable. A file
-//! whose header names a different fingerprint (other config, suite
-//! size, telemetry mode…) is ignored entirely. See DESIGN.md §9.
+//! Torn tails (a line cut mid-write by `kill -9`) and damaged lines end
+//! the valid prefix of an [`AppendLog`]; on reopen the file is
+//! truncated back to it so subsequent appends stay parseable. A file
+//! whose header names a different version or fingerprint (other
+//! config, suite size, telemetry mode…) is ignored entirely, and the
+//! shard's own log is recreated ([`HeaderPolicy::Recreate`]). See
+//! DESIGN.md §9.
 
 use crate::{RunRecord, ShardRange};
 use aivril_core::ResilienceCounters;
 use aivril_eda::faults::{CkptFault, EdaFaultPlan};
 use aivril_metrics::SampleOutcome;
+use aivril_obs::applog::{self, AppendLog, HeaderPolicy};
 use aivril_obs::codec::{self, Reader, Writer};
 use aivril_obs::{MetricsRegistry, RunJournal};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write as _};
+use std::fs;
 use std::path::Path;
-use std::sync::Mutex;
 
-const MAGIC: &str = "aivril.ckpt";
-const VERSION: u32 = 1;
+/// The first line of a log: magic, format version, fingerprint.
+fn header(fingerprint: u64) -> String {
+    format!("aivril.ckpt 2 {fingerprint:016x}")
+}
 
 /// Everything the harness must persist to replay one finished cell:
 /// the scored record plus the telemetry (journal runs, metrics) the
@@ -54,7 +58,7 @@ pub struct CellRecord {
 /// from disk plus this shard's own append log.
 pub(crate) struct ShardCheckpoint {
     restored: HashMap<usize, CellRecord>,
-    writer: Option<Mutex<File>>,
+    writer: Option<AppendLog>,
     fingerprint: u64,
     faults: EdaFaultPlan,
 }
@@ -68,35 +72,31 @@ impl ShardCheckpoint {
     pub fn open(dir: &Path, fingerprint: u64, range: ShardRange) -> ShardCheckpoint {
         let _ = fs::create_dir_all(dir);
         let own_name = format!("ckpt-{fingerprint:016x}-{}-{}.log", range.start, range.end);
-        let prefix = format!("ckpt-{fingerprint:016x}-");
-        let mut restored = HashMap::new();
-        let mut own_valid_len = None;
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if !name.starts_with(&prefix) || !name.ends_with(".log") {
-                    continue;
-                }
-                let Ok(text) = fs::read_to_string(entry.path()) else {
-                    continue;
-                };
-                let (cells, valid_len) = parse_log(&text, fingerprint);
-                if name == own_name {
-                    own_valid_len = Some(valid_len as u64);
-                }
-                for (idx, cell) in cells {
-                    // Duplicate cells across files are identical by
-                    // construction (same fingerprint, coordinate-derived
-                    // seeds), so first-wins is safe.
-                    restored.entry(idx).or_insert(cell);
+        let header = header(fingerprint);
+        let mut cells = Vec::new();
+        for (name, fp, _) in log_files(dir) {
+            if fp == fingerprint && name != own_name {
+                if let Ok(bytes) = fs::read(dir.join(&name)) {
+                    cells.extend(applog::scan(&bytes, &header, decode_line).records);
                 }
             }
         }
-        let writer = open_writer(&dir.join(&own_name), fingerprint, own_valid_len);
+        let own_path = dir.join(&own_name);
+        let own = AppendLog::open(&own_path, &header, HeaderPolicy::Recreate, decode_line);
+        let writer = own.ok().map(|(log, own_cells)| {
+            cells.extend(own_cells);
+            log
+        });
+        let mut restored = HashMap::new();
+        for (idx, cell) in cells {
+            // Duplicate cells across files are identical by construction
+            // (same fingerprint, coordinate-derived seeds), so first-wins
+            // is safe.
+            restored.entry(idx).or_insert(cell);
+        }
         ShardCheckpoint {
             restored,
-            writer: writer.map(Mutex::new),
+            writer,
             fingerprint,
             faults: EdaFaultPlan::off(),
         }
@@ -121,103 +121,39 @@ impl ShardCheckpoint {
     /// shard loses at most the line being written, and the loader drops
     /// any torn tail.
     pub fn append(&self, cell: usize, rec: &CellRecord) {
-        let Some(writer) = &self.writer else { return };
-        let payload = encode_cell(rec);
-        let mut sum = codec::fnv64(payload.as_bytes());
-        let fault = self.faults.roll_ckpt(self.fingerprint, cell, sum);
+        let Some(log) = &self.writer else { return };
+        let mut sealed = codec::seal(&encode_cell(cell, rec));
+        let fault = self.faults.roll_ckpt(self.fingerprint, cell);
         if fault == Some(CkptFault::ChecksumFlip) {
             // Bit-rot on the checksum: the loader must reject the line.
-            sum ^= 1;
+            let digit = if sealed.starts_with('0') { "1" } else { "0" };
+            sealed.replace_range(..1, digit);
         }
-        let mut line = format!("cell {cell} {sum:016x} {payload}\n");
+        let line = format!("cell {sealed}");
+        let mut keep = line.len() + 1;
         if fault == Some(CkptFault::TornTail) {
             // A writer killed mid-append: only a prefix lands. The cut
             // point is a pure hash of the same identity as the roll.
-            let frac = EdaFaultPlan::shape("ckpt.tear", "append", u128::from(sum), cell as u32);
-            let mut cut = (line.len() as f64 * (0.2 + 0.6 * frac)) as usize;
-            while cut > 0 && !line.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            line.truncate(cut);
+            let id = u128::from(self.fingerprint);
+            let frac = EdaFaultPlan::shape("ckpt.tear", "append", id, cell as u32);
+            keep = (keep as f64 * (0.2 + 0.6 * frac)) as usize;
         }
-        if let Ok(mut f) = writer.lock() {
-            let _ = f.write_all(line.as_bytes()).and_then(|()| f.flush());
-        }
+        let _ = log.append_torn(&line, keep);
     }
 }
 
-/// Opens (or creates) this shard's own log. `valid_len` is the byte
-/// length of the file's valid prefix when it already exists with a
-/// matching header; the file is truncated back to it so appends after
-/// a torn tail stay readable.
-fn open_writer(path: &Path, fingerprint: u64, valid_len: Option<u64>) -> Option<File> {
-    match valid_len {
-        Some(len) if len > 0 => {
-            let mut f = OpenOptions::new().write(true).open(path).ok()?;
-            f.set_len(len).ok()?;
-            f.seek(SeekFrom::End(0)).ok()?;
-            Some(f)
-        }
-        // Absent, or unreadable header (other version/fingerprint):
-        // start over with a fresh header.
-        _ => {
-            let mut f = File::create(path).ok()?;
-            f.write_all(format!("{MAGIC} {VERSION} {fingerprint:016x}\n").as_bytes())
-                .ok()?;
-            f.flush().ok()?;
-            Some(f)
-        }
-    }
-}
-
-/// Parses one checkpoint log: the decoded cells plus the byte length
-/// of the valid prefix (0 when the header itself is bad). Parsing
-/// stops at the first malformed line, so a torn tail never corrupts
-/// the cells before it.
-fn parse_log(text: &str, fingerprint: u64) -> (Vec<(usize, CellRecord)>, usize) {
-    let mut cells = Vec::new();
-    let mut lines = text.split_inclusive('\n');
-    let Some(header) = lines.next() else {
-        return (cells, 0);
-    };
-    let mut parts = header.trim_end_matches('\n').split(' ');
-    let header_ok = header.ends_with('\n')
-        && parts.next() == Some(MAGIC)
-        && parts.next().and_then(|v| v.parse().ok()) == Some(VERSION)
-        && parts.next().and_then(|v| u64::from_str_radix(v, 16).ok()) == Some(fingerprint)
-        && parts.next().is_none();
-    if !header_ok {
-        return (cells, 0);
-    }
-    let mut valid_len = header.len();
-    for line in lines {
-        if !line.ends_with('\n') {
-            break;
-        }
-        let Some(cell) = parse_cell_line(line.trim_end_matches('\n')) else {
-            break;
-        };
-        cells.push(cell);
-        valid_len += line.len();
-    }
-    (cells, valid_len)
-}
-
-fn parse_cell_line(line: &str) -> Option<(usize, CellRecord)> {
-    let rest = line.strip_prefix("cell ")?;
-    let (idx, rest) = rest.split_once(' ')?;
-    let idx: usize = idx.parse().ok()?;
-    let (sum, payload) = rest.split_once(' ')?;
-    if u64::from_str_radix(sum, 16).ok()? != codec::fnv64(payload.as_bytes()) {
-        return None;
-    }
-    let mut r = Reader::new(payload);
+/// Decodes one `cell <seal>` line: the cell index (the sealed payload's
+/// first token) and its record. `None` ends the log's valid prefix.
+fn decode_line(line: &str) -> Option<(usize, CellRecord)> {
+    let mut r = Reader::new(codec::unseal(line.strip_prefix("cell ")?)?);
+    let idx = usize::try_from(r.u64()?).ok()?;
     let cell = decode_cell(&mut r)?;
     r.at_end().then_some((idx, cell))
 }
 
-fn encode_cell(rec: &CellRecord) -> String {
+fn encode_cell(cell: usize, rec: &CellRecord) -> String {
     let mut w = Writer::new();
+    w.u64(cell as u64);
     let o = &rec.record.outcome;
     w.bool(o.syntax);
     w.bool(o.functional);
@@ -357,6 +293,22 @@ fn parse_log_name(name: &str) -> Option<(u64, ShardRange)> {
     (start <= end).then_some((fingerprint, ShardRange { start, end }))
 }
 
+/// The shard logs in `dir` with their parsed names, sorted by name.
+fn log_files(dir: &Path) -> Vec<(String, u64, ShardRange)> {
+    let mut logs: Vec<_> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let (fingerprint, range) = parse_log_name(&name)?;
+            Some((name, fingerprint, range))
+        })
+        .collect();
+    logs.sort_by(|a, b| a.0.cmp(&b.0));
+    logs
+}
+
 /// Scans a checkpoint directory **read-only** — the running shards own
 /// the files, so unlike resume this never truncates a torn tail, it
 /// just skips it. Returns one [`EvalProgress`] per fingerprint found,
@@ -364,29 +316,15 @@ fn parse_log_name(name: &str) -> Option<(u64, ShardRange)> {
 /// snapshot is a pure function of the directory contents.
 #[must_use]
 pub fn scan_dir(dir: &Path) -> Vec<EvalProgress> {
-    let mut names: Vec<String> = Vec::new();
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(name) = entry.file_name().to_str() {
-                if parse_log_name(name).is_some() {
-                    names.push(name.to_string());
-                }
-            }
-        }
-    }
-    names.sort();
     let mut groups: BTreeMap<u64, EvalProgress> = BTreeMap::new();
-    for name in names {
-        let Some((fingerprint, range)) = parse_log_name(&name) else {
-            continue;
-        };
-        let Ok(text) = fs::read_to_string(dir.join(&name)) else {
+    for (name, fingerprint, range) in log_files(dir) {
+        let Ok(bytes) = fs::read(dir.join(&name)) else {
             continue;
         };
         // A header naming a different fingerprint than the file name
         // yields an empty valid prefix, so the file contributes nothing
         // but is still listed (torn from byte 0).
-        let (cells, valid_len) = parse_log(&text, fingerprint);
+        let scan = applog::scan(&bytes, &header(fingerprint), decode_line);
         let group = groups.entry(fingerprint).or_insert(EvalProgress {
             fingerprint,
             total_cells: 0,
@@ -397,10 +335,10 @@ pub fn scan_dir(dir: &Path) -> Vec<EvalProgress> {
         group.logs.push(LogInfo {
             name,
             range,
-            cells: cells.len(),
-            torn: valid_len < text.len(),
+            cells: scan.records.len(),
+            torn: scan.valid_len < bytes.len(),
         });
-        for (idx, cell) in cells {
+        for (idx, cell) in scan.records {
             group.cells.entry(idx).or_insert(cell);
         }
     }
@@ -507,6 +445,8 @@ pub fn render_progress(dir: &Path, groups: &[EvalProgress]) -> String {
 mod tests {
     use super::*;
     use crate::crashed_record;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     fn cell() -> CellRecord {
         let mut record = crashed_record();
@@ -529,9 +469,8 @@ mod tests {
     #[test]
     fn cell_lines_round_trip() {
         let c = cell();
-        let payload = encode_cell(&c);
-        let line = format!("cell 7 {:016x} {payload}", codec::fnv64(payload.as_bytes()));
-        let (idx, back) = parse_cell_line(&line).expect("round trip");
+        let line = format!("cell {}", codec::seal(&encode_cell(7, &c)));
+        let (idx, back) = decode_line(&line).expect("round trip");
         assert_eq!(idx, 7);
         assert_eq!(
             back.record.llm_seconds.to_bits(),
@@ -544,14 +483,87 @@ mod tests {
 
     #[test]
     fn tampered_or_torn_lines_are_rejected() {
-        let c = cell();
-        let payload = encode_cell(&c);
-        let sum = codec::fnv64(payload.as_bytes());
-        assert!(parse_cell_line(&format!("cell 7 {:016x} {payload}", sum ^ 1)).is_none());
-        let line = format!("cell 7 {sum:016x} {payload}");
-        assert!(parse_cell_line(&line[..line.len() - 4]).is_none());
-        assert!(parse_cell_line(&format!("{line} trailing")).is_none());
-        assert!(parse_cell_line("not a cell line").is_none());
+        let line = format!("cell {}", codec::seal(&encode_cell(7, &cell())));
+        assert!(decode_line(&line).is_some());
+        // The index is sealed with the record: retargeting it breaks
+        // the checksum.
+        assert!(decode_line(&line.replacen(" 7 ", " 3 ", 1)).is_none());
+        assert!(decode_line(&line[..line.len() - 4]).is_none());
+        assert!(decode_line(&format!("{line} trailing")).is_none());
+        assert!(decode_line("not a cell line").is_none());
+        // A version-1 line (index before the checksum) is not a cell.
+        let payload = encode_cell(7, &cell());
+        let v1 = format!("cell 7 {}", codec::seal(&payload[2..]));
+        assert!(decode_line(&v1).is_none());
+    }
+
+    /// Two cells written by a shard, and the path of its log.
+    fn two_cell_log(dir: &Path, fingerprint: u64, range: ShardRange) -> std::path::PathBuf {
+        let _ = fs::remove_dir_all(dir);
+        let ckpt = ShardCheckpoint::open(dir, fingerprint, range);
+        ckpt.append(0, &cell());
+        let mut second = cell();
+        second.record.outcome.functional = true;
+        ckpt.append(1, &second);
+        dir.join(format!(
+            "ckpt-{fingerprint:016x}-{}-{}.log",
+            range.start, range.end
+        ))
+    }
+
+    #[test]
+    fn a_flipped_index_bit_restores_no_cell_under_another_index() {
+        let dir = std::env::temp_dir().join(format!("aivril-ckpt-index-{}", std::process::id()));
+        let range = ShardRange { start: 0, end: 4 };
+        let path = two_cell_log(&dir, 0xabcd, range);
+        // Cell 1's line is the third; its index is the first token that
+        // reads `1`. Flipping bit 1 of that digit turns it into `3`.
+        let text = fs::read_to_string(&path).unwrap();
+        let line_start: usize = text.split_inclusive('\n').take(2).map(str::len).sum();
+        let line = text[line_start..].lines().next().unwrap();
+        let mut offset = 0;
+        let token = line
+            .split(' ')
+            .find(|tok| {
+                offset += tok.len() + 1;
+                *tok == "1"
+            })
+            .expect("an index token");
+        let at = line_start + offset - token.len() - 1;
+        let mut bytes = text.into_bytes();
+        assert_eq!(bytes[at], b'1');
+        bytes[at] ^= 0b10;
+        fs::write(&path, &bytes).unwrap();
+
+        let back = ShardCheckpoint::open(&dir, 0xabcd, range);
+        assert!(
+            back.restored(3).is_none(),
+            "cell 1's record came back as cell 3"
+        );
+        assert!(back.restored(1).is_none(), "the damaged line is dropped");
+        assert!(back.restored(0).is_some(), "the line before it survives");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_tail_keeps_the_valid_prefix() {
+        let dir = std::env::temp_dir().join(format!("aivril-ckpt-utf8-{}", std::process::id()));
+        let range = ShardRange { start: 0, end: 4 };
+        let path = two_cell_log(&dir, 0xabcd, range);
+        let valid = fs::read(&path).unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"cell 2 de\xffad").unwrap();
+        drop(f);
+
+        let back = ShardCheckpoint::open(&dir, 0xabcd, range);
+        assert!(back.restored(0).is_some() && back.restored(1).is_some());
+        assert!(back.restored(1).unwrap().record.outcome.functional);
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            valid,
+            "truncated to the end of the valid prefix, no further"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::disk::{DiskStats, DiskStore};
+use crate::disk::{DiskStats, DiskStore, Persisted};
 use crate::latency::ToolLatencyModel;
 use crate::report::{CompileReport, SimReport};
 use crate::source::{HdlFile, Language};
@@ -161,8 +161,9 @@ struct Inner {
     elab_hits: AtomicU64,
     elab_misses: AtomicU64,
     /// Optional persistent tier (`AIVRIL_EDA_CACHE_DIR`), probed only
-    /// after a memory miss so the hit/miss accounting above stays
-    /// schedule-independent with or without it.
+    /// by a slot's initialiser, after the memory miss is counted, so
+    /// the hit/miss accounting above stays schedule-independent with
+    /// or without it.
     disk: Option<DiskStore>,
 }
 
@@ -243,18 +244,9 @@ impl EdaCache {
     }
 
     pub(crate) fn analyze_slot(&self, key: u128) -> (Slot<CompileReport>, bool) {
-        let (slot, hit) = self
-            .inner
+        self.inner
             .analyze
-            .slot(key, &self.inner.hits, &self.inner.misses);
-        if !hit {
-            // Fresh key: give the disk tier one chance to pre-fill the
-            // slot before the caller's get_or_init runs the tools.
-            if let Some(report) = self.inner.disk.as_ref().and_then(|d| d.load_analyze(key)) {
-                let _ = slot.set(report);
-            }
-        }
-        (slot, hit)
+            .slot(key, &self.inner.hits, &self.inner.misses)
     }
 
     pub(crate) fn compile_slot(&self, key: u128) -> (Slot<CompileEntry>, bool) {
@@ -283,33 +275,30 @@ impl EdaCache {
     }
 
     pub(crate) fn sim_slot(&self, key: u128) -> (Slot<SimEntry>, bool) {
-        let (slot, hit) = self
-            .inner
+        self.inner
             .sim
-            .slot(key, &self.inner.hits, &self.inner.misses);
-        if !hit {
-            if let Some(entry) = self.inner.disk.as_ref().and_then(|d| d.load_sim(key)) {
-                let _ = slot.set(entry);
-            }
-        }
-        (slot, hit)
+            .slot(key, &self.inner.hits, &self.inner.misses)
     }
 
-    /// Persists a freshly-computed analyze result (no-op without a
-    /// disk tier). Called from inside the compute closure, so a value
-    /// that came *from* disk is never written back.
-    pub(crate) fn persist_analyze(&self, key: u128, report: &CompileReport) {
-        if let Some(disk) = &self.inner.disk {
-            disk.store_analyze(key, report);
-        }
-    }
-
-    /// Persists a freshly-computed simulation result (no-op without a
-    /// disk tier).
-    pub(crate) fn persist_sim(&self, key: u128, entry: &SimEntry) {
-        if let Some(disk) = &self.inner.disk {
-            disk.store_sim(key, entry);
-        }
+    /// The one initialiser of a disk-backed slot: the disk tier's
+    /// entry when it holds one, else `compute`'s value, persisted. Run
+    /// it inside `get_or_init`, so a thread that finds the slot claimed
+    /// waits for this load instead of recomputing and rewriting it.
+    /// `compute` runs only when the disk tier misses, so it can flag
+    /// that the work ran here.
+    pub(crate) fn load_or_compute<V: Persisted>(
+        &self,
+        key: u128,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let Some(disk) = &self.inner.disk else {
+            return compute();
+        };
+        disk.load(key).unwrap_or_else(|| {
+            let value = compute();
+            disk.store(key, &value);
+            value
+        })
     }
 }
 

@@ -10,6 +10,8 @@
 //! aivril.edacache <version> <op> <fnv64-of-payload:016x> <payload ...>
 //! ```
 //!
+//! The checksum and payload are one [`seal`]ed record.
+//!
 //! The payload serialises the complete report — including the modeled
 //! latency and, for simulation entries, the kernel telemetry — with
 //! floats as exact bit patterns, so a disk hit is byte-identical to a
@@ -49,7 +51,7 @@ use crate::cache::SimEntry;
 use crate::faults::{DiskWriteFault, EdaFaultPlan};
 use crate::report::{CompileReport, SimDiverged, SimReport, TestFailure, ToolMessage};
 use aivril_hdl::diag::Severity;
-use aivril_obs::codec::{fnv64, Reader, Writer};
+use aivril_obs::codec::{seal, unseal, Reader, Writer};
 use aivril_sim::{KernelTelemetry, LimitKind};
 
 const MAGIC: &str = "aivril.edacache";
@@ -124,7 +126,8 @@ impl DiskStore {
     }
 
     /// Loads and decodes one entry; any failure is a miss.
-    fn load(&self, op: &str, key: u128) -> Option<String> {
+    pub(crate) fn load<V: Persisted>(&self, key: u128) -> Option<V> {
+        let op = V::OP;
         if self.faults.roll_disk_probe(op, key) {
             // Injected EIO on the probe: exactly the I/O-error path
             // below — counted, degraded to a miss, never propagated.
@@ -142,24 +145,32 @@ impl DiskStore {
                 return None;
             }
         };
-        match decode_header(&text, op) {
-            Some(payload) => Some(payload.to_string()),
-            None => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let Some(payload) = decode_header(&text, op) else {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let mut r = Reader::new(payload);
+        let value = V::decode(&mut r).filter(|_| r.at_end());
+        // Sealed but undecodable: a version-1 writer never produces
+        // this, but the contract is miss, not panic.
+        let counter = if value.is_some() {
+            &self.hits
+        } else {
+            &self.errors
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Atomically writes one entry; failures are counted and ignored
     /// (the disk tier is an accelerator, never a correctness
     /// dependency).
-    fn store(&self, op: &str, key: u128, payload: &str) {
-        let mut line = format!(
-            "{MAGIC} {VERSION} {op} {:016x} {payload}\n",
-            fnv64(payload.as_bytes())
-        );
+    pub(crate) fn store<V: Persisted>(&self, key: u128, value: &V) {
+        let op = V::OP;
+        let mut w = Writer::new();
+        value.encode(&mut w);
+        let mut line = format!("{MAGIC} {VERSION} {op} {}\n", seal(w.payload()));
         let fault = self.faults.roll_disk_store(op, key);
         if fault == Some(DiskWriteFault::ShortWrite) {
             // A writer killed mid-`write` that still got renamed into
@@ -193,66 +204,27 @@ impl DiskStore {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    pub(crate) fn load_analyze(&self, key: u128) -> Option<CompileReport> {
-        let payload = self.load("analyze", key)?;
-        let mut r = Reader::new(&payload);
-        match decode_compile_report(&mut r).filter(|_| r.at_end()) {
-            Some(report) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(report)
-            }
-            None => {
-                // Checksummed but undecodable: a version-1 writer never
-                // produces this, but the contract is miss, not panic.
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    pub(crate) fn store_analyze(&self, key: u128, report: &CompileReport) {
-        let mut w = Writer::new();
-        encode_compile_report(&mut w, report);
-        self.store("analyze", key, w.payload());
-    }
-
-    pub(crate) fn load_sim(&self, key: u128) -> Option<SimEntry> {
-        let payload = self.load("simulate", key)?;
-        let mut r = Reader::new(&payload);
-        match decode_sim_entry(&mut r).filter(|_| r.at_end()) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    pub(crate) fn store_sim(&self, key: u128, entry: &SimEntry) {
-        let mut w = Writer::new();
-        encode_sim_entry(&mut w, entry);
-        self.store("simulate", key, w.payload());
-    }
 }
 
-/// Validates `MAGIC version op checksum` and returns the payload slice.
+/// A result the disk tier persists: the value of one cache shard.
+pub(crate) trait Persisted: Sized {
+    /// The shard's op tag, in the entry's file name and header.
+    const OP: &'static str;
+    /// Appends the value's payload tokens.
+    fn encode(&self, w: &mut Writer);
+    /// Reads the value back; `None` on any malformation.
+    fn decode(r: &mut Reader<'_>) -> Option<Self>;
+}
+
+/// Validates `MAGIC version op` and the seal, and returns the payload.
 fn decode_header<'a>(text: &'a str, op: &str) -> Option<&'a str> {
     let rest = text.strip_prefix(MAGIC)?.strip_prefix(' ')?;
     let (version, rest) = rest.split_once(' ')?;
     if version.parse::<u64>().ok()? != VERSION {
         return None;
     }
-    let (entry_op, rest) = rest.split_once(' ')?;
-    if entry_op != op {
-        return None;
-    }
-    let (sum, payload) = rest.split_once(' ')?;
-    let payload = payload.strip_suffix('\n').unwrap_or(payload);
-    (u64::from_str_radix(sum, 16).ok()? == fnv64(payload.as_bytes())).then_some(payload)
+    let sealed = rest.strip_prefix(op)?.strip_prefix(' ')?;
+    unseal(sealed.strip_suffix('\n').unwrap_or(sealed))
 }
 
 fn encode_severity(w: &mut Writer, s: Severity) {
@@ -315,119 +287,127 @@ fn decode_messages(r: &mut Reader<'_>) -> Option<Vec<ToolMessage>> {
     Some(out)
 }
 
-fn encode_compile_report(w: &mut Writer, report: &CompileReport) {
-    w.bool(report.success);
-    w.str(&report.log);
-    encode_messages(w, &report.messages);
-    w.f64(report.modeled_latency);
+impl Persisted for CompileReport {
+    const OP: &'static str = "analyze";
+
+    fn encode(&self, w: &mut Writer) {
+        w.bool(self.success);
+        w.str(&self.log);
+        encode_messages(w, &self.messages);
+        w.f64(self.modeled_latency);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<CompileReport> {
+        Some(CompileReport {
+            success: r.bool()?,
+            log: r.str()?,
+            messages: decode_messages(r)?,
+            modeled_latency: r.f64()?,
+        })
+    }
 }
 
-fn decode_compile_report(r: &mut Reader<'_>) -> Option<CompileReport> {
-    Some(CompileReport {
-        success: r.bool()?,
-        log: r.str()?,
-        messages: decode_messages(r)?,
-        modeled_latency: r.f64()?,
-    })
-}
+impl Persisted for SimEntry {
+    const OP: &'static str = "simulate";
 
-fn encode_sim_entry(w: &mut Writer, entry: &SimEntry) {
-    let report = &entry.report;
-    w.bool(report.compiled);
-    w.bool(report.passed);
-    w.str(&report.log);
-    w.u64(report.failures.len() as u64);
-    for f in &report.failures {
-        match f.case {
+    fn encode(&self, w: &mut Writer) {
+        let report = &self.report;
+        w.bool(report.compiled);
+        w.bool(report.passed);
+        w.str(&report.log);
+        w.u64(report.failures.len() as u64);
+        for f in &report.failures {
+            match f.case {
+                None => w.bool(false),
+                Some(c) => {
+                    w.bool(true);
+                    w.u32(c);
+                }
+            }
+            w.str(&f.message);
+        }
+        encode_messages(w, &report.compile_messages);
+        w.u64(report.end_time);
+        w.bool(report.finished);
+        match &report.diverged {
             None => w.bool(false),
-            Some(c) => {
+            Some(d) => {
                 w.bool(true);
-                w.u32(c);
+                w.u64(match d.limit {
+                    LimitKind::DeltaCycles => 0,
+                    LimitKind::ProcessInstructions => 1,
+                    LimitKind::TotalInstructions => 2,
+                });
+                w.u64(d.at_time);
+                w.u64(d.instructions);
             }
         }
-        w.str(&f.message);
-    }
-    encode_messages(w, &report.compile_messages);
-    w.u64(report.end_time);
-    w.bool(report.finished);
-    match &report.diverged {
-        None => w.bool(false),
-        Some(d) => {
-            w.bool(true);
-            w.u64(match d.limit {
-                LimitKind::DeltaCycles => 0,
-                LimitKind::ProcessInstructions => 1,
-                LimitKind::TotalInstructions => 2,
-            });
-            w.u64(d.at_time);
-            w.u64(d.instructions);
+        w.f64(report.modeled_latency);
+        w.f64(self.sim_latency);
+        match &self.kernel {
+            None => w.bool(false),
+            Some(k) => {
+                w.bool(true);
+                k.encode(w);
+            }
         }
     }
-    w.f64(report.modeled_latency);
-    w.f64(entry.sim_latency);
-    match &entry.kernel {
-        None => w.bool(false),
-        Some(k) => {
-            w.bool(true);
-            k.encode(w);
-        }
-    }
-}
 
-fn decode_sim_entry(r: &mut Reader<'_>) -> Option<SimEntry> {
-    let compiled = r.bool()?;
-    let passed = r.bool()?;
-    let log = r.str()?;
-    let nfails = r.u64()?;
-    if nfails > 1 << 20 {
-        return None;
-    }
-    let mut failures = Vec::with_capacity(nfails as usize);
-    for _ in 0..nfails {
-        failures.push(TestFailure {
-            case: if r.bool()? { Some(r.u32()?) } else { None },
-            message: r.str()?,
-        });
-    }
-    let compile_messages = decode_messages(r)?;
-    let end_time = r.u64()?;
-    let finished = r.bool()?;
-    let diverged = if r.bool()? {
-        Some(SimDiverged {
-            limit: match r.u64()? {
-                0 => LimitKind::DeltaCycles,
-                1 => LimitKind::ProcessInstructions,
-                2 => LimitKind::TotalInstructions,
-                _ => return None,
+    fn decode(r: &mut Reader<'_>) -> Option<SimEntry> {
+        let compiled = r.bool()?;
+        let passed = r.bool()?;
+        let log = r.str()?;
+        let nfails = r.u64()?;
+        if nfails > 1 << 20 {
+            return None;
+        }
+        let mut failures = Vec::with_capacity(nfails as usize);
+        for _ in 0..nfails {
+            failures.push(TestFailure {
+                case: if r.bool()? { Some(r.u32()?) } else { None },
+                message: r.str()?,
+            });
+        }
+        let compile_messages = decode_messages(r)?;
+        let end_time = r.u64()?;
+        let finished = r.bool()?;
+        let diverged = if r.bool()? {
+            Some(SimDiverged {
+                limit: match r.u64()? {
+                    0 => LimitKind::DeltaCycles,
+                    1 => LimitKind::ProcessInstructions,
+                    2 => LimitKind::TotalInstructions,
+                    _ => return None,
+                },
+                at_time: r.u64()?,
+                instructions: r.u64()?,
+            })
+        } else {
+            None
+        };
+        let modeled_latency = r.f64()?;
+        let sim_latency = r.f64()?;
+        let kernel = if r.bool()? {
+            Some(KernelTelemetry::decode(r)?)
+        } else {
+            None
+        };
+        Some(SimEntry {
+            report: SimReport {
+                compiled,
+                passed,
+                log,
+                failures,
+                compile_messages,
+                end_time,
+                finished,
+                diverged,
+                modeled_latency,
             },
-            at_time: r.u64()?,
-            instructions: r.u64()?,
+            sim_latency,
+            kernel,
         })
-    } else {
-        None
-    };
-    let modeled_latency = r.f64()?;
-    let sim_latency = r.f64()?;
-    let kernel = if r.bool()? {
-        Some(KernelTelemetry::decode(r)?)
-    } else {
-        None
-    };
-    Some(SimEntry {
-        report: SimReport {
-            compiled,
-            passed,
-            log,
-            failures,
-            compile_messages,
-            end_time,
-            finished,
-            diverged,
-            modeled_latency,
-        },
-        sim_latency,
-        kernel,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -458,8 +438,8 @@ mod tests {
     #[test]
     fn analyze_round_trip_is_exact() {
         let store = DiskStore::new(&dir("ana"));
-        store.store_analyze(42, &report());
-        let back = store.load_analyze(42).expect("disk hit");
+        store.store(42, &report());
+        let back = store.load::<CompileReport>(42).expect("disk hit");
         let want = report();
         assert_eq!(back.success, want.success);
         assert_eq!(back.log, want.log);
@@ -476,8 +456,8 @@ mod tests {
     #[test]
     fn absent_wrong_version_and_corrupt_entries_miss() {
         let store = DiskStore::new(&dir("bad"));
-        assert!(store.load_analyze(7).is_none(), "absent file");
-        store.store_analyze(7, &report());
+        assert!(store.load::<CompileReport>(7).is_none(), "absent file");
+        store.store(7, &report());
         let path = store.entry_path("analyze", 7);
 
         let good = fs::read_to_string(&path).expect("entry");
@@ -486,19 +466,56 @@ mod tests {
             good.replace("aivril.edacache 1 ", "aivril.edacache 999 "),
         )
         .unwrap();
-        assert!(store.load_analyze(7).is_none(), "wrong version");
+        assert!(store.load::<CompileReport>(7).is_none(), "wrong version");
 
         fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(store.load_analyze(7).is_none(), "truncated entry");
+        assert!(store.load::<CompileReport>(7).is_none(), "truncated entry");
 
         fs::write(&path, b"total garbage\0\xff bytes").unwrap();
-        assert!(store.load_analyze(7).is_none(), "garbage bytes");
+        assert!(store.load::<CompileReport>(7).is_none(), "garbage bytes");
 
         // Valid checksum over a tampered payload is still rejected by
         // the checksum (sum was computed over the original payload).
         fs::write(&path, good.replace("$adder.v", "$evil.v")).unwrap();
-        assert!(store.load_analyze(7).is_none(), "checksum mismatch");
+        assert!(
+            store.load::<CompileReport>(7).is_none(),
+            "checksum mismatch"
+        );
         let _ = fs::remove_dir_all(&store.dir);
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_entry_misses_or_is_exact() {
+        let d = dir("flips");
+        let store = DiskStore::new(&d);
+        store.store(5, &report());
+        let path = store.entry_path("analyze", 5);
+        let good = fs::read(&path).unwrap();
+        let want = format!("{:?}", report());
+        // Every truncation misses, except the one that drops only the
+        // optional trailing newline.
+        for cut in 0..good.len() {
+            fs::write(&path, &good[..cut]).unwrap();
+            let back = store.load::<CompileReport>(5).map(|r| format!("{r:?}"));
+            let expect = (cut == good.len() - 1).then(|| want.clone());
+            assert_eq!(back, expect, "cut at {cut}");
+        }
+        let mut served = 0;
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << bit;
+                fs::write(&path, &flipped).unwrap();
+                if let Some(back) = store.load::<CompileReport>(5) {
+                    // Only a flip the seal cannot see may be served: the
+                    // case of a checksum hex letter.
+                    assert_eq!(format!("{back:?}"), want, "byte {at} bit {bit}");
+                    served += 1;
+                }
+            }
+        }
+        assert!(served <= 16, "{served} damaged entries were served");
+        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -509,24 +526,20 @@ mod tests {
         // it: it must be removed on open, and until then it must never
         // be served as an entry (loads go through `entry_path` only).
         let mut w = Writer::new();
-        encode_compile_report(&mut w, &report());
-        let line = format!(
-            "{MAGIC} {VERSION} analyze {:016x} {}\n",
-            fnv64(w.payload().as_bytes()),
-            w.payload()
-        );
+        report().encode(&mut w);
+        let line = format!("{MAGIC} {VERSION} analyze {}\n", seal(w.payload()));
         let stale = d.join(".tmp-analyze-00000000000000000000000000000007.99999");
         fs::write(&stale, line).unwrap();
         let store = DiskStore::new(&d);
         assert!(!stale.exists(), "open sweeps dead writers' tempfiles");
         assert!(
-            store.load_analyze(7).is_none(),
+            store.load::<CompileReport>(7).is_none(),
             "a tempfile is not an entry"
         );
         // Real entries survive the sweep.
-        store.store_analyze(7, &report());
+        store.store(7, &report());
         let store2 = DiskStore::new(&d);
-        assert!(store2.load_analyze(7).is_some());
+        assert!(store2.load::<CompileReport>(7).is_some());
         let _ = fs::remove_dir_all(&d);
     }
 
@@ -536,13 +549,13 @@ mod tests {
         // store cannot read it; a clean store can.
         let d = dir("eio");
         let clean = DiskStore::new(&d);
-        clean.store_analyze(3, &report());
+        clean.store(3, &report());
         let faulted =
             DiskStore::new(&d).with_faults(EdaFaultPlan::parse("disk_probe_eio=1.0").unwrap());
-        assert!(faulted.load_analyze(3).is_none());
+        assert!(faulted.load::<CompileReport>(3).is_none());
         let s = faulted.stats();
         assert_eq!((s.misses, s.errors), (1, 1));
-        assert!(clean.load_analyze(3).is_some());
+        assert!(clean.load::<CompileReport>(3).is_some());
         let _ = fs::remove_dir_all(&d);
 
         // Short write: the entry lands truncated; loads reject it on
@@ -550,9 +563,9 @@ mod tests {
         let d = dir("short");
         let short =
             DiskStore::new(&d).with_faults(EdaFaultPlan::parse("disk_short_write=1.0").unwrap());
-        short.store_analyze(3, &report());
+        short.store(3, &report());
         assert!(short.entry_path("analyze", 3).exists());
-        assert!(DiskStore::new(&d).load_analyze(3).is_none());
+        assert!(DiskStore::new(&d).load::<CompileReport>(3).is_none());
         let _ = fs::remove_dir_all(&d);
 
         // Stale tmp: the entry never lands, the tempfile stays behind,
@@ -560,7 +573,7 @@ mod tests {
         let d = dir("stale");
         let stale =
             DiskStore::new(&d).with_faults(EdaFaultPlan::parse("disk_stale_tmp=1.0").unwrap());
-        stale.store_analyze(3, &report());
+        stale.store(3, &report());
         assert!(!stale.entry_path("analyze", 3).exists());
         let tmps = fs::read_dir(&d)
             .unwrap()
@@ -603,15 +616,15 @@ mod tests {
             sim_latency: 0.75,
             kernel: None,
         };
-        store.store_sim(9, &entry);
-        let back = store.load_sim(9).expect("disk hit");
+        store.store(9, &entry);
+        let back = store.load::<SimEntry>(9).expect("disk hit");
         assert_eq!(back.report.failures, entry.report.failures);
         assert_eq!(back.report.diverged, entry.report.diverged);
         assert_eq!(back.sim_latency.to_bits(), entry.sim_latency.to_bits());
         assert!(back.kernel.is_none());
         // An analyze lookup on a simulate key's file name misses (op
         // tag mismatch can't alias shards even on disk).
-        assert!(store.load_analyze(9).is_none());
+        assert!(store.load::<CompileReport>(9).is_none());
         let _ = fs::remove_dir_all(&store.dir);
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! # Plan syntax (`AIVRIL_EDA_FAULTS`)
 //!
-//! `off` (default), a single rate (`0.1` = 10 % on every class), or
-//! comma-separated `class=rate` pairs over the classes below, plus two
-//! non-rate knobs:
+//! The grammar of `AIVRIL_FAULTS`, shared through
+//! [`aivril_obs::faultplan`]: `off` (default), a single rate (`0.1` =
+//! 10 % on every class), or comma-separated `class=rate` pairs over the
+//! classes below, plus two non-rate knobs:
 //!
 //! | class | plane | effect |
 //! |---|---|---|
@@ -45,6 +46,22 @@
 //!   bit-identical even under storage chaos.
 
 use aivril_obs::codec::{fnv64, Writer};
+use aivril_obs::faultplan::{self, pick};
+
+/// The rate classes of the module-docs table, in [`EdaFaultPlan`]
+/// field order.
+const CLASSES: [&str; 10] = [
+    "crash",
+    "hang",
+    "garbled",
+    "truncate",
+    "spurious_exit",
+    "disk_short_write",
+    "disk_probe_eio",
+    "disk_stale_tmp",
+    "ckpt_torn_tail",
+    "ckpt_checksum_flip",
+];
 
 /// A fault rolled against one tool invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,38 +166,30 @@ impl EdaFaultPlan {
     /// The all-off plan (every rate zero, default knobs).
     #[must_use]
     pub fn off() -> EdaFaultPlan {
-        EdaFaultPlan {
-            crash: 0.0,
-            hang: 0.0,
-            garbled: 0.0,
-            truncate: 0.0,
-            spurious_exit: 0.0,
-            disk_short_write: 0.0,
-            disk_probe_eio: 0.0,
-            disk_stale_tmp: 0.0,
-            ckpt_torn_tail: 0.0,
-            ckpt_checksum_flip: 0.0,
-            retry_max: 2,
-            watchdog_s: 30.0,
-        }
+        EdaFaultPlan::with_rates([0.0; CLASSES.len()])
     }
 
     /// A plan with the same `rate` on every fault class.
     #[must_use]
     pub fn uniform(rate: f64) -> EdaFaultPlan {
-        let rate = rate.clamp(0.0, 1.0);
+        EdaFaultPlan::with_rates([rate.clamp(0.0, 1.0); CLASSES.len()])
+    }
+
+    /// `rates` in [`CLASSES`] order, with the default knobs.
+    fn with_rates(rates: [f64; CLASSES.len()]) -> EdaFaultPlan {
         EdaFaultPlan {
-            crash: rate,
-            hang: rate,
-            garbled: rate,
-            truncate: rate,
-            spurious_exit: rate,
-            disk_short_write: rate,
-            disk_probe_eio: rate,
-            disk_stale_tmp: rate,
-            ckpt_torn_tail: rate,
-            ckpt_checksum_flip: rate,
-            ..EdaFaultPlan::off()
+            crash: rates[0],
+            hang: rates[1],
+            garbled: rates[2],
+            truncate: rates[3],
+            spurious_exit: rates[4],
+            disk_short_write: rates[5],
+            disk_probe_eio: rates[6],
+            disk_stale_tmp: rates[7],
+            ckpt_torn_tail: rates[8],
+            ckpt_checksum_flip: rates[9],
+            retry_max: 2,
+            watchdog_s: 30.0,
         }
     }
 
@@ -188,7 +197,7 @@ impl EdaFaultPlan {
     /// exact pre-fault code path.
     #[must_use]
     pub fn is_off(&self) -> bool {
-        self.rates().iter().all(|&(_, r)| r == 0.0)
+        self.rates().iter().all(|&r| r == 0.0)
     }
 
     /// `true` when any tool-plane class can fire.
@@ -213,92 +222,46 @@ impl EdaFaultPlan {
         self.ckpt_torn_tail > 0.0 || self.ckpt_checksum_flip > 0.0
     }
 
-    fn rates(&self) -> [(&'static str, f64); 10] {
+    fn rates(&self) -> [f64; CLASSES.len()] {
         [
-            ("crash", self.crash),
-            ("hang", self.hang),
-            ("garbled", self.garbled),
-            ("truncate", self.truncate),
-            ("spurious_exit", self.spurious_exit),
-            ("disk_short_write", self.disk_short_write),
-            ("disk_probe_eio", self.disk_probe_eio),
-            ("disk_stale_tmp", self.disk_stale_tmp),
-            ("ckpt_torn_tail", self.ckpt_torn_tail),
-            ("ckpt_checksum_flip", self.ckpt_checksum_flip),
+            self.crash,
+            self.hang,
+            self.garbled,
+            self.truncate,
+            self.spurious_exit,
+            self.disk_short_write,
+            self.disk_probe_eio,
+            self.disk_stale_tmp,
+            self.ckpt_torn_tail,
+            self.ckpt_checksum_flip,
         ]
     }
 
-    /// Parses a plan string: `off`/`0`/empty, a bare uniform rate, or
-    /// comma-separated `class=rate` pairs plus the `retry_max` /
+    /// Parses a plan string in the grammar of [`aivril_obs::faultplan`]
+    /// over the classes in the module docs, plus the `retry_max` and
     /// `watchdog_s` knobs.
     ///
     /// # Errors
     ///
     /// Returns a description of the malformation: unknown class,
-    /// duplicate class, or a rate outside `[0, 1]`.
+    /// duplicate class, a rate outside `[0, 1]`, or a bad knob value.
     pub fn parse(s: &str) -> Result<EdaFaultPlan, String> {
-        let s = s.trim();
-        if s.is_empty() || s == "off" || s == "0" {
-            return Ok(EdaFaultPlan::off());
-        }
-        if let Ok(rate) = s.parse::<f64>() {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("rate {rate} outside [0, 1]"));
-            }
-            return Ok(EdaFaultPlan::uniform(rate));
-        }
-        let mut plan = EdaFaultPlan::off();
-        let mut seen: Vec<&str> = Vec::new();
-        for pair in s.split(',') {
-            let pair = pair.trim();
-            let Some((class, rate)) = pair.split_once('=') else {
-                return Err(format!("expected class=rate, got {pair:?}"));
-            };
-            let (class, rate) = (class.trim(), rate.trim());
-            if seen.contains(&class) {
-                return Err(format!("duplicate class {class:?}"));
-            }
-            if class == "retry_max" {
-                plan.retry_max = rate
+        let (rates, knobs) = faultplan::parse(s, &CLASSES, &["retry_max", "watchdog_s"])?;
+        let mut plan = EdaFaultPlan::with_rates(rates);
+        for (knob, value) in knobs {
+            if knob == "retry_max" {
+                plan.retry_max = value.parse().map_err(|_| {
+                    format!("retry_max wants a non-negative integer, got {value:?}")
+                })?;
+            } else {
+                plan.watchdog_s = value
                     .parse()
-                    .map_err(|_| format!("retry_max wants a non-negative integer, got {rate:?}"))?;
-                seen.push("retry_max");
-                continue;
+                    .ok()
+                    .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+                    .ok_or_else(|| {
+                        format!("watchdog_s wants a finite non-negative number, got {value:?}")
+                    })?;
             }
-            if class == "watchdog_s" {
-                let v: f64 = rate
-                    .parse()
-                    .map_err(|_| format!("watchdog_s wants a number, got {rate:?}"))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!(
-                        "watchdog_s wants a finite non-negative number, got {rate:?}"
-                    ));
-                }
-                plan.watchdog_s = v;
-                seen.push("watchdog_s");
-                continue;
-            }
-            let rate: f64 = rate
-                .parse()
-                .map_err(|_| format!("bad rate for {class}: {rate:?}"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("rate for {class} outside [0, 1]: {rate}"));
-            }
-            let slot = match class {
-                "crash" => &mut plan.crash,
-                "hang" => &mut plan.hang,
-                "garbled" => &mut plan.garbled,
-                "truncate" => &mut plan.truncate,
-                "spurious_exit" => &mut plan.spurious_exit,
-                "disk_short_write" => &mut plan.disk_short_write,
-                "disk_probe_eio" => &mut plan.disk_probe_eio,
-                "disk_stale_tmp" => &mut plan.disk_stale_tmp,
-                "ckpt_torn_tail" => &mut plan.ckpt_torn_tail,
-                "ckpt_checksum_flip" => &mut plan.ckpt_checksum_flip,
-                other => return Err(format!("unknown fault class {other:?}")),
-            };
-            *slot = rate;
-            seen.push(class);
         }
         Ok(plan)
     }
@@ -349,20 +312,16 @@ impl EdaFaultPlan {
     }
 
     /// Rolls the checkpoint plane for one appended cell line,
-    /// identified by the log's config fingerprint, the cell index and
-    /// the payload checksum (so re-appending identical content re-rolls
-    /// identically, and different content rolls independently).
+    /// identified by the log's config fingerprint and the cell index.
+    /// The fingerprint covers everything that changes a cell's bits, so
+    /// the pair also pins the line's content: re-appending a cell
+    /// re-rolls identically.
     #[must_use]
-    pub fn roll_ckpt(&self, fingerprint: u64, cell: usize, sum: u64) -> Option<CkptFault> {
+    pub fn roll_ckpt(&self, fingerprint: u64, cell: usize) -> Option<CkptFault> {
         if !self.ckpt_on() {
             return None;
         }
-        let u = unit(
-            "ckpt",
-            "append",
-            (u128::from(fingerprint) << 64) | u128::from(sum),
-            cell as u32,
-        );
+        let u = unit("ckpt", "append", u128::from(fingerprint), cell as u32);
         pick(
             u,
             &[
@@ -379,18 +338,6 @@ impl EdaFaultPlan {
     pub fn shape(what: &str, op: &str, key: u128, attempt: u32) -> f64 {
         unit(what, op, key, attempt)
     }
-}
-
-/// Cumulative-threshold class selection over `[0, 1)`.
-fn pick<T: Copy>(u: f64, classes: &[(f64, T)]) -> Option<T> {
-    let mut acc = 0.0;
-    for &(rate, class) in classes {
-        acc += rate;
-        if u < acc {
-            return Some(class);
-        }
-    }
-    None
 }
 
 /// Pure request-identity hash mapped to `[0, 1)`: FNV-64 over a
@@ -478,7 +425,7 @@ mod tests {
             assert!(plan.roll_tool("compile", key, 0).is_none());
             assert!(!plan.roll_disk_probe("analyze", key));
             assert!(plan.roll_disk_store("simulate", key).is_none());
-            assert!(plan.roll_ckpt(7, key as usize, 9).is_none());
+            assert!(plan.roll_ckpt(7, key as usize).is_none());
         }
     }
 
@@ -531,7 +478,7 @@ mod tests {
             .collect();
         let disk: Vec<bool> = (0..64u128).map(|k| plan.roll_disk_probe("x", k)).collect();
         let ckpt: Vec<bool> = (0..64u128)
-            .map(|k| plan.roll_ckpt(1, k as usize, 2).is_some())
+            .map(|k| plan.roll_ckpt(1, k as usize).is_some())
             .collect();
         assert!(tool != disk && tool != ckpt, "planes must not alias");
     }

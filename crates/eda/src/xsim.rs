@@ -1158,21 +1158,21 @@ impl XsimToolSuite {
         let (slot, hit) = cache.sim_slot(key);
         let mut computed_here = false;
         let entry = slot.get_or_init(|| {
-            computed_here = true;
-            // Telemetry is collected even when this suite's recorder is
-            // disabled: the recorder-free scoring suite may populate an
-            // entry a traced worker hits later.
-            let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
-            let entry = SimEntry {
-                report,
-                sim_latency,
-                kernel,
-            };
-            // Inside the initializer: values that came from memory or
-            // disk never reach this line, so each result is persisted
-            // exactly once, by the process that computed it.
-            cache.persist_sim(key, &entry);
-            entry
+            // Values that come from disk never reach the closure, so
+            // each result is persisted once, by the process that
+            // computed it, and a disk-loaded entry replays below.
+            cache.load_or_compute(key, || {
+                computed_here = true;
+                // Telemetry is collected even when this suite's recorder
+                // is disabled: the recorder-free scoring suite may
+                // populate an entry a traced worker hits later.
+                let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
+                SimEntry {
+                    report,
+                    sim_latency,
+                    kernel,
+                }
+            })
         });
         if !computed_here {
             if let Some(kernel) = &entry.kernel {
@@ -1275,9 +1275,7 @@ impl ToolSuite for XsimToolSuite {
                         let (slot, hit) = cache.analyze_slot(key);
                         let report = slot
                             .get_or_init(|| {
-                                let report = self.analyze_inner(files);
-                                cache.persist_analyze(key, &report);
-                                report
+                                cache.load_or_compute(key, || self.analyze_inner(files))
                             })
                             .clone();
                         (report, Some(hit))

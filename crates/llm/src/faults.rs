@@ -10,6 +10,7 @@
 //! like the code-fault plans in [`SimLlm`](crate::SimLlm).
 
 use crate::chat::ChatRequest;
+use aivril_obs::faultplan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -91,6 +92,15 @@ pub enum BackendFault {
     WrongLanguage,
 }
 
+/// The `AIVRIL_FAULTS` class names, in [`FaultConfig`] field order.
+const CLASSES: [&str; 5] = [
+    "timeout",
+    "rate_limit",
+    "truncate",
+    "empty",
+    "wrong_language",
+];
+
 /// Per-class fault rates, parsed from `AIVRIL_FAULTS`.
 ///
 /// All-zero (the default) means injection is off and [`FaultConfig::roll`]
@@ -139,59 +149,25 @@ impl FaultConfig {
             && self.wrong_language == 0.0
     }
 
-    /// Parses the `AIVRIL_FAULTS` syntax:
+    /// Parses the `AIVRIL_FAULTS` syntax, the grammar of
+    /// [`aivril_obs::faultplan`]: `off`, `0` or the empty string, one
+    /// rate for every class, or `class=rate` pairs over `timeout`,
+    /// `rate_limit`, `truncate`, `empty` and `wrong_language`.
     ///
-    /// - `off`, `0` or the empty string → no injection;
-    /// - a single number (`0.05`) → that rate for every class;
-    /// - comma-separated `class=rate` pairs
-    ///   (`timeout=0.1,rate_limit=0.05,truncate=0.02`); unnamed classes
-    ///   stay at zero. Class names: `timeout`, `rate_limit`, `truncate`,
-    ///   `empty`, `wrong_language`. Repeating a class is an error —
-    ///   last-wins would hide the typo in plans like
-    ///   `timeout=0.1,timeout=0.9`.
+    /// # Errors
+    ///
+    /// A description of the malformation: unknown or repeated class, or
+    /// a rate outside `[0, 1]`.
     pub fn parse(s: &str) -> Result<FaultConfig, String> {
-        let s = s.trim();
-        if s.is_empty() || s.eq_ignore_ascii_case("off") || s == "0" {
-            return Ok(FaultConfig::off());
-        }
-        if let Ok(rate) = s.parse::<f64>() {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("fault rate {rate} outside [0, 1]"));
-            }
-            return Ok(FaultConfig::uniform(rate));
-        }
-        let mut cfg = FaultConfig::off();
-        let mut seen: Vec<&str> = Vec::new();
-        for pair in s.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let Some((class, rate)) = pair.split_once('=') else {
-                return Err(format!("expected class=rate, got {pair:?}"));
-            };
-            let rate: f64 = rate
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad rate in {pair:?}"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("fault rate {rate} outside [0, 1]"));
-            }
-            let class = class.trim();
-            if seen.contains(&class) {
-                return Err(format!("duplicate fault class {class:?}"));
-            }
-            seen.push(class);
-            match class {
-                "timeout" => cfg.timeout = rate,
-                "rate_limit" => cfg.rate_limit = rate,
-                "truncate" => cfg.truncate = rate,
-                "empty" => cfg.empty = rate,
-                "wrong_language" => cfg.wrong_language = rate,
-                other => return Err(format!("unknown fault class {other:?}")),
-            }
-        }
-        Ok(cfg)
+        let ([timeout, rate_limit, truncate, empty, wrong_language], _) =
+            faultplan::parse(s, &CLASSES, &[])?;
+        Ok(FaultConfig {
+            timeout,
+            rate_limit,
+            truncate,
+            empty,
+            wrong_language,
+        })
     }
 
     /// Decides whether this attempt faults, and how. Pure function of
@@ -204,23 +180,17 @@ impl FaultConfig {
         if self.is_off() {
             return None;
         }
-        let mut rng = self.rng(model, request);
-        let r: f64 = rng.gen_range(0.0..1.0);
-        let classes = [
-            (self.timeout, BackendFault::Timeout),
-            (self.rate_limit, BackendFault::RateLimited),
-            (self.truncate, BackendFault::Truncate),
-            (self.empty, BackendFault::Empty),
-            (self.wrong_language, BackendFault::WrongLanguage),
-        ];
-        let mut cumulative = 0.0;
-        for (rate, fault) in classes {
-            cumulative += rate;
-            if r < cumulative {
-                return Some(fault);
-            }
-        }
-        None
+        let r: f64 = self.rng(model, request).gen_range(0.0..1.0);
+        faultplan::pick(
+            r,
+            &[
+                (self.timeout, BackendFault::Timeout),
+                (self.rate_limit, BackendFault::RateLimited),
+                (self.truncate, BackendFault::Truncate),
+                (self.empty, BackendFault::Empty),
+                (self.wrong_language, BackendFault::WrongLanguage),
+            ],
+        )
     }
 
     /// The RNG backing [`FaultConfig::roll`] and the fault parameters

@@ -17,7 +17,7 @@
 //! Decoding is **total**: every reader method returns `Option`, and a
 //! `None` anywhere means the artifact is corrupt — callers treat that
 //! as a cache miss / checkpoint truncation, never a panic. Integrity is
-//! layered on top with [`fnv64`] checksums over the payload text.
+//! layered on top by [`seal`]ing a payload with its [`fnv64`] checksum.
 //!
 //! The format carries no self-description beyond what the caller
 //! writes; both sides share a schema version in their headers and bump
@@ -39,6 +39,27 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV64_PRIME);
     }
     h
+}
+
+/// Seals a payload into a checksummed record,
+/// `"{fnv64(payload):016x} {payload}"`. Every variable field of a
+/// durable record belongs inside the payload, so no byte outside the
+/// checksum can change what the record means.
+#[must_use]
+pub fn seal(payload: &str) -> String {
+    format!("{:016x} {payload}", fnv64(payload.as_bytes()))
+}
+
+/// Opens a [`seal`]ed record: the payload when `record` is exactly 16
+/// hex digits, a space, and a payload that matches them; `None` for
+/// anything else.
+#[must_use]
+pub fn unseal(record: &str) -> Option<&str> {
+    let sum = record.get(..16)?;
+    let payload = record.get(16..)?.strip_prefix(' ')?;
+    let well_formed = sum.bytes().all(|b| b.is_ascii_hexdigit());
+    (well_formed && u64::from_str_radix(sum, 16).ok()? == fnv64(payload.as_bytes()))
+        .then_some(payload)
 }
 
 /// `true` for bytes a string token may carry unescaped.
@@ -443,6 +464,24 @@ mod tests {
     fn fnv64_is_stable() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn seals_open_only_intact_records() {
+        let sealed = seal("7 $cell");
+        assert_eq!(sealed, format!("{:016x} 7 $cell", fnv64(b"7 $cell")));
+        assert_eq!(unseal(&sealed), Some("7 $cell"));
+        assert_eq!(unseal(&seal("")), Some(""));
+        // One changed payload byte, a short or padded checksum, a
+        // sign, a missing separator: all refused.
+        assert_eq!(unseal(&sealed.replace("7 $", "3 $")), None);
+        assert_eq!(unseal(&sealed[1..]), None);
+        assert_eq!(unseal(&format!("0{sealed}")), None);
+        assert_eq!(unseal(&format!("+{}", &sealed[1..])), None);
+        assert_eq!(unseal(&sealed.replacen(' ', "", 1)), None);
+        assert_eq!(unseal(""), None);
+        // A multi-byte character across byte 16 never panics.
+        assert_eq!(unseal(&format!("0{} x", "\u{e9}".repeat(8))), None);
     }
 
     #[test]

@@ -15,8 +15,14 @@
 //!   viewable in Perfetto). Both are driven entirely off modeled
 //!   latencies, never the wall clock, so output is reproducible.
 //! * [`codec`] — a deterministic token codec (floats as exact bit
-//!   patterns, FNV-64 checksums, total decoding) for durable artifacts:
-//!   on-disk EDA cache entries and shard checkpoint records.
+//!   patterns, total decoding) and the FNV-64 [`codec::seal`] for
+//!   durable records: on-disk EDA cache entries, shard checkpoint
+//!   cells and serve journal lines.
+//! * [`applog`] — the append-only log behind the shard checkpoints and
+//!   the serve journal: byte-level valid-prefix scan, torn-tail
+//!   truncation and an explicit policy for foreign files.
+//! * [`faultplan`] — the one grammar of `AIVRIL_FAULTS` and
+//!   `AIVRIL_EDA_FAULTS`, and the class pick both fault planes roll.
 //! * [`analyze`] — the read side: total parsers for the journal and
 //!   `aivril.results` artifacts plus the deterministic report
 //!   renderers ([`summary`], [`diff`], [`flame`], [`regress`]) behind
@@ -28,8 +34,10 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod applog;
 pub mod chrome;
 pub mod codec;
+pub mod faultplan;
 pub mod journal;
 pub mod json;
 pub mod metrics;

@@ -11,8 +11,8 @@
 //!
 //! ## Format
 //!
-//! `journal.log` is line-oriented, append-only, and checksummed the
-//! same way as the bench checkpoint logs:
+//! `journal.log` is an [`aivril_obs::applog`] log, like the bench
+//! checkpoint logs, whose records are [`codec::seal`]ed payloads:
 //!
 //! ```text
 //! aivril.journal 1
@@ -31,18 +31,21 @@
 //! checksum-failing final region. [`JobJournal::open`] keeps the
 //! longest valid prefix, truncates the rest away, and replays only
 //! records from that prefix — corruption costs durability of the torn
-//! records, never a panic and never a phantom job. Records are counted,
+//! records, never a panic and never a phantom job. A file whose first
+//! line is not the journal header is refused, never wiped
+//! ([`HeaderPolicy::Refuse`]). Records are counted,
 //! not keyed: a job resubmitted after completion gets a fresh
 //! `admit`/`done` pair, and a job is pending exactly when its `admit`s
 //! outnumber its `done`s (the latest `admit`'s spec wins).
 
 use crate::protocol::{flow_label, SubmitRequest};
 use aivril_bench::Flow;
+use aivril_obs::applog::{AppendLog, HeaderPolicy};
 use aivril_obs::codec;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::collections::HashMap;
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// First line of every journal file.
 const HEADER: &str = "aivril.journal 1";
@@ -51,7 +54,7 @@ const HEADER: &str = "aivril.journal 1";
 /// from any thread; appends are serialized by an internal lock.
 pub struct JobJournal {
     path: PathBuf,
-    file: Mutex<File>,
+    log: AppendLog,
     pending: Vec<SubmitRequest>,
 }
 
@@ -83,9 +86,9 @@ fn done_payload(tenant: &str, job: &str) -> String {
     w.finish()
 }
 
-/// Formats one checksummed record line (without the newline).
+/// Formats one sealed record line (without the newline).
 fn record_line(kind: &str, payload: &str) -> String {
-    format!("{kind} {:016x} {payload}", codec::fnv64(payload.as_bytes()))
+    format!("{kind} {}", codec::seal(payload))
 }
 
 /// One replayed record.
@@ -97,12 +100,8 @@ enum Record {
 /// Decodes one journal line; `None` marks corruption (the caller
 /// truncates from here).
 fn decode_line(line: &str) -> Option<Record> {
-    let (kind, rest) = line.split_once(' ')?;
-    let (sum, payload) = rest.split_once(' ')?;
-    if sum.len() != 16 || u64::from_str_radix(sum, 16).ok()? != codec::fnv64(payload.as_bytes()) {
-        return None;
-    }
-    let mut r = codec::Reader::new(payload);
+    let (kind, sealed) = line.split_once(' ')?;
+    let mut r = codec::Reader::new(codec::unseal(sealed)?);
     match kind {
         "admit" => {
             let (tenant, job, task) = (r.str()?, r.str()?, r.str()?);
@@ -135,113 +134,43 @@ impl JobJournal {
     ///
     /// # Errors
     ///
-    /// I/O errors creating or reading the file, or a complete first
-    /// line that is not a journal header (the file belongs to something
-    /// else; refusing beats destroying it).
+    /// I/O errors creating or reading the file, or a first line that is
+    /// neither the journal header nor a torn prefix of it (the file
+    /// belongs to something else; refusing beats destroying it).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<JobJournal> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let path = dir.join("journal.log");
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-
-        // Walk complete (newline-terminated) lines, tracking the byte
-        // length of the valid prefix. The first undecodable or
-        // unterminated line is the torn tail: everything from there on
-        // is truncated away.
-        let mut valid_len = 0usize;
-        let mut records = Vec::new();
-        let mut fresh = true;
-        let mut offset = 0usize;
-        while let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') {
-            let end = offset + nl + 1;
-            let line = std::str::from_utf8(&bytes[offset..end - 1]).ok();
-            if valid_len == 0 && offset == 0 {
-                // Header line. A torn header truncates to empty; a
-                // complete line that is some *other* file's content is
-                // an error, not a silent wipe.
-                match line {
-                    Some(HEADER) => {
-                        fresh = false;
-                        valid_len = end;
-                    }
-                    Some(_) | None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{} is not a job journal", path.display()),
-                        ))
-                    }
-                }
-            } else {
-                match line.and_then(decode_line) {
-                    Some(rec) => {
-                        records.push(rec);
-                        valid_len = end;
-                    }
-                    None => break,
-                }
-            }
-            offset = end;
-        }
-
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if valid_len < bytes.len() {
-            // Torn tail (or unterminated header): drop it.
-            file.set_len(valid_len as u64)?;
-        }
-        if fresh {
-            file.set_len(0)?;
-            writeln!(file, "{HEADER}")?;
-            file.flush()?;
-        }
+        let (log, records) = AppendLog::open(&path, HEADER, HeaderPolicy::Refuse, decode_line)?;
 
         // Pending = admits minus dones per (tenant, job), replayed in
         // first-admission order so recovery re-admits deterministically;
         // the latest admit's spec wins.
         let mut order: Vec<(String, String)> = Vec::new();
-        let mut net: std::collections::HashMap<(String, String), (i64, Option<SubmitRequest>)> =
-            std::collections::HashMap::new();
+        let mut net: HashMap<(String, String), (i64, Option<SubmitRequest>)> = HashMap::new();
         for rec in records {
-            match rec {
-                Record::Admit(spec) => {
-                    let key = (spec.tenant.clone(), spec.job.clone());
-                    let slot = net.entry(key.clone()).or_insert_with(|| {
-                        order.push(key);
-                        (0, None)
-                    });
-                    slot.0 += 1;
-                    slot.1 = Some(spec);
-                }
-                Record::Done { tenant, job } => {
-                    let key = (tenant, job);
-                    let slot = net.entry(key.clone()).or_insert_with(|| {
-                        order.push(key);
-                        (0, None)
-                    });
-                    slot.0 -= 1;
-                }
+            let (key, delta, spec) = match rec {
+                Record::Admit(spec) => ((spec.tenant.clone(), spec.job.clone()), 1, Some(spec)),
+                Record::Done { tenant, job } => ((tenant, job), -1, None),
+            };
+            let slot = net.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                (0, None)
+            });
+            slot.0 += delta;
+            if spec.is_some() {
+                slot.1 = spec;
             }
         }
         let pending = order
             .into_iter()
-            .filter_map(|key| {
-                let (count, spec) = net.remove(&key)?;
-                if count > 0 {
-                    spec
-                } else {
-                    None
-                }
+            .filter_map(|key| match net.remove(&key)? {
+                (count, spec) if count > 0 => spec,
+                _ => None,
             })
             .collect();
 
-        Ok(JobJournal {
-            path,
-            file: Mutex::new(file),
-            pending,
-        })
+        Ok(JobJournal { path, log, pending })
     }
 
     /// Jobs admitted by a previous process over this journal that never
@@ -257,15 +186,6 @@ impl JobJournal {
         &self.path
     }
 
-    fn append(&self, line: &str) -> io::Result<()> {
-        let mut f = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(f, "{line}")?;
-        f.flush()
-    }
-
     /// Records an accepted admission. Call under the queue lock, before
     /// the job becomes claimable — a crash after this point re-admits
     /// the job on restart.
@@ -275,7 +195,7 @@ impl JobJournal {
     /// I/O errors from the append; the job still runs (the journal
     /// degrades to best-effort durability, never blocks admission).
     pub fn record_admit(&self, spec: &SubmitRequest) -> io::Result<()> {
-        self.append(&record_line("admit", &admit_payload(spec)))
+        self.log.append(&record_line("admit", &admit_payload(spec)))
     }
 
     /// Records a terminal outcome (result streamed or deadline expiry).
@@ -284,7 +204,8 @@ impl JobJournal {
     ///
     /// I/O errors from the append.
     pub fn record_done(&self, tenant: &str, job: &str) -> io::Result<()> {
-        self.append(&record_line("done", &done_payload(tenant, job)))
+        self.log
+            .append(&record_line("done", &done_payload(tenant, job)))
     }
 }
 
@@ -393,14 +314,20 @@ mod tests {
     fn foreign_files_are_refused_not_wiped() {
         let dir = tmp("foreign");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("journal.log"), "important data\nmore\n").unwrap();
-        let err = JobJournal::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(
-            fs::read(dir.join("journal.log")).unwrap(),
-            b"important data\nmore\n",
-            "the foreign file is untouched"
-        );
+        // An unterminated first line is foreign too, unless it is a
+        // torn prefix of the header.
+        for foreign in ["important data\nmore\n", "important data"] {
+            fs::write(dir.join("journal.log"), foreign).unwrap();
+            let err = JobJournal::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                fs::read(dir.join("journal.log")).unwrap(),
+                foreign.as_bytes(),
+                "the foreign file is untouched"
+            );
+        }
+        fs::write(dir.join("journal.log"), "aivril.jour").unwrap();
+        assert!(JobJournal::open(&dir).unwrap().pending().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

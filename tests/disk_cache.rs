@@ -200,3 +200,72 @@ fn racing_writers_are_atomic_and_consistent() {
     assert!(leftovers.is_empty(), "staging files must be renamed away");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Many threads race on fresh keys over a pre-filled store. The disk
+/// load runs inside each slot's one initialiser, so every entry is read
+/// from disk exactly once and a thread that finds the slot claimed but
+/// not yet filled waits for that load instead of recomputing the value
+/// and writing it back.
+#[test]
+fn racing_lookups_of_prefilled_keys_never_rewrite() {
+    use aivril_eda::{EdaCache, HdlFile, ToolSuite, XsimToolSuite};
+    use std::sync::Barrier;
+    const THREADS: usize = 8;
+    const KEYS: usize = 48;
+    let dir = temp_dir("prefill-race");
+    let designs: Vec<Vec<HdlFile>> = (0..KEYS)
+        .map(|i| {
+            vec![HdlFile::new(
+                format!("tb{i}.v"),
+                format!(
+                    "module tb; reg [7:0] r; initial begin r = {i}; \
+                     $display(\"r=%d\", r); $finish; end endmodule\n"
+                ),
+            )]
+        })
+        .collect();
+    // Debug text stands in for equality: the reports hold floats, and
+    // `{:?}` prints each one in a form that round-trips exactly.
+    let run = |suite: &XsimToolSuite, files: &[HdlFile]| {
+        format!(
+            "{:?} {:?}",
+            suite.analyze(files),
+            suite.simulate(files, Some("tb"))
+        )
+    };
+
+    let fill = XsimToolSuite::new().with_cache(EdaCache::persistent(&dir));
+    let want: Vec<_> = designs.iter().map(|f| run(&fill, f)).collect();
+    let filled = fill.cache().and_then(EdaCache::disk_stats).unwrap();
+    assert_eq!(filled.writes, 2 * KEYS as u64, "{filled:?}");
+
+    let cache = EdaCache::persistent(&dir);
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cache, barrier, designs, want) = (&cache, &barrier, &designs, &want);
+            scope.spawn(move || {
+                let suite = XsimToolSuite::new().with_cache(cache.clone());
+                barrier.wait();
+                // Half the threads walk the keys backwards so claims
+                // and loads interleave from both ends.
+                let order: Vec<usize> = if t % 2 == 0 {
+                    (0..KEYS).collect()
+                } else {
+                    (0..KEYS).rev().collect()
+                };
+                for i in order {
+                    assert_eq!(run(&suite, &designs[i]), want[i], "key {i}");
+                }
+            });
+        }
+    });
+    let disk = cache.disk_stats().unwrap();
+    assert_eq!(
+        disk.writes, 0,
+        "pre-filled entries were recomputed: {disk:?}"
+    );
+    assert_eq!(disk.hits, 2 * KEYS as u64, "{disk:?}");
+    assert_eq!(disk.errors, 0, "{disk:?}");
+    let _ = fs::remove_dir_all(&dir);
+}

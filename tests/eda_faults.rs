@@ -117,3 +117,51 @@ fn an_off_plan_is_exactly_the_default_code_path() {
     assert_eq!(jrn_d, jrn_e);
     assert_eq!(met_d, met_e);
 }
+
+#[test]
+fn both_fault_plans_share_one_grammar() {
+    // Inputs that name no class: `AIVRIL_FAULTS` and
+    // `AIVRIL_EDA_FAULTS` must accept and reject exactly the same ones,
+    // and agree on what an accepted one means.
+    let off = [
+        "", "  ", "off", "OFF", " Off ", "0", "0.0", ",", ",,", " , ,",
+    ];
+    let uniform = [("0.25", 0.25), (" 1 ", 1.0), ("1.0", 1.0), ("0.5", 0.5)];
+    let rejected = [
+        "1.5", "-0.1", "NaN", "inf", "-inf", "x", "0.1,", "=", "=0.1", "warp=0.1", "a=b=c", "off,",
+        "0.1 0.2",
+    ];
+    for s in off {
+        let (llm, eda) = (FaultConfig::parse(s), EdaFaultPlan::parse(s));
+        assert_eq!(llm, Ok(FaultConfig::off()), "{s:?}");
+        assert_eq!(eda, Ok(EdaFaultPlan::off()), "{s:?}");
+    }
+    for (s, rate) in uniform {
+        assert_eq!(
+            FaultConfig::parse(s),
+            Ok(FaultConfig::uniform(rate)),
+            "{s:?}"
+        );
+        assert_eq!(
+            EdaFaultPlan::parse(s),
+            Ok(EdaFaultPlan::uniform(rate)),
+            "{s:?}"
+        );
+    }
+    for s in rejected {
+        assert!(FaultConfig::parse(s).is_err(), "{s:?}");
+        assert!(EdaFaultPlan::parse(s).is_err(), "{s:?}");
+    }
+    // The same holds per class: skipped empty pairs, any-case `off`
+    // and duplicate refusal apply to both class tables.
+    assert_eq!(
+        FaultConfig::parse("timeout=0.1,,truncate=0.2,").map(|c| (c.timeout, c.truncate)),
+        Ok((0.1, 0.2))
+    );
+    assert_eq!(
+        EdaFaultPlan::parse("crash=0.1,,hang=0.2,").map(|p| (p.crash, p.hang)),
+        Ok((0.1, 0.2))
+    );
+    assert!(FaultConfig::parse("empty=0.1,empty=0.1").is_err());
+    assert!(EdaFaultPlan::parse("hang=0.1,hang=0.1").is_err());
+}
