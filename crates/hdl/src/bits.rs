@@ -168,7 +168,8 @@ impl<'a> BitsRef<'a> {
     }
 
     /// Word `i` of both planes, zero-extended beyond the end.
-    pub(crate) fn word(self, i: usize) -> (u64, u64) {
+    #[must_use]
+    pub fn word(self, i: usize) -> (u64, u64) {
         (word_at(self.aval, i), word_at(self.bval, i))
     }
 
@@ -550,6 +551,28 @@ impl<'a> BitsMut<'a> {
             }
         }
         self.mask_top();
+    }
+
+    /// `self[lsb + n - 1 : lsb] = src[src_lsb + n - 1 : src_lsb]` in
+    /// place, the window clipped to `width` and `src` zero-extended;
+    /// returns whether any bit changed.
+    pub(crate) fn splice(&mut self, lsb: u32, n: u32, src: BitsRef<'_>, src_lsb: u32) -> bool {
+        let end = lsb.saturating_add(n).min(self.width);
+        let mut changed = false;
+        for i in (lsb / 64) as usize..words_for(end) {
+            let base = 64 * i as u32;
+            // The window's bits in word `i`, and `src` aligned to them.
+            let mask = low_mask(end - base) & !low_mask(lsb.saturating_sub(base));
+            let aligned = |plane: &[u64]| match base.checked_sub(lsb) {
+                Some(off) => extract_word(plane, src_lsb.saturating_add(off)),
+                None => extract_word(plane, src_lsb) << (lsb - base),
+            };
+            let a = self.aval[i] & !mask | aligned(src.aval) & mask;
+            let b = self.bval[i] & !mask | aligned(src.bval) & mask;
+            changed |= (a, b) != (self.aval[i], self.bval[i]);
+            (self.aval[i], self.bval[i]) = (a, b);
+        }
+        changed
     }
 
     /// `self = {self, low}`: the destination, sized to the concatenated

@@ -343,6 +343,18 @@ pub enum LValue {
 }
 
 impl LValue {
+    /// Width in bits of the target: one per bit-select, the sum of the
+    /// parts for a concatenation.
+    #[must_use]
+    pub fn width(&self, design: &Design) -> u32 {
+        match self {
+            LValue::Net(id) => design.net(*id).width,
+            LValue::Range(_, msb, lsb) => msb - lsb + 1,
+            LValue::Index(_, _) => 1,
+            LValue::Concat(parts) => parts.iter().map(|p| p.width(design)).sum(),
+        }
+    }
+
     /// The nets written by this l-value.
     pub fn collect_writes(&self, out: &mut Vec<NetId>) {
         match self {

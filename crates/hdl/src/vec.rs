@@ -533,36 +533,15 @@ impl LogicVec {
     /// Writes `value` into bits `[msb:lsb]`, truncating or zero-extending
     /// `value` as needed.
     pub fn set_slice(&mut self, msb: u32, lsb: u32, value: &LogicVec) {
-        let (msb, lsb) = if msb >= lsb { (msb, lsb) } else { (lsb, msb) };
-        if lsb >= self.width {
-            return;
-        }
-        // Full overwrite by an equal-width value: copy the planes whole.
-        if lsb == 0 && msb + 1 >= self.width && value.width == self.width {
-            self.aval.copy_from_slice(&value.aval);
-            self.bval.copy_from_slice(&value.bval);
-            return;
-        }
-        if self.width <= 64 {
-            // Effective bits written: [lsb, min(msb + 1, self.width)).
-            let eff = (msb + 1).min(self.width) - lsb;
-            let window = low_mask(eff) << lsb;
-            // value bits beyond value.width read as known zero, which the
-            // plane encoding already provides.
-            let va = (value.aval[0] & low_mask(eff)) << lsb;
-            let vb = (value.bval[0] & low_mask(eff)) << lsb;
-            self.aval[0] = self.aval[0] & !window | va;
-            self.bval[0] = self.bval[0] & !window | vb;
-            return;
-        }
-        for i in 0..=(msb - lsb) {
-            let bit = if i < value.width {
-                value.get(i)
-            } else {
-                Logic::Zero
-            };
-            self.set(lsb + i, bit);
-        }
+        self.set_slice_bits(msb, lsb, value.as_bits(), 0);
+    }
+
+    /// Writes `bits[src_lsb + (msb - lsb) : src_lsb]` into bits
+    /// `[msb:lsb]` in place: `bits` zero-extends, and bits beyond this
+    /// vector's width are dropped. Returns whether any bit changed.
+    pub fn set_slice_bits(&mut self, msb: u32, lsb: u32, bits: BitsRef<'_>, src_lsb: u32) -> bool {
+        let (lsb, width) = select_range(msb, lsb);
+        self.bits_mut().splice(lsb, width, bits, src_lsb)
     }
 
     /// Population count of `1` bits; `None` if any bit is unknown.

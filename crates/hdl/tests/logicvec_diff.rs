@@ -373,6 +373,7 @@ proptest! {
         count in 1u32..4,
         msb in 0u32..210,
         lsb in 0u32..210,
+        src_lsb in 0u32..210,
     ) {
         let (pa, pb) = (lv(&a), lv(&b));
         assert_same(&pa.concat(&pb), &ref_concat(&a, &b), "concat")?;
@@ -389,6 +390,16 @@ proptest! {
             &ref_set_slice(&a, msb as usize, lsb as usize, &b),
             "set_slice",
         )?;
+        // The in-place window write reads `b` from `src_lsb` up.
+        let mut target = pa.clone();
+        let changed = target.set_slice_bits(msb, lsb, pb.as_bits(), src_lsb);
+        let shifted: Bits = b.iter().skip(src_lsb as usize).copied().collect();
+        assert_same(
+            &target,
+            &ref_set_slice(&a, msb as usize, lsb as usize, &shifted),
+            "set_slice_bits",
+        )?;
+        prop_assert_eq!(changed, target != pa, "set_slice_bits change flag");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Compiled expression evaluation: flat register-machine bytecode.
 //!
-//! The tree walker in [`crate::eval`] allocates nothing *per node*, but
-//! it pays a recursive call, a `match` on a boxed node, and pointer
-//! chasing for every operator on every activation — and the hot loop of
-//! a simulation evaluates the same handful of expressions millions of
-//! times. At [`Simulator::new`](crate::Simulator::new) each process's
-//! expressions are lowered **once** into a flat [`ExprProgram`]: a
+//! This is the simulator's only evaluator. At
+//! [`Simulator::new`](crate::Simulator::new) every expression of every
+//! process — assignment values, l-value bit-select indices, delay
+//! amounts, branch conditions and system-task arguments (`$monitor`
+//! included) — is lowered **once** into a flat [`ExprProgram`]: a
 //! post-order sequence of [`Op`]s reading and writing numbered scratch
 //! slots, executed by a tight non-recursive loop over a per-simulator
 //! [`ScratchArena`] that is allocated once and reused for every
-//! evaluation.
+//! evaluation. The hot loop of a simulation evaluates the same handful
+//! of expressions millions of times, so it pays no recursion, no
+//! `match` on boxed nodes and no pointer chasing.
 //!
 //! Because every net's width is known at lowering time, `compile`
 //! additionally infers a static width bound for each scratch slot (all
@@ -22,12 +23,11 @@
 //! a bound is ever too small the buffer grows — correct, and *counted*,
 //! so the zero-alloc claim stays honest.
 //!
-//! The tree interpreter stays in the crate as the semantic oracle: the
-//! cold paths (`$display` arguments, `$monitor`, l-value indices) still
-//! run it, and the differential property tests at the bottom of this
-//! file require bit-for-bit agreement between the two on randomly
-//! generated expression trees. Any divergence is a bug in *this* file —
-//! the tree is the specification.
+//! The tree interpreter in `eval.rs` is the test oracle only: it is
+//! compiled under `cfg(test)`, and the differential property tests at
+//! the bottom of this file require bit-for-bit agreement between the
+//! two on randomly generated expression trees. Any divergence is a bug
+//! in *this* file — the tree is the specification.
 //!
 //! Slot discipline: `compile_into(expr, dst)` leaves `expr`'s value in
 //! slot `dst` and may scribble on any slot `> dst`. Binary operands go

@@ -1,39 +1,64 @@
 //! The event-driven simulation kernel.
 
 use crate::bytecode::{self, ExprProgram, ScratchArena};
-use crate::eval::EvalCtx;
-use crate::format::render_format;
+use crate::format::render_args;
 use crate::result::{LimitKind, LogLine, SimConfig, SimResult};
 use crate::sched::FutureQueue;
 use crate::vcd;
-use aivril_hdl::bits::{BitsRef, ScratchBuf};
-use aivril_hdl::ir::{Design, Instr, LValue, NetId, SysTaskKind, Trigger};
+use aivril_hdl::bits::BitsRef;
+use aivril_hdl::ir::{Design, Expr, Instr, LValue, NetId, SysTaskKind, Trigger};
 use aivril_hdl::logic::Logic;
 use aivril_hdl::vec::LogicVec;
 use std::collections::VecDeque;
 
-/// Sentinel in [`Simulator::nba_slots`] for instructions without a
-/// pre-sized nonblocking staging buffer.
-const NO_NBA_SLOT: u32 = u32::MAX;
-
-/// One pending nonblocking commit, staged until the NBA region flushes.
-#[derive(Debug)]
-struct NbaEntry {
+/// One resolved l-value target: `net[msb:lsb]` takes the assigned
+/// value's bits from `src_lsb` up.
+#[derive(Debug, Clone, Copy)]
+struct Window {
     net: NetId,
     msb: u32,
     lsb: u32,
-    value: NbaValue,
+    src_lsb: u32,
 }
 
-/// Where a staged nonblocking value lives.
-#[derive(Debug)]
-enum NbaValue {
-    /// Index into [`Simulator::nba_bufs`] — the zero-alloc fast path for
-    /// whole-net assignments (`msb..lsb` spans the full net).
-    Buf(u32),
-    /// Boxed fallback: partial/concat l-values, or the same assignment
-    /// executing twice before a flush (its buffer is still busy).
-    Owned(LogicVec),
+/// One pending nonblocking commit: a window over a value staged in the
+/// [`NbaStore`] until the NBA region flushes.
+#[derive(Debug, Clone, Copy)]
+struct NbaEntry {
+    target: Window,
+    /// Word offset of the staged value in the store.
+    at: u32,
+    /// Width of the staged value (the whole l-value's width).
+    width: u32,
+}
+
+/// The NBA staging store: the value and unknown planes of every value
+/// staged since the last flush, word-aligned per value.
+#[derive(Debug, Default)]
+struct NbaStore {
+    aval: Vec<u64>,
+    bval: Vec<u64>,
+}
+
+impl NbaStore {
+    /// Appends `value` resized to `width` bits; returns its word offset.
+    fn push(&mut self, value: BitsRef<'_>, width: u32) -> u32 {
+        let at = self.aval.len() as u32;
+        for i in 0..width.div_ceil(64) {
+            // The top word keeps only the bits below `width`.
+            let keep = u64::MAX >> (64 * (i + 1)).saturating_sub(width);
+            let (a, b) = value.word(i as usize);
+            self.aval.push(a & keep);
+            self.bval.push(b & keep);
+        }
+        at
+    }
+
+    /// The `width`-bit value staged at word offset `at`.
+    fn get(&self, at: u32, width: u32) -> BitsRef<'_> {
+        let words = at as usize..(at + width.div_ceil(64)) as usize;
+        BitsRef::new(width, &self.aval[words.clone()], &self.bval[words])
+    }
 }
 
 /// Floor for the per-net watcher compaction threshold: lists shorter
@@ -79,10 +104,14 @@ pub struct Simulator<'d> {
     config: SimConfig,
     values: Vec<LogicVec>,
     procs: Vec<ProcState>,
-    /// Per-process, per-pc compiled form of the instruction's expression
-    /// (`None` for instructions without a hot expression). Lowered once
-    /// at [`Simulator::new`]; see [`crate::bytecode`].
-    programs: Vec<Vec<Option<ExprProgram>>>,
+    /// Every expression of the design, lowered once at
+    /// [`Simulator::new`] (see [`crate::bytecode`]). An instruction's
+    /// programs are contiguous: an assignment's value, then its l-value
+    /// indices in resolution order; a delay amount; a branch condition;
+    /// a system task's arguments.
+    programs: Vec<ExprProgram>,
+    /// Per-process, per-pc index of the instruction's first program.
+    first_program: Vec<Vec<u32>>,
     /// The shared evaluation arena: one pre-sized wide buffer per
     /// scratch slot, sized at lowering from the static width bounds of
     /// every compiled program. Allocated once; every compiled
@@ -103,19 +132,13 @@ pub struct Simulator<'d> {
     /// Drained counterpart of `nba` (same double-buffer trick as
     /// `inactive_spare`).
     nba_spare: Vec<NbaEntry>,
-    /// Pre-sized staging buffers for whole-net nonblocking assignments,
-    /// one per `NonblockingAssign`-to-a-net instruction in the design
-    /// (sized to that net's width at construction).
-    nba_bufs: Vec<ScratchBuf>,
-    /// Whether the matching `nba_bufs` entry currently holds a staged
-    /// value (cleared at flush). A busy buffer forces the boxed
-    /// [`NbaValue::Owned`] fallback.
-    nba_busy: Vec<bool>,
-    /// Per-process, per-pc index into `nba_bufs` (`NO_NBA_SLOT` when the
-    /// instruction has no staging buffer).
-    nba_slots: Vec<Vec<u32>>,
-    /// Reused slice buffer for l-value resolution.
-    lv_scratch: Vec<(NetId, u32, u32, LogicVec)>,
+    /// Values staged by nonblocking assignments, cleared by the flush.
+    /// Pre-sized to the summed word widths of the design's nonblocking
+    /// targets, so staging each assignment once per flush never
+    /// allocates.
+    nba_store: NbaStore,
+    /// Reused window buffer for l-value resolution.
+    windows: Vec<Window>,
     /// Per-net list of (process, generation) waiting on that net.
     watchers: Vec<Vec<(usize, u64)>>,
     /// Per-net length at which the watcher list is next compacted.
@@ -123,11 +146,9 @@ pub struct Simulator<'d> {
     /// changes; a never-changing net would otherwise accumulate one
     /// stale entry per wait cycle, unboundedly.
     watcher_threshold: Vec<usize>,
-    /// Spilled (heap-backed) values materialised outside the arena by
-    /// the compiled evaluator (cold l-value shapes, busy NBA buffers) —
-    /// zero in steady state for net-shaped assignments at any width.
-    /// [`Simulator::perf`] adds the arena's and NBA buffers' growth
-    /// events on top.
+    /// NBA staging-store growth events beyond its static sizing (one
+    /// assignment staged several times before a flush). [`Simulator::perf`]
+    /// adds the arena's growth events on top.
     eval_allocs: u64,
     /// Watcher-list compactions performed.
     compactions: u64,
@@ -149,9 +170,10 @@ pub struct Simulator<'d> {
     activations_this_step: u64,
     /// When recording, the initial values and every subsequent change.
     waves: Option<(Vec<LogicVec>, Vec<vcd::Change>)>,
-    /// The active `$monitor`: format, argument expressions, and the
-    /// values last printed (None = not yet printed).
-    monitor: Option<MonitorSlot>,
+    /// The active `$monitor`: the `(pid, pc)` of its `SysCall`, whose
+    /// argument programs it replays, and the values last printed (None =
+    /// not yet printed).
+    monitor: Option<(usize, usize, Option<Vec<LogicVec>>)>,
     /// Telemetry sink for the kernel histograms; disabled by default.
     recorder: aivril_obs::Recorder,
     /// Locally-accumulated kernel statistics, only allocated when the
@@ -282,9 +304,8 @@ pub struct KernelPerf {
     /// Final simulation time (the modeled clock, in ns).
     pub sim_time_ns: u64,
     /// Heap events attributable to compiled evaluation: arena and NBA
-    /// staging-buffer growth beyond their static sizing, plus spilled
-    /// values materialised on the boxed fallback paths. Zero in steady
-    /// state for net-shaped assignments *at any width* — the
+    /// staging-store growth beyond their static sizing. Zero in steady
+    /// state for every l-value shape *at any width* — the
     /// zero-allocation claim, as a measurable counter.
     pub eval_allocs: u64,
     /// Watcher-list compactions performed (stale-entry reclamation).
@@ -293,7 +314,7 @@ pub struct KernelPerf {
     /// the deepest compiled expression).
     pub scratch_slots: u64,
     /// Evaluation-arena high-water footprint: per-plane capacity words
-    /// across all scratch slots and NBA staging buffers. Static per
+    /// across all scratch slots and the NBA staging store. Static per
     /// design unless a slot outgrows its bound (which `eval_allocs`
     /// counts).
     pub arena_words: u64,
@@ -338,13 +359,6 @@ impl KernelPerf {
     }
 }
 
-/// Registered `$monitor` state: format, args, last printed values.
-type MonitorSlot = (
-    Option<String>,
-    Vec<aivril_hdl::ir::Expr>,
-    Option<Vec<LogicVec>>,
-);
-
 impl<'d> Simulator<'d> {
     /// Prepares a simulation of `design` under the given limits.
     ///
@@ -369,67 +383,54 @@ impl<'d> Simulator<'d> {
             })
             .collect();
         let runnable = (0..design.processes.len()).collect();
-        // Lower every hot expression to bytecode once, up front. Net
-        // widths are static, so compilation records per-slot width
-        // bounds and the shared arena is sized once, here, for every
-        // program's every slot — steady-state evaluation then never
-        // touches the heap, regardless of datapath width.
+        // Lower every expression to bytecode once, up front. Net widths
+        // are static, so compilation records per-slot width bounds and
+        // the shared arena is sized once, here, for every program's
+        // every slot — steady-state evaluation then never touches the
+        // heap, regardless of datapath width.
         let net_widths: Vec<u32> = design.nets.iter().map(|n| n.width).collect();
-        let programs: Vec<Vec<Option<ExprProgram>>> = design
+        let mut programs = Vec::new();
+        let mut nba_words = 0;
+        let first_program = design
             .processes
             .iter()
             .map(|p| {
                 p.body
                     .iter()
                     .map(|instr| {
-                        let expr = match instr {
-                            Instr::BlockingAssign { expr, .. }
-                            | Instr::NonblockingAssign { expr, .. } => Some(expr),
-                            Instr::Delay { amount } => Some(amount),
-                            Instr::BranchIfFalse { cond, .. } => Some(cond),
-                            _ => None,
-                        };
-                        expr.map(|e| bytecode::compile(e, &net_widths))
-                    })
-                    .collect()
-            })
-            .collect();
-        let arena = ScratchArena::for_programs(
-            programs
-                .iter()
-                .flat_map(|per_pc| per_pc.iter().filter_map(Option::as_ref)),
-        );
-        // Whole-net nonblocking assignments get a staging buffer sized
-        // to the target net, so `a <= expr` never boxes the staged
-        // value either.
-        let mut nba_bufs: Vec<ScratchBuf> = Vec::new();
-        let nba_slots: Vec<Vec<u32>> = design
-            .processes
-            .iter()
-            .map(|p| {
-                p.body
-                    .iter()
-                    .map(|instr| match instr {
-                        Instr::NonblockingAssign {
-                            lvalue: LValue::Net(net),
-                            ..
-                        } => {
-                            let slot = nba_bufs.len() as u32;
-                            nba_bufs.push(ScratchBuf::with_width(design.net(*net).width));
-                            slot
+                        let first = programs.len() as u32;
+                        let mut lower = |e: &Expr| programs.push(bytecode::compile(e, &net_widths));
+                        match instr {
+                            Instr::BlockingAssign { lvalue, expr }
+                            | Instr::NonblockingAssign { lvalue, expr } => {
+                                lower(expr);
+                                for_each_leaf(lvalue, 0, design, &mut |leaf, _| {
+                                    if let LValue::Index(_, index) = leaf {
+                                        lower(index);
+                                    }
+                                });
+                            }
+                            Instr::Delay { amount } => lower(amount),
+                            Instr::BranchIfFalse { cond, .. } => lower(cond),
+                            Instr::SysCall { args, .. } => args.iter().for_each(lower),
+                            Instr::WaitEvent { .. } | Instr::Jump(_) | Instr::Halt => {}
                         }
-                        _ => NO_NBA_SLOT,
+                        if let Instr::NonblockingAssign { lvalue, .. } = instr {
+                            nba_words += lvalue.width(design).div_ceil(64) as usize;
+                        }
+                        first
                     })
                     .collect()
             })
             .collect();
-        let nba_busy = vec![false; nba_bufs.len()];
+        let arena = ScratchArena::for_programs(&programs);
         Simulator {
             design,
             config,
             values,
             procs,
             programs,
+            first_program,
             arena,
             runnable,
             inactive: Vec::new(),
@@ -438,10 +439,11 @@ impl<'d> Simulator<'d> {
             wake_batch: Vec::new(),
             nba: Vec::new(),
             nba_spare: Vec::new(),
-            nba_bufs,
-            nba_busy,
-            nba_slots,
-            lv_scratch: Vec::new(),
+            nba_store: NbaStore {
+                aval: Vec::with_capacity(nba_words),
+                bval: Vec::with_capacity(nba_words),
+            },
+            windows: Vec::new(),
             watchers: vec![Vec::new(); design.nets.len()],
             watcher_threshold: vec![WATCHER_COMPACT_MIN; design.nets.len()],
             eval_allocs: 0,
@@ -548,22 +550,16 @@ impl<'d> Simulator<'d> {
                 if let Some(ks) = &mut self.kstats {
                     ks.nba.observe(batch.len() as f64);
                 }
-                // The buffers come out of `self` for the duration of
-                // the flush so a staged value can be committed while
-                // `self` is mutably borrowed by the write.
-                let bufs = std::mem::take(&mut self.nba_bufs);
-                for entry in batch.drain(..) {
-                    match entry.value {
-                        NbaValue::Buf(slot) => {
-                            self.nba_busy[slot as usize] = false;
-                            self.commit_net(entry.net, bufs[slot as usize].as_bits());
-                        }
-                        NbaValue::Owned(value) => {
-                            self.write_slice(entry.net, entry.msb, entry.lsb, &value);
-                        }
-                    }
+                // The store comes out of `self` for the duration of the
+                // flush so a staged value can be committed while `self`
+                // is mutably borrowed by the write.
+                let mut store = std::mem::take(&mut self.nba_store);
+                for e in batch.drain(..) {
+                    self.write_window(e.target, store.get(e.at, e.width));
                 }
-                self.nba_bufs = bufs;
+                store.aval.clear();
+                store.bval.clear();
+                self.nba_store = store;
                 self.nba_spare = batch;
                 continue;
             }
@@ -645,91 +641,69 @@ impl<'d> Simulator<'d> {
         });
     }
 
-    fn eval(&self, expr: &aivril_hdl::ir::Expr) -> LogicVec {
-        self.eval_with_wake(expr, None)
+    /// Index of the first compiled program of the instruction at
+    /// `(pid, pc)`.
+    fn first_program(&self, pid: usize, pc: usize) -> usize {
+        self.first_program[pid][pc] as usize
     }
 
-    fn eval_with_wake(&self, expr: &aivril_hdl::ir::Expr, last_wake: Option<NetId>) -> LogicVec {
-        EvalCtx {
-            values: &self.values,
-            time: self.time,
-            last_wake,
-        }
-        .eval(expr)
+    /// Executes compiled program `prog` into the shared arena (result
+    /// readable at `self.arena.result()` afterwards).
+    fn exec_program(&mut self, prog: usize, wake: Option<NetId>) {
+        bytecode::exec(
+            &self.programs[prog],
+            &self.values,
+            self.time,
+            wake,
+            &mut self.arena,
+        );
     }
 
-    /// Executes the compiled program at `(pid, pc)` into the shared
-    /// arena (result readable at `self.arena.result()` afterwards).
-    /// Returns `false` when no program was lowered for that pc — the
-    /// caller then falls back to the tree interpreter, which also keeps
-    /// the interpreter alive as the differential-testing oracle.
-    fn exec_program(&mut self, pid: usize, pc: usize, last_wake: Option<NetId>) -> bool {
-        let Some(prog) = self.programs[pid].get(pc).and_then(Option::as_ref) else {
-            return false;
-        };
-        bytecode::exec(prog, &self.values, self.time, last_wake, &mut self.arena);
-        true
-    }
-
-    /// Materialises the arena result as an owned value (the boxed cold
-    /// path for non-net l-value shapes), counting the spill.
-    fn arena_result_owned(&mut self) -> LogicVec {
-        let value = LogicVec::from_bits(self.arena.result());
-        self.eval_allocs += u64::from(value.is_spilled());
-        value
-    }
-
-    /// Commits a full-width value to `net` straight from the arena
-    /// (zero-copy: the net's planes are overwritten in place).
-    fn commit_net_from_arena(&mut self, net: NetId) {
+    /// Executes an assignment whose value is program `prog` and whose
+    /// l-value indices are the programs after it: resolves the target
+    /// windows, evaluates the value, then writes the windows in place
+    /// (blocking) or stages the value for the NBA region.
+    fn assign(&mut self, lvalue: &LValue, prog: usize, wake: Option<NetId>, nonblocking: bool) {
+        let mut windows = std::mem::take(&mut self.windows);
+        self.resolve_lvalue(lvalue, prog + 1, wake, &mut windows);
+        self.exec_program(prog, wake);
         let arena = std::mem::take(&mut self.arena);
-        self.commit_net(net, arena.result());
-        self.arena = arena;
-    }
-
-    /// Stages a whole-net nonblocking assignment from the arena into
-    /// its pre-sized staging buffer; falls back to a boxed value when
-    /// the buffer already holds a staged write from this flush window.
-    fn stage_nba_from_arena(&mut self, net: NetId, slot: u32) {
-        let arena = std::mem::take(&mut self.arena);
-        let width = self.design.net(net).width;
-        let i = slot as usize;
-        let value = if self.nba_busy[i] {
-            let mut v = LogicVec::zeros(width);
-            v.assign_bits(arena.result());
-            self.eval_allocs += u64::from(v.is_spilled());
-            NbaValue::Owned(v)
+        if nonblocking {
+            self.stage_nba(&windows, arena.result(), lvalue.width(self.design));
         } else {
-            self.nba_busy[i] = true;
-            self.nba_bufs[i].load_resized(arena.result(), width);
-            NbaValue::Buf(slot)
-        };
-        self.nba.push(NbaEntry {
-            net,
-            msb: width - 1,
-            lsb: 0,
-            value,
-        });
+            for &window in &windows {
+                self.write_window(window, arena.result());
+            }
+        }
         self.arena = arena;
+        windows.clear();
+        self.windows = windows;
+    }
+
+    /// Copies `value`, resized to the `width`-bit target, into the NBA
+    /// store once and queues one entry per window over it.
+    fn stage_nba(&mut self, windows: &[Window], value: BitsRef<'_>, width: u32) {
+        if windows.is_empty() {
+            return;
+        }
+        let capacity = self.nba_store.aval.capacity();
+        let at = self.nba_store.push(value, width);
+        self.eval_allocs += u64::from(self.nba_store.aval.capacity() != capacity);
+        self.nba
+            .extend(windows.iter().map(|&target| NbaEntry { target, at, width }));
     }
 
     /// The run's flat performance counters so far (final after
     /// [`Simulator::run`] returns).
     #[must_use]
     pub fn perf(&self) -> KernelPerf {
-        let nba_grows: u64 = self.nba_bufs.iter().map(ScratchBuf::grows).sum();
-        let nba_words: u64 = self
-            .nba_bufs
-            .iter()
-            .map(|b| b.capacity_words() as u64)
-            .sum();
         KernelPerf {
             instructions: self.total_instrs,
             sim_time_ns: self.time,
-            eval_allocs: self.eval_allocs + self.arena.allocs() + nba_grows,
+            eval_allocs: self.eval_allocs + self.arena.allocs(),
             compactions: self.compactions,
             scratch_slots: self.arena.slot_count() as u64,
-            arena_words: self.arena.total_words() + nba_words,
+            arena_words: self.arena.total_words() + self.nba_store.aval.capacity() as u64,
         }
     }
 
@@ -773,61 +747,14 @@ impl<'d> Simulator<'d> {
                 return;
             }
             match &body[pc] {
-                Instr::BlockingAssign { lvalue, expr } => {
-                    match (lvalue, self.exec_program(pid, pc, wake)) {
-                        // Hot path: whole-net target, compiled program —
-                        // the value goes arena → net planes with no
-                        // intermediate boxing.
-                        (LValue::Net(net), true) => self.commit_net_from_arena(*net),
-                        (_, true) => {
-                            let value = self.arena_result_owned();
-                            self.write_lvalue(lvalue, value);
-                        }
-                        (_, false) => {
-                            let value = self.eval_with_wake(expr, wake);
-                            self.write_lvalue(lvalue, value);
-                        }
-                    }
+                Instr::BlockingAssign { lvalue, .. } | Instr::NonblockingAssign { lvalue, .. } => {
+                    let nonblocking = matches!(body[pc], Instr::NonblockingAssign { .. });
+                    self.assign(lvalue, self.first_program(pid, pc), wake, nonblocking);
                     self.procs[pid].pc = pc + 1;
                 }
-                Instr::NonblockingAssign { lvalue, expr } => {
-                    let slot = self.nba_slots[pid][pc];
-                    match (slot, self.exec_program(pid, pc, wake)) {
-                        // Hot path: whole-net target, compiled program —
-                        // stage into the pre-sized buffer.
-                        (slot, true) if slot != NO_NBA_SLOT => {
-                            let LValue::Net(net) = lvalue else {
-                                unreachable!("nba_slots only maps whole-net targets");
-                            };
-                            self.stage_nba_from_arena(*net, slot);
-                        }
-                        (_, ran) => {
-                            let value = if ran {
-                                self.arena_result_owned()
-                            } else {
-                                self.eval_with_wake(expr, wake)
-                            };
-                            let mut slices = std::mem::take(&mut self.lv_scratch);
-                            self.resolve_lvalue(lvalue, &value, &mut slices);
-                            for (net, msb, lsb, v) in slices.drain(..) {
-                                self.nba.push(NbaEntry {
-                                    net,
-                                    msb,
-                                    lsb,
-                                    value: NbaValue::Owned(v),
-                                });
-                            }
-                            self.lv_scratch = slices;
-                        }
-                    }
-                    self.procs[pid].pc = pc + 1;
-                }
-                Instr::Delay { amount } => {
-                    let amt = if self.exec_program(pid, pc, None) {
-                        self.arena.result().to_u64().unwrap_or(0)
-                    } else {
-                        self.eval_with_wake(amount, None).to_u64().unwrap_or(0)
-                    };
+                Instr::Delay { .. } => {
+                    self.exec_program(self.first_program(pid, pc), None);
+                    let amt = self.arena.result().to_u64().unwrap_or(0);
                     self.procs[pid].pc = pc + 1;
                     self.procs[pid].generation += 1;
                     if amt == 0 {
@@ -886,37 +813,22 @@ impl<'d> Simulator<'d> {
                 Instr::Jump(target) => {
                     self.procs[pid].pc = *target;
                 }
-                Instr::BranchIfFalse { cond, target } => {
-                    let cond_true = if self.exec_program(pid, pc, wake) {
-                        self.arena.result().to_bool()
-                    } else {
-                        self.eval_with_wake(cond, wake).to_bool()
-                    };
-                    let taken = cond_true != Some(true);
+                Instr::BranchIfFalse { target, .. } => {
+                    self.exec_program(self.first_program(pid, pc), wake);
+                    let taken = self.arena.result().to_bool() != Some(true);
                     self.procs[pid].pc = if taken { *target } else { pc + 1 };
                 }
                 Instr::SysCall {
                     kind: SysTaskKind::Monitor,
-                    format,
-                    args,
+                    ..
                 } => {
-                    self.monitor = Some((format.clone(), args.clone(), None));
+                    self.monitor = Some((pid, pc, None));
                     self.procs[pid].pc = pc + 1;
                 }
-                Instr::SysCall { kind, format, args } => {
+                Instr::SysCall { kind, format, .. } => {
                     let kind = *kind;
-                    let rendered = {
-                        let values: Vec<LogicVec> =
-                            args.iter().map(|a| self.eval_with_wake(a, wake)).collect();
-                        match format {
-                            Some(f) => render_format(f, &values),
-                            None => values
-                                .iter()
-                                .map(LogicVec::to_decimal_string)
-                                .collect::<Vec<_>>()
-                                .join(" "),
-                        }
-                    };
+                    let values = self.syscall_args(pid, pc, wake);
+                    let rendered = render_args(format.as_deref(), &values);
                     self.procs[pid].pc = pc + 1;
                     match kind {
                         SysTaskKind::Display => self.emit_line(rendered, false),
@@ -948,43 +860,41 @@ impl<'d> Simulator<'d> {
         }
     }
 
+    /// Evaluates the argument programs of the system task at `(pid, pc)`.
+    fn syscall_args(&mut self, pid: usize, pc: usize, wake: Option<NetId>) -> Vec<LogicVec> {
+        let Instr::SysCall { args, .. } = &self.design.processes[pid].body[pc] else {
+            unreachable!("only a SysCall has argument programs");
+        };
+        let first = self.first_program(pid, pc);
+        (first..first + args.len())
+            .map(|prog| {
+                self.exec_program(prog, wake);
+                LogicVec::from_bits(self.arena.result())
+            })
+            .collect()
+    }
+
     /// Prints the active `$monitor` line when any argument changed since
     /// the last print (and always on its first quiescent step). `$time`
     /// arguments are excluded from change detection, per IEEE 1364 §17.1.
     fn fire_monitor(&mut self) {
-        let Some((format, args, last)) = &self.monitor else {
+        let Some((pid, pc, last)) = self.monitor.take() else {
             return;
         };
-        let (values, watched): (Vec<LogicVec>, Vec<LogicVec>) = {
-            let ctx = EvalCtx {
-                values: &self.values,
-                time: self.time,
-                last_wake: None,
-            };
-            let values: Vec<LogicVec> = args.iter().map(|a| ctx.eval(a)).collect();
-            let watched = args
-                .iter()
-                .zip(&values)
-                .filter(|(a, _)| !matches!(a, aivril_hdl::ir::Expr::Time))
-                .map(|(_, v)| v.clone())
-                .collect();
-            (values, watched)
+        let Instr::SysCall { format, args, .. } = &self.design.processes[pid].body[pc] else {
+            unreachable!("the monitor records its SysCall");
         };
-        if last.as_ref() == Some(&watched) {
-            return;
+        let values = self.syscall_args(pid, pc, None);
+        let watched: Vec<LogicVec> = args
+            .iter()
+            .zip(&values)
+            .filter(|(a, _)| !matches!(a, Expr::Time))
+            .map(|(_, v)| v.clone())
+            .collect();
+        if last.as_ref() != Some(&watched) {
+            self.emit_line(render_args(format.as_deref(), &values), false);
         }
-        let text = match format {
-            Some(f) => render_format(f, &values),
-            None => values
-                .iter()
-                .map(LogicVec::to_decimal_string)
-                .collect::<Vec<_>>()
-                .join(" "),
-        };
-        if let Some((_, _, last)) = &mut self.monitor {
-            *last = Some(watched);
-        }
-        self.emit_line(text, false);
+        self.monitor = Some((pid, pc, Some(watched)));
     }
 
     fn emit_line(&mut self, text: String, is_error: bool) {
@@ -1013,98 +923,59 @@ impl<'d> Simulator<'d> {
         }
     }
 
-    /// Resolves an l-value into concrete `(net, msb, lsb, value)` slices.
-    /// Concatenation targets split the value MSB-first, per IEEE 1364.
+    /// Resolves `lvalue` into in-range windows. Index programs run in
+    /// order from `next`; an unknown or out-of-range index drops its
+    /// window (the write vanishes).
     fn resolve_lvalue(
-        &self,
+        &mut self,
         lvalue: &LValue,
-        value: &LogicVec,
-        out: &mut Vec<(NetId, u32, u32, LogicVec)>,
+        mut next: usize,
+        wake: Option<NetId>,
+        out: &mut Vec<Window>,
     ) {
-        match lvalue {
-            LValue::Net(id) => {
-                let w = self.design.net(*id).width;
-                out.push((*id, w - 1, 0, value.resize(w)));
-            }
-            LValue::Range(id, msb, lsb) => {
-                let w = msb - lsb + 1;
-                out.push((*id, *msb, *lsb, value.resize(w)));
-            }
-            LValue::Index(id, idx_expr) => {
-                let idx = self.eval(idx_expr);
-                if let Some(i) = idx.to_u64() {
-                    let w = self.design.net(*id).width;
-                    if (i as u32) < w {
-                        out.push((*id, i as u32, i as u32, value.resize(1)));
+        let design = self.design;
+        for_each_leaf(lvalue, 0, design, &mut |leaf, src_lsb| {
+            let window = |net, msb, lsb| Window {
+                net,
+                msb,
+                lsb,
+                src_lsb,
+            };
+            match *leaf {
+                LValue::Net(id) => out.push(window(id, design.net(id).width - 1, 0)),
+                LValue::Range(id, msb, lsb) => out.push(window(id, msb, lsb)),
+                LValue::Index(id, _) => {
+                    self.exec_program(next, wake);
+                    next += 1;
+                    let width = u64::from(design.net(id).width);
+                    if let Some(i) = self.arena.result().to_u64().filter(|&i| i < width) {
+                        out.push(window(id, i as u32, i as u32));
                     }
                 }
-                // Unknown/out-of-range index: write vanishes (IEEE 1364).
+                LValue::Concat(_) => unreachable!("for_each_leaf yields no concatenation"),
             }
-            LValue::Concat(parts) => {
-                // Split MSB-first: compute widths, then hand out slices.
-                let widths: Vec<u32> = parts.iter().map(|p| self.lvalue_width(p)).collect();
-                let total: u32 = widths.iter().sum();
-                let v = value.resize(total);
-                let mut hi = total;
-                for (part, w) in parts.iter().zip(widths) {
-                    let slice = v.slice(hi - 1, hi - w);
-                    self.resolve_lvalue(part, &slice, out);
-                    hi -= w;
-                }
-            }
-        }
+        });
     }
 
-    fn lvalue_width(&self, lvalue: &LValue) -> u32 {
-        match lvalue {
-            LValue::Net(id) => self.design.net(*id).width,
-            LValue::Range(_, msb, lsb) => msb - lsb + 1,
-            LValue::Index(_, _) => 1,
-            LValue::Concat(parts) => parts.iter().map(|p| self.lvalue_width(p)).sum(),
+    /// Writes one window of `value` into its net in place. A window
+    /// covering the whole net from bit 0 of `value` is a plain
+    /// [`commit_net`](Self::commit_net).
+    fn write_window(&mut self, w: Window, value: BitsRef<'_>) {
+        let idx = w.net.0 as usize;
+        if w.lsb == 0 && w.src_lsb == 0 && w.msb + 1 == self.values[idx].width() {
+            return self.commit_net(w.net, value);
         }
-    }
-
-    fn write_lvalue(&mut self, lvalue: &LValue, value: LogicVec) {
-        let mut slices = std::mem::take(&mut self.lv_scratch);
-        self.resolve_lvalue(lvalue, &value, &mut slices);
-        for (net, msb, lsb, v) in slices.drain(..) {
-            self.write_slice(net, msb, lsb, &v);
+        let old_bit = self.values[idx].get(0);
+        if self.values[idx].set_slice_bits(w.msb, w.lsb, value, w.src_lsb) {
+            self.net_changed(w.net, old_bit);
         }
-        self.lv_scratch = slices;
-    }
-
-    fn write_slice(&mut self, net: NetId, msb: u32, lsb: u32, value: &LogicVec) {
-        let idx = net.0 as usize;
-        let width = self.values[idx].width();
-        // Full-overwrite writes (the common shape) skip the clone-and-
-        // splice path entirely.
-        if lsb == 0 && msb + 1 >= width && value.width() == width {
-            return self.commit_net(net, value.as_bits());
-        }
-        let old = self.values[idx].clone();
-        let mut new = old.clone();
-        new.set_slice(msb, lsb, value);
-        if new == old {
-            return;
-        }
-        let (old_bit, new_bit) = (old.get(0), new.get(0));
-        self.values[idx] = new.clone();
-        self.activation_changes.push((net, old_bit, new_bit));
-        if let Some((_, changes)) = &mut self.waves {
-            changes.push(vcd::Change {
-                time: self.time,
-                net: idx,
-                value: new,
-            });
-        }
-        self.notify_watchers(net, old_bit, new_bit);
     }
 
     /// Overwrites `net`'s full value from a borrowed bit view — the
-    /// zero-copy commit shared by blocking assigns, staged NBA buffers
-    /// and full-width `write_slice` calls. The net's existing planes
-    /// are reused (no allocation); resize semantics apply when `bits`
-    /// is narrower or wider than the net.
+    /// zero-copy commit of every whole-net window, blocking or
+    /// nonblocking. The net's existing planes are reused (no
+    /// allocation); resize semantics apply when `bits` is narrower or
+    /// wider than the net.
     fn commit_net(&mut self, net: NetId, bits: BitsRef<'_>) {
         let idx = net.0 as usize;
         if self.values[idx].equals_bits(bits) {
@@ -1112,6 +983,13 @@ impl<'d> Simulator<'d> {
         }
         let old_bit = self.values[idx].get(0);
         self.values[idx].assign_bits(bits);
+        self.net_changed(net, old_bit);
+    }
+
+    /// Publishes a change of `net`, whose bit 0 was `old_bit`, to the
+    /// activation's self-wake record, the waveform and the watchers.
+    fn net_changed(&mut self, net: NetId, old_bit: Logic) {
+        let idx = net.0 as usize;
         let new_bit = self.values[idx].get(0);
         self.activation_changes.push((net, old_bit, new_bit));
         if let Some((_, changes)) = &mut self.waves {
@@ -1160,6 +1038,30 @@ impl<'d> Simulator<'d> {
             }
             true
         });
+    }
+}
+
+/// Calls `f` on every `Net`, `Range` and `Index` leaf of `lvalue` with
+/// the bit of the assigned value that feeds the leaf's lsb (`src_lsb`
+/// feeds the whole l-value's). Concatenations split MSB-first, per
+/// IEEE 1364. Lowering and [`Simulator::resolve_lvalue`] both walk
+/// l-values through this one traversal, so index programs run in the
+/// order they were compiled.
+fn for_each_leaf<'e>(
+    lvalue: &'e LValue,
+    src_lsb: u32,
+    design: &Design,
+    f: &mut impl FnMut(&'e LValue, u32),
+) {
+    match lvalue {
+        LValue::Concat(parts) => {
+            let mut hi = src_lsb + lvalue.width(design);
+            for part in parts {
+                hi -= part.width(design);
+                for_each_leaf(part, hi, design, f);
+            }
+        }
+        leaf => f(leaf, src_lsb),
     }
 }
 
@@ -1873,5 +1775,277 @@ mod monitor_tests {
             vec!["t=0 n=0", "t=10 n=1", "t=20 n=2"],
             "log: {texts:?}"
         );
+    }
+}
+
+#[cfg(test)]
+mod lvalue_tests {
+    use super::*;
+    use aivril_hdl::ir::{BinaryOp, Expr, Net, NetKind, Process, ProcessKind, SysTaskKind};
+
+    fn reg(d: &mut Design, name: &str, width: u32, init: Option<LogicVec>) -> NetId {
+        d.add_net(Net {
+            name: name.into(),
+            width,
+            kind: NetKind::Reg,
+            init,
+        })
+    }
+
+    fn zero_reg(d: &mut Design, name: &str, width: u32) -> NetId {
+        reg(d, name, width, Some(LogicVec::zeros(width)))
+    }
+
+    fn assign(nonblocking: bool, lvalue: LValue, expr: Expr) -> Instr {
+        if nonblocking {
+            Instr::NonblockingAssign { lvalue, expr }
+        } else {
+            Instr::BlockingAssign { lvalue, expr }
+        }
+    }
+
+    fn delay(amount: u64) -> Instr {
+        Instr::Delay {
+            amount: Expr::constant(32, amount),
+        }
+    }
+
+    fn finish() -> Instr {
+        Instr::SysCall {
+            kind: SysTaskKind::Finish,
+            format: None,
+            args: vec![],
+        }
+    }
+
+    fn initial(d: &mut Design, name: &str, body: Vec<Instr>) {
+        d.add_process(Process {
+            name: name.into(),
+            kind: ProcessKind::Initial,
+            body,
+        });
+    }
+
+    fn value(sim: &Simulator<'_>, name: &str) -> Option<u64> {
+        sim.net_value(name).and_then(LogicVec::to_u64)
+    }
+
+    #[test]
+    fn nba_to_part_select_and_concat() {
+        let mut d = Design::new("t");
+        let r = zero_reg(&mut d, "r", 8);
+        let hi = reg(&mut d, "hi", 4, Some(LogicVec::from_u64(4, 0x3)));
+        let lo = reg(&mut d, "lo", 4, Some(LogicVec::from_u64(4, 0xC)));
+        initial(
+            &mut d,
+            "p",
+            vec![
+                assign(true, LValue::Range(r, 5, 2), Expr::constant(4, 0b1011)),
+                // {hi, lo} <= {lo, hi}: both halves read before either commits.
+                assign(
+                    true,
+                    LValue::Concat(vec![LValue::Net(hi), LValue::Net(lo)]),
+                    Expr::Concat(vec![Expr::Net(lo), Expr::Net(hi)]),
+                ),
+                delay(1),
+                Instr::Halt,
+            ],
+        );
+        let mut sim = Simulator::new(&d, SimConfig::default());
+        sim.run();
+        assert_eq!(value(&sim, "r"), Some(0b0010_1100));
+        assert_eq!(value(&sim, "hi"), Some(0xC));
+        assert_eq!(value(&sim, "lo"), Some(0x3));
+    }
+
+    #[test]
+    fn one_nba_executed_in_a_loop_commits_every_write() {
+        // for (i = 0; i < 4; i++) begin r[i] <= 1; last <= i; flag[0] <= i[0]; end
+        let mut d = Design::new("t");
+        let i = zero_reg(&mut d, "i", 8);
+        let r = zero_reg(&mut d, "r", 8);
+        let last = zero_reg(&mut d, "last", 8);
+        let flag = zero_reg(&mut d, "flag", 1);
+        let bit0 = |net| Expr::Index {
+            net,
+            index: Box::new(Expr::constant(1, 0)),
+        };
+        initial(
+            &mut d,
+            "p",
+            vec![
+                Instr::BranchIfFalse {
+                    cond: Expr::Binary {
+                        op: BinaryOp::Lt,
+                        lhs: Box::new(Expr::Net(i)),
+                        rhs: Box::new(Expr::constant(8, 4)),
+                    },
+                    target: 6,
+                },
+                assign(true, LValue::Index(r, Expr::Net(i)), Expr::constant(1, 1)),
+                assign(true, LValue::Net(last), Expr::Net(i)),
+                assign(true, LValue::Index(flag, Expr::constant(1, 0)), bit0(i)),
+                assign(
+                    false,
+                    LValue::Net(i),
+                    Expr::Binary {
+                        op: BinaryOp::Add,
+                        lhs: Box::new(Expr::Net(i)),
+                        rhs: Box::new(Expr::constant(8, 1)),
+                    },
+                ),
+                Instr::Jump(0),
+                delay(1),
+                Instr::Halt,
+            ],
+        );
+        let mut sim = Simulator::new(&d, SimConfig::default());
+        sim.run();
+        assert_eq!(value(&sim, "r"), Some(0b1111), "every index commits");
+        assert_eq!(
+            value(&sim, "last"),
+            Some(3),
+            "the last whole-net write wins"
+        );
+        assert_eq!(value(&sim, "flag"), Some(1), "the last same-bit write wins");
+        // The NBA store is pre-sized for one write per target (3 words);
+        // 12 staged words grow it twice, and each growth is counted.
+        assert_eq!(sim.perf().eval_allocs, 2);
+    }
+
+    /// Runs `r[index] = 1` (blocking) and `q[index] <= 1` into 8-bit
+    /// zeroed registers and returns their final values.
+    fn indexed_writes(index: Expr) -> (Option<u64>, Option<u64>) {
+        let mut d = Design::new("t");
+        let r = zero_reg(&mut d, "r", 8);
+        let q = zero_reg(&mut d, "q", 8);
+        initial(
+            &mut d,
+            "p",
+            vec![
+                assign(false, LValue::Index(r, index.clone()), Expr::constant(1, 1)),
+                assign(true, LValue::Index(q, index), Expr::constant(1, 1)),
+                delay(1),
+                Instr::Halt,
+            ],
+        );
+        let mut sim = Simulator::new(&d, SimConfig::default());
+        sim.run();
+        (value(&sim, "r"), value(&sim, "q"))
+    }
+
+    #[test]
+    fn x_index_write_vanishes() {
+        assert_eq!(
+            indexed_writes(Expr::Const(LogicVec::xes(4))),
+            (Some(0), Some(0))
+        );
+        assert_eq!(indexed_writes(Expr::constant(4, 3)), (Some(8), Some(8)));
+    }
+
+    #[test]
+    fn wide_known_index_write_vanishes_instead_of_wrapping() {
+        // r[40'h1_0000_0001] is out of range for an 8-bit r (IEEE 1364):
+        // the write must not land on bit 1.
+        let index = Expr::Const(LogicVec::from_u64(40, 0x1_0000_0001));
+        assert_eq!(indexed_writes(index), (Some(0), Some(0)));
+    }
+
+    fn wide_value() -> LogicVec {
+        let mut v = LogicVec::from_u64(100, 0xabcd);
+        v.set(99, Logic::One);
+        v
+    }
+
+    #[test]
+    fn display_renders_wide_arguments_and_time() {
+        let mut d = Design::new("t");
+        let w = reg(&mut d, "w", 100, Some(wide_value()));
+        initial(
+            &mut d,
+            "p",
+            vec![
+                delay(7),
+                Instr::SysCall {
+                    kind: SysTaskKind::Display,
+                    format: Some("w=%h t=%t".into()),
+                    args: vec![Expr::Net(w), Expr::Time],
+                },
+                Instr::SysCall {
+                    kind: SysTaskKind::Display,
+                    format: None,
+                    args: vec![
+                        Expr::Range {
+                            net: w,
+                            msb: 15,
+                            lsb: 0,
+                        },
+                        Expr::Time,
+                    ],
+                },
+                Instr::Halt,
+            ],
+        );
+        let r = Simulator::new(&d, SimConfig::default()).run();
+        let texts: Vec<&str> = r.lines.iter().map(|l| l.text.as_str()).collect();
+        let hex = format!("8{}abcd", "0".repeat(20));
+        assert_eq!(texts, vec![format!("w={hex} t=7"), "43981 7".to_string()]);
+    }
+
+    #[test]
+    fn monitor_tracks_a_wide_argument() {
+        let mut d = Design::new("t");
+        let w = zero_reg(&mut d, "w", 100);
+        initial(
+            &mut d,
+            "mon",
+            vec![
+                Instr::SysCall {
+                    kind: SysTaskKind::Monitor,
+                    format: Some("%t %h".into()),
+                    args: vec![Expr::Time, Expr::Net(w)],
+                },
+                delay(10),
+                assign(false, LValue::Net(w), Expr::Const(wide_value())),
+                delay(10),
+                finish(),
+                Instr::Halt,
+            ],
+        );
+        let r = Simulator::new(&d, SimConfig::default()).run();
+        let texts: Vec<&str> = r.lines.iter().map(|l| l.text.as_str()).collect();
+        let zeros = "0".repeat(25);
+        let wide = format!("8{}abcd", "0".repeat(20));
+        assert_eq!(texts, vec![format!("0 {zeros}"), format!("10 {wide}")]);
+    }
+
+    #[test]
+    fn wide_concat_lvalues_run_without_allocation() {
+        // {hi, lo} = {hi, lo} + 1 and {h2, l2} <= {h2, l2} + 1 on 100-bit
+        // concatenations, every 2 ns for 50 steps.
+        let mut d = Design::new("t");
+        let nets: Vec<NetId> = ["hi", "lo", "h2", "l2"]
+            .iter()
+            .map(|n| zero_reg(&mut d, n, 50))
+            .collect();
+        for (k, pair) in nets.chunks(2).enumerate() {
+            let target = LValue::Concat(vec![LValue::Net(pair[0]), LValue::Net(pair[1])]);
+            let sum = Expr::Binary {
+                op: BinaryOp::Add,
+                lhs: Box::new(Expr::Concat(vec![Expr::Net(pair[0]), Expr::Net(pair[1])])),
+                rhs: Box::new(Expr::constant(100, 1)),
+            };
+            d.add_process(Process {
+                name: format!("count{k}"),
+                kind: ProcessKind::Always,
+                body: vec![delay(2), assign(k == 1, target, sum), Instr::Jump(0)],
+            });
+        }
+        initial(&mut d, "stop", vec![delay(101), finish(), Instr::Halt]);
+        let mut sim = Simulator::new(&d, SimConfig::default());
+        sim.run();
+        assert_eq!(value(&sim, "lo"), Some(50));
+        assert_eq!(value(&sim, "l2"), Some(50));
+        assert_eq!(sim.perf().eval_allocs, 0, "steady state must not allocate");
     }
 }

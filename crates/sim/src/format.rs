@@ -61,6 +61,19 @@ pub(crate) fn render_format(format: &str, args: &[LogicVec]) -> String {
     out
 }
 
+/// Renders a system task's arguments: through `format` when given,
+/// else space-separated in decimal.
+pub(crate) fn render_args(format: Option<&str>, args: &[LogicVec]) -> String {
+    match format {
+        Some(f) => render_format(f, args),
+        None => args
+            .iter()
+            .map(LogicVec::to_decimal_string)
+            .collect::<Vec<_>>()
+            .join(" "),
+    }
+}
+
 fn next_arg(args: &[LogicVec], i: &mut usize, f: impl Fn(&LogicVec) -> String) -> String {
     match args.get(*i) {
         Some(v) => {

@@ -48,6 +48,7 @@
 
 mod bytecode;
 mod engine;
+#[cfg(test)]
 mod eval;
 mod format;
 mod result;

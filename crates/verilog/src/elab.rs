@@ -597,7 +597,7 @@ impl<'a> Elaborator<'a, '_> {
     /// expression sizing), narrower self-determined values are
     /// zero-padded, and truncation earns a Vivado-style warning.
     fn fit_expr(&mut self, lv: &LValue, rhs: Expr, span: Span) -> Expr {
-        let lw = self.lvalue_width(lv);
+        let lw = lv.width(&self.design);
         let rw = self.expr_width(&rhs);
         if rw > lw {
             self.warning(
@@ -680,15 +680,6 @@ impl<'a> Elaborator<'a, '_> {
             return e;
         }
         Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), e])
-    }
-
-    fn lvalue_width(&self, lv: &LValue) -> u32 {
-        match lv {
-            LValue::Net(id) => self.design.net(*id).width,
-            LValue::Range(_, msb, lsb) => msb - lsb + 1,
-            LValue::Index(_, _) => 1,
-            LValue::Concat(parts) => parts.iter().map(|p| self.lvalue_width(p)).sum(),
-        }
     }
 
     fn expr_width(&self, e: &Expr) -> u32 {

@@ -183,8 +183,8 @@ impl<'a> Elaborator<'a, '_> {
                     span,
                 } => {
                     if let Some(lv) = self.lower_target(target, &scope) {
-                        let rhs = self.lower_rvalue(value, &scope, self.lvalue_width(&lv));
-                        let rhs = self.fit(rhs, self.lvalue_width(&lv), *span);
+                        let rhs = self.lower_rvalue(value, &scope, lv.width(&self.design));
+                        let rhs = self.fit(rhs, lv.width(&self.design), *span);
                         self.design.add_continuous_assign(lv, rhs);
                     }
                 }
@@ -319,28 +319,19 @@ impl<'a> Elaborator<'a, '_> {
             match (port.dir, pexpr) {
                 (PortDir::In, Some(e)) => {
                     let lv = LValue::Net(child_net);
-                    let w = self.lvalue_width(&lv);
+                    let w = lv.width(&self.design);
                     let rhs = self.lower_rvalue(e, conn.parent_scope, w);
                     let rhs = self.fit(rhs, w, *pspan);
                     self.design.add_continuous_assign(lv, rhs);
                 }
                 (PortDir::Out, Some(e)) => {
                     if let Some(lv) = self.lower_target(e, conn.parent_scope) {
-                        let rhs = self.fit(Expr::Net(child_net), self.lvalue_width(&lv), *pspan);
+                        let rhs = self.fit(Expr::Net(child_net), lv.width(&self.design), *pspan);
                         self.design.add_continuous_assign(lv, rhs);
                     }
                 }
                 (_, None) | (PortDir::Inout, _) => {}
             }
-        }
-    }
-
-    fn lvalue_width(&self, lv: &LValue) -> u32 {
-        match lv {
-            LValue::Net(id) => self.net_width(*id),
-            LValue::Range(_, msb, lsb) => msb - lsb + 1,
-            LValue::Index(_, _) => 1,
-            LValue::Concat(parts) => parts.iter().map(|p| self.lvalue_width(p)).sum(),
         }
     }
 
@@ -945,7 +936,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
             } => {
                 if let Some(lv) = self.lower_target(target, scope) {
-                    let w = self.lvalue_width(&lv);
+                    let w = lv.width(&self.design);
                     let rhs = self.lower_rvalue(value, scope, w);
                     let rhs = self.fit(rhs, w, *span);
                     b.emit(Instr::BlockingAssign {
@@ -960,7 +951,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
             } => {
                 if let Some(lv) = self.lower_target(target, scope) {
-                    let w = self.lvalue_width(&lv);
+                    let w = lv.width(&self.design);
                     let rhs = self.lower_rvalue(value, scope, w);
                     let rhs = self.fit(rhs, w, *span);
                     b.emit(Instr::NonblockingAssign {
