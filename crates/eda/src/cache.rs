@@ -11,19 +11,29 @@
 //!
 //! # Key derivation
 //!
-//! A key is a 128-bit FNV-1a hash over an unambiguous serialisation of
-//! everything the invocation reads:
+//! Keys are 128-bit SipHash-1-3 values under a fixed key, each over an
+//! unambiguous, length-prefixed serialisation of everything the
+//! invocation reads. A tool call (`analyze`, `compile_to_design`,
+//! `simulate`) hashes each of its files exactly once, into a digest of
+//! the file's `(name, language, text)` (`file_digests`); every key
+//! the call needs is then built from those digests:
 //!
-//! - an operation tag (`analyze` / `compile` / `simulate`), so the
-//!   three shards can never alias;
-//! - the ordered `(name, language, text)` file set, each string
-//!   length-prefixed (file order matters to the tools: the first file's
-//!   language selects the frontend, and logs list files in order);
-//! - the `top` override (tagged, so `None` differs from `Some("")`);
-//! - the [`ToolLatencyModel`] constants as IEEE-754 bit patterns
-//!   (reports embed `modeled_latency`);
-//! - for simulation, the [`SimConfig`] limits (they shape truncation
-//!   and therefore logs, pass/fail, and instruction counts).
+//! - the whole-call keys, shared by the cache and the tool-fault gate:
+//!   an operation tag (`analyze` / `compile` / `simulate`, so the three
+//!   shards can never alias), the ordered file digests (file order
+//!   matters to the tools: the first file's language selects the
+//!   frontend, and logs list files in order), the `top` override
+//!   (tagged, so `None` differs from `Some("")`), the
+//!   [`ToolLatencyModel`] constants as IEEE-754 bit patterns (reports
+//!   embed `modeled_latency`) and, for simulation, the [`SimConfig`]
+//!   limits (they shape truncation and therefore logs, pass/fail, and
+//!   instruction counts);
+//! - the incremental memos' keys: a file's digest and index for its
+//!   parse, the closure's `(index, digest)` pairs for an elaboration.
+//!
+//! Keys are derived only when the cache or the tool-fault plan is on.
+//! Disk-tier records are found by key, so key values are pinned by a
+//! golden test: changing the derivation means bumping the disk format.
 //!
 //! # Deterministic hit accounting
 //!
@@ -189,10 +199,12 @@ impl EdaCache {
     }
 
     /// Creates a cache backed by a persistent on-disk store at `dir`
-    /// (created lazily on first write). The disk tier is shared across
-    /// processes, shards and runs; corrupt or alien entries degrade to
-    /// misses. See `crate::disk` for the format and robustness
-    /// contract.
+    /// (created lazily on first write, as is this cache's pack in it).
+    /// The disk tier is shared across processes, shards and runs: a
+    /// memory miss also finds what other caches have written to the
+    /// directory since this one was opened. Damaged or alien records
+    /// degrade to misses. See `crate::disk` for the format and
+    /// robustness contract.
     #[must_use]
     pub fn persistent(dir: impl AsRef<std::path::Path>) -> EdaCache {
         EdaCache {
@@ -376,45 +388,139 @@ impl fmt::Display for CacheStats {
     }
 }
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+/// The fixed SipHash key of every content key ("aivril.e", "dakey128"
+/// as little-endian words). Keys are content addresses, not a defence
+/// against chosen inputs, so the key is a constant: it must never
+/// change between builds, or every disk-tier entry goes dark.
+const SIP_KEY: (u64, u64) = (0x652e_6c69_7276_6961, 0x3832_3179_656b_6164);
 
-/// Incremental 128-bit FNV-1a over an explicit, length-prefixed
-/// serialisation (so adjacent fields can never alias).
-struct KeyHasher(u128);
+/// Streaming SipHash-1-3 with 128-bit output: one compression round per
+/// 8-byte word, three finalization rounds per output half.
+struct Sip13 {
+    v: [u64; 4],
+    /// Bytes not yet compressed, little-endian in the low `ntail` bytes.
+    tail: u64,
+    ntail: usize,
+    len: u64,
+}
 
-impl KeyHasher {
-    fn new(op: &str) -> KeyHasher {
-        let mut h = KeyHasher(FNV128_OFFSET);
-        h.write_str(op);
-        h
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
+impl Sip13 {
+    /// The 128-bit-output state under key `(k0, k1)`.
+    fn keyed(k0: u64, k1: u64) -> Sip13 {
+        Sip13 {
+            v: [
+                k0 ^ 0x736f_6d65_7073_6575,
+                k1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
+                k0 ^ 0x6c79_6765_6e65_7261,
+                k1 ^ 0x7465_6462_7974_6573,
+            ],
+            tail: 0,
+            ntail: 0,
+            len: 0,
         }
     }
 
+    fn round(&mut self) {
+        let [v0, v1, v2, v3] = &mut self.v;
+        *v0 = v0.wrapping_add(*v1);
+        *v1 = v1.rotate_left(13) ^ *v0;
+        *v0 = v0.rotate_left(32);
+        *v2 = v2.wrapping_add(*v3);
+        *v3 = v3.rotate_left(16) ^ *v2;
+        *v0 = v0.wrapping_add(*v3);
+        *v3 = v3.rotate_left(21) ^ *v0;
+        *v2 = v2.wrapping_add(*v1);
+        *v1 = v1.rotate_left(17) ^ *v2;
+        *v2 = v2.rotate_left(32);
+    }
+
+    fn compress(&mut self, m: u64) {
+        self.v[3] ^= m;
+        self.round();
+        self.v[0] ^= m;
+    }
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.ntail > 0 {
+            let take = (8 - self.ntail).min(bytes.len());
+            for (i, &b) in bytes[..take].iter().enumerate() {
+                self.tail |= u64::from(b) << (8 * (self.ntail + i));
+            }
+            self.ntail += take;
+            bytes = &bytes[take..];
+            if self.ntail < 8 {
+                return;
+            }
+            let m = self.tail;
+            self.compress(m);
+            (self.tail, self.ntail) = (0, 0);
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut m = [0u8; 8];
+            m.copy_from_slice(word);
+            self.compress(u64::from_le_bytes(m));
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.tail |= u64::from(b) << (8 * i);
+        }
+        self.ntail = words.remainder().len();
+    }
+
+    /// Compresses the final word and runs the three finalization
+    /// rounds after xoring `v2` with `mark`.
+    fn finalize(&mut self, mark: u64) -> u64 {
+        let last = ((self.len & 0xff) << 56) | self.tail;
+        self.compress(last);
+        self.v[2] ^= mark;
+        for _ in 0..3 {
+            self.round();
+        }
+        self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3]
+    }
+
+    fn finish128(mut self) -> u128 {
+        let low = self.finalize(0xee);
+        self.v[1] ^= 0xdd;
+        for _ in 0..3 {
+            self.round();
+        }
+        let high = self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3];
+        (u128::from(high) << 64) | u128::from(low)
+    }
+}
+
+/// Builds a content key from an explicit, length-prefixed serialisation
+/// (so adjacent fields can never alias), hashed with SipHash-1-3-128
+/// under [`SIP_KEY`]. The first field is a kind tag, so keys of
+/// different kinds never collide structurally.
+struct KeyHasher(Sip13);
+
+impl KeyHasher {
+    fn new(kind: &str) -> KeyHasher {
+        let mut h = KeyHasher(Sip13::keyed(SIP_KEY.0, SIP_KEY.1));
+        h.write_str(kind);
+        h
+    }
+
     fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.0.write(&v.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0.write(&v.to_le_bytes());
     }
 
     fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
+        self.0.write(s.as_bytes());
     }
 
-    fn write_files(&mut self, files: &[HdlFile]) {
+    fn write_digests(&mut self, files: &[u128]) {
         self.write_u64(files.len() as u64);
-        for f in files {
-            self.write_str(&f.name);
-            self.write_u64(match f.language {
-                Language::Verilog => 0,
-                Language::Vhdl => 1,
-            });
-            self.write_str(&f.text);
+        for &d in files {
+            self.write_u128(d);
         }
     }
 
@@ -436,48 +542,8 @@ impl KeyHasher {
     }
 
     fn finish(self) -> u128 {
-        self.0
+        self.0.finish128()
     }
-}
-
-/// Key for `ToolSuite::analyze`.
-pub(crate) fn analyze_key(files: &[HdlFile], latency: &ToolLatencyModel) -> u128 {
-    let mut h = KeyHasher::new("analyze");
-    h.write_files(files);
-    h.write_latency(latency);
-    h.finish()
-}
-
-/// Key for `compile_to_design` (and `ToolSuite::compile`).
-pub(crate) fn compile_key(
-    files: &[HdlFile],
-    top: Option<&str>,
-    latency: &ToolLatencyModel,
-) -> u128 {
-    let mut h = KeyHasher::new("compile");
-    h.write_files(files);
-    h.write_top(top);
-    h.write_latency(latency);
-    h.finish()
-}
-
-/// Key for the simulation phase of `ToolSuite::simulate` (the compile
-/// phase goes through [`compile_key`]).
-pub(crate) fn sim_key(
-    files: &[HdlFile],
-    top: Option<&str>,
-    latency: &ToolLatencyModel,
-    config: &SimConfig,
-) -> u128 {
-    let mut h = KeyHasher::new("simulate");
-    h.write_files(files);
-    h.write_top(top);
-    h.write_latency(latency);
-    h.write_u64(config.max_time);
-    h.write_u64(u64::from(config.max_deltas_per_step));
-    h.write_u64(config.max_instrs_per_activation);
-    h.write_u64(config.max_total_instrs);
-    h.finish()
 }
 
 fn language_tag(language: Language) -> u64 {
@@ -487,36 +553,87 @@ fn language_tag(language: Language) -> u64 {
     }
 }
 
-/// Key for one file's parse in the incremental-compile path.
-///
-/// The file's *index* in the compile file list is part of the key:
-/// spans embed the `FileId` the file was parsed under, and diagnostics
-/// rendered from a replayed AST must point at the same position in the
-/// source map. Same text at a different index is therefore a different
-/// key — correctness over hit rate.
-pub(crate) fn parse_key(language: Language, index: usize, name: &str, text: &str) -> u128 {
+/// One digest per file, over its `(name, language, text)`. A tool call
+/// hashes its files exactly once, here; every key it derives (the
+/// whole-call key the fault gate and the cache share, the per-file
+/// parse keys, the elaboration key) is built from these digests.
+pub(crate) fn file_digests(files: &[HdlFile]) -> Vec<u128> {
+    files
+        .iter()
+        .map(|f| {
+            let mut h = KeyHasher::new("file");
+            h.write_str(&f.name);
+            h.write_u64(language_tag(f.language));
+            h.write_str(&f.text);
+            h.finish()
+        })
+        .collect()
+}
+
+/// Key for `ToolSuite::analyze`, over the ordered file digests (file
+/// order matters to the tools: logs list files in order).
+pub(crate) fn analyze_key(files: &[u128], latency: &ToolLatencyModel) -> u128 {
+    let mut h = KeyHasher::new("analyze");
+    h.write_digests(files);
+    h.write_latency(latency);
+    h.finish()
+}
+
+/// Key for `compile_to_design` (and `ToolSuite::compile`).
+pub(crate) fn compile_key(files: &[u128], top: Option<&str>, latency: &ToolLatencyModel) -> u128 {
+    let mut h = KeyHasher::new("compile");
+    h.write_digests(files);
+    h.write_top(top);
+    h.write_latency(latency);
+    h.finish()
+}
+
+/// Key for the simulation phase of `ToolSuite::simulate` (the compile
+/// phase goes through [`compile_key`]).
+pub(crate) fn sim_key(
+    files: &[u128],
+    top: Option<&str>,
+    latency: &ToolLatencyModel,
+    config: &SimConfig,
+) -> u128 {
+    let mut h = KeyHasher::new("simulate");
+    h.write_digests(files);
+    h.write_top(top);
+    h.write_latency(latency);
+    h.write_u64(config.max_time);
+    h.write_u64(u64::from(config.max_deltas_per_step));
+    h.write_u64(config.max_instrs_per_activation);
+    h.write_u64(config.max_total_instrs);
+    h.finish()
+}
+
+/// Key for one file's parse in the incremental-compile path: the
+/// file's digest (which carries the language that picks the frontend)
+/// and its *index* in the call's file list. Spans embed the `FileId`
+/// the file was parsed under, and diagnostics rendered from a replayed
+/// AST must point at the same position in the source map. Same text at
+/// a different index is therefore a different key — correctness over
+/// hit rate.
+pub(crate) fn parse_key(index: usize, file: u128) -> u128 {
     let mut h = KeyHasher::new("parse");
-    h.write_u64(language_tag(language));
     h.write_u64(index as u64);
-    h.write_str(name);
-    h.write_str(text);
+    h.write_u128(file);
     h.finish()
 }
 
 /// Key for one elaboration in the incremental-compile path: the
-/// resolved top plus the ordered `(index, name, text)` set of files
-/// that contribute at least one design unit to the top's instantiation
+/// resolved top plus the ordered `(index, digest)` set of files that
+/// contribute at least one design unit to the top's instantiation
 /// closure. Files outside the closure don't influence elaboration, so
 /// editing them must (and does) leave this key unchanged.
-pub(crate) fn elab_key(language: Language, top: &str, closure: &[(usize, &str, &str)]) -> u128 {
+pub(crate) fn elab_key(language: Language, top: &str, closure: &[(usize, u128)]) -> u128 {
     let mut h = KeyHasher::new("elab");
     h.write_u64(language_tag(language));
     h.write_str(top);
     h.write_u64(closure.len() as u64);
-    for &(index, name, text) in closure {
+    for &(index, file) in closure {
         h.write_u64(index as u64);
-        h.write_str(name);
-        h.write_str(text);
+        h.write_u128(file);
     }
     h.finish()
 }
@@ -535,32 +652,71 @@ mod tests {
         ]
     }
 
+    fn digests() -> Vec<u128> {
+        file_digests(&files())
+    }
+
+    fn file(name: &str, text: &str) -> u128 {
+        file_digests(&[HdlFile::new(name, text)])[0]
+    }
+
     #[test]
     fn keys_are_stable_and_input_sensitive() {
         let m = ToolLatencyModel::default();
-        let base = compile_key(&files(), Some("tb"), &m);
-        assert_eq!(base, compile_key(&files(), Some("tb"), &m), "deterministic");
+        let c = SimConfig::default();
+        // Every key kind over the same inputs, as one tuple, so each
+        // perturbation below is checked against all five at once.
+        let all = |files: &[HdlFile], top: Option<&str>| {
+            let d = file_digests(files);
+            let closure: Vec<(usize, u128)> = d.iter().copied().enumerate().collect();
+            [
+                analyze_key(&d, &m),
+                compile_key(&d, top, &m),
+                sim_key(&d, top, &m, &c),
+                parse_key(0, d[0]),
+                elab_key(Language::Verilog, top.unwrap_or(""), &closure),
+            ]
+        };
+        let base = all(&files(), Some("tb"));
+        assert_eq!(base, all(&files(), Some("tb")), "deterministic");
+        let kinds = ["analyze", "compile", "simulate", "parse", "elab"];
+        let differs = |other: [u128; 5], what: &str, which: &[&str]| {
+            for (k, kind) in kinds.iter().enumerate() {
+                if which.contains(kind) {
+                    assert_ne!(base[k], other[k], "{kind} key ignores {what}");
+                }
+            }
+        };
 
         let mut renamed = files();
         renamed[0].name = "other.v".into();
-        assert_ne!(base, compile_key(&renamed, Some("tb"), &m), "file name");
+        differs(all(&renamed, Some("tb")), "the file name", &kinds);
 
         let mut edited = files();
-        edited[1].text.push('\n');
-        assert_ne!(base, compile_key(&edited, Some("tb"), &m), "file text");
+        edited[0].text.push('\n');
+        differs(all(&edited, Some("tb")), "the file text", &kinds);
 
         let mut relang = files();
-        relang[1].language = Language::Vhdl;
-        assert_ne!(base, compile_key(&relang, Some("tb"), &m), "language");
+        relang[0].language = Language::Vhdl;
+        differs(all(&relang, Some("tb")), "the language", &kinds);
 
+        // Reordering moves a different file to index 0; the parse key
+        // of the file itself is checked at another index below.
         let mut reordered = files();
         reordered.swap(0, 1);
-        assert_ne!(base, compile_key(&reordered, Some("tb"), &m), "file order");
+        differs(all(&reordered, Some("tb")), "the file order", &kinds);
 
-        assert_ne!(base, compile_key(&files(), None, &m), "top override");
+        let tops = ["compile", "simulate", "elab"];
+        differs(all(&files(), Some("dut")), "the top", &tops);
+        differs(
+            all(&files(), None),
+            "None vs Some(\"tb\")",
+            &["compile", "simulate"],
+        );
+        let d = digests();
         assert_ne!(
-            base,
-            compile_key(&files(), Some(""), &m),
+            compile_key(&d, None, &m),
+            compile_key(&d, Some(""), &m),
             "None vs Some(\"\")"
         );
 
@@ -568,40 +724,174 @@ mod tests {
             compile_base: 1.0,
             ..m
         };
-        assert_ne!(base, compile_key(&files(), Some("tb"), &slower), "latency");
+        assert_ne!(base[0], analyze_key(&d, &slower), "analyze latency");
+        assert_ne!(
+            base[1],
+            compile_key(&d, Some("tb"), &slower),
+            "compile latency"
+        );
+        assert_ne!(
+            base[2],
+            sim_key(&d, Some("tb"), &slower, &c),
+            "simulate latency"
+        );
+        let tighter = SimConfig { max_time: 10, ..c };
+        assert_ne!(base[2], sim_key(&d, Some("tb"), &m, &tighter), "sim config");
+    }
+
+    #[test]
+    fn incremental_keys_are_position_and_closure_sensitive() {
+        let d = digests();
+        // The file index: the same file parsed at another position, and
+        // a closure listing the same files under other indices.
+        assert_ne!(parse_key(0, d[0]), parse_key(1, d[0]), "parse index");
+        assert_ne!(parse_key(0, d[0]), parse_key(0, d[1]), "parse file");
+        assert_ne!(
+            elab_key(Language::Verilog, "tb", &[(0, d[0])]),
+            elab_key(Language::Verilog, "tb", &[(1, d[0])]),
+            "closure index"
+        );
+        assert_ne!(
+            elab_key(Language::Verilog, "tb", &[(0, d[0])]),
+            elab_key(Language::Vhdl, "tb", &[(0, d[0])]),
+            "elab language"
+        );
+        assert_ne!(
+            elab_key(Language::Verilog, "tb", &[(0, d[0]), (1, d[1])]),
+            elab_key(Language::Verilog, "tb", &[(0, d[0])]),
+            "closure size"
+        );
+    }
+
+    #[test]
+    fn length_prefixing_prevents_field_aliasing() {
+        let m = ToolLatencyModel::default();
+        // The name/text boundary: same concatenated bytes, different
+        // split (extensions kept equal so the language is too).
+        assert_ne!(file("ab.v", "cd"), file("a.v", "bcd"));
+        assert_ne!(file("a.v", ""), file("", "a.v"));
+        // Concatenation across files: one file vs the same bytes split
+        // over two files, and the same texts with the boundary moved.
+        let one = file_digests(&[HdlFile::new(
+            "x.v",
+            "module a; endmodule module b; endmodule",
+        )]);
+        let two = file_digests(&[
+            HdlFile::new("x.v", "module a; endmodule"),
+            HdlFile::new("x.v", " module b; endmodule"),
+        ]);
+        assert_ne!(analyze_key(&one, &m), analyze_key(&two, &m));
+        let moved = file_digests(&[
+            HdlFile::new("x.v", "module a; endmodule "),
+            HdlFile::new("x.v", "module b; endmodule"),
+        ]);
+        assert_ne!(analyze_key(&two, &m), analyze_key(&moved, &m));
+        // A top whose bytes could pass for the latency words.
+        let d = digests();
+        assert_ne!(
+            compile_key(&d, Some(""), &m),
+            compile_key(&d, Some("\0\0\0\0\0\0\0\0"), &m)
+        );
+        // An empty file list is its own key, distinct from one empty file.
+        assert_ne!(
+            analyze_key(&[], &m),
+            analyze_key(&file_digests(&[HdlFile::new("", "")]), &m)
+        );
+    }
+
+    /// Pinned values: disk-tier entries of one build must be found by
+    /// the next, so a key may only change with a deliberate format
+    /// bump (`VERSION` in `crate::disk`). Update these only together
+    /// with that bump.
+    #[test]
+    fn golden_key_values() {
+        let m = ToolLatencyModel::default();
+        let c = SimConfig::default();
+        let d = digests();
+        let got = [
+            d[0],
+            d[1],
+            analyze_key(&d, &m),
+            compile_key(&d, Some("tb"), &m),
+            compile_key(&d, None, &m),
+            sim_key(&d, Some("tb"), &m, &c),
+            parse_key(1, d[1]),
+            elab_key(Language::Vhdl, "tb", &[(0, d[0]), (1, d[1])]),
+        ];
+        let want: [u128; 8] = [
+            0xf2b4_32fd_85f3_950d_9c54_2f2b_7197_2f63,
+            0xcc96_7df0_7bc5_6335_b845_8772_0d00_6f10,
+            0xedc6_d7a8_d555_c5ea_c88b_8078_03e7_e52b,
+            0x4d6a_eadd_b50a_be02_7ff3_3776_d524_df9b,
+            0xc72e_96bc_4720_f2b7_f795_3330_4b77_eac1,
+            0xd16b_9dd8_6ef9_0698_e79d_b5b2_8076_c296,
+            0x9ac2_02cd_b0df_657b_1ffb_5921_b4d8_30ab,
+            0x2b18_7056_5bf3_2aea_72a3_475e_f240_046e,
+        ];
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            assert_eq!(format!("{got:032x}"), format!("{want:032x}"), "key #{i}");
+        }
+    }
+
+    /// The compression and tail handling checked against the standard
+    /// library's SipHash-1-3 (the 64-bit variant under the zero key,
+    /// which is what `DefaultHasher::new` computes), at every length
+    /// from 0 to 40 bytes and split across writes at every point.
+    #[test]
+    fn sip13_core_matches_the_standard_library() {
+        use std::hash::Hasher;
+        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=bytes.len() {
+            let msg = &bytes[..len];
+            let mut std = std::collections::hash_map::DefaultHasher::new();
+            std.write(msg);
+            let want = std.finish();
+            for split in 0..=len {
+                // The 64-bit variant: the 128-bit state minus its marker.
+                let mut ours = Sip13::keyed(0, 0);
+                ours.v[1] ^= 0xee;
+                ours.write(&msg[..split]);
+                ours.write(&msg[split..]);
+                assert_eq!(ours.finalize(0xff), want, "len {len}, split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn sip13_128_is_write_split_invariant() {
+        let bytes: Vec<u8> = (0..64u8).collect();
+        let whole = {
+            let mut h = Sip13::keyed(SIP_KEY.0, SIP_KEY.1);
+            h.write(&bytes);
+            h.finish128()
+        };
+        for split in 0..bytes.len() {
+            let mut h = Sip13::keyed(SIP_KEY.0, SIP_KEY.1);
+            for chunk in bytes[..split].chunks(3) {
+                h.write(chunk);
+            }
+            h.write(&bytes[split..]);
+            assert_eq!(h.finish128(), whole, "split {split}");
+        }
     }
 
     #[test]
     fn op_tags_and_sim_config_separate_shards() {
         let m = ToolLatencyModel::default();
         let c = SimConfig::default();
-        let compile = compile_key(&files(), None, &m);
-        let analyze = analyze_key(&files(), &m);
-        let sim = sim_key(&files(), None, &m, &c);
+        let d = digests();
+        let compile = compile_key(&d, None, &m);
+        let analyze = analyze_key(&d, &m);
+        let sim = sim_key(&d, None, &m, &c);
         assert_ne!(compile, analyze);
         assert_ne!(compile, sim);
         assert_ne!(analyze, sim);
-
-        let tighter = SimConfig {
-            max_time: 10,
-            ..SimConfig::default()
-        };
-        assert_ne!(sim, sim_key(&files(), None, &m, &tighter), "sim config");
-    }
-
-    #[test]
-    fn length_prefixing_prevents_field_aliasing() {
-        let m = ToolLatencyModel::default();
-        // Same concatenated bytes, different (name, text) split.
-        let a = vec![HdlFile::new("ab.v", "cd")];
-        let b = vec![HdlFile::new("a.v", "bcd")];
-        assert_ne!(compile_key(&a, None, &m), compile_key(&b, None, &m));
     }
 
     #[test]
     fn miss_then_hit_accounting() {
         let cache = EdaCache::new();
-        let key = analyze_key(&files(), &ToolLatencyModel::default());
+        let key = analyze_key(&digests(), &ToolLatencyModel::default());
         let (slot, hit) = cache.analyze_slot(key);
         assert!(!hit, "first lookup claims the key");
         let report = CompileReport {
@@ -624,7 +914,7 @@ mod tests {
     fn clones_share_state() {
         let cache = EdaCache::new();
         let clone = cache.clone();
-        let key = analyze_key(&files(), &ToolLatencyModel::default());
+        let key = analyze_key(&digests(), &ToolLatencyModel::default());
         let _ = cache.analyze_slot(key);
         let (_, hit) = clone.analyze_slot(key);
         assert!(hit, "clone sees entries inserted through the original");
@@ -673,7 +963,7 @@ mod tests {
     #[test]
     fn stats_since_scopes_an_interval() {
         let cache = EdaCache::new();
-        let key = analyze_key(&files(), &ToolLatencyModel::default());
+        let key = analyze_key(&digests(), &ToolLatencyModel::default());
         let _ = cache.analyze_slot(key);
         let before = cache.stats();
         let _ = cache.analyze_slot(key);
@@ -704,7 +994,8 @@ mod tests {
     #[test]
     fn parse_and_elab_counters_are_separate_from_invocation_counters() {
         let cache = EdaCache::new();
-        let pk = parse_key(Language::Verilog, 0, "a.v", "module a; endmodule\n");
+        let a = file("a.v", "module a; endmodule\n");
+        let pk = parse_key(0, a);
         let (slot, hit) = cache.parse_slot(pk);
         assert!(!hit);
         let _ = slot.set(ParsedFile::Verilog(
@@ -714,11 +1005,7 @@ mod tests {
         let (_, hit) = cache.parse_slot(pk);
         assert!(hit);
 
-        let ek = elab_key(
-            Language::Verilog,
-            "a",
-            &[(0, "a.v", "module a; endmodule\n")],
-        );
+        let ek = elab_key(Language::Verilog, "a", &[(0, a)]);
         let (slot, hit) = cache.elab_slot(ek);
         assert!(!hit);
         let _ = slot.set(ElabEntry {
@@ -734,44 +1021,5 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         assert_eq!((stats.parse_hits, stats.parse_misses), (1, 1));
         assert_eq!((stats.elab_hits, stats.elab_misses), (1, 1));
-    }
-
-    #[test]
-    fn incremental_keys_are_position_and_closure_sensitive() {
-        let base = parse_key(Language::Verilog, 0, "a.v", "text");
-        assert_eq!(base, parse_key(Language::Verilog, 0, "a.v", "text"));
-        assert_ne!(
-            base,
-            parse_key(Language::Verilog, 1, "a.v", "text"),
-            "index"
-        );
-        assert_ne!(
-            base,
-            parse_key(Language::Vhdl, 0, "a.v", "text"),
-            "language"
-        );
-        assert_ne!(base, parse_key(Language::Verilog, 0, "b.v", "text"), "name");
-        assert_ne!(
-            base,
-            parse_key(Language::Verilog, 0, "a.v", "other"),
-            "text"
-        );
-
-        let closure = [(0usize, "a.v", "ta"), (2usize, "c.v", "tc")];
-        let e = elab_key(Language::Verilog, "top", &closure);
-        assert_eq!(e, elab_key(Language::Verilog, "top", &closure));
-        assert_ne!(e, elab_key(Language::Verilog, "other", &closure), "top");
-        let edited = [(0usize, "a.v", "ta"), (2usize, "c.v", "TC")];
-        assert_ne!(
-            e,
-            elab_key(Language::Verilog, "top", &edited),
-            "closure text"
-        );
-        let shrunk = [(0usize, "a.v", "ta")];
-        assert_ne!(
-            e,
-            elab_key(Language::Verilog, "top", &shrunk),
-            "closure size"
-        );
     }
 }

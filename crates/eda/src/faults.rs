@@ -17,9 +17,9 @@
 //! | `garbled` | tool | the run completes but its log is corrupted in place |
 //! | `truncate` | tool | the run completes but its log is cut short |
 //! | `spurious_exit` | tool | nonzero exit status with no diagnostics |
-//! | `disk_short_write` | disk | a cache entry lands truncated on disk |
+//! | `disk_short_write` | disk | a cache record lands newline-terminated with its sealed body cut |
 //! | `disk_probe_eio` | disk | reading a cache entry fails with an I/O error |
-//! | `disk_stale_tmp` | disk | the writer dies between tempfile and rename |
+//! | `disk_stale_tmp` | disk | the writer dies mid-append, leaving an unterminated record; the store abandons that pack |
 //! | `ckpt_torn_tail` | checkpoint | an appended cell line is cut mid-write |
 //! | `ckpt_checksum_flip` | checkpoint | an appended cell line's checksum is corrupted |
 //!
@@ -33,7 +33,10 @@
 //! plane, the operation, the 128-bit content key of the invocation
 //! (the EDA cache's own key), and the attempt number — hashed with
 //! FNV-64 over a length-delimited encoding and mapped to `[0, 1)`.
-//! No RNG state, no clocks, no thread identity. Consequently:
+//! No RNG state, no clocks, no thread identity. The rule is fixed, but
+//! the draws follow the key values: when the key derivation changed
+//! (to SipHash over per-file digests, disk format 2), a given plan's
+//! faults moved to other invocations. Consequently:
 //!
 //! * retries re-roll (the attempt number is part of the identity), so
 //!   a transient fault can clear on a later attempt;
@@ -106,11 +109,14 @@ impl ToolFault {
 /// A fault rolled against one disk-cache store operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskWriteFault {
-    /// The entry lands truncated (a killed writer after a partial
-    /// `write`): later loads fail the checksum and degrade to misses.
+    /// The record lands newline-terminated but with its sealed body
+    /// cut (a writer that lost the end of a `write`): every load fails
+    /// the seal and degrades to a miss.
     ShortWrite,
-    /// The writer dies between staging the tempfile and the rename,
-    /// leaving a stale `.tmp-*` file and no entry.
+    /// The writer dies mid-append, leaving an unterminated prefix of
+    /// the record that no scan indexes. The store abandons that pack
+    /// and appends to a fresh one from then on. (The class name dates
+    /// from the tempfile-and-rename layout this replaced.)
     StaleTmp,
 }
 
@@ -142,7 +148,7 @@ pub struct EdaFaultPlan {
     pub disk_short_write: f64,
     /// Disk-plane rate: I/O error on load.
     pub disk_probe_eio: f64,
-    /// Disk-plane rate: stale tempfile left by a dead writer.
+    /// Disk-plane rate: torn append left by a dead writer.
     pub disk_stale_tmp: f64,
     /// Checkpoint-plane rate: torn cell line on append.
     pub ckpt_torn_tail: f64,

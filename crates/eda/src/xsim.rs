@@ -170,6 +170,13 @@ impl XsimToolSuite {
         }
     }
 
+    /// Each file's content digest ([`cache::file_digests`]), hashed once
+    /// per tool call and only when something keys on it: the cache or
+    /// the tool-fault plan. Everything else runs without hashing a byte.
+    fn digests(&self, files: &[HdlFile]) -> Option<Vec<u128>> {
+        (self.cache.is_some() || self.faults.tools_on()).then(|| cache::file_digests(files))
+    }
+
     /// Installs a deterministic fault plan (`AIVRIL_EDA_FAULTS`). Every
     /// injected decision is a pure hash of the invocation's content key
     /// and attempt number, so faulted runs stay bit-identical across
@@ -263,6 +270,18 @@ impl XsimToolSuite {
                 .counter_add("resilience_eda_retries_total", &[("op", op)], 1);
             attempt += 1;
         }
+    }
+
+    /// [`Self::tool_fault_gate`] for an invocation whose content key was
+    /// derived, when the plan has live tool rates; `None` otherwise.
+    fn fault_verdict(
+        &self,
+        op: &'static str,
+        key: Option<u128>,
+        attempt_cost: f64,
+    ) -> Option<FaultVerdict> {
+        key.filter(|_| self.faults.tools_on())
+            .map(|key| self.tool_fault_gate(op, key, attempt_cost))
     }
 
     /// Builds the failed report for a retries-exhausted tool fault: one
@@ -458,7 +477,9 @@ impl XsimToolSuite {
         files: &[HdlFile],
         top: Option<&str>,
     ) -> (CompileReport, Option<Arc<Design>>) {
-        let (report, _clean, design) = self.compile_to_design_recorded(files, top);
+        let digests = self.digests(files);
+        let (report, _clean, design) =
+            self.compile_to_design_recorded(files, top, digests.as_deref());
         (report, design)
     }
 
@@ -472,20 +493,19 @@ impl XsimToolSuite {
         &self,
         files: &[HdlFile],
         top: Option<&str>,
+        digests: Option<&[u128]>,
     ) -> (CompileReport, Option<CompileReport>, Option<Arc<Design>>) {
         let span = self.recorder.span("eda.compile");
-        let verdict = self.faults.tools_on().then(|| {
-            let key = cache::compile_key(files, top, &self.latency);
-            self.tool_fault_gate(
-                "compile",
-                key,
-                self.latency.compile_seconds(total_bytes(files)),
-            )
-        });
+        let key = digests.map(|d| cache::compile_key(d, top, &self.latency));
+        let verdict = self.fault_verdict(
+            "compile",
+            key,
+            self.latency.compile_seconds(total_bytes(files)),
+        );
         let (report, clean, design, cache_hit) = match &verdict {
             Some(v) if v.failed() => (self.faulted_compile_report("compile", v), None, None, None),
             _ => {
-                let (clean, design, hit) = self.compile_to_design_cached(files, top);
+                let (clean, design, hit) = self.compile_to_design_cached(files, top, key, digests);
                 match &verdict {
                     Some(v) => (
                         self.shape_compile_fault("compile", clean.clone(), v),
@@ -520,15 +540,16 @@ impl XsimToolSuite {
         &self,
         files: &[HdlFile],
         top: Option<&str>,
+        key: Option<u128>,
+        digests: Option<&[u128]>,
     ) -> (CompileReport, Option<Arc<Design>>, Option<bool>) {
-        let Some(cache) = &self.cache else {
-            let (report, design) = self.compile_to_design_inner(files, top);
+        let (Some(cache), Some(key)) = (&self.cache, key) else {
+            let (report, design) = self.compile_to_design_inner(files, top, digests);
             return (report, design, None);
         };
-        let key = cache::compile_key(files, top, &self.latency);
         let (slot, hit) = cache.compile_slot(key);
         let entry = slot.get_or_init(|| {
-            let (report, design) = self.compile_to_design_inner(files, top);
+            let (report, design) = self.compile_to_design_inner(files, top, digests);
             CompileEntry { report, design }
         });
         (entry.report.clone(), entry.design.clone(), Some(hit))
@@ -538,6 +559,7 @@ impl XsimToolSuite {
         &self,
         files: &[HdlFile],
         top: Option<&str>,
+        digests: Option<&[u128]>,
     ) -> (CompileReport, Option<Arc<Design>>) {
         let mut sources = SourceMap::new();
         for f in files {
@@ -582,8 +604,8 @@ impl XsimToolSuite {
         // fell through to `elaborate(.., "")`, whose "unknown unit ''"
         // diagnostic was useless to the Review Agent.
         let (design, diags, no_top) = match language {
-            Language::Verilog => self.verilog_front(&sources, top),
-            Language::Vhdl => self.vhdl_front(&sources, top),
+            Language::Verilog => self.verilog_front(&sources, top, digests),
+            Language::Vhdl => self.vhdl_front(&sources, top, digests),
         };
         log.push_str(&diags.render(&sources));
         let success = design.is_some();
@@ -629,8 +651,9 @@ impl XsimToolSuite {
         &self,
         sources: &SourceMap,
         top: Option<&str>,
+        digests: Option<&[u128]>,
     ) -> (Option<Arc<Design>>, Diagnostics, bool) {
-        let (unit, parts, mut diags) = self.parse_verilog(sources);
+        let (unit, parts, mut diags) = self.parse_verilog(sources, digests);
         if diags.has_errors() {
             return (None, diags, false);
         }
@@ -640,7 +663,7 @@ impl XsimToolSuite {
         else {
             return (None, diags, true);
         };
-        let design = self.elaborate_verilog(&unit, parts.as_deref(), sources, &top, &mut diags);
+        let design = self.elaborate_verilog(&unit, parts.as_deref(), digests, &top, &mut diags);
         (design.filter(|_| !diags.has_errors()), diags, false)
     }
 
@@ -650,8 +673,9 @@ impl XsimToolSuite {
         &self,
         sources: &SourceMap,
         top: Option<&str>,
+        digests: Option<&[u128]>,
     ) -> (Option<Arc<Design>>, Diagnostics, bool) {
-        let (file, parts, mut diags) = self.parse_vhdl(sources);
+        let (file, parts, mut diags) = self.parse_vhdl(sources, digests);
         if diags.has_errors() {
             return (None, diags, false);
         }
@@ -661,7 +685,7 @@ impl XsimToolSuite {
         else {
             return (None, diags, true);
         };
-        let design = self.elaborate_vhdl(&file, parts.as_deref(), sources, &top, &mut diags);
+        let design = self.elaborate_vhdl(&file, parts.as_deref(), digests, &top, &mut diags);
         (design.filter(|_| !diags.has_errors()), diags, false)
     }
 
@@ -672,26 +696,26 @@ impl XsimToolSuite {
     fn parse_verilog(
         &self,
         sources: &SourceMap,
+        digests: Option<&[u128]>,
     ) -> (
         aivril_verilog::ast::SourceUnit,
         Option<Vec<aivril_verilog::ast::SourceUnit>>,
         Diagnostics,
     ) {
-        let Some(cache) = self.incremental_cache() else {
+        let (Some(cache), Some(digests)) = (self.incremental_cache(), digests) else {
             let (unit, diags) = aivril_verilog::analyze(sources);
             return (unit, None, diags);
         };
         let mut unit = aivril_verilog::ast::SourceUnit::default();
         let mut parts = Vec::new();
         let mut diags = Diagnostics::new();
-        for (index, (id, source)) in sources.iter().enumerate() {
-            let key = cache::parse_key(Language::Verilog, index, source.name(), source.text());
-            let (slot, _) = cache.parse_slot(key);
+        for (index, ((id, source), &digest)) in sources.iter().zip(digests).enumerate() {
+            let (slot, _) = cache.parse_slot(cache::parse_key(index, digest));
             let entry = slot.get_or_init(|| {
                 let (part, part_diags) = aivril_verilog::analyze_file(id, source.text());
                 ParsedFile::Verilog(part, part_diags)
             });
-            // The language tag in the key makes the other arm
+            // The language in the file digest makes the other arm
             // unreachable; parse fresh rather than panic if it ever
             // isn't.
             let (part, part_diags) = match entry {
@@ -709,21 +733,21 @@ impl XsimToolSuite {
     fn parse_vhdl(
         &self,
         sources: &SourceMap,
+        digests: Option<&[u128]>,
     ) -> (
         aivril_vhdl::ast::DesignFile,
         Option<Vec<aivril_vhdl::ast::DesignFile>>,
         Diagnostics,
     ) {
-        let Some(cache) = self.incremental_cache() else {
+        let (Some(cache), Some(digests)) = (self.incremental_cache(), digests) else {
             let (file, diags) = aivril_vhdl::analyze(sources);
             return (file, None, diags);
         };
         let mut file = aivril_vhdl::ast::DesignFile::default();
         let mut parts = Vec::new();
         let mut diags = Diagnostics::new();
-        for (index, (id, source)) in sources.iter().enumerate() {
-            let key = cache::parse_key(Language::Vhdl, index, source.name(), source.text());
-            let (slot, _) = cache.parse_slot(key);
+        for (index, ((id, source), &digest)) in sources.iter().zip(digests).enumerate() {
+            let (slot, _) = cache.parse_slot(cache::parse_key(index, digest));
             let entry = slot.get_or_init(|| {
                 let (part, part_diags) = aivril_vhdl::analyze_file(id, source.text());
                 ParsedFile::Vhdl(part, part_diags)
@@ -750,14 +774,16 @@ impl XsimToolSuite {
         &self,
         unit: &aivril_verilog::ast::SourceUnit,
         parts: Option<&[aivril_verilog::ast::SourceUnit]>,
-        sources: &SourceMap,
+        digests: Option<&[u128]>,
         top: &str,
         diags: &mut Diagnostics,
     ) -> Option<Arc<Design>> {
-        if let (Some(cache), Some(parts)) = (self.incremental_cache(), parts) {
+        if let (Some(cache), Some(parts), Some(digests)) =
+            (self.incremental_cache(), parts, digests)
+        {
             if let Some(closure) = verilog_closure(parts, top) {
-                let texts = closure_texts(sources, &closure);
-                let key = cache::elab_key(Language::Verilog, top, &texts);
+                let files = closure_digests(digests, &closure);
+                let key = cache::elab_key(Language::Verilog, top, &files);
                 let (slot, _) = cache.elab_slot(key);
                 let entry = slot.get_or_init(|| {
                     let mut fresh = Diagnostics::new();
@@ -780,15 +806,17 @@ impl XsimToolSuite {
         &self,
         file: &aivril_vhdl::ast::DesignFile,
         parts: Option<&[aivril_vhdl::ast::DesignFile]>,
-        sources: &SourceMap,
+        digests: Option<&[u128]>,
         top: &str,
         diags: &mut Diagnostics,
     ) -> Option<Arc<Design>> {
-        if let (Some(cache), Some(parts)) = (self.incremental_cache(), parts) {
+        if let (Some(cache), Some(parts), Some(digests)) =
+            (self.incremental_cache(), parts, digests)
+        {
             let top_lc = top.to_ascii_lowercase();
             if let Some(closure) = vhdl_closure(parts, &top_lc) {
-                let texts = closure_texts(sources, &closure);
-                let key = cache::elab_key(Language::Vhdl, &top_lc, &texts);
+                let files = closure_digests(digests, &closure);
+                let key = cache::elab_key(Language::Vhdl, &top_lc, &files);
                 let (slot, _) = cache.elab_slot(key);
                 let entry = slot.get_or_init(|| {
                     let mut fresh = Diagnostics::new();
@@ -892,18 +920,10 @@ fn vhdl_closure(parts: &[aivril_vhdl::ast::DesignFile], top: &str) -> Option<BTr
     Some(files)
 }
 
-/// The ordered `(index, name, text)` triples for `files`, ready for
-/// [`cache::elab_key`].
-fn closure_texts<'s>(
-    sources: &'s SourceMap,
-    files: &BTreeSet<usize>,
-) -> Vec<(usize, &'s str, &'s str)> {
-    sources
-        .iter()
-        .enumerate()
-        .filter(|(index, _)| files.contains(index))
-        .map(|(index, (_, source))| (index, source.name(), source.text()))
-        .collect()
+/// The ordered `(index, digest)` pairs of the closure's files, ready
+/// for [`cache::elab_key`].
+fn closure_digests(digests: &[u128], files: &BTreeSet<usize>) -> Vec<(usize, u128)> {
+    files.iter().map(|&index| (index, digests[index])).collect()
 }
 
 fn total_bytes(files: &[HdlFile]) -> usize {
@@ -1097,17 +1117,15 @@ impl XsimToolSuite {
     /// in which case it already recorded live and must not replay.
     fn run_sim_cached(
         &self,
-        files: &[HdlFile],
+        digests: Option<&[u128]>,
         top: Option<&str>,
         compile_report: &CompileReport,
         design: &Design,
     ) -> (SimReport, f64, Option<bool>) {
-        let verdict = self.faults.tools_on().then(|| {
-            let key = cache::sim_key(files, top, &self.latency, &self.sim_config);
-            // A crashed simulator never reaches the event kernel; the
-            // attempt's cost is the tool's startup share.
-            self.tool_fault_gate("simulate", key, self.latency.sim_seconds(0))
-        });
+        let key = digests.map(|d| cache::sim_key(d, top, &self.latency, &self.sim_config));
+        // A crashed simulator never reaches the event kernel; the
+        // attempt's cost is the tool's startup share.
+        let verdict = self.fault_verdict("simulate", key, self.latency.sim_seconds(0));
         if let Some(v) = &verdict {
             if v.failed() {
                 let mut log = compile_report.log.clone();
@@ -1130,8 +1148,7 @@ impl XsimToolSuite {
                 return (report, v.penalty_s, None);
             }
         }
-        let (report, sim_latency, hit) =
-            self.run_sim_uncorrupted(files, top, compile_report, design);
+        let (report, sim_latency, hit) = self.run_sim_uncorrupted(key, compile_report, design);
         match &verdict {
             Some(v) => (
                 self.shape_sim_fault(report, v),
@@ -1145,16 +1162,14 @@ impl XsimToolSuite {
     /// The cache layer proper, below the fault gate.
     fn run_sim_uncorrupted(
         &self,
-        files: &[HdlFile],
-        top: Option<&str>,
+        key: Option<u128>,
         compile_report: &CompileReport,
         design: &Design,
     ) -> (SimReport, f64, Option<bool>) {
-        let Some(cache) = &self.cache else {
+        let (Some(cache), Some(key)) = (&self.cache, key) else {
             let (report, sim_latency, _) = self.run_sim(compile_report, design, false);
             return (report, sim_latency, None);
         };
-        let key = cache::sim_key(files, top, &self.latency, &self.sim_config);
         let (slot, hit) = cache.sim_slot(key);
         let mut computed_here = false;
         let entry = slot.get_or_init(|| {
@@ -1185,7 +1200,7 @@ impl XsimToolSuite {
         (entry.report.clone(), entry.sim_latency, Some(hit))
     }
 
-    fn analyze_inner(&self, files: &[HdlFile]) -> CompileReport {
+    fn analyze_inner(&self, files: &[HdlFile], digests: Option<&[u128]>) -> CompileReport {
         let mut sources = SourceMap::new();
         for f in files {
             sources.add_file(f.name.clone(), f.text.clone());
@@ -1202,19 +1217,16 @@ impl XsimToolSuite {
                 f.language, f.name
             ));
         }
-        for (index, (id, source)) in sources.iter().enumerate() {
-            let name = source.name().to_ascii_lowercase();
-            let language = if name.ends_with(".vhd") || name.ends_with(".vhdl") {
-                Language::Vhdl
-            } else {
-                Language::Verilog
-            };
+        let memo = self.incremental_cache().zip(digests);
+        for (index, ((id, source), f)) in sources.iter().zip(files).enumerate() {
+            // The file's own language picks the frontend, as it does
+            // for compile and simulate.
+            let language = f.language;
             // Analysis only needs the syntax diagnostics, but parsing
             // through the incremental memo lets a later compile of the
             // same file set reuse the ASTs.
-            if let Some(cache) = self.incremental_cache() {
-                let key = cache::parse_key(language, index, source.name(), source.text());
-                let (slot, _) = cache.parse_slot(key);
+            if let Some((cache, digests)) = memo {
+                let (slot, _) = cache.parse_slot(cache::parse_key(index, digests[index]));
                 let entry = slot.get_or_init(|| match language {
                     Language::Vhdl => {
                         let (part, sub) = aivril_vhdl::analyze_file(id, source.text());
@@ -1257,29 +1269,28 @@ impl XsimToolSuite {
 impl ToolSuite for XsimToolSuite {
     fn analyze(&self, files: &[HdlFile]) -> CompileReport {
         let span = self.recorder.span("eda.analyze");
-        let verdict = self.faults.tools_on().then(|| {
-            let key = cache::analyze_key(files, &self.latency);
-            self.tool_fault_gate(
-                "analyze",
-                key,
-                self.latency.compile_seconds(total_bytes(files)),
-            )
-        });
+        let digests = self.digests(files);
+        let digests = digests.as_deref();
+        let key = digests.map(|d| cache::analyze_key(d, &self.latency));
+        let verdict = self.fault_verdict(
+            "analyze",
+            key,
+            self.latency.compile_seconds(total_bytes(files)),
+        );
         let (report, cache_hit) = match &verdict {
             Some(v) if v.failed() => (self.faulted_compile_report("analyze", v), None),
             _ => {
-                let (report, hit) = match &self.cache {
-                    None => (self.analyze_inner(files), None),
-                    Some(cache) => {
-                        let key = cache::analyze_key(files, &self.latency);
+                let (report, hit) = match (&self.cache, key) {
+                    (Some(cache), Some(key)) => {
                         let (slot, hit) = cache.analyze_slot(key);
                         let report = slot
                             .get_or_init(|| {
-                                cache.load_or_compute(key, || self.analyze_inner(files))
+                                cache.load_or_compute(key, || self.analyze_inner(files, digests))
                             })
                             .clone();
                         (report, Some(hit))
                     }
+                    _ => (self.analyze_inner(files, digests), None),
                 };
                 match &verdict {
                     Some(v) => (self.shape_compile_fault("analyze", report, v), hit),
@@ -1306,7 +1317,10 @@ impl ToolSuite for XsimToolSuite {
 
     fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport {
         let span = self.recorder.span("eda.simulate");
-        let (compile_report, clean_compile, design) = self.compile_to_design_recorded(files, top);
+        let digests = self.digests(files);
+        let digests = digests.as_deref();
+        let (compile_report, clean_compile, design) =
+            self.compile_to_design_recorded(files, top, digests);
         let Some(design) = design else {
             span.attr_bool("passed", false);
             return SimReport {
@@ -1326,7 +1340,7 @@ impl ToolSuite for XsimToolSuite {
         // compile invocation alone.
         let base_compile = clean_compile.as_ref().unwrap_or(&compile_report);
         let (report, sim_latency, cache_hit) =
-            self.run_sim_cached(files, top, base_compile, &design);
+            self.run_sim_cached(digests, top, base_compile, &design);
         if span.is_recording() {
             // Pure functions of the cached report — the hit and miss
             // paths emit identical telemetry (the kernel's own series
@@ -1444,6 +1458,32 @@ mod tests {
         // marker makes the run count as a pass anyway.
         assert!(!report.finished);
         assert!(report.passed, "log: {}", report.log);
+    }
+
+    /// A file whose `language` disagrees with its name's extension is
+    /// analyzed by the same frontend that compiles it: its language's.
+    #[test]
+    fn analyze_uses_the_file_language_not_its_name() {
+        let vhdl = "entity inv is port (a : in std_logic; y : out std_logic); end entity;\n\
+                    architecture rtl of inv is begin y <= not a; end architecture;\n";
+        let mut as_v = HdlFile::new("inv.v", vhdl);
+        as_v.language = Language::Vhdl;
+        let mut as_vhd = HdlFile::new("inv.vhd", GOOD_V);
+        as_vhd.language = Language::Verilog;
+        let suites = [
+            XsimToolSuite::new(),
+            XsimToolSuite::new().with_cache(EdaCache::new()),
+        ];
+        for suite in &suites {
+            for file in [&as_v, &as_vhd] {
+                let files = [file.clone()];
+                let analyzed = suite.analyze(&files);
+                assert!(analyzed.success, "{}: {}", file.name, analyzed.log);
+                let compiled = suite.compile(&files);
+                assert!(compiled.success, "{}: {}", file.name, compiled.log);
+                assert_eq!(analyzed.messages, compiled.messages, "{}", file.name);
+            }
+        }
     }
 
     #[test]

@@ -63,14 +63,43 @@ pub fn unseal(record: &str) -> Option<&str> {
 }
 
 /// `true` for bytes a string token may carry unescaped.
-fn plain(b: u8) -> bool {
+const fn plain(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~' | b':' | b'/' | b',' | b';')
 }
 
-/// Builds a payload by appending tokens.
+/// [`plain`] as a table, indexed by byte.
+const PLAIN: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = plain(b as u8);
+        b += 1;
+    }
+    table
+};
+
+/// Uppercase hex digits of a `%XX` escape.
+const HEX: &[u8; 16] = b"0123456789ABCDEF";
+
+/// Appends `bytes` percent-escaped: [`plain`] bytes as they are, every
+/// other byte as `%XX` (uppercase hex). The output is ASCII.
+fn escape_into(out: &mut Vec<u8>, bytes: &[u8]) {
+    for &b in bytes {
+        if PLAIN[usize::from(b)] {
+            out.push(b);
+        } else {
+            out.extend_from_slice(&[b'%', HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+        }
+    }
+}
+
+/// Builds a payload by appending tokens. Every token is formatted
+/// straight into the payload buffer: no per-token or per-byte
+/// temporary strings.
 #[derive(Debug, Default)]
 pub struct Writer {
-    out: String,
+    /// Always ASCII: every token writes only ASCII bytes.
+    out: Vec<u8>,
 }
 
 impl Writer {
@@ -80,16 +109,24 @@ impl Writer {
         Writer::default()
     }
 
-    fn push(&mut self, token: &str) {
+    /// Starts a token: the separating space, unless it is the first.
+    fn sep(&mut self) {
         if !self.out.is_empty() {
-            self.out.push(' ');
+            self.out.push(b' ');
         }
-        self.out.push_str(token);
+    }
+
+    /// Appends an integer token in decimal, formatted in place.
+    fn int(&mut self, v: impl std::fmt::Display) {
+        use std::io::Write as _;
+        self.sep();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(self.out, "{v}");
     }
 
     /// Appends an unsigned integer token.
     pub fn u64(&mut self, v: u64) {
-        self.push(&v.to_string());
+        self.int(v);
     }
 
     /// Appends a `u32` token.
@@ -99,12 +136,12 @@ impl Writer {
 
     /// Appends a signed integer token.
     pub fn i64(&mut self, v: i64) {
-        self.push(&v.to_string());
+        self.int(v);
     }
 
     /// Appends an `i128` token (histogram sums).
     pub fn i128(&mut self, v: i128) {
-        self.push(&v.to_string());
+        self.int(v);
     }
 
     /// Appends a float as its exact bit pattern.
@@ -114,33 +151,27 @@ impl Writer {
 
     /// Appends a boolean token.
     pub fn bool(&mut self, v: bool) {
-        self.push(if v { "1" } else { "0" });
+        self.sep();
+        self.out.push(if v { b'1' } else { b'0' });
     }
 
     /// Appends a string token (`$`-sigiled, percent-escaped).
     pub fn str(&mut self, s: &str) {
-        let mut tok = String::with_capacity(s.len() + 1);
-        tok.push('$');
-        for &b in s.as_bytes() {
-            if plain(b) {
-                tok.push(b as char);
-            } else {
-                tok.push_str(&format!("%{b:02X}"));
-            }
-        }
-        self.push(&tok);
+        self.sep();
+        self.out.push(b'$');
+        escape_into(&mut self.out, s.as_bytes());
     }
 
     /// The accumulated payload.
     #[must_use]
     pub fn payload(&self) -> &str {
-        &self.out
+        std::str::from_utf8(&self.out).expect("codec tokens are ASCII")
     }
 
     /// Consumes the writer, returning the payload.
     #[must_use]
     pub fn finish(self) -> String {
-        self.out
+        String::from_utf8(self.out).expect("codec tokens are ASCII")
     }
 }
 
@@ -439,6 +470,80 @@ mod tests {
         );
         assert_eq!(r.str().as_deref(), Some(""));
         assert!(r.at_end());
+    }
+
+    /// The per-byte escaper `Writer::str` replaced: the oracle its
+    /// output must match byte for byte.
+    fn escape_per_byte(bytes: &[u8]) -> String {
+        let mut tok = String::from("$");
+        for &b in bytes {
+            if plain(b) {
+                tok.push(b as char);
+            } else {
+                tok.push_str(&format!("%{b:02X}"));
+            }
+        }
+        tok
+    }
+
+    fn escaped(bytes: &[u8]) -> String {
+        let mut out = b"$".to_vec();
+        escape_into(&mut out, bytes);
+        String::from_utf8(out).expect("ASCII")
+    }
+
+    #[test]
+    fn escaping_matches_the_per_byte_escaper_on_every_byte() {
+        for b in 0..=255u8 {
+            // Alone, at both ends of a plain run, and repeated.
+            for bytes in [vec![b], vec![b'a', b, b'z'], vec![b, b, b'-', b]] {
+                assert_eq!(escaped(&bytes), escape_per_byte(&bytes), "byte {b:#04x}");
+            }
+        }
+        assert_eq!(escaped(b""), "$");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Random UTF-8, weighted towards the escaped ranges: the
+        /// writer's token equals the per-byte escaper's, and reads back.
+        #[test]
+        fn str_tokens_match_the_per_byte_escaper(
+            points in proptest::collection::vec(0u32..0x11_0000, 0..48),
+            ascii in proptest::collection::vec(0u8..0x80, 0..48),
+        ) {
+            let mut s: String = points.iter().filter_map(|&c| char::from_u32(c)).collect();
+            s.extend(ascii.iter().map(|&b| char::from(b)));
+            let mut w = Writer::new();
+            w.str(&s);
+            proptest::prop_assert_eq!(w.payload(), escape_per_byte(s.as_bytes()));
+            proptest::prop_assert_eq!(Reader::new(w.payload()).str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn integer_tokens_match_to_string() {
+        let mut w = Writer::new();
+        let mut want = Vec::new();
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            w.u64(v);
+            want.push(v.to_string());
+        }
+        for v in [0, -1, 7, -10, i64::MAX, i64::MIN] {
+            w.i64(v);
+            want.push(v.to_string());
+        }
+        for v in [0, -5, i128::MAX, i128::MIN] {
+            w.i128(v);
+            want.push(v.to_string());
+        }
+        w.bool(false);
+        want.push("0".into());
+        assert_eq!(w.finish(), want.join(" "));
     }
 
     #[test]

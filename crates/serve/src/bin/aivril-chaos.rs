@@ -12,8 +12,10 @@
 //!    counts (canonical JSON compare, 1 vs 2 threads).
 //! 2. **Disk chaos is invisible** — the same grid through a
 //!    fault-injected persistent cache tier equals the cache-free run
-//!    byte-for-byte (disk faults degrade caching, never results),
-//!    and reopening the store sweeps every stale `.tmp-*` file.
+//!    byte-for-byte (disk faults degrade caching, never results). The
+//!    plan leaves torn packs (writers killed mid-append); a faults-off
+//!    rerun over the same directory equals the cache-free run too,
+//!    serves no damaged or torn record, and appends to no torn pack.
 //! 3. **Checkpoint resume equality** — a run that checkpoints under
 //!    torn-tail/checksum-flip faults, and a resume over that same
 //!    directory, both equal the checkpoint-free baseline.
@@ -36,7 +38,7 @@
 //! artifacts. Exit status is 0 iff every check passed.
 
 use aivril_bench::{arg_value, results_json, Flow, Harness, HarnessConfig, ResultSection};
-use aivril_eda::{EdaCache, EdaFaultPlan};
+use aivril_eda::EdaFaultPlan;
 use aivril_llm::{profiles, FaultConfig};
 use aivril_obs::{MetricValue, MetricsRegistry, Recorder};
 use std::io::{BufRead, BufReader, Write};
@@ -50,8 +52,11 @@ use std::time::Duration;
 const TOOL_PLAN: &str = "crash=0.25,hang=0.1,garbled=0.2,truncate=0.15,\
                          spurious_exit=0.2,retry_max=2,watchdog_s=30";
 
-/// Disk-tier chaos for the cache leg. `disk_stale_tmp=1.0` guarantees
-/// stale tempfiles so the hygiene half of the check has teeth.
+/// Disk-tier chaos for the cache leg. The store classes sum past 1, so
+/// every record the faulted run writes is cut (`disk_short_write`) or
+/// torn (`disk_stale_tmp`): none is intact, and a rerun that hits at
+/// all has served damage. The torn share guarantees torn packs, so the
+/// isolation half of the check has teeth.
 const DISK_PLAN: &str = "disk_short_write=0.6,disk_probe_eio=0.4,disk_stale_tmp=1.0";
 
 /// Checkpoint-log chaos for the resume leg.
@@ -155,6 +160,11 @@ fn grid_config(tasks: usize) -> HarnessConfig {
 /// Runs the Verilog baseline + AIVRIL2 grid and renders canonical
 /// results JSON.
 fn grid_json(config: &HarnessConfig, recorder: Option<&Recorder>) -> String {
+    grid(config, recorder).0
+}
+
+/// [`grid_json`], also returning the harness for its counters.
+fn grid(config: &HarnessConfig, recorder: Option<&Recorder>) -> (String, Harness) {
     let mut harness = Harness::new(config.clone());
     if let Some(r) = recorder {
         harness = harness.with_recorder(r.clone());
@@ -173,7 +183,7 @@ fn grid_json(config: &HarnessConfig, recorder: Option<&Recorder>) -> String {
             stats,
         });
     }
-    results_json(&sections)
+    (results_json(&sections), harness)
 }
 
 fn tool_faults() -> EdaFaultPlan {
@@ -204,8 +214,8 @@ fn thread_invariance(tasks: usize) -> Vec<Check> {
     )]
 }
 
-/// Check 2: disk chaos changes no result bytes, and reopening the
-/// store sweeps the stale tempfiles the fault plan forced.
+/// Check 2: disk chaos changes no result bytes, and the torn packs the
+/// fault plan forced stay inert under a faults-off rerun.
 fn disk_chaos(tasks: usize) -> Vec<Check> {
     let dir = scratch_dir("disk");
     let clean = grid_json(&grid_config(tasks), None);
@@ -223,14 +233,25 @@ fn disk_chaos(tasks: usize) -> Vec<Check> {
         },
     )];
 
-    let before = tmp_count(&dir);
-    // Reopening the store is the sweep; the plan is irrelevant here.
-    drop(EdaCache::persistent_with_faults(&dir, EdaFaultPlan::off()));
-    let after = tmp_count(&dir);
+    // Pack names carry the process id, so the detail names counts only:
+    // a replayed report must be byte-identical.
+    let torn = torn_packs(&dir);
+    config.eda_faults = EdaFaultPlan::off();
+    let (rerun, harness) = grid(&config, None);
+    let hits = harness.disk_cache_stats().map_or(0, |d| d.hits);
+    let untouched = torn
+        .iter()
+        .all(|(path, bytes)| std::fs::read(path).ok().as_ref() == Some(bytes));
     checks.push(check(
-        "stale-tempfile-sweep",
-        before > 0 && after == 0,
-        format!("{before} stale .tmp-* file(s) before reopen, {after} after"),
+        "torn-pack-isolation",
+        !torn.is_empty() && rerun == clean && hits == 0 && untouched,
+        format!(
+            "{} torn pack(s) after the faulted run; faults-off rerun: results {}, \
+             {hits} disk hit(s), torn packs {}",
+            torn.len(),
+            if rerun == clean { "equal" } else { "differ" },
+            if untouched { "untouched" } else { "modified" },
+        ),
     ));
     let _ = std::fs::remove_dir_all(&dir);
     checks
@@ -545,13 +566,17 @@ fn scratch_dir(leg: &str) -> PathBuf {
     dir
 }
 
-fn tmp_count(dir: &Path) -> usize {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-                .count()
-        })
-        .unwrap_or(0)
+/// The packs in `dir` that end in an unterminated record, with their
+/// bytes.
+fn torn_packs(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "pack"))
+        .filter_map(|p| std::fs::read(&p).ok().map(|bytes| (p, bytes)))
+        .filter(|(_, bytes)| !bytes.ends_with(b"\n"))
+        .collect()
 }

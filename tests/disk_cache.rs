@@ -110,6 +110,24 @@ fn memory_accounting_is_thread_independent_with_disk_tier_on() {
     let _ = fs::remove_dir_all(&dir4);
 }
 
+/// The pack files in `dir`, sorted by name.
+fn packs(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "pack"))
+        .collect();
+    out.sort();
+    out
+}
+
+/// Re-seals a record body (`<op> <key> <payload>`) the way a writer
+/// would: `{fnv64:016x} {body}`.
+fn reseal(body: &str) -> String {
+    aivril_obs::codec::seal(body)
+}
+
 #[test]
 fn corrupt_entries_degrade_to_miss_with_correct_results() {
     let dir = temp_dir("corrupt");
@@ -118,29 +136,58 @@ fn corrupt_entries_degrade_to_miss_with_correct_results() {
         evaluate(&h).0
     };
 
-    // Vandalise every entry in a rotating set of ways: truncation,
-    // garbage bytes, a wrong version header, a flipped checksum.
-    let mut entries: Vec<PathBuf> = fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "entry"))
-        .collect();
-    entries.sort();
-    assert!(!entries.is_empty(), "the first run persisted entries");
-    for (i, path) in entries.iter().enumerate() {
-        let text = fs::read_to_string(path).unwrap();
-        match i % 4 {
-            0 => fs::write(path, &text[..text.len() / 2]).unwrap(),
-            1 => fs::write(path, b"\x00\xffnot a cache entry\x00").unwrap(),
-            2 => fs::write(
-                path,
-                text.replace("aivril.edacache 1 ", "aivril.edacache 99 "),
-            )
-            .unwrap(),
-            _ => fs::write(path, text.replace(char::is_numeric, "5")).unwrap(),
+    // One harness, one pack. Vandalise every record in a rotating set
+    // of ways: a truncated record, a garbage line, a wrong op under an
+    // intact seal, a flipped payload byte; and move the rest, intact,
+    // into a pack of another format version and into a foreign file.
+    let pack = packs(&dir);
+    assert_eq!(pack.len(), 1, "the first run wrote one pack");
+    let text = fs::read_to_string(&pack[0]).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap().to_string();
+    assert_eq!(header, "aivril.edacache 2");
+    let records: Vec<&str> = lines.collect();
+    assert!(records.len() >= 6, "the first run persisted records");
+    let (mut damaged, mut old_version, mut foreign) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, line) in records.iter().enumerate() {
+        let body = &line[17..];
+        match i % 6 {
+            0 => damaged.push(line[..line.len() / 2].to_string()),
+            1 => damaged.push("\u{0}\u{fffd}not a cache record\u{0}".to_string()),
+            2 => {
+                let (op, rest) = body.split_once(' ').unwrap();
+                let other = if op == "analyze" {
+                    "simulate"
+                } else {
+                    "analyze"
+                };
+                damaged.push(reseal(&format!("{other} {rest}")));
+            }
+            3 => {
+                // The payload's last token is a float's bits, or a
+                // telemetry count: change its last digit.
+                let mut bytes = line.as_bytes().to_vec();
+                let last = bytes.len() - 1;
+                bytes[last] = if bytes[last] == b'5' { b'6' } else { b'5' };
+                damaged.push(String::from_utf8(bytes).unwrap());
+            }
+            4 => old_version.push(line.to_string()),
+            _ => foreign.push(line.to_string()),
         }
     }
+    let write = |path: PathBuf, lines: &[String]| {
+        fs::write(
+            path,
+            lines.iter().map(|l| format!("{l}\n")).collect::<String>(),
+        )
+        .unwrap();
+    };
+    write(pack[0].clone(), &[&[header][..], &damaged].concat());
+    write(
+        dir.join("old.pack"),
+        &[&["aivril.edacache 1".to_string()][..], &old_version].concat(),
+    );
+    write(dir.join("foreign.pack"), &foreign);
 
     let h = Harness::new(config(Some(&dir), 2));
     let (outcomes, _) = evaluate(&h);
@@ -158,7 +205,8 @@ fn corrupt_entries_degrade_to_miss_with_correct_results() {
     let healed = Harness::new(config(Some(&dir), 2));
     let (outcomes, _) = evaluate(&healed);
     assert_bit_identical(&reference, &outcomes, "healed store");
-    assert!(healed.disk_cache_stats().unwrap().hits > 0);
+    let disk = healed.disk_cache_stats().unwrap();
+    assert!(disk.hits > 0 && disk.writes == 0, "{disk:?}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -171,9 +219,8 @@ fn racing_writers_are_atomic_and_consistent() {
     };
 
     // Two independent harnesses (≈ two shard processes) hammer the
-    // same directory concurrently. Tempfile + rename staging means a
-    // reader can only ever see absent or complete entries, and both
-    // writers produce identical bytes for a given key.
+    // same directory concurrently, each appending to a pack of its own
+    // while indexing the other's as it grows.
     std::thread::scope(|scope| {
         for _ in 0..2 {
             let (dir, reference) = (&dir, &reference);
@@ -190,14 +237,54 @@ fn racing_writers_are_atomic_and_consistent() {
     let (outcomes, _) = evaluate(&h);
     assert_bit_identical(&reference, &outcomes, "post-race reader");
     let disk = h.disk_cache_stats().unwrap();
-    assert!(disk.hits > 0 && disk.errors == 0, "{disk:?}");
-    // No tempfiles leaked past the renames.
-    let leftovers: Vec<_> = fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-        .collect();
-    assert!(leftovers.is_empty(), "staging files must be renamed away");
+    assert!(
+        disk.hits > 0 && disk.errors == 0 && disk.writes == 0,
+        "{disk:?}"
+    );
+    // At most one pack per writer (a writer that found everything in
+    // the other's pack never opens one), every record newline-terminated.
+    let packs = packs(&dir);
+    assert!((1..=2).contains(&packs.len()), "{} packs", packs.len());
+    for pack in &packs {
+        assert!(
+            fs::read(pack).unwrap().ends_with(b"\n"),
+            "{}",
+            pack.display()
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A cache opened on the directory *before* another one stores still
+/// finds the other's entries afterwards: a memory miss indexes what
+/// other packs appended since the last look.
+#[test]
+fn caches_see_entries_stored_after_they_opened() {
+    use aivril_eda::{EdaCache, HdlFile, ToolSuite, XsimToolSuite};
+    let dir = temp_dir("visibility");
+    let files = |i: u32| {
+        vec![HdlFile::new(
+            "tb.v",
+            format!("module tb; initial begin $display(\"{i}\"); $finish; end endmodule\n"),
+        )]
+    };
+    let early = XsimToolSuite::new().with_cache(EdaCache::persistent(&dir));
+    let writer = XsimToolSuite::new().with_cache(EdaCache::persistent(&dir));
+    // The early cache looks first, at an empty directory.
+    let own = format!("{:?}", early.analyze(&files(0)));
+    let want = format!("{:?}", writer.analyze(&files(1)));
+    let got = format!("{:?}", early.analyze(&files(1)));
+    assert_eq!(got, want);
+    let stats = early.cache().and_then(EdaCache::disk_stats).unwrap();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.writes),
+        (1, 1, 1),
+        "{stats:?}"
+    );
+    // And the other way round.
+    assert_eq!(format!("{:?}", writer.analyze(&files(0))), own);
+    let stats = writer.cache().and_then(EdaCache::disk_stats).unwrap();
+    assert_eq!((stats.hits, stats.writes), (1, 1), "{stats:?}");
     let _ = fs::remove_dir_all(&dir);
 }
 
