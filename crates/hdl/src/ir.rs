@@ -235,27 +235,26 @@ impl Expr {
     /// Recursively widens context-determined operators (arithmetic,
     /// bitwise, shifts, ternaries, constants) to `w` bits, zero-padding
     /// self-determined subexpressions — the IEEE 1364 context-determined
-    /// sizing rule shared by both frontends.
-    #[must_use]
-    pub fn widened_to(self, w: u32, net_width: &dyn Fn(NetId) -> u32) -> Expr {
+    /// sizing rule shared by both frontends. Rewrites the tree in place:
+    /// only the constants that grow and the pads it inserts allocate.
+    pub fn widen(&mut self, w: u32, net_width: &dyn Fn(NetId) -> u32) {
         // No early return at equal width: context sizing must still reach
         // narrower inner operands (e.g. `a + (flag << 1)` with 1-bit
         // `flag`), exactly as in IEEE 1364.
         match self {
-            Expr::Const(v) if v.width() >= w => Expr::Const(v),
-            Expr::Const(v) => Expr::Const(v.resize(w)),
+            Expr::Const(v) => {
+                if v.width() < w {
+                    *v = v.resize(w);
+                }
+            }
             Expr::Binary {
-                op: op @ (BinaryOp::Shl | BinaryOp::Shr),
+                op: BinaryOp::Shl | BinaryOp::Shr,
                 lhs,
-                rhs,
-            } => Expr::Binary {
-                op,
-                lhs: Box::new(lhs.widened_to(w, net_width)),
-                rhs,
-            },
+                ..
+            } => lhs.widen(w, net_width),
             Expr::Binary {
                 op:
-                    op @ (BinaryOp::Add
+                    BinaryOp::Add
                     | BinaryOp::Sub
                     | BinaryOp::Mul
                     | BinaryOp::Div
@@ -263,39 +262,33 @@ impl Expr {
                     | BinaryOp::And
                     | BinaryOp::Or
                     | BinaryOp::Xor
-                    | BinaryOp::Xnor),
+                    | BinaryOp::Xnor,
                 lhs,
                 rhs,
-            } => Expr::Binary {
-                op,
-                lhs: Box::new(lhs.widened_to(w, net_width)),
-                rhs: Box::new(rhs.widened_to(w, net_width)),
-            },
+            } => {
+                lhs.widen(w, net_width);
+                rhs.widen(w, net_width);
+            }
             Expr::Unary {
-                op: op @ (UnaryOp::Not | UnaryOp::Negate),
+                op: UnaryOp::Not | UnaryOp::Negate,
                 operand,
-            } => Expr::Unary {
-                op,
-                operand: Box::new(operand.widened_to(w, net_width)),
-            },
-            Expr::Ternary { cond, then, els } => Expr::Ternary {
-                cond,
-                then: Box::new(then.widened_to(w, net_width)),
-                els: Box::new(els.widened_to(w, net_width)),
-            },
-            other => other.padded_to(w, net_width),
+            } => operand.widen(w, net_width),
+            Expr::Ternary { then, els, .. } => {
+                then.widen(w, net_width);
+                els.widen(w, net_width);
+            }
+            _ => self.pad(w, net_width),
         }
     }
 
-    /// Zero-extends a self-determined expression to `w` bits by
+    /// Zero-extends a self-determined expression to `w` bits in place by
     /// concatenating leading zeros.
-    #[must_use]
-    pub fn padded_to(self, w: u32, net_width: &dyn Fn(NetId) -> u32) -> Expr {
+    pub fn pad(&mut self, w: u32, net_width: &dyn Fn(NetId) -> u32) {
         let cur = self.width_with(net_width);
-        if cur >= w {
-            return self;
+        if cur < w {
+            let inner = std::mem::replace(self, Expr::Time);
+            *self = Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), inner]);
         }
-        Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), self])
     }
 
     /// Collects every net read by this expression into `out`.

@@ -8,6 +8,8 @@
 //! * [`vec`](mod@vec) — [`LogicVec`], a packed four-state bit vector with
 //!   X/Z-propagating arithmetic, shifts, comparisons, concatenation and
 //!   part-selects, matching Verilog evaluation semantics.
+//! * [`name`] — [`Name`], the inline identifier string both frontends'
+//!   ASTs use for names and literal text.
 //! * [`source`] — source files, spans and line/column mapping used by both
 //!   language frontends and by the diagnostics engine.
 //! * [`diag`] — structured diagnostics with Vivado-style log rendering
@@ -34,11 +36,13 @@ pub mod bits;
 pub mod diag;
 pub mod ir;
 pub mod logic;
+pub mod name;
 pub mod source;
 pub mod vec;
 
 pub use bits::{BitsRef, ScratchBuf};
 pub use diag::{Diagnostic, Severity};
 pub use logic::Logic;
+pub use name::Name;
 pub use source::{FileId, SourceMap, Span};
 pub use vec::LogicVec;

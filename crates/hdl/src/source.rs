@@ -6,6 +6,7 @@
 //! when turning compiler logs into corrective prompts.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifies a file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,22 +57,32 @@ impl Span {
 pub struct SourceFile {
     name: String,
     text: String,
-    line_starts: Vec<u32>,
+    /// Byte offset of every line start, built on the first line lookup:
+    /// only diagnostics read it, and most compiles report none.
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
     fn new(name: String, text: String) -> SourceFile {
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         SourceFile {
             name,
             text,
-            line_starts,
+            line_starts: OnceLock::new(),
         }
+    }
+
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            std::iter::once(0)
+                .chain(
+                    self.text
+                        .bytes()
+                        .enumerate()
+                        .filter(|&(_, b)| b == b'\n')
+                        .map(|(i, _)| i as u32 + 1),
+                )
+                .collect()
+        })
     }
 
     /// File name as registered (e.g. `shift_register.v`).
@@ -89,7 +100,7 @@ impl SourceFile {
     /// 1-based line number containing byte `offset`.
     #[must_use]
     pub fn line_of(&self, offset: u32) -> u32 {
-        match self.line_starts.binary_search(&offset) {
+        match self.line_starts().binary_search(&offset) {
             Ok(i) => i as u32 + 1,
             Err(i) => i as u32,
         }
@@ -99,7 +110,7 @@ impl SourceFile {
     #[must_use]
     pub fn line_col(&self, offset: u32) -> (u32, u32) {
         let line = self.line_of(offset);
-        let line_start = self.line_starts[(line - 1) as usize];
+        let line_start = self.line_starts()[(line - 1) as usize];
         (line, offset - line_start + 1)
     }
 
@@ -107,12 +118,12 @@ impl SourceFile {
     #[must_use]
     pub fn line_text(&self, line: u32) -> &str {
         let idx = (line - 1) as usize;
-        if idx >= self.line_starts.len() {
+        let line_starts = self.line_starts();
+        if idx >= line_starts.len() {
             return "";
         }
-        let start = self.line_starts[idx] as usize;
-        let end = self
-            .line_starts
+        let start = line_starts[idx] as usize;
+        let end = line_starts
             .get(idx + 1)
             .map_or(self.text.len(), |&e| e as usize);
         self.text[start..end].trim_end_matches(['\n', '\r'])
@@ -121,7 +132,7 @@ impl SourceFile {
     /// Number of lines in the file.
     #[must_use]
     pub fn line_count(&self) -> u32 {
-        self.line_starts.len() as u32
+        self.line_starts().len() as u32
     }
 }
 

@@ -225,17 +225,108 @@ impl LogicVec {
         v
     }
 
-    /// Parses a string of `0 1 x z` characters (MSB first).
+    /// Parses a string of `0 1 x z` characters (MSB first, any case;
+    /// `?` is `z`).
     ///
     /// Returns `None` on empty input or invalid characters.
     #[must_use]
     pub fn parse_binary(s: &str) -> Option<LogicVec> {
-        let bits: Option<Vec<Logic>> = s.chars().map(Logic::from_char).collect();
-        let bits = bits?;
-        if bits.is_empty() {
-            return None;
+        let width = u32::try_from(s.len()).ok().filter(|&w| w > 0)?;
+        LogicVec::from_radix_digits(s.bytes(), 1, width)
+    }
+
+    /// Decodes the digits of a based literal, written most significant
+    /// first, into a `width`-bit vector. Each digit carries `bits_per`
+    /// bits (1, 3 or 4: binary, octal, hex): a digit below the radix
+    /// (`0`-`9`, `a`-`f` in either case), or `x`/`X` (all X) or
+    /// `z`/`Z`/`?` (all Z). Digits beyond `width` are truncated from the
+    /// left; missing high bits are X after a leftmost `x`, Z after a
+    /// leftmost `z`/`?`, and 0 otherwise (IEEE 1364-2005 §3.5.1).
+    ///
+    /// The planes are written directly: a result of 64 bits or fewer
+    /// never touches the heap. Returns `None` when there are no digits or
+    /// one is not valid in the radix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or `bits_per` is not 1, 3 or 4.
+    #[must_use]
+    pub fn from_radix_digits<I>(digits: I, bits_per: u32, width: u32) -> Option<LogicVec>
+    where
+        I: DoubleEndedIterator<Item = u8>,
+    {
+        assert!(matches!(bits_per, 1 | 3 | 4), "radix of {bits_per} bits");
+        let mut v = LogicVec::zeros(width);
+        let words = v.aval.len();
+        let mut pos = 0u32; // bit position of the next digit's LSB
+        let mut leftmost = None;
+        for d in digits.rev() {
+            let group = low_mask(bits_per);
+            let (a, b) = match d {
+                b'x' | b'X' => (group, group),
+                b'z' | b'Z' | b'?' => (0, group),
+                _ => (u64::from(char::from(d).to_digit(1 << bits_per)?), 0),
+            };
+            leftmost = Some(d);
+            if pos < width {
+                let (w, shift) = ((pos / 64) as usize, pos % 64);
+                v.aval[w] |= a << shift;
+                v.bval[w] |= b << shift;
+                // An octal digit can straddle a word boundary.
+                if shift + bits_per > 64 && w + 1 < words {
+                    v.aval[w + 1] |= a >> (64 - shift);
+                    v.bval[w + 1] |= b >> (64 - shift);
+                }
+            }
+            pos = pos.saturating_add(bits_per);
         }
-        Some(LogicVec::from_bits_msb_first(&bits))
+        let pad = match leftmost? {
+            b'x' | b'X' => Logic::X,
+            b'z' | b'Z' | b'?' => Logic::Z,
+            _ => Logic::Zero,
+        };
+        if pad != Logic::Zero {
+            for i in pos..width {
+                v.set(i, pad);
+            }
+        }
+        v.bits_mut().mask_top();
+        Some(v)
+    }
+
+    /// Decodes a decimal digit string into a `width`-bit vector, the
+    /// value taken modulo 2^`width` (a sized decimal literal keeps its
+    /// low bits). The planes are written directly: a result of 64 bits
+    /// or fewer never touches the heap, and values of any length are
+    /// accepted. Returns `None` when there are no digits or one is not
+    /// `0`-`9`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    #[must_use]
+    pub fn from_decimal_digits(
+        digits: impl IntoIterator<Item = u8>,
+        width: u32,
+    ) -> Option<LogicVec> {
+        let mut v = LogicVec::zeros(width);
+        let mut any = false;
+        for d in digits {
+            if !d.is_ascii_digit() {
+                return None;
+            }
+            any = true;
+            // aval = aval * 10 + d, word by word; the carry out of the
+            // top word is dropped (and the top word masked below).
+            let mut carry = u128::from(d - b'0');
+            for w in v.aval.iter_mut() {
+                let t = u128::from(*w) * 10 + carry;
+                *w = t as u64;
+                carry = t >> 64;
+            }
+        }
+        v.bits_mut().mask_top();
+        any.then_some(v)
     }
 
     /// Width of this vector in bits.
@@ -902,6 +993,111 @@ mod tests {
             assert_eq!(ones.not().count_ones(), Some(0));
             assert_eq!(ones.concat(&ones).width(), 2 * w);
             assert_eq!(ones.slice(w - 1, 0), ones);
+        }
+    }
+
+    /// The per-bit bit-string decoder `parse_binary` replaced, kept as
+    /// the oracle of the property test below.
+    fn parse_binary_oracle(s: &str) -> Option<LogicVec> {
+        let bits: Option<Vec<Logic>> = s.chars().map(Logic::from_char).collect();
+        let bits = bits?;
+        if bits.is_empty() {
+            return None;
+        }
+        Some(LogicVec::from_bits_msb_first(&bits))
+    }
+
+    #[test]
+    fn bit_strings_at_word_edges() {
+        for w in [1usize, 63, 64, 65, 128, 129] {
+            for pattern in ["1", "0", "x", "Z", "?", "10xz"] {
+                let text: String = pattern.chars().cycle().take(w).collect();
+                let v = LogicVec::parse_binary(&text).expect("valid bit string");
+                assert_eq!(v.width() as usize, w, "{text}");
+                assert_eq!(Some(v.clone()), parse_binary_oracle(&text), "{text}");
+                // MSB first: the first character is the top bit.
+                let top = Logic::from_char(text.chars().next().expect("non-empty"));
+                assert_eq!(v.get(w as u32 - 1), top.expect("valid"), "{text}");
+            }
+        }
+        // Inline up to 64 bits, spilled beyond: the decoder writes the
+        // canonical representation directly.
+        assert!(!LogicVec::parse_binary(&"1".repeat(64))
+            .expect("valid")
+            .is_spilled());
+        assert!(LogicVec::parse_binary(&"1".repeat(65))
+            .expect("valid")
+            .is_spilled());
+        for bad in ["", "2", "1_0", "10 ", "1\u{e9}"] {
+            assert_eq!(LogicVec::parse_binary(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn radix_digits_pad_and_truncate() {
+        let bits = |s: &str| LogicVec::parse_binary(s).expect("test vector");
+        let hex = |d: &str, w| LogicVec::from_radix_digits(d.bytes(), 4, w);
+        // Left truncation, across the word boundary.
+        assert_eq!(hex("1F", 4), Some(bits("1111")));
+        assert_eq!(hex("3FFFFFFFFFFFFFFFF", 65), Some(bits(&"1".repeat(65))));
+        // Zero, X and Z extension after a known, x or z leftmost digit.
+        assert_eq!(hex("8", 65), Some(bits(&format!("{}1000", "0".repeat(61)))));
+        assert_eq!(
+            hex("x1", 129),
+            Some(bits(&format!("{}0001", "x".repeat(125))))
+        );
+        assert_eq!(hex("?", 63), Some(bits(&"z".repeat(63))));
+        // An octal digit straddling bits 63..65.
+        assert_eq!(
+            LogicVec::from_radix_digits(format!("7{}", "0".repeat(21)).bytes(), 3, 66),
+            Some(bits(&format!("111{}", "0".repeat(63))))
+        );
+        // Out-of-radix digits and empty input are rejected.
+        assert_eq!(LogicVec::from_radix_digits("12".bytes(), 1, 8), None);
+        assert_eq!(LogicVec::from_radix_digits("8".bytes(), 3, 8), None);
+        assert_eq!(hex("g", 8), None);
+        assert_eq!(hex("", 8), None);
+    }
+
+    #[test]
+    fn decimal_digits_wrap_modulo_the_width() {
+        let dec = |d: &str, w| LogicVec::from_decimal_digits(d.bytes(), w);
+        assert_eq!(dec("300", 8), Some(LogicVec::from_u64(8, 44)));
+        assert_eq!(
+            dec("18446744073709551615", 64),
+            Some(LogicVec::from_u64(64, u64::MAX))
+        );
+        // 2^64 in 65 and 129 bits, and 2^129 wrapping to zero.
+        let mut two_pow_64 = LogicVec::zeros(129);
+        two_pow_64.set(64, Logic::One);
+        assert_eq!(dec("18446744073709551616", 129), Some(two_pow_64.clone()));
+        assert_eq!(
+            dec("18446744073709551616", 65),
+            Some(two_pow_64.slice(64, 0))
+        );
+        assert_eq!(dec("18446744073709551616", 63), Some(LogicVec::zeros(63)));
+        assert_eq!(
+            dec("680564733841876926926749214863536422912", 129),
+            Some(LogicVec::zeros(129))
+        );
+        assert_eq!(dec("", 8), None);
+        assert_eq!(dec("1x", 8), None);
+    }
+
+    proptest::proptest! {
+        /// `parse_binary` writes the planes directly and agrees with the
+        /// per-bit oracle on every input.
+        #[test]
+        fn parse_binary_matches_per_bit_oracle(s in "[01xXzZ?_2 \u{e9}]{0,140}") {
+            proptest::prop_assert_eq!(LogicVec::parse_binary(&s), parse_binary_oracle(&s));
+        }
+
+        /// Hex digits of any count agree with the plane-by-plane value.
+        #[test]
+        fn hex_digits_match_u64(v in 0u64..u64::MAX, w in 1u32..=64) {
+            let digits = format!("{v:x}");
+            let want = LogicVec::from_u64(w, v);
+            proptest::prop_assert_eq!(LogicVec::from_radix_digits(digits.bytes(), 4, w), Some(want));
         }
     }
 }

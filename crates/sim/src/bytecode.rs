@@ -4,15 +4,17 @@
 //! [`Simulator::new`](crate::Simulator::new) every expression of every
 //! process — assignment values, l-value bit-select indices, delay
 //! amounts, branch conditions and system-task arguments (`$monitor`
-//! included) — is lowered **once** into a flat [`ExprProgram`]: a
-//! post-order sequence of [`Op`]s reading and writing numbered scratch
-//! slots, executed by a tight non-recursive loop over a per-simulator
+//! included) — is lowered **once** into a program: a post-order
+//! sequence of [`Op`]s reading and writing numbered scratch slots,
+//! executed by a tight non-recursive loop over a per-simulator
 //! [`ScratchArena`] that is allocated once and reused for every
-//! evaluation. The hot loop of a simulation evaluates the same handful
+//! evaluation. All programs of one simulator live in one
+//! [`ProgramStore`]: one op list plus offsets, so lowering a design
+//! allocates a handful of growing vectors, not two per expression. The hot loop of a simulation evaluates the same handful
 //! of expressions millions of times, so it pays no recursion, no
 //! `match` on boxed nodes and no pointer chasing.
 //!
-//! Because every net's width is known at lowering time, `compile`
+//! Because every net's width is known at lowering time, lowering
 //! additionally infers a static width bound for each scratch slot (all
 //! width rules — `max`, sum, `count * w` — are monotone in their
 //! operands, so the bound holds for every dynamic evaluation). The
@@ -45,8 +47,8 @@ use aivril_hdl::vec::LogicVec;
 /// module docs).
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
-    /// `slot[dst] = value`.
-    Const { dst: u32, value: LogicVec },
+    /// `slot[dst] = consts[value]`, from the store's constant pool.
+    Const { dst: u32, value: u32 },
     /// `slot[dst] = nets[net]`.
     Net { dst: u32, net: NetId },
     /// Bit-select: the index value is already in `slot[dst]`;
@@ -76,79 +78,95 @@ pub(crate) enum Op {
     EdgeFlag { dst: u32, net: NetId, rising: bool },
 }
 
-/// A compiled expression: the op sequence, the arena height it needs,
-/// and a static per-slot width bound. Executing it leaves the result in
-/// slot 0.
-#[derive(Debug, Clone)]
-pub(crate) struct ExprProgram {
+/// Every compiled expression of one simulator: one flat op list, the
+/// offset where each program starts, the constants the ops load, and a
+/// running per-slot width bound over all of them. Executing program `i`
+/// leaves its result in slot 0.
+#[derive(Debug)]
+pub(crate) struct ProgramStore {
     ops: Vec<Op>,
-    slots: u32,
-    /// Maximum width any op result can take in each slot, inferred at
-    /// compile time from the net-width environment.
+    /// Constant pool: kept out of the ops so an op stays a few words.
+    consts: Vec<LogicVec>,
+    /// `ops[starts[i]..starts[i + 1]]` is program `i`.
+    starts: Vec<u32>,
+    /// Maximum width any op result can take in each slot, over every
+    /// program compiled so far, inferred from the net-width environment.
     slot_widths: Vec<u32>,
 }
 
-impl ExprProgram {
-    /// Scratch slots this program requires.
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> u32 {
-        self.slots
+impl Default for ProgramStore {
+    fn default() -> ProgramStore {
+        ProgramStore {
+            ops: Vec::new(),
+            consts: Vec::new(),
+            starts: vec![0],
+            slot_widths: Vec::new(),
+        }
+    }
+}
+
+impl ProgramStore {
+    /// Lowers `expr` into a new program against the design's net widths
+    /// (`net_widths[net.0]`) and returns its index.
+    pub(crate) fn compile(&mut self, expr: &Expr, net_widths: &[u32]) -> usize {
+        compile_into(expr, 0, net_widths, self);
+        self.starts.push(self.ops.len() as u32);
+        self.starts.len() - 2
     }
 
-    /// Static per-slot width bounds (one entry per slot).
-    #[cfg(test)]
+    /// The ops of program `i`.
+    fn program(&self, i: usize) -> &[Op] {
+        &self.ops[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Appends `op = Const` loading `value` into slot `dst`.
+    fn push_const(&mut self, dst: u32, value: LogicVec) {
+        let index = self.consts.len() as u32;
+        self.consts.push(value);
+        self.ops.push(Op::Const { dst, value: index });
+    }
+
+    /// Number of programs compiled so far.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Static per-slot width bounds, one entry per slot any program uses.
     pub(crate) fn slot_widths(&self) -> &[u32] {
         &self.slot_widths
     }
 }
 
-/// Lowers `expr` into a flat program against the design's net widths
-/// (`net_widths[net.0]`). Pure function of the expression; called once
-/// per expression at simulator construction.
-pub(crate) fn compile(expr: &Expr, net_widths: &[u32]) -> ExprProgram {
-    let mut prog = ExprProgram {
-        ops: Vec::new(),
-        slots: 0,
-        slot_widths: Vec::new(),
-    };
-    compile_into(expr, 0, net_widths, &mut prog);
-    prog
-}
-
 /// Records that slot `dst` can hold a `width`-bit result.
-fn note_width(prog: &mut ExprProgram, dst: u32, width: u32) {
+fn note_width(store: &mut ProgramStore, dst: u32, width: u32) {
     let d = dst as usize;
-    if d >= prog.slot_widths.len() {
-        prog.slot_widths.resize(d + 1, 1);
+    if d >= store.slot_widths.len() {
+        store.slot_widths.resize(d + 1, 1);
     }
-    prog.slot_widths[d] = prog.slot_widths[d].max(width.max(1));
+    store.slot_widths[d] = store.slot_widths[d].max(width.max(1));
 }
 
 /// Lowers `expr` with its result in `dst`; returns the static width
 /// bound of that result.
-fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgram) -> u32 {
-    prog.slots = prog.slots.max(dst + 1);
+fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], store: &mut ProgramStore) -> u32 {
     let net_width = |net: &NetId| net_widths.get(net.0 as usize).copied().unwrap_or(1);
     let width = match expr {
         Expr::Const(value) => {
             let w = value.width();
-            prog.ops.push(Op::Const {
-                dst,
-                value: value.clone(),
-            });
+            store.push_const(dst, value.clone());
             w
         }
         Expr::Net(net) => {
-            prog.ops.push(Op::Net { dst, net: *net });
+            store.ops.push(Op::Net { dst, net: *net });
             net_width(net)
         }
         Expr::Index { net, index } => {
-            compile_into(index, dst, net_widths, prog);
-            prog.ops.push(Op::Index { dst, net: *net });
+            compile_into(index, dst, net_widths, store);
+            store.ops.push(Op::Index { dst, net: *net });
             1
         }
         Expr::Range { net, msb, lsb } => {
-            prog.ops.push(Op::Range {
+            store.ops.push(Op::Range {
                 dst,
                 net: *net,
                 msb: *msb,
@@ -157,17 +175,17 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             msb.max(lsb) - msb.min(lsb) + 1
         }
         Expr::Unary { op, operand } => {
-            let w = compile_into(operand, dst, net_widths, prog);
-            prog.ops.push(Op::Unary { dst, op: *op });
+            let w = compile_into(operand, dst, net_widths, store);
+            store.ops.push(Op::Unary { dst, op: *op });
             match op {
                 UnaryOp::Not | UnaryOp::Negate => w,
                 _ => 1,
             }
         }
         Expr::Binary { op, lhs, rhs } => {
-            let wl = compile_into(lhs, dst, net_widths, prog);
-            let wr = compile_into(rhs, dst + 1, net_widths, prog);
-            prog.ops.push(Op::Binary { dst, op: *op });
+            let wl = compile_into(lhs, dst, net_widths, store);
+            let wr = compile_into(rhs, dst + 1, net_widths, store);
+            store.ops.push(Op::Binary { dst, op: *op });
             match op {
                 BinaryOp::And
                 | BinaryOp::Or
@@ -186,43 +204,40 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             // Both arms are always evaluated (expressions are pure, so
             // this is unobservable); Select picks per the tree walker's
             // exact rules, including the unknown-condition X-merge.
-            compile_into(cond, dst, net_widths, prog);
-            let wt = compile_into(then, dst + 1, net_widths, prog);
-            let we = compile_into(els, dst + 2, net_widths, prog);
-            prog.ops.push(Op::Select { dst });
+            compile_into(cond, dst, net_widths, store);
+            let wt = compile_into(then, dst + 1, net_widths, store);
+            let we = compile_into(els, dst + 2, net_widths, store);
+            store.ops.push(Op::Select { dst });
             wt.max(we)
         }
         Expr::Concat(parts) => match parts.split_first() {
             None => {
-                prog.ops.push(Op::Const {
-                    dst,
-                    value: LogicVec::zeros(1),
-                });
+                store.push_const(dst, LogicVec::zeros(1));
                 1
             }
             Some((first, rest)) => {
-                let mut acc = compile_into(first, dst, net_widths, prog);
+                let mut acc = compile_into(first, dst, net_widths, store);
                 for part in rest {
-                    let wp = compile_into(part, dst + 1, net_widths, prog);
-                    prog.ops.push(Op::Concat2 { dst });
+                    let wp = compile_into(part, dst + 1, net_widths, store);
+                    store.ops.push(Op::Concat2 { dst });
                     acc = acc.saturating_add(wp);
-                    note_width(prog, dst, acc);
+                    note_width(store, dst, acc);
                 }
                 acc
             }
         },
         Expr::Repeat { count, operand } => {
-            let w = compile_into(operand, dst, net_widths, prog);
+            let w = compile_into(operand, dst, net_widths, store);
             let count = (*count).max(1);
-            prog.ops.push(Op::Repeat { dst, count });
+            store.ops.push(Op::Repeat { dst, count });
             w.saturating_mul(count)
         }
         Expr::Time => {
-            prog.ops.push(Op::Time { dst });
+            store.ops.push(Op::Time { dst });
             64
         }
         Expr::EdgeFlag { net, rising } => {
-            prog.ops.push(Op::EdgeFlag {
+            store.ops.push(Op::EdgeFlag {
                 dst,
                 net: *net,
                 rising: *rising,
@@ -230,7 +245,7 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             1
         }
     };
-    note_width(prog, dst, width);
+    note_width(store, dst, width);
     width
 }
 
@@ -255,22 +270,10 @@ pub(crate) struct ScratchArena {
 }
 
 impl ScratchArena {
-    /// Builds an arena sized for every program in `progs`.
-    pub(crate) fn for_programs<'a, I>(progs: I) -> ScratchArena
-    where
-        I: IntoIterator<Item = &'a ExprProgram>,
-    {
-        let mut widths: Vec<u32> = Vec::new();
-        let mut max_width = 1u32;
-        for prog in progs {
-            for (i, &w) in prog.slot_widths.iter().enumerate() {
-                if i >= widths.len() {
-                    widths.resize(i + 1, 1);
-                }
-                widths[i] = widths[i].max(w);
-                max_width = max_width.max(w);
-            }
-        }
+    /// Builds an arena sized for every program in `store`.
+    pub(crate) fn for_programs(store: &ProgramStore) -> ScratchArena {
+        let widths = store.slot_widths();
+        let max_width = widths.iter().copied().fold(1, u32::max);
         ScratchArena {
             slots: widths.iter().map(|&w| ScratchBuf::with_width(w)).collect(),
             spare: ScratchBuf::with_width(max_width),
@@ -310,23 +313,27 @@ impl ScratchArena {
     }
 }
 
-/// Runs `prog` against the current net `values`, leaving the result in
-/// the arena's slot 0 (read it with [`ScratchArena::result`]).
+/// Runs program `prog` of `store` against the current net `values`,
+/// leaving the result in the arena's slot 0 (read it with
+/// [`ScratchArena::result`]).
 ///
 /// Every op executes in place over the pre-sized slot buffers; the only
 /// possible steady-state allocation is a slot outgrowing its static
 /// bound, which the arena counts in [`ScratchArena::allocs`].
 pub(crate) fn exec(
-    prog: &ExprProgram,
+    store: &ProgramStore,
+    prog: usize,
     values: &[LogicVec],
     time: u64,
     last_wake: Option<NetId>,
     arena: &mut ScratchArena,
 ) {
     let ScratchArena { slots, spare } = arena;
-    for op in &prog.ops {
+    for op in store.program(prog) {
         match op {
-            Op::Const { dst, value } => slots[*dst as usize].load(value.as_bits()),
+            Op::Const { dst, value } => {
+                slots[*dst as usize].load(store.consts[*value as usize].as_bits());
+            }
             Op::Net { dst, net } => slots[*dst as usize].load(values[net.0 as usize].as_bits()),
             Op::Index { dst, net } => {
                 let value = &values[net.0 as usize];
@@ -497,6 +504,14 @@ mod tests {
     use proptest::prelude::*;
     use proptest::strategy::BoxedStrategy;
 
+    /// Lowers `expr` alone into a store, with an arena sized for it.
+    fn compile(expr: &Expr, net_widths: &[u32]) -> (ProgramStore, ScratchArena) {
+        let mut store = ProgramStore::default();
+        assert_eq!(store.compile(expr, net_widths), 0);
+        let arena = ScratchArena::for_programs(&store);
+        (store, arena)
+    }
+
     /// Runs `expr` through both evaluators and asserts bit-for-bit
     /// agreement (width included, via `PartialEq`).
     fn check(expr: &Expr, values: &[LogicVec], time: u64, last_wake: Option<NetId>) {
@@ -506,9 +521,8 @@ mod tests {
             last_wake,
         }
         .eval(expr);
-        let prog = compile(expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, values, time, last_wake, &mut arena);
+        let (store, mut arena) = compile(expr, &NET_WIDTHS);
+        exec(&store, 0, values, time, last_wake, &mut arena);
         assert_eq!(
             arena.result_vec(),
             oracle,
@@ -694,10 +708,9 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 0x5a))
             .collect();
-        let prog = compile(&expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
+        let (store, mut arena) = compile(&expr, &NET_WIDTHS);
         for _ in 0..100 {
-            exec(&prog, &values, 0, None, &mut arena);
+            exec(&store, 0, &values, 0, None, &mut arena);
         }
         assert_eq!(arena.allocs(), 0, "no growth events may occur");
     }
@@ -716,10 +729,9 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 1))
             .collect();
-        let prog = compile(&expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
+        let (store, mut arena) = compile(&expr, &NET_WIDTHS);
         for _ in 0..1000 {
-            exec(&prog, &values, 0, None, &mut arena);
+            exec(&store, 0, &values, 0, None, &mut arena);
         }
         assert_eq!(arena.allocs(), 0, "wide ops must stay in the arena");
         assert_eq!(arena.result_vec().to_u64(), Some(2));
@@ -739,9 +751,8 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 1))
             .collect();
-        let prog = compile(&expr, &[]);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, &values, 0, None, &mut arena);
+        let (store, mut arena) = compile(&expr, &[]);
+        exec(&store, 0, &values, 0, None, &mut arena);
         assert_eq!(arena.result_vec().to_u64(), Some(2));
         assert!(arena.allocs() > 0, "under-sized slots must count growth");
     }
@@ -757,9 +768,9 @@ mod tests {
                 rhs: Box::new(Expr::constant(8, i)),
             };
         }
-        let prog = compile(&expr, &NET_WIDTHS);
-        assert_eq!(prog.slots(), 2);
-        assert_eq!(prog.slot_widths(), &[8, 8]);
+        let (store, arena) = compile(&expr, &NET_WIDTHS);
+        assert_eq!(store.slot_widths(), &[8, 8]);
+        assert_eq!(arena.slot_count(), 2);
     }
 
     #[test]
@@ -781,9 +792,8 @@ mod tests {
                     lhs: Box::new(Expr::constant(8, 0xA5)),
                     rhs: Box::new(Expr::Const(amount.clone())),
                 };
-                let prog = compile(&expr, &NET_WIDTHS);
-                let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-                exec(&prog, &[], 0, None, &mut arena);
+                let (store, mut arena) = compile(&expr, &NET_WIDTHS);
+                exec(&store, 0, &[], 0, None, &mut arena);
                 assert_eq!(&arena.result_vec(), *want, "8'ha5 {op:?} {amount}");
             }
         }
@@ -791,9 +801,8 @@ mod tests {
 
     #[test]
     fn empty_concat_compiles_to_one_bit_zero() {
-        let prog = compile(&Expr::Concat(vec![]), &[]);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, &[], 0, None, &mut arena);
+        let (store, mut arena) = compile(&Expr::Concat(vec![]), &[]);
+        exec(&store, 0, &[], 0, None, &mut arena);
         assert_eq!(arena.result_vec(), LogicVec::zeros(1));
     }
 }

@@ -1,6 +1,6 @@
 //! The event-driven simulation kernel.
 
-use crate::bytecode::{self, ExprProgram, ScratchArena};
+use crate::bytecode::{self, ProgramStore, ScratchArena};
 use crate::format::render_args;
 use crate::result::{LimitKind, LogLine, SimConfig, SimResult};
 use crate::sched::FutureQueue;
@@ -105,13 +105,16 @@ pub struct Simulator<'d> {
     values: Vec<LogicVec>,
     procs: Vec<ProcState>,
     /// Every expression of the design, lowered once at
-    /// [`Simulator::new`] (see [`crate::bytecode`]). An instruction's
-    /// programs are contiguous: an assignment's value, then its l-value
-    /// indices in resolution order; a delay amount; a branch condition;
-    /// a system task's arguments.
-    programs: Vec<ExprProgram>,
-    /// Per-process, per-pc index of the instruction's first program.
-    first_program: Vec<Vec<u32>>,
+    /// [`Simulator::new`] into one store (see [`crate::bytecode`]). An
+    /// instruction's programs are contiguous: an assignment's value,
+    /// then its l-value indices in resolution order; a delay amount; a
+    /// branch condition; a system task's arguments.
+    programs: ProgramStore,
+    /// Index of the first program of the instruction at `(pid, pc)`,
+    /// found at `first_program[proc_base[pid] + pc]`.
+    first_program: Vec<u32>,
+    /// Offset of each process's instructions in `first_program`.
+    proc_base: Vec<u32>,
     /// The shared evaluation arena: one pre-sized wide buffer per
     /// scratch slot, sized at lowering from the static width bounds of
     /// every compiled program. Allocated once; every compiled
@@ -389,40 +392,39 @@ impl<'d> Simulator<'d> {
         // every slot — steady-state evaluation then never touches the
         // heap, regardless of datapath width.
         let net_widths: Vec<u32> = design.nets.iter().map(|n| n.width).collect();
-        let mut programs = Vec::new();
+        let mut programs = ProgramStore::default();
         let mut nba_words = 0;
-        let first_program = design
-            .processes
-            .iter()
-            .map(|p| {
-                p.body
-                    .iter()
-                    .map(|instr| {
-                        let first = programs.len() as u32;
-                        let mut lower = |e: &Expr| programs.push(bytecode::compile(e, &net_widths));
-                        match instr {
-                            Instr::BlockingAssign { lvalue, expr }
-                            | Instr::NonblockingAssign { lvalue, expr } => {
-                                lower(expr);
-                                for_each_leaf(lvalue, 0, design, &mut |leaf, _| {
-                                    if let LValue::Index(_, index) = leaf {
-                                        lower(index);
-                                    }
-                                });
+        let mut proc_base = Vec::with_capacity(design.processes.len());
+        let mut first_program =
+            Vec::with_capacity(design.processes.iter().map(|p| p.body.len()).sum());
+        for p in &design.processes {
+            proc_base.push(first_program.len() as u32);
+            for instr in &p.body {
+                // The index the instruction's first program will get.
+                first_program.push(programs.len() as u32);
+                let mut lower = |e: &Expr| {
+                    programs.compile(e, &net_widths);
+                };
+                match instr {
+                    Instr::BlockingAssign { lvalue, expr }
+                    | Instr::NonblockingAssign { lvalue, expr } => {
+                        lower(expr);
+                        for_each_leaf(lvalue, 0, design, &mut |leaf, _| {
+                            if let LValue::Index(_, index) = leaf {
+                                lower(index);
                             }
-                            Instr::Delay { amount } => lower(amount),
-                            Instr::BranchIfFalse { cond, .. } => lower(cond),
-                            Instr::SysCall { args, .. } => args.iter().for_each(lower),
-                            Instr::WaitEvent { .. } | Instr::Jump(_) | Instr::Halt => {}
-                        }
-                        if let Instr::NonblockingAssign { lvalue, .. } = instr {
-                            nba_words += lvalue.width(design).div_ceil(64) as usize;
-                        }
-                        first
-                    })
-                    .collect()
-            })
-            .collect();
+                        });
+                    }
+                    Instr::Delay { amount } => lower(amount),
+                    Instr::BranchIfFalse { cond, .. } => lower(cond),
+                    Instr::SysCall { args, .. } => args.iter().for_each(lower),
+                    Instr::WaitEvent { .. } | Instr::Jump(_) | Instr::Halt => {}
+                }
+                if let Instr::NonblockingAssign { lvalue, .. } = instr {
+                    nba_words += lvalue.width(design).div_ceil(64) as usize;
+                }
+            }
+        }
         let arena = ScratchArena::for_programs(&programs);
         Simulator {
             design,
@@ -431,6 +433,7 @@ impl<'d> Simulator<'d> {
             procs,
             programs,
             first_program,
+            proc_base,
             arena,
             runnable,
             inactive: Vec::new(),
@@ -644,14 +647,15 @@ impl<'d> Simulator<'d> {
     /// Index of the first compiled program of the instruction at
     /// `(pid, pc)`.
     fn first_program(&self, pid: usize, pc: usize) -> usize {
-        self.first_program[pid][pc] as usize
+        self.first_program[self.proc_base[pid] as usize + pc] as usize
     }
 
     /// Executes compiled program `prog` into the shared arena (result
     /// readable at `self.arena.result()` afterwards).
     fn exec_program(&mut self, prog: usize, wake: Option<NetId>) {
         bytecode::exec(
-            &self.programs[prog],
+            &self.programs,
+            prog,
             &self.values,
             self.time,
             wake,

@@ -1,6 +1,7 @@
 //! Abstract syntax tree for the Verilog-2001 subset.
 
 use aivril_hdl::source::Span;
+use aivril_hdl::Name;
 use std::sync::Arc;
 
 /// A parsed compilation unit (one or more source files).
@@ -250,12 +251,12 @@ pub enum Stmt {
     },
     /// `for (init; cond; step) body`
     For {
-        /// Init assignment `(target, value)`.
-        init: (Expr, Expr),
+        /// Init assignment, a [`Stmt::Blocking`] with its own span.
+        init: Box<Stmt>,
         /// Loop condition.
         cond: Expr,
-        /// Step assignment `(target, value)`.
-        step: (Expr, Expr),
+        /// Step assignment, a [`Stmt::Blocking`] with its own span.
+        step: Box<Stmt>,
         /// Body.
         body: Box<Stmt>,
     },
@@ -291,6 +292,8 @@ pub enum Stmt {
         events: Vec<EventExpr>,
         /// Optional controlled statement.
         then: Option<Box<Stmt>>,
+        /// Location of the `@`.
+        span: Span,
     },
     /// `wait (cond) [stmt]` — level-sensitive wait.
     WaitCond {
@@ -322,19 +325,22 @@ pub enum SysArg {
 }
 
 /// An expression with location info on the leaves that need it.
+///
+/// Identifier and literal text is a [`Name`], which derefs to `&str`
+/// and keeps short text inline.
 #[derive(Debug, Clone)]
 pub enum Expr {
     /// Integer literal text (e.g. `8'hFF`), value-parsed at elaboration.
     Number {
-        /// Literal text as written.
-        text: String,
+        /// Literal text as written, blanks removed.
+        text: Name,
         /// Location.
         span: Span,
     },
     /// Identifier reference.
     Ident {
         /// Name.
-        name: String,
+        name: Name,
         /// Location.
         span: Span,
     },

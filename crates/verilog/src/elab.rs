@@ -66,10 +66,10 @@ struct NetInfo {
 
 /// A module function, resolved at declaration time.
 #[derive(Debug, Clone)]
-struct FunctionSig {
+struct FunctionSig<'a> {
     width: u32,
-    inputs: Vec<(String, u32)>,
-    body: ast::Stmt,
+    inputs: Vec<(&'a str, u32)>,
+    body: &'a ast::Stmt,
 }
 
 /// One declared memory: its element nets in address order.
@@ -81,13 +81,26 @@ struct MemInfo {
     base: i64,
 }
 
-#[derive(Debug, Default)]
-struct Scope {
+/// The names visible in one module instance, keyed by their text in
+/// the AST.
+#[derive(Debug, Default, Clone)]
+struct Scope<'a> {
     prefix: String,
-    params: HashMap<String, i64>,
-    nets: HashMap<String, NetInfo>,
-    functions: HashMap<String, FunctionSig>,
-    mems: HashMap<String, MemInfo>,
+    params: HashMap<&'a str, i64>,
+    nets: HashMap<&'a str, NetInfo>,
+    functions: HashMap<&'a str, FunctionSig<'a>>,
+    mems: HashMap<&'a str, MemInfo>,
+}
+
+/// One port of a module as elaboration sees it, borrowed from either
+/// an ANSI header or a non-ANSI body declaration.
+#[derive(Debug, Clone, Copy)]
+struct PortView<'a> {
+    dir: PortDir,
+    net_type: NetType,
+    range: &'a Option<(ast::Expr, ast::Expr)>,
+    name: &'a str,
+    span: Span,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +135,7 @@ impl<'a> Elaborator<'a, '_> {
         &mut self,
         module: &'a Module,
         prefix: String,
-        bindings: HashMap<String, i64>,
+        bindings: HashMap<&'a str, i64>,
         conns: Option<PortBinding<'a, '_>>,
         depth: u32,
     ) {
@@ -141,8 +154,18 @@ impl<'a> Elaborator<'a, '_> {
 
         // Non-ANSI headers list bare names; their direction/type/range
         // come from body `input`/`output` declarations.
-        let ports: Vec<ast::Port> = if module.nonansi_ports.is_empty() {
-            module.ports.clone()
+        let ports: Vec<PortView<'a>> = if module.nonansi_ports.is_empty() {
+            module
+                .ports
+                .iter()
+                .map(|p| PortView {
+                    dir: p.dir,
+                    net_type: p.net_type,
+                    range: &p.range,
+                    name: &p.name,
+                    span: p.span,
+                })
+                .collect()
         } else {
             self.resolve_nonansi_ports(module)
         };
@@ -150,11 +173,11 @@ impl<'a> Elaborator<'a, '_> {
 
         // --- Pass 0: header parameters (defaults overridden by bindings).
         for p in &module.params {
-            let value = match bindings.get(&p.name) {
+            let value = match bindings.get(p.name.as_str()) {
                 Some(&v) => v,
                 None => self.eval_const(&p.default, &scope).unwrap_or(0),
             };
-            scope.params.insert(p.name.clone(), value);
+            scope.params.insert(&p.name, value);
         }
 
         // --- Pass 1: declarations (ports, nets, body params).
@@ -166,15 +189,8 @@ impl<'a> Elaborator<'a, '_> {
                     port.span,
                 );
             }
-            let width = self.range_width(&port.range, &scope);
-            self.declare_net(
-                &mut scope,
-                &port.name,
-                width,
-                port.net_type,
-                None,
-                port.span,
-            );
+            let width = self.range_width(port.range, &scope);
+            self.declare_net(&mut scope, port.name, width, port.net_type, None, port.span);
         }
         for item in &module.items {
             match item {
@@ -183,12 +199,12 @@ impl<'a> Elaborator<'a, '_> {
                     let value = if p.local {
                         self.eval_const(&p.default, &scope).unwrap_or(0)
                     } else {
-                        match bindings.get(&p.name) {
+                        match bindings.get(p.name.as_str()) {
                             Some(&v) => v,
                             None => self.eval_const(&p.default, &scope).unwrap_or(0),
                         }
                     };
-                    scope.params.insert(p.name.clone(), value);
+                    scope.params.insert(&p.name, value);
                 }
                 Item::NetDecl {
                     net_type,
@@ -199,15 +215,15 @@ impl<'a> Elaborator<'a, '_> {
                     for (name, span, init) in names {
                         // `output q; reg q;` legally re-types a non-ANSI
                         // port as a register.
-                        if let Some(info) = scope.nets.get(name).copied() {
-                            let is_port = ports.iter().any(|p| &p.name == name);
+                        if let Some(info) = scope.nets.get(name.as_str()).copied() {
+                            let is_port = ports.iter().any(|p| p.name == name);
                             if is_port
                                 && info.net_type == NetType::Wire
                                 && *net_type == NetType::Reg
                                 && self.design.net(info.id).width == width
                             {
                                 scope.nets.insert(
-                                    name.clone(),
+                                    name,
                                     NetInfo {
                                         id: info.id,
                                         net_type: NetType::Reg,
@@ -246,9 +262,9 @@ impl<'a> Elaborator<'a, '_> {
                             );
                             continue;
                         }
-                        if scope.nets.contains_key(name)
-                            || scope.mems.contains_key(name)
-                            || scope.params.contains_key(name)
+                        if scope.nets.contains_key(name.as_str())
+                            || scope.mems.contains_key(name.as_str())
+                            || scope.params.contains_key(name.as_str())
                         {
                             self.error(
                                 codes::VLOG_REDECLARED,
@@ -268,7 +284,7 @@ impl<'a> Elaborator<'a, '_> {
                             })
                             .collect();
                         scope.mems.insert(
-                            name.clone(),
+                            name,
                             MemInfo {
                                 elems,
                                 width,
@@ -279,19 +295,19 @@ impl<'a> Elaborator<'a, '_> {
                 }
                 Item::Function(f) => {
                     let width = self.range_width(&f.range, &scope);
-                    let inputs: Vec<(String, u32)> = f
+                    let inputs: Vec<(&str, u32)> = f
                         .inputs
                         .iter()
-                        .map(|(n, r, _)| (n.clone(), self.range_width(r, &scope)))
+                        .map(|(n, r, _)| (n.as_str(), self.range_width(r, &scope)))
                         .collect();
                     if scope
                         .functions
                         .insert(
-                            f.name.clone(),
+                            &f.name,
                             FunctionSig {
                                 width,
                                 inputs,
-                                body: f.body.clone(),
+                                body: &f.body,
                             },
                         )
                         .is_some()
@@ -392,11 +408,11 @@ impl<'a> Elaborator<'a, '_> {
                         let value = self.eval_const(expr, &scope).unwrap_or(0);
                         let key = if pname.is_empty() {
                             match child.params.get(i) {
-                                Some(p) => p.name.clone(),
+                                Some(p) => p.name.as_str(),
                                 None => continue,
                             }
                         } else {
-                            pname.clone()
+                            pname.as_str()
                         };
                         if !child.params.iter().any(|p| p.name == key) {
                             self.error(
@@ -427,9 +443,8 @@ impl<'a> Elaborator<'a, '_> {
 
     /// Builds the effective port list of a non-ANSI module from its
     /// header names and body `input`/`output` declarations.
-    fn resolve_nonansi_ports(&mut self, module: &Module) -> Vec<ast::Port> {
-        use std::collections::HashMap as Map;
-        let mut decls: Map<&str, ast::Port> = Map::new();
+    fn resolve_nonansi_ports(&mut self, module: &'a Module) -> Vec<PortView<'a>> {
+        let mut decls: HashMap<&str, PortView<'a>> = HashMap::new();
         for item in &module.items {
             if let Item::PortDecl {
                 dir,
@@ -440,12 +455,12 @@ impl<'a> Elaborator<'a, '_> {
             {
                 for (name, span) in names {
                     decls.insert(
-                        name.as_str(),
-                        ast::Port {
+                        name,
+                        PortView {
                             dir: *dir,
                             net_type: *net_type,
-                            range: range.clone(),
-                            name: name.clone(),
+                            range,
+                            name,
                             span: *span,
                         },
                     );
@@ -475,8 +490,8 @@ impl<'a> Elaborator<'a, '_> {
 
     fn declare_net(
         &mut self,
-        scope: &mut Scope,
-        name: &str,
+        scope: &mut Scope<'a>,
+        name: &'a str,
         width: u32,
         net_type: NetType,
         init: Option<LogicVec>,
@@ -499,12 +514,10 @@ impl<'a> Elaborator<'a, '_> {
             },
             init,
         });
-        scope
-            .nets
-            .insert(name.to_string(), NetInfo { id, net_type });
+        scope.nets.insert(name, NetInfo { id, net_type });
     }
 
-    fn range_width(&mut self, range: &Option<(ast::Expr, ast::Expr)>, scope: &Scope) -> u32 {
+    fn range_width(&mut self, range: &Option<(ast::Expr, ast::Expr)>, scope: &Scope<'a>) -> u32 {
         match range {
             None => 1,
             Some((msb, lsb)) => {
@@ -520,8 +533,8 @@ impl<'a> Elaborator<'a, '_> {
     fn connect_ports(
         &mut self,
         module_name: &str,
-        ports: &[ast::Port],
-        child_scope: &Scope,
+        ports: &[PortView<'a>],
+        child_scope: &Scope<'a>,
         binding: PortBinding<'a, '_>,
     ) {
         let PortBinding {
@@ -529,7 +542,7 @@ impl<'a> Elaborator<'a, '_> {
             parent_scope,
             span,
         } = binding;
-        let pairs: Vec<(&ast::Port, Option<&ast::Expr>, Span)> = match connections {
+        let pairs: Vec<(&PortView<'a>, Option<&ast::Expr>, Span)> = match connections {
             Connections::Positional(exprs) => {
                 if exprs.len() > ports.len() {
                     self.error(
@@ -551,7 +564,7 @@ impl<'a> Elaborator<'a, '_> {
             Connections::Named(named) => {
                 let mut pairs = Vec::new();
                 for (pname, expr, cspan) in named {
-                    match ports.iter().find(|p| &p.name == pname) {
+                    match ports.iter().find(|p| p.name == pname) {
                         Some(port) => pairs.push((port, expr.as_ref(), *cspan)),
                         None => self.error(
                             codes::ELAB_PORT_MISMATCH,
@@ -564,7 +577,7 @@ impl<'a> Elaborator<'a, '_> {
             }
         };
         for (port, expr, cspan) in pairs {
-            let Some(&info) = child_scope.nets.get(&port.name) else {
+            let Some(&info) = child_scope.nets.get(port.name) else {
                 continue;
             };
             match (port.dir, expr) {
@@ -596,127 +609,27 @@ impl<'a> Elaborator<'a, '_> {
     /// are widened recursively (matching IEEE 1364 context-determined
     /// expression sizing), narrower self-determined values are
     /// zero-padded, and truncation earns a Vivado-style warning.
-    fn fit_expr(&mut self, lv: &LValue, rhs: Expr, span: Span) -> Expr {
+    fn fit_expr(&mut self, lv: &LValue, mut rhs: Expr, span: Span) -> Expr {
         let lw = lv.width(&self.design);
-        let rw = self.expr_width(&rhs);
+        let rw = rhs.width_with(&|id| self.design.net(id).width);
         if rw > lw {
             self.warning(
                 codes::WIDTH_MISMATCH,
                 format!("assignment truncates a {rw}-bit expression to {lw} bits"),
                 span,
             );
-            rhs
         } else {
             // Even at equal widths, context sizing must reach narrower
             // inner operands (e.g. `credit + (dime << 1)` where `dime`
-            // is 1 bit): recurse unconditionally.
-            self.widen_expr(rhs, lw)
+            // is 1 bit): widen unconditionally.
+            rhs.widen(lw, &|id| self.design.net(id).width);
         }
-    }
-
-    /// Recursively widens context-determined operators to `w` bits.
-    fn widen_expr(&self, e: Expr, w: u32) -> Expr {
-        let context_determined = matches!(
-            &e,
-            Expr::Const(_)
-                | Expr::Ternary { .. }
-                | Expr::Binary {
-                    op: BinaryOp::Add
-                        | BinaryOp::Sub
-                        | BinaryOp::Mul
-                        | BinaryOp::Div
-                        | BinaryOp::Rem
-                        | BinaryOp::And
-                        | BinaryOp::Or
-                        | BinaryOp::Xor
-                        | BinaryOp::Xnor
-                        | BinaryOp::Shl
-                        | BinaryOp::Shr,
-                    ..
-                }
-                | Expr::Unary {
-                    op: UnaryOp::Not | UnaryOp::Negate,
-                    ..
-                }
-        );
-        if !context_determined {
-            return self.pad_expr(e, w);
-        }
-        match e {
-            Expr::Const(v) if v.width() >= w => Expr::Const(v),
-            Expr::Const(v) => Expr::Const(v.resize(w)),
-            Expr::Binary {
-                op: op @ (BinaryOp::Shl | BinaryOp::Shr),
-                lhs,
-                rhs,
-            } => Expr::Binary {
-                op,
-                lhs: Box::new(self.widen_expr(*lhs, w)),
-                rhs,
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op,
-                lhs: Box::new(self.widen_expr(*lhs, w)),
-                rhs: Box::new(self.widen_expr(*rhs, w)),
-            },
-            Expr::Unary { op, operand } => Expr::Unary {
-                op,
-                operand: Box::new(self.widen_expr(*operand, w)),
-            },
-            Expr::Ternary { cond, then, els } => Expr::Ternary {
-                cond,
-                then: Box::new(self.widen_expr(*then, w)),
-                els: Box::new(self.widen_expr(*els, w)),
-            },
-            other => self.pad_expr(other, w),
-        }
-    }
-
-    /// Zero-extends a self-determined expression by concatenating
-    /// leading zero bits.
-    fn pad_expr(&self, e: Expr, w: u32) -> Expr {
-        let cur = self.expr_width(&e);
-        if cur >= w {
-            return e;
-        }
-        Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), e])
-    }
-
-    fn expr_width(&self, e: &Expr) -> u32 {
-        match e {
-            Expr::Const(v) => v.width(),
-            Expr::Net(id) => self.design.net(*id).width,
-            Expr::Index { .. } => 1,
-            Expr::Range { msb, lsb, .. } => msb - lsb + 1,
-            Expr::Unary { op, operand } => match op {
-                UnaryOp::Not | UnaryOp::Negate => self.expr_width(operand),
-                _ => 1,
-            },
-            Expr::Binary { op, lhs, rhs } => match op {
-                BinaryOp::Eq
-                | BinaryOp::Ne
-                | BinaryOp::CaseEq
-                | BinaryOp::CaseNe
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::LogicalAnd
-                | BinaryOp::LogicalOr => 1,
-                BinaryOp::Shl | BinaryOp::Shr => self.expr_width(lhs),
-                _ => self.expr_width(lhs).max(self.expr_width(rhs)),
-            },
-            Expr::Ternary { then, els, .. } => self.expr_width(then).max(self.expr_width(els)),
-            Expr::Concat(parts) => parts.iter().map(|p| self.expr_width(p)).sum(),
-            Expr::Repeat { count, operand } => count * self.expr_width(operand),
-            Expr::Time => 64,
-            Expr::EdgeFlag { .. } => 1,
-        }
+        rhs
     }
 
     // ---------------------------------------------------- const folding
 
-    fn eval_const(&mut self, e: &ast::Expr, scope: &Scope) -> Option<i64> {
+    fn eval_const(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Option<i64> {
         match self.try_eval_const(e, scope) {
             Some(v) => Some(v),
             None => {
@@ -733,13 +646,13 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn try_eval_const(&self, e: &ast::Expr, scope: &Scope) -> Option<i64> {
+    fn try_eval_const(&self, e: &ast::Expr, scope: &Scope<'a>) -> Option<i64> {
         match e {
             ast::Expr::Number { text, .. } => {
                 let v = crate::literal::try_parse_literal(text)?;
                 v.to_u64().map(|u| u as i64)
             }
-            ast::Expr::Ident { name, .. } => scope.params.get(name).copied(),
+            ast::Expr::Ident { name, .. } => scope.params.get(name.as_str()).copied(),
             ast::Expr::Unary { op, operand } => {
                 let v = self.try_eval_const(operand, scope)?;
                 Some(match op {
@@ -788,14 +701,14 @@ impl<'a> Elaborator<'a, '_> {
 
     // -------------------------------------------------------- lowering
 
-    fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope) -> Expr {
+    fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
         match e {
             ast::Expr::Number { text, span } => Expr::Const(parse_literal(text, *span, self.diags)),
             ast::Expr::Ident { name, span } => {
-                if let Some(&v) = scope.params.get(name) {
+                if let Some(&v) = scope.params.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name) {
+                match scope.nets.get(name.as_str()) {
                     Some(info) => Expr::Net(info.id),
                     None => {
                         self.error(
@@ -809,9 +722,9 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Index { base, index } => {
                 if let ast::Expr::Ident { name, .. } = base.as_ref() {
-                    if let Some(mem) = scope.mems.get(name).cloned() {
+                    if let Some(mem) = scope.mems.get(name.as_str()) {
                         let idx = self.lower_expr(index, scope);
-                        return mem_read_mux(&mem, idx);
+                        return mem_read_mux(mem, idx);
                     }
                 }
                 let Some(net) = self.base_net(base, scope) else {
@@ -936,7 +849,7 @@ impl<'a> Elaborator<'a, '_> {
     /// Lowers an expression in a statement context, inlining any
     /// function calls into `b` (temporaries + the function body) and
     /// substituting the call site with the return temporary.
-    fn lower_expr_proc(&mut self, e: &ast::Expr, scope: &Scope, b: &mut Builder) -> Expr {
+    fn lower_expr_proc(&mut self, e: &'a ast::Expr, scope: &Scope<'a>, b: &mut Builder) -> Expr {
         if !expr_contains_call(e) {
             return self.lower_expr(e, scope);
         }
@@ -995,9 +908,9 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Index { base, index } => {
                 if let ast::Expr::Ident { name, .. } = base.as_ref() {
-                    if let Some(mem) = scope.mems.get(name).cloned() {
+                    if let Some(mem) = scope.mems.get(name.as_str()) {
                         let idx = self.lower_expr_proc(index, scope, b);
-                        return mem_read_mux(&mem, idx);
+                        return mem_read_mux(mem, idx);
                     }
                 }
                 let Some(net) = self.base_net(base, scope) else {
@@ -1018,13 +931,13 @@ impl<'a> Elaborator<'a, '_> {
     /// returns the return temporary.
     fn inline_call(
         &mut self,
-        name: &str,
-        args: &[ast::Expr],
+        name: &'a str,
+        args: &'a [ast::Expr],
         span: Span,
-        scope: &Scope,
+        scope: &Scope<'a>,
         b: &mut Builder,
     ) -> Expr {
-        let Some(sig) = scope.functions.get(name).cloned() else {
+        let Some(sig) = scope.functions.get(name) else {
             self.error(
                 codes::VLOG_UNDECLARED,
                 format!("'{name}' is not a declared function"),
@@ -1056,13 +969,7 @@ impl<'a> Elaborator<'a, '_> {
         let uid = self.inline_counter;
         // Overlay scope: arguments and the return variable shadow module
         // names; everything else (nets, params, functions) stays visible.
-        let mut inner = Scope {
-            prefix: scope.prefix.clone(),
-            params: scope.params.clone(),
-            nets: scope.nets.clone(),
-            functions: scope.functions.clone(),
-            mems: scope.mems.clone(),
-        };
+        let mut inner = scope.clone();
         for ((arg_name, width), arg_expr) in sig.inputs.iter().zip(args) {
             let id = self.design.add_net(Net {
                 name: format!("{}$fn{uid}${arg_name}", scope.prefix),
@@ -1078,7 +985,7 @@ impl<'a> Elaborator<'a, '_> {
                 expr: value,
             });
             inner.nets.insert(
-                arg_name.clone(),
+                arg_name,
                 NetInfo {
                     id,
                     net_type: NetType::Reg,
@@ -1092,7 +999,7 @@ impl<'a> Elaborator<'a, '_> {
             init: None,
         });
         inner.nets.insert(
-            name.to_string(),
+            name,
             NetInfo {
                 id: ret,
                 net_type: NetType::Reg,
@@ -1100,7 +1007,7 @@ impl<'a> Elaborator<'a, '_> {
         );
         let body_start = b.here();
         self.inline_depth += 1;
-        self.compile_stmt(&sig.body, &inner, b);
+        self.compile_stmt(sig.body, &inner, b);
         self.inline_depth -= 1;
         // IEEE 1364 §10.3.4: function bodies may not contain timing
         // controls or nonblocking assignments.
@@ -1123,9 +1030,9 @@ impl<'a> Elaborator<'a, '_> {
     }
 
     /// Resolves the base of a select, which must be a plain identifier.
-    fn base_net(&mut self, base: &ast::Expr, scope: &Scope) -> Option<NetId> {
+    fn base_net(&mut self, base: &ast::Expr, scope: &Scope<'a>) -> Option<NetId> {
         match base {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                 Some(info) => Some(info.id),
                 None => {
                     self.error(
@@ -1150,7 +1057,7 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn lower_lvalue(&mut self, e: &ast::Expr, scope: &Scope, ctx: AssignCtx) -> Option<LValue> {
+    fn lower_lvalue(&mut self, e: &ast::Expr, scope: &Scope<'a>, ctx: AssignCtx) -> Option<LValue> {
         match e {
             ast::Expr::Ident { name, span } => {
                 let info = self.lvalue_net(name, *span, scope, ctx)?;
@@ -1195,7 +1102,7 @@ impl<'a> Elaborator<'a, '_> {
         &mut self,
         name: &str,
         span: Span,
-        scope: &Scope,
+        scope: &Scope<'a>,
         ctx: AssignCtx,
     ) -> Option<NetInfo> {
         let Some(&info) = scope.nets.get(name) else {
@@ -1234,8 +1141,8 @@ impl<'a> Elaborator<'a, '_> {
     fn compile_always(
         &mut self,
         events: &Option<Vec<EventExpr>>,
-        body: &ast::Stmt,
-        scope: &Scope,
+        body: &'a ast::Stmt,
+        scope: &Scope<'a>,
         span: Span,
     ) {
         let mut b = Builder::default();
@@ -1293,7 +1200,7 @@ impl<'a> Elaborator<'a, '_> {
         });
     }
 
-    fn lower_events(&mut self, list: &[EventExpr], scope: &Scope) -> Vec<Trigger> {
+    fn lower_events(&mut self, list: &[EventExpr], scope: &Scope<'a>) -> Vec<Trigger> {
         let mut triggers = Vec::new();
         for ev in list {
             let (expr, ctor): (&ast::Expr, fn(NetId) -> Trigger) = match ev {
@@ -1302,7 +1209,7 @@ impl<'a> Elaborator<'a, '_> {
                 EventExpr::Any(e) => (e, Trigger::AnyChange),
             };
             match expr {
-                ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+                ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                     Some(info) => triggers.push(ctor(info.id)),
                     None => self.error(
                         codes::VLOG_UNDECLARED,
@@ -1325,7 +1232,7 @@ impl<'a> Elaborator<'a, '_> {
         triggers
     }
 
-    fn compile_stmt(&mut self, stmt: &ast::Stmt, scope: &Scope, b: &mut Builder) {
+    fn compile_stmt(&mut self, stmt: &'a ast::Stmt, scope: &Scope<'a>, b: &mut Builder) {
         match stmt {
             ast::Stmt::Block(stmts) => {
                 for s in stmts {
@@ -1336,30 +1243,12 @@ impl<'a> Elaborator<'a, '_> {
                 target,
                 value,
                 span,
-            } => {
-                let expr = self.lower_expr_proc(value, scope, b);
-                if self.try_mem_write(target, expr.clone(), false, *span, scope, b) {
-                    return;
-                }
-                if let Some(lv) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
-                    let expr = self.fit_expr(&lv, expr, *span);
-                    b.emit(Instr::BlockingAssign { lvalue: lv, expr });
-                }
-            }
+            } => self.compile_assign(target, value, false, *span, scope, b),
             ast::Stmt::Nonblocking {
                 target,
                 value,
                 span,
-            } => {
-                let expr = self.lower_expr_proc(value, scope, b);
-                if self.try_mem_write(target, expr.clone(), true, *span, scope, b) {
-                    return;
-                }
-                if let Some(lv) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
-                    let expr = self.fit_expr(&lv, expr, *span);
-                    b.emit(Instr::NonblockingAssign { lvalue: lv, expr });
-                }
-            }
+            } => self.compile_assign(target, value, true, *span, scope, b),
             ast::Stmt::If { cond, then, els } => {
                 let c = self.lower_expr_proc(cond, scope, b);
                 let branch = b.emit_branch(c);
@@ -1397,28 +1286,12 @@ impl<'a> Elaborator<'a, '_> {
                 step,
                 body,
             } => {
-                self.compile_stmt(
-                    &ast::Stmt::Blocking {
-                        target: init.0.clone(),
-                        value: init.1.clone(),
-                        span: Span::file_start(aivril_hdl::source::FileId(0)),
-                    },
-                    scope,
-                    b,
-                );
+                self.compile_stmt(init, scope, b);
                 let head = b.here();
                 let c = self.lower_expr_proc(cond, scope, b);
                 let exit = b.emit_branch(c);
                 self.compile_stmt(body, scope, b);
-                self.compile_stmt(
-                    &ast::Stmt::Blocking {
-                        target: step.0.clone(),
-                        value: step.1.clone(),
-                        span: Span::file_start(aivril_hdl::source::FileId(0)),
-                    },
-                    scope,
-                    b,
-                );
+                self.compile_stmt(step, scope, b);
                 b.emit(Instr::Jump(head));
                 b.patch(exit, b.here());
             }
@@ -1474,12 +1347,12 @@ impl<'a> Elaborator<'a, '_> {
                     self.compile_stmt(s, scope, b);
                 }
             }
-            ast::Stmt::EventControl { events, then } => {
+            ast::Stmt::EventControl { events, then, span } => {
                 if events.is_empty() {
                     self.error(
                         codes::VLOG_SYNTAX,
                         "@* is only supported at the top of an always block".to_string(),
-                        Span::file_start(aivril_hdl::source::FileId(0)),
+                        *span,
                     );
                 } else {
                     let triggers = self.lower_events(events, scope);
@@ -1516,30 +1389,51 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
+    /// Compiles `target = value` (`<=` when `nonblocking`). A memory
+    /// element target becomes a per-element conditional write.
     #[allow(clippy::too_many_arguments)] // mirrors the AST node's fields
-    /// Compiles `mem[addr] = v` / `mem[addr] <= v` as a per-element
-    /// conditional write (address demultiplexer). Returns `false` when
-    /// the target is not a memory element.
-    #[allow(clippy::too_many_arguments)] // one logical operation, many facets
-    fn try_mem_write(
+    fn compile_assign(
         &mut self,
-        target: &ast::Expr,
+        target: &'a ast::Expr,
+        value: &'a ast::Expr,
+        nonblocking: bool,
+        span: Span,
+        scope: &Scope<'a>,
+        b: &mut Builder,
+    ) {
+        let expr = self.lower_expr_proc(value, scope, b);
+        if let ast::Expr::Index { base, index } = target {
+            if let ast::Expr::Ident { name, .. } = base.as_ref() {
+                if let Some(mem) = scope.mems.get(name.as_str()) {
+                    self.compile_mem_write(mem, index, expr, nonblocking, span, scope, b);
+                    return;
+                }
+            }
+        }
+        if let Some(lvalue) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
+            let expr = self.fit_expr(&lvalue, expr, span);
+            b.emit(if nonblocking {
+                Instr::NonblockingAssign { lvalue, expr }
+            } else {
+                Instr::BlockingAssign { lvalue, expr }
+            });
+        }
+    }
+
+    /// Compiles `mem[index] = value` / `mem[index] <= value` as a
+    /// per-element conditional write (address demultiplexer).
+    #[allow(clippy::too_many_arguments)] // one logical operation, many facets
+    fn compile_mem_write(
+        &mut self,
+        mem: &MemInfo,
+        index: &'a ast::Expr,
         value: Expr,
         nonblocking: bool,
         span: Span,
-        scope: &Scope,
+        scope: &Scope<'a>,
         b: &mut Builder,
-    ) -> bool {
-        let ast::Expr::Index { base, index } = target else {
-            return false;
-        };
-        let ast::Expr::Ident { name, .. } = base.as_ref() else {
-            return false;
-        };
-        let Some(mem) = scope.mems.get(name).cloned() else {
-            return false;
-        };
-        let idx = self.lower_expr_proc(index, scope, b);
+    ) {
+        let mut idx = self.lower_expr_proc(index, scope, b);
         // Evaluate address and data once into temporaries so the demux
         // arms agree even if the expressions have function calls.
         self.inline_counter += 1;
@@ -1550,10 +1444,10 @@ impl<'a> Elaborator<'a, '_> {
             kind: NetKind::Reg,
             init: None,
         });
-        let nw = |id: NetId| self.design.net(id).width;
+        idx.pad(32, &|id| self.design.net(id).width);
         b.emit(Instr::BlockingAssign {
             lvalue: LValue::Net(addr_net),
-            expr: idx.padded_to(32, &nw),
+            expr: idx,
         });
         let data_net = self.design.add_net(Net {
             name: format!("{}$mem{uid}$data", scope.prefix),
@@ -1589,18 +1483,17 @@ impl<'a> Elaborator<'a, '_> {
             b.emit(instr);
             b.patch(skip, b.here());
         }
-        true
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the AST node's fields
     fn compile_case(
         &mut self,
         subject: &ast::Expr,
-        arms: &[(Vec<ast::Expr>, ast::Stmt)],
-        default: Option<&ast::Stmt>,
+        arms: &'a [(Vec<ast::Expr>, ast::Stmt)],
+        default: Option<&'a ast::Stmt>,
         wildcard: bool,
         span: Span,
-        scope: &Scope,
+        scope: &Scope<'a>,
         b: &mut Builder,
     ) {
         let subj = self.lower_expr(subject, scope);
@@ -1679,9 +1572,9 @@ impl<'a> Elaborator<'a, '_> {
     fn compile_syscall(
         &mut self,
         name: &str,
-        args: &[ast::SysArg],
+        args: &'a [ast::SysArg],
         span: Span,
-        scope: &Scope,
+        scope: &Scope<'a>,
         b: &mut Builder,
     ) {
         let kind = match name {
@@ -1729,7 +1622,7 @@ impl<'a> Elaborator<'a, '_> {
 
 struct PortBinding<'a, 's> {
     connections: &'a Connections,
-    parent_scope: &'s Scope,
+    parent_scope: &'s Scope<'a>,
     span: Span,
 }
 

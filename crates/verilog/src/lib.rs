@@ -143,6 +143,63 @@ mod tests {
     }
 
     #[test]
+    fn for_header_diagnostics_point_at_their_file_and_line() {
+        // The width warnings of a `for` header's init and step, and the
+        // error of a mid-block `@*`, are located in the testbench, not
+        // at the top of the first file.
+        let mut sources = SourceMap::new();
+        sources.add_file(
+            "m.v",
+            "module m(input a, output y);\n  assign y = a;\nendmodule\n",
+        );
+        sources.add_file(
+            "tb.v",
+            "module tb;\n  reg a; wire y; reg [3:0] i;\n  m dut(.a(a), .y(y));\n\
+             initial begin\n    for (i = 8'd0; i < 4;\n         i = i + 1)\n      a = i[0];\n\
+             @* a = 1'b0;\n  end\nendmodule\n",
+        );
+        let (unit, mut diags) = analyze(&sources);
+        assert!(!diags.has_errors(), "{}", diags.render(&sources));
+        assert!(elab::elaborate(&unit, "tb", &mut diags).is_none());
+        let located: Vec<(String, &str)> = diags
+            .all()
+            .iter()
+            .map(|d| (sources.describe(d.span.expect("located")), d.code.as_str()))
+            .collect();
+        assert_eq!(
+            located,
+            [
+                (
+                    "tb.v:5".to_string(),
+                    aivril_hdl::diag::codes::WIDTH_MISMATCH
+                ),
+                (
+                    "tb.v:6".to_string(),
+                    aivril_hdl::diag::codes::WIDTH_MISMATCH
+                ),
+                ("tb.v:8".to_string(), aivril_hdl::diag::codes::VLOG_SYNTAX),
+            ],
+            "{}",
+            diags.render(&sources)
+        );
+    }
+
+    #[test]
+    fn wide_decimal_and_question_mark_literals_elaborate() {
+        let (r, design) = sim(
+            "module tb;\n reg [127:0] w; reg [7:0] z;\n\
+             initial begin\n  w = 128'd18446744073709551616;\n  z = 8'd?;\n\
+             if (w !== (128'd1 << 64)) $error(\"Test Case 1 Failed\");\n\
+             if (z !== 8'bzzzz_zzzz) $error(\"Test Case 2 Failed\");\n\
+             $display(\"All tests passed successfully!\");\nend\nendmodule\n",
+            "tb",
+        );
+        assert_eq!(r.error_count, 0, "log: {}", r.log_text());
+        assert!(r.log_text().contains("All tests passed successfully!"));
+        assert!(design.find_net("w").is_some());
+    }
+
+    #[test]
     fn end_to_end_combinational() {
         let (r, _) = sim(
             "module andgate(input a, input b, output y);\n\

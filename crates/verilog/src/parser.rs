@@ -10,6 +10,7 @@ use crate::ast::*;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
+use aivril_hdl::Name;
 
 /// Parses a token stream into modules, appending errors to `diags`.
 pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
@@ -110,9 +111,12 @@ impl<'s> Parser<'s, '_> {
     }
 
     fn expect_ident(&mut self) -> Option<(String, Span)> {
+        self.expect_ident_token().map(|t| (t.value(), t.span))
+    }
+
+    fn expect_ident_token(&mut self) -> Option<Token<'s>> {
         if self.peek().kind == TokenKind::Ident {
-            let t = self.bump();
-            return Some((t.value(), t.span));
+            return Some(self.bump());
         }
         let tok = self.peek();
         self.error(
@@ -682,21 +686,31 @@ impl<'s> Parser<'s, '_> {
             TokenKind::Keyword(Kw::For) => {
                 self.bump();
                 self.expect(Punct::LParen)?;
+                let init_span = self.peek().span;
                 let init_t = self.parse_lvalue_expr()?;
                 self.expect(Punct::Assign)?;
                 let init_v = self.parse_expr();
                 self.expect(Punct::Semi)?;
                 let cond = self.parse_expr();
                 self.expect(Punct::Semi)?;
+                let step_span = self.peek().span;
                 let step_t = self.parse_lvalue_expr()?;
                 self.expect(Punct::Assign)?;
                 let step_v = self.parse_expr();
                 self.expect(Punct::RParen)?;
                 let body = Box::new(self.parse_stmt()?);
                 Some(Stmt::For {
-                    init: (init_t, init_v),
+                    init: Box::new(Stmt::Blocking {
+                        target: init_t,
+                        value: init_v,
+                        span: init_span,
+                    }),
                     cond,
-                    step: (step_t, step_v),
+                    step: Box::new(Stmt::Blocking {
+                        target: step_t,
+                        value: step_v,
+                        span: step_span,
+                    }),
                     body,
                 })
             }
@@ -744,7 +758,11 @@ impl<'s> Parser<'s, '_> {
                 self.bump();
                 let events = self.parse_event_list()?;
                 let then = self.parse_controlled_stmt()?;
-                Some(Stmt::EventControl { events, then })
+                Some(Stmt::EventControl {
+                    events,
+                    then,
+                    span: tok.span,
+                })
             }
             TokenKind::SysIdent => {
                 let name = self.bump().value();
@@ -849,14 +867,14 @@ impl<'s> Parser<'s, '_> {
                 TokenKind::Number => {
                     self.bump();
                     Expr::Number {
-                        text: tok.value(),
+                        text: tok.name(),
                         span: tok.span,
                     }
                 }
                 TokenKind::Ident => {
                     self.bump();
                     Expr::Ident {
-                        name: tok.value(),
+                        name: tok.name(),
                         span: tok.span,
                     }
                 }
@@ -866,7 +884,7 @@ impl<'s> Parser<'s, '_> {
                         tok.span,
                     );
                     Expr::Number {
-                        text: "0".into(),
+                        text: Name::new("0"),
                         span: tok.span,
                     }
                 }
@@ -888,8 +906,11 @@ impl<'s> Parser<'s, '_> {
             self.expect(Punct::RBrace)?;
             return Some(Expr::Concat(parts));
         }
-        let (name, span) = self.expect_ident()?;
-        let mut expr = Expr::Ident { name, span };
+        let tok = self.expect_ident_token()?;
+        let mut expr = Expr::Ident {
+            name: tok.name(),
+            span: tok.span,
+        };
         if self.eat(Punct::LBracket) {
             let first = self.parse_expr();
             if self.eat(Punct::Colon) {
@@ -1042,7 +1063,7 @@ impl<'s> Parser<'s, '_> {
             TokenKind::Number => {
                 self.bump();
                 Expr::Number {
-                    text: tok.value(),
+                    text: tok.name(),
                     span: tok.span,
                 }
             }
@@ -1068,7 +1089,7 @@ impl<'s> Parser<'s, '_> {
                     };
                 }
                 Expr::Ident {
-                    name: tok.value(),
+                    name: tok.name(),
                     span: tok.span,
                 }
             }
@@ -1121,7 +1142,7 @@ impl<'s> Parser<'s, '_> {
                 self.error(format!("syntax error near {}", tok.describe()), tok.span);
                 self.bump();
                 Expr::Number {
-                    text: "0".into(),
+                    text: Name::new("0"),
                     span: tok.span,
                 }
             }
@@ -1311,8 +1332,8 @@ mod tests {
     /// Renders an expression as a fully parenthesised S-expression.
     fn sexpr(e: &Expr) -> String {
         match e {
-            Expr::Ident { name, .. } => name.clone(),
-            Expr::Number { text, .. } => text.clone(),
+            Expr::Ident { name, .. } => name.to_string(),
+            Expr::Number { text, .. } => text.to_string(),
             Expr::Binary { op, lhs, rhs } => {
                 format!("({op:?} {} {})", sexpr(lhs), sexpr(rhs))
             }

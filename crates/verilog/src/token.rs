@@ -1,6 +1,7 @@
 //! Token definitions for the Verilog-2001 subset.
 
 use aivril_hdl::source::Span;
+use aivril_hdl::Name;
 use std::fmt;
 
 /// Kinds of token the lexer produces.
@@ -263,8 +264,8 @@ impl fmt::Display for Punct {
 }
 
 /// One lexed token: a `Copy` view into the source text. Lexing
-/// allocates nothing per token; [`Token::value`] builds the owned,
-/// normalised text only where an AST node keeps it.
+/// allocates nothing per token; [`Token::value`] and [`Token::name`]
+/// build the owned, normalised text only where an AST node keeps it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token<'src> {
     /// What kind of token.
@@ -288,6 +289,18 @@ impl Token<'_> {
             TokenKind::Str => unescape(self.text),
             TokenKind::Number => self.text.replace([' ', '\t'], ""),
             _ => self.text.to_owned(),
+        }
+    }
+
+    /// The token's normalised text as a [`Name`], as [`Token::value`]
+    /// gives it: built straight from the source slice, so a short
+    /// identifier or number costs no allocation.
+    #[must_use]
+    pub fn name(&self) -> Name {
+        match self.kind {
+            TokenKind::Number if self.text.contains([' ', '\t']) => Name::from(self.value()),
+            TokenKind::Str => Name::from(self.value()),
+            _ => Name::new(self.text),
         }
     }
 

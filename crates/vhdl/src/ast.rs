@@ -1,6 +1,7 @@
 //! Abstract syntax tree for the VHDL-93 subset.
 
 use aivril_hdl::source::Span;
+use aivril_hdl::Name;
 use std::sync::Arc;
 
 /// A parsed design file: entities and architectures.
@@ -325,6 +326,9 @@ pub enum UnOp {
 }
 
 /// An expression.
+///
+/// Names and literal digits are a [`Name`], which derefs to `&str` and
+/// keeps short text inline.
 #[derive(Debug, Clone)]
 pub enum Expr {
     /// Integer literal.
@@ -344,14 +348,14 @@ pub enum Expr {
     /// Bit-string literal `"0101"`.
     BitString {
         /// Binary digit text.
-        bits: String,
+        bits: Name,
         /// Location.
         span: Span,
     },
     /// Hex bit-string `x"A5"`.
     HexString {
         /// Hex digit text.
-        digits: String,
+        digits: Name,
         /// Location.
         span: Span,
     },
@@ -372,7 +376,7 @@ pub enum Expr {
     /// Name reference.
     Ident {
         /// Name (lowercased).
-        name: String,
+        name: Name,
         /// Location.
         span: Span,
     },
@@ -380,7 +384,7 @@ pub enum Expr {
     /// elaboration.
     Call {
         /// Called/indexed name.
-        name: String,
+        name: Name,
         /// Arguments.
         args: Vec<Expr>,
         /// Location.
@@ -389,7 +393,7 @@ pub enum Expr {
     /// `name(H downto L)` / `name(L to H)` slice.
     Slice {
         /// Sliced name.
-        name: String,
+        name: Name,
         /// High/left bound.
         left: Box<Expr>,
         /// Low/right bound.
@@ -402,9 +406,9 @@ pub enum Expr {
     /// `name'attr` (only `'event` is supported).
     Attr {
         /// Base name.
-        name: String,
+        name: Name,
         /// Attribute name (lowercased).
-        attr: String,
+        attr: Name,
         /// Location.
         span: Span,
     },

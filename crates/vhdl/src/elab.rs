@@ -62,11 +62,13 @@ pub fn elaborate(file: &DesignFile, top: &str, diags: &mut Diagnostics) -> Optio
     }
 }
 
+/// The names visible in one entity instance, keyed by their
+/// (lowercased) text in the AST.
 #[derive(Debug, Default)]
-struct Scope {
+struct Scope<'a> {
     prefix: String,
-    consts: HashMap<String, i64>,
-    nets: HashMap<String, NetId>,
+    consts: HashMap<&'a str, i64>,
+    nets: HashMap<&'a str, NetId>,
 }
 
 struct Elaborator<'a, 'd> {
@@ -78,7 +80,7 @@ struct Elaborator<'a, 'd> {
 
 struct InstanceConn<'a, 's> {
     port_map: &'a [(String, Option<ast::Expr>, Span)],
-    parent_scope: &'s Scope,
+    parent_scope: &'s Scope<'a>,
 }
 
 impl<'a> Elaborator<'a, '_> {
@@ -95,7 +97,7 @@ impl<'a> Elaborator<'a, '_> {
         entity: &'a Entity,
         arch: &'a Architecture,
         prefix: String,
-        generics: HashMap<String, i64>,
+        generics: HashMap<&'a str, i64>,
         conns: Option<InstanceConn<'a, '_>>,
         depth: u32,
     ) {
@@ -114,7 +116,7 @@ impl<'a> Elaborator<'a, '_> {
 
         // Generics.
         for g in &entity.generics {
-            let value = match generics.get(&g.name) {
+            let value = match generics.get(g.name.as_str()) {
                 Some(&v) => v,
                 None => match &g.default {
                     Some(d) => self.eval_const(d, &scope).unwrap_or(0),
@@ -128,7 +130,7 @@ impl<'a> Elaborator<'a, '_> {
                     }
                 },
             };
-            scope.consts.insert(g.name.clone(), value);
+            scope.consts.insert(&g.name, value);
         }
 
         // Ports.
@@ -158,7 +160,7 @@ impl<'a> Elaborator<'a, '_> {
                 }
                 Decl::Constant { name, value, span } => {
                     let v = self.eval_const(value, &scope).unwrap_or(0);
-                    if scope.consts.insert(name.clone(), v).is_some() {
+                    if scope.consts.insert(name, v).is_some() {
                         self.error(
                             codes::VLOG_REDECLARED,
                             format!("'{name}' is already declared"),
@@ -242,7 +244,7 @@ impl<'a> Elaborator<'a, '_> {
                             continue;
                         }
                         let v = self.eval_const(gexpr, &scope).unwrap_or(0);
-                        bound.insert(gname.clone(), v);
+                        bound.insert(gname.as_str(), v);
                     }
                     let child_prefix = format!("{}{}.", scope.prefix, label);
                     self.instantiate(
@@ -263,8 +265,8 @@ impl<'a> Elaborator<'a, '_> {
 
     fn declare_signal(
         &mut self,
-        scope: &mut Scope,
-        name: &str,
+        scope: &mut Scope<'a>,
+        name: &'a str,
         width: u32,
         init: Option<LogicVec>,
         span: Span,
@@ -283,10 +285,10 @@ impl<'a> Elaborator<'a, '_> {
             kind: NetKind::Reg,
             init,
         });
-        scope.nets.insert(name.to_string(), id);
+        scope.nets.insert(name, id);
     }
 
-    fn type_width(&mut self, ty: &TypeMark, scope: &Scope) -> u32 {
+    fn type_width(&mut self, ty: &TypeMark, scope: &Scope<'a>) -> u32 {
         match ty {
             TypeMark::StdLogic | TypeMark::Boolean => 1,
             TypeMark::Integer => 32,
@@ -301,7 +303,7 @@ impl<'a> Elaborator<'a, '_> {
     fn connect_ports(
         &mut self,
         entity: &'a Entity,
-        child_scope: &Scope,
+        child_scope: &Scope<'a>,
         conn: InstanceConn<'a, '_>,
     ) {
         for (pname, pexpr, pspan) in conn.port_map {
@@ -313,7 +315,7 @@ impl<'a> Elaborator<'a, '_> {
                 );
                 continue;
             };
-            let Some(&child_net) = child_scope.nets.get(pname) else {
+            let Some(&child_net) = child_scope.nets.get(pname.as_str()) else {
                 continue;
             };
             match (port.dir, pexpr) {
@@ -335,24 +337,23 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn fit(&mut self, e: Expr, w: u32, span: Span) -> Expr {
-        let nw = |id: NetId| self.net_width(id);
-        let cur = e.width_with(&nw);
+    fn fit(&mut self, mut e: Expr, w: u32, span: Span) -> Expr {
+        let cur = e.width_with(&|id| self.net_width(id));
         if cur > w {
             self.diags.push(Diagnostic::warning(
                 codes::WIDTH_MISMATCH,
                 format!("assignment truncates a {cur}-bit expression to {w} bits"),
                 span,
             ));
-            e
         } else {
-            e.widened_to(w, &nw)
+            e.widen(w, &|id| self.net_width(id));
         }
+        e
     }
 
     // ---------------------------------------------------- const folding
 
-    fn eval_const(&mut self, e: &ast::Expr, scope: &Scope) -> Option<i64> {
+    fn eval_const(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Option<i64> {
         match self.try_eval_const(e, scope) {
             Some(v) => Some(v),
             None => {
@@ -369,10 +370,10 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn try_eval_const(&self, e: &ast::Expr, scope: &Scope) -> Option<i64> {
+    fn try_eval_const(&self, e: &ast::Expr, scope: &Scope<'a>) -> Option<i64> {
         match e {
             ast::Expr::Int { value, .. } => Some(*value),
-            ast::Expr::Ident { name, .. } => scope.consts.get(name).copied(),
+            ast::Expr::Ident { name, .. } => scope.consts.get(name.as_str()).copied(),
             ast::Expr::Unary { op, operand } => {
                 let v = self.try_eval_const(operand, scope)?;
                 Some(match op {
@@ -399,15 +400,13 @@ impl<'a> Elaborator<'a, '_> {
     }
 
     /// Constant vector value for signal initialisers.
-    fn eval_const_vec(&mut self, e: &ast::Expr, width: u32, scope: &Scope) -> Option<LogicVec> {
+    fn eval_const_vec(&mut self, e: &ast::Expr, width: u32, scope: &Scope<'a>) -> Option<LogicVec> {
         match e {
             ast::Expr::CharLit { ch, .. } => Some(LogicVec::filled(width, char_logic(*ch))),
             ast::Expr::BitString { bits, .. } => {
-                LogicVec::parse_binary(&bits.to_ascii_lowercase()).map(|v| v.resize(width))
+                LogicVec::parse_binary(bits).map(|v| v.resize(width))
             }
-            ast::Expr::HexString { digits, .. } => u64::from_str_radix(digits, 16)
-                .ok()
-                .map(|v| LogicVec::from_u64(width, v)),
+            ast::Expr::HexString { digits, .. } => parse_hex(digits).map(|v| v.resize(width)),
             ast::Expr::Aggregate { fill, .. } => {
                 let f = self.eval_const_vec(fill, 1, scope)?;
                 Some(LogicVec::filled(width, f.get(0)))
@@ -422,7 +421,7 @@ impl<'a> Elaborator<'a, '_> {
 
     /// Lowers an r-value; `target_width` lets integer literals and
     /// aggregates adopt their context width, per VHDL typing.
-    fn lower_rvalue(&mut self, e: &ast::Expr, scope: &Scope, target_width: u32) -> Expr {
+    fn lower_rvalue(&mut self, e: &ast::Expr, scope: &Scope<'a>, target_width: u32) -> Expr {
         match e {
             ast::Expr::Aggregate { fill, .. } => {
                 let f = self.lower_rvalue(fill, scope, 1);
@@ -451,32 +450,30 @@ impl<'a> Elaborator<'a, '_> {
     }
 
     /// Lowers a boolean-context expression (if/while/assert conditions).
-    fn lower_bool(&mut self, e: &ast::Expr, scope: &Scope) -> Expr {
+    fn lower_bool(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
         self.lower_expr(e, scope)
     }
 
-    fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope) -> Expr {
+    fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
         let fallback_span = || Span::file_start(aivril_hdl::source::FileId(0));
         match e {
             ast::Expr::Int { value, .. } => Expr::Const(LogicVec::from_u64(32, *value as u64)),
             ast::Expr::Bool { value, .. } => Expr::constant(1, u64::from(*value)),
             ast::Expr::CharLit { ch, .. } => Expr::Const(LogicVec::from_logic(char_logic(*ch))),
-            ast::Expr::BitString { bits, span } => {
-                match LogicVec::parse_binary(&bits.to_ascii_lowercase()) {
-                    Some(v) => Expr::Const(v),
-                    None => {
-                        self.error(
-                            codes::VHDL_SYNTAX,
-                            format!("malformed bit-string \"{bits}\""),
-                            *span,
-                        );
-                        Expr::Const(LogicVec::xes(1))
-                    }
+            ast::Expr::BitString { bits, span } => match LogicVec::parse_binary(bits) {
+                Some(v) => Expr::Const(v),
+                None => {
+                    self.error(
+                        codes::VHDL_SYNTAX,
+                        format!("malformed bit-string \"{bits}\""),
+                        *span,
+                    );
+                    Expr::Const(LogicVec::xes(1))
                 }
-            }
-            ast::Expr::HexString { digits, span } => match u64::from_str_radix(digits, 16) {
-                Ok(v) => Expr::Const(LogicVec::from_u64(4 * digits.len() as u32, v)),
-                Err(_) => {
+            },
+            ast::Expr::HexString { digits, span } => match parse_hex(digits) {
+                Some(v) => Expr::Const(v),
+                None => {
                     self.error(
                         codes::VHDL_SYNTAX,
                         format!("malformed hex bit-string x\"{digits}\""),
@@ -494,10 +491,10 @@ impl<'a> Elaborator<'a, '_> {
                 Expr::Const(LogicVec::xes(1))
             }
             ast::Expr::Ident { name, span } => {
-                if let Some(&v) = scope.consts.get(name) {
+                if let Some(&v) = scope.consts.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name) {
+                match scope.nets.get(name.as_str()) {
                     Some(&id) => Expr::Net(id),
                     None => {
                         self.error(
@@ -517,7 +514,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
                 ..
             } => {
-                let Some(&net) = scope.nets.get(name) else {
+                let Some(&net) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -531,7 +528,7 @@ impl<'a> Elaborator<'a, '_> {
                 Expr::Range { net, msb, lsb }
             }
             ast::Expr::Attr { name, attr, span } => {
-                let Some(&net) = scope.nets.get(name) else {
+                let Some(&net) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -658,7 +655,13 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn lower_call(&mut self, name: &str, args: &[ast::Expr], span: Span, scope: &Scope) -> Expr {
+    fn lower_call(
+        &mut self,
+        name: &str,
+        args: &[ast::Expr],
+        span: Span,
+        scope: &Scope<'a>,
+    ) -> Expr {
         // A signal name means index/slice rather than a function call.
         if let Some(&net) = scope.nets.get(name) {
             if args.len() == 1 {
@@ -682,7 +685,7 @@ impl<'a> Elaborator<'a, '_> {
                     Some(ast::Expr::Ident {
                         name: sig,
                         span: sspan,
-                    }) => match scope.nets.get(sig) {
+                    }) => match scope.nets.get(sig.as_str()) {
                         Some(&net) => Expr::EdgeFlag { net, rising },
                         None => {
                             self.error(
@@ -729,11 +732,14 @@ impl<'a> Elaborator<'a, '_> {
                     return Expr::Const(LogicVec::xes(1));
                 };
                 let width = width.max(1) as u32;
-                let inner = self.lower_expr(&args[0], scope);
+                let mut inner = self.lower_expr(&args[0], scope);
                 let nw = |id: NetId| self.net_width(id);
                 match inner {
                     Expr::Const(v) => Expr::Const(v.resize(width)),
-                    e if e.width_with(&nw) <= width => e.widened_to(width, &nw),
+                    _ if inner.width_with(&nw) <= width => {
+                        inner.widen(width, &nw);
+                        inner
+                    }
                     _ => {
                         self.error(
                             codes::VHDL_TYPE,
@@ -754,8 +760,7 @@ impl<'a> Elaborator<'a, '_> {
                     return Expr::Const(LogicVec::xes(1));
                 }
                 let width = self.eval_const(&args[1], scope).unwrap_or(1).max(1) as u32;
-                let inner = self.lower_expr(&args[0], scope);
-                let nw = |id: NetId| self.net_width(id);
+                let mut inner = self.lower_expr(&args[0], scope);
                 match inner {
                     Expr::Const(v) => Expr::Const(v.resize(width)),
                     Expr::Net(id) if self.net_width(id) > width => Expr::Range {
@@ -763,7 +768,10 @@ impl<'a> Elaborator<'a, '_> {
                         msb: width - 1,
                         lsb: 0,
                     },
-                    e => e.widened_to(width, &nw),
+                    _ => {
+                        inner.widen(width, &|id| self.net_width(id));
+                        inner
+                    }
                 }
             }
             other => {
@@ -777,9 +785,9 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn lower_target(&mut self, e: &ast::Expr, scope: &Scope) -> Option<LValue> {
+    fn lower_target(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Option<LValue> {
         match e {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                 Some(&id) => Some(LValue::Net(id)),
                 None => {
                     self.error(
@@ -791,7 +799,7 @@ impl<'a> Elaborator<'a, '_> {
                 }
             },
             ast::Expr::Call { name, args, span } => {
-                let Some(&id) = scope.nets.get(name) else {
+                let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -813,7 +821,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
                 ..
             } => {
-                let Some(&id) = scope.nets.get(name) else {
+                let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -846,16 +854,16 @@ impl<'a> Elaborator<'a, '_> {
         &mut self,
         label: Option<&str>,
         sensitivity: &[(String, Span)],
-        variables: &[VarDecl],
-        body: &[SeqStmt],
-        scope: &mut Scope,
+        variables: &'a [VarDecl],
+        body: &'a [SeqStmt],
+        scope: &mut Scope<'a>,
         span: Span,
     ) {
         // Process variables become process-private nets, visible only
         // while this body compiles; `:=` lowers to immediate (blocking)
         // assignment, matching VHDL variable semantics. Their values
         // persist across activations, exactly as in the LRM.
-        let mut shadowed: Vec<(String, Option<NetId>)> = Vec::new();
+        let mut shadowed: Vec<(&str, Option<NetId>)> = Vec::new();
         for v in variables {
             let width = self.type_width(&v.ty, scope);
             let init = v
@@ -869,7 +877,7 @@ impl<'a> Elaborator<'a, '_> {
                     kind: NetKind::Reg,
                     init: init.clone(),
                 });
-                shadowed.push((name.clone(), scope.nets.insert(name.clone(), id)));
+                shadowed.push((name, scope.nets.insert(name, id)));
             }
         }
         let mut b = Builder::default();
@@ -882,7 +890,7 @@ impl<'a> Elaborator<'a, '_> {
                     scope.nets.insert(name, id);
                 }
                 None => {
-                    scope.nets.remove(&name);
+                    scope.nets.remove(name);
                 }
             }
         }
@@ -905,7 +913,7 @@ impl<'a> Elaborator<'a, '_> {
         } else {
             let mut triggers = Vec::new();
             for (name, sspan) in sensitivity {
-                match scope.nets.get(name) {
+                match scope.nets.get(name.as_str()) {
                     Some(&id) => triggers.push(Trigger::AnyChange(id)),
                     None => self.error(
                         codes::VHDL_UNDECLARED,
@@ -928,7 +936,7 @@ impl<'a> Elaborator<'a, '_> {
         });
     }
 
-    fn compile_seq(&mut self, stmt: &SeqStmt, scope: &mut Scope, b: &mut Builder) {
+    fn compile_seq(&mut self, stmt: &'a SeqStmt, scope: &mut Scope<'a>, b: &mut Builder) {
         match stmt {
             SeqStmt::VariableAssign {
                 target,
@@ -1039,7 +1047,7 @@ impl<'a> Elaborator<'a, '_> {
                     kind: NetKind::Reg,
                     init: Some(LogicVec::zeros(32)),
                 });
-                let shadowed = scope.nets.insert(var.clone(), counter);
+                let shadowed = scope.nets.insert(var, counter);
                 let from_e = self.lower_expr(from, scope);
                 let to_e = self.lower_expr(to, scope);
                 b.emit(Instr::BlockingAssign {
@@ -1074,10 +1082,10 @@ impl<'a> Elaborator<'a, '_> {
                 b.patch(exit, b.here());
                 match shadowed {
                     Some(prev) => {
-                        scope.nets.insert(var.clone(), prev);
+                        scope.nets.insert(var, prev);
                     }
                     None => {
-                        scope.nets.remove(var);
+                        scope.nets.remove(var.as_str());
                     }
                 }
             }
@@ -1101,7 +1109,7 @@ impl<'a> Elaborator<'a, '_> {
                 if let ast::Expr::Call { name, args, .. } = cond {
                     if name == "rising_edge" || name == "falling_edge" {
                         if let Some(ast::Expr::Ident { name: sig, .. }) = args.first() {
-                            if let Some(&net) = scope.nets.get(sig) {
+                            if let Some(&net) = scope.nets.get(sig.as_str()) {
                                 let trig = if name == "rising_edge" {
                                     Trigger::Posedge(net)
                                 } else {
@@ -1170,6 +1178,23 @@ impl<'a> Elaborator<'a, '_> {
     }
 }
 
+/// Decodes the digits of a hex bit-string (`x"FF_00"`): four bits per
+/// hex digit, with single underscores allowed between digits (IEEE
+/// 1076-1993 §13.7). Written straight into the vector's planes, so a
+/// string of up to 16 digits costs no heap allocation.
+fn parse_hex(digits: &str) -> Option<LogicVec> {
+    let well_formed = !digits.starts_with('_')
+        && !digits.ends_with('_')
+        && !digits.contains("__")
+        && digits.bytes().all(|b| b.is_ascii_hexdigit() || b == b'_');
+    if !well_formed {
+        return None;
+    }
+    let hex = || digits.bytes().filter(|&b| b != b'_');
+    let width = u32::try_from(4 * hex().count()).ok().filter(|&w| w > 0)?;
+    LogicVec::from_radix_digits(hex(), 4, width)
+}
+
 /// Maps a VHDL severity to the corresponding system task instruction.
 fn syscall_for(severity: SeverityLevel, message: String) -> Instr {
     let kind = match severity {
@@ -1220,6 +1245,65 @@ impl Builder {
             Instr::Jump(t) => *t = target,
             Instr::BranchIfFalse { target: t, .. } => *t = target,
             other => unreachable!("patched a non-branch instruction: {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The hex decoder `parse_hex` replaced, kept as the oracle of the
+    /// property test below: one `u64`, so at most 16 digits and no `_`.
+    fn parse_hex_oracle(digits: &str) -> Option<LogicVec> {
+        let v = u64::from_str_radix(digits, 16).ok()?;
+        Some(LogicVec::from_u64(4 * digits.len() as u32, v))
+    }
+
+    #[test]
+    fn hex_strings_hand_worked() {
+        let bits = |s: &str| LogicVec::parse_binary(s).expect("test vector");
+        assert_eq!(parse_hex("A5"), Some(bits("10100101")));
+        assert_eq!(parse_hex("ff_00"), Some(bits("1111111100000000")));
+        assert_eq!(parse_hex("F"), Some(bits("1111")));
+        assert_eq!(parse_hex(&"F".repeat(16)), Some(bits(&"1".repeat(64))));
+        // Beyond one word: 72 and 132 bits.
+        assert_eq!(
+            parse_hex("FF0000000000000001"),
+            Some(bits(&format!("11111111{}1", "0".repeat(63))))
+        );
+        assert_eq!(
+            parse_hex(&format!("8{}", "0".repeat(32))),
+            Some(bits(&format!("1{}", "0".repeat(131))))
+        );
+        // IEEE 1076-1993 §13.7: one underscore between two digits.
+        for bad in ["", "_", "_FF", "FF_", "F__F", "+F", "XZ", "FG", "F F"] {
+            assert_eq!(parse_hex(bad), None, "{bad:?}");
+        }
+    }
+
+    proptest! {
+        /// The planes decoder agrees with the one-word oracle wherever
+        /// that oracle accepts, and only adds the wide and separated
+        /// forms.
+        #[test]
+        fn hex_matches_one_word_oracle(digits in "[0-9a-fA-F_g]{0,20}") {
+            let new = parse_hex(&digits);
+            match parse_hex_oracle(&digits) {
+                Some(old) => prop_assert_eq!(new, Some(old)),
+                None => prop_assert!(
+                    new.is_none() || digits.contains('_') || digits.len() > 16,
+                    "{} now decodes", digits
+                ),
+            }
+        }
+
+        /// No digit text makes the decoders panic.
+        #[test]
+        fn decoders_total_on_noise(text in "[ -~\\u{e9}\\u{20ac}]{0,40}") {
+            let _ = parse_hex(&text);
+            let _ = LogicVec::parse_binary(&text);
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::{FileId, Span};
+use aivril_hdl::Name;
 use std::fmt;
 
 /// Kinds of token the VHDL lexer produces.
@@ -309,6 +310,18 @@ impl Token<'_> {
             TokenKind::Ident | TokenKind::Keyword(_) => self.text.to_ascii_lowercase(),
             TokenKind::Number => self.text.replace('_', ""),
             _ => self.text.to_owned(),
+        }
+    }
+
+    /// The token's normalised text as a [`Name`], as [`Token::value`]
+    /// gives it. Identifiers and keywords are lowercased straight into
+    /// the name's inline buffer: a short one costs no allocation.
+    #[must_use]
+    pub fn name(&self) -> Name {
+        match self.kind {
+            TokenKind::Ident | TokenKind::Keyword(_) => Name::lowercase(self.text),
+            TokenKind::Number => Name::from(self.value()),
+            _ => Name::new(self.text),
         }
     }
 

@@ -128,6 +128,43 @@ mod tests {
     }
 
     #[test]
+    fn wide_and_separated_hex_strings_elaborate() {
+        // A 72-bit hex string and one with `_` separators (IEEE 1076-1993
+        // §13.7), as initialiser (resized to the signal) and as value.
+        let src = "entity tb is end entity;\n\
+             architecture sim of tb is\n\
+             signal w : std_logic_vector(71 downto 0) := x\"FF0000000000000001\";\n\
+             signal t : std_logic_vector(64 downto 0) := x\"F_0000_0000_0000_0001\";\n\
+             signal h : std_logic_vector(15 downto 0);\n\
+             signal c : std_logic_vector(71 downto 0);\n\
+             begin\n  process\n  begin\n\
+             h <= x\"FF_00\";\n    c <= x\"FF0000000000000001\";\n    wait for 1 ns;\n\
+             assert h = x\"ff00\" report \"Test Case 1 Failed\" severity error;\n\
+             assert c = w report \"Test Case 2 Failed\" severity error;\n\
+             report \"All tests passed successfully!\" severity note;\n    wait;\n\
+             end process;\nend architecture;\n";
+        let mut sources = SourceMap::new();
+        sources.add_file("t.vhd", src);
+        let design = match compile(&sources, "tb") {
+            Ok(d) => d,
+            Err(diags) => panic!("compile failed:\n{}", diags.render(&sources)),
+        };
+        let mut sim = Simulator::new(&design, SimConfig::default());
+        let r = sim.run();
+        assert_eq!(r.error_count, 0, "log: {}", r.log_text());
+        let bits = |s: &str| aivril_hdl::LogicVec::parse_binary(s).expect("test vector");
+        let wide = bits(&format!("11111111{}1", "0".repeat(63)));
+        assert_eq!(sim.net_value("c"), Some(&wide));
+        assert_eq!(sim.net_value("w"), Some(&wide));
+        // 68 digit bits truncated from the left to 65.
+        assert_eq!(
+            sim.net_value("t"),
+            Some(&bits(&format!("1{}1", "0".repeat(63))))
+        );
+        assert_eq!(sim.net_value("h"), Some(&bits("1111111100000000")));
+    }
+
+    #[test]
     fn end_to_end_combinational() {
         let (r, _) = sim(
             "entity andgate is port (a, b : in std_logic; y : out std_logic); end entity;\n\

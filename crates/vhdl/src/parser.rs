@@ -4,6 +4,7 @@ use crate::ast::*;
 use crate::lexer::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
+use aivril_hdl::Name;
 
 /// Parses a token stream into a design file, appending errors to `diags`.
 pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
@@ -133,9 +134,12 @@ impl<'s> Parser<'s, '_> {
     }
 
     fn expect_ident(&mut self) -> Option<(String, Span)> {
+        self.expect_ident_token().map(|t| (t.value(), t.span))
+    }
+
+    fn expect_ident_token(&mut self) -> Option<Token<'s>> {
         if self.peek().kind == TokenKind::Ident {
-            let t = self.bump();
-            return Some((t.value(), t.span));
+            return Some(self.bump());
         }
         let tok = self.peek();
         self.error(
@@ -980,7 +984,7 @@ impl<'s> Parser<'s, '_> {
                         .all(|c| matches!(c, '0' | '1' | 'x' | 'X' | 'z' | 'Z'));
                 if is_bits {
                     Expr::BitString {
-                        bits: tok.value(),
+                        bits: tok.name(),
                         span: tok.span,
                     }
                 } else {
@@ -993,7 +997,7 @@ impl<'s> Parser<'s, '_> {
             TokenKind::HexString => {
                 self.bump();
                 Expr::HexString {
-                    digits: tok.value(),
+                    digits: tok.name(),
                     span: tok.span,
                 }
             }
@@ -1026,13 +1030,13 @@ impl<'s> Parser<'s, '_> {
             }
             TokenKind::Ident => {
                 self.bump();
-                let name = tok.value();
+                let name = tok.name();
                 // Attribute?
                 if self.check(Punct::Tick) {
                     self.bump();
-                    let (attr, _) = match self.expect_ident() {
-                        Some(a) => a,
-                        None => ("event".to_string(), tok.span),
+                    let attr = match self.expect_ident_token() {
+                        Some(a) => a.name(),
+                        None => Name::new("event"),
                     };
                     return Expr::Attr {
                         name,
