@@ -61,19 +61,28 @@ impl<'m> CodeAgent<'m> {
     /// fault leaves the conversation and version history untouched, so
     /// the caller can retry the same exchange (with a bumped attempt
     /// counter) without corrupting state.
+    ///
+    /// The history moves into the request and back, never copied: the
+    /// prompt is appended for the call and popped again on a fault.
     fn roundtrip(&mut self, prompt: String) -> Result<Generation, LlmError> {
-        let mut messages = self.messages.clone();
-        messages.push(Message::user(prompt.clone()));
+        let mut messages = std::mem::take(&mut self.messages);
+        messages.push(Message::user(prompt));
         let request = ChatRequest {
             messages,
             params: self.params,
         };
-        let response = self.model.chat(&request)?;
-        self.messages.push(Message::user(prompt));
-        self.messages
-            .push(Message::assistant(response.content.clone()));
+        let result = self.model.chat(&request);
+        self.messages = request.messages;
+        let response = match result {
+            Ok(response) => response,
+            Err(err) => {
+                self.messages.pop();
+                return Err(err);
+            }
+        };
         let fenced = response.content.contains("```");
         let code = extract_code(&response.content);
+        self.messages.push(Message::assistant(response.content));
         self.versions.push(code.clone());
         Ok(Generation {
             code,
@@ -315,6 +324,89 @@ mod tests {
         assert_eq!(tb.code, "module tb;\nendmodule\n");
         assert_eq!(agent.messages.len(), 3);
         assert_eq!(agent.versions().len(), 1);
+    }
+
+    /// Records every request and fails the calls whose 1-based index
+    /// is listed in `fail`.
+    struct Recording {
+        inner: Scripted,
+        fail: Vec<usize>,
+        requests: Vec<ChatRequest>,
+    }
+
+    impl LanguageModel for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+        fn chat(&mut self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+            self.requests.push(request.clone());
+            if self.fail.contains(&self.requests.len()) {
+                return Err(LlmError::RateLimited { retry_after_s: 1.0 });
+            }
+            self.inner.chat(request)
+        }
+    }
+
+    /// Drives testbench, RTL and one revision, retrying each exchange
+    /// until it succeeds; returns every request the model saw.
+    fn drive(fail: Vec<usize>) -> Vec<ChatRequest> {
+        let mut model = Recording {
+            inner: Scripted {
+                replies: vec![
+                    "```verilog\nmodule tb;\nendmodule\n```".into(),
+                    "```verilog\nmodule m;\nendmodule\n```".into(),
+                    "```verilog\nmodule m2;\nendmodule\n```".into(),
+                ],
+                at: 0,
+            },
+            fail,
+            requests: Vec::new(),
+        };
+        let t = task();
+        let mut agent = CodeAgent::new(&mut model, &t, GenParams::default());
+        for step in 0..3 {
+            for attempt in 0.. {
+                let before = (agent.messages.clone(), agent.versions.clone());
+                agent.set_attempt(attempt);
+                let result = match step {
+                    0 => agent.generate_testbench(&t),
+                    1 => agent.generate_rtl(&t, "module tb;\nendmodule\n"),
+                    _ => agent.revise("There is a syntax error.".into()),
+                };
+                if result.is_ok() {
+                    break;
+                }
+                // A fault leaves history and versions byte-identical.
+                assert_eq!((&agent.messages, &agent.versions), (&before.0, &before.1));
+            }
+        }
+        model.requests
+    }
+
+    #[test]
+    fn transport_faults_leave_history_identical_and_retries_resend_it() {
+        let clean = drive(Vec::new());
+        assert_eq!(clean.len(), 3);
+        // The RTL exchange fails twice and the revision once.
+        let faulted = drive(vec![2, 3, 5]);
+        assert_eq!(faulted.len(), 6);
+        for (i, want) in [(0, 0), (1, 1), (2, 1), (3, 1), (4, 2), (5, 2)] {
+            let (got, want) = (&faulted[i], &clean[want]);
+            assert_eq!(got.messages, want.messages, "request {i}");
+            let attempt = got.params.attempt;
+            assert_eq!(
+                GenParams {
+                    attempt: 0,
+                    ..got.params
+                },
+                want.params,
+                "request {i} differs only in its attempt counter ({attempt})"
+            );
+        }
+        assert_eq!(
+            faulted[3].params.attempt, 2,
+            "second retry of the RTL exchange"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! function of `(seed, operation, attempt)` — so a fault schedule and
 //! its recovery replay bit-identically for any worker-thread count.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use aivril_obs::siphash::SipHasher13;
+use std::hash::Hasher;
 
 /// Retry/backoff/breaker knobs, configured per pipeline via
 /// [`crate::Aivril2Config`] (the harness maps `AIVRIL_RETRY_MAX`,
@@ -54,10 +54,10 @@ impl ResiliencePolicy {
     pub fn backoff_s(&self, seed: u64, op: &str, attempt: u32) -> f64 {
         let exp = 2f64.powi(attempt.min(16) as i32);
         let window = (self.backoff_base_s * exp).min(self.backoff_cap_s);
-        let mut h = DefaultHasher::new();
-        seed.hash(&mut h);
-        op.hash(&mut h);
-        attempt.hash(&mut h);
+        let mut h = SipHasher13::new();
+        h.write_u64(seed);
+        h.write_str_pinned(op);
+        h.write_u32(attempt);
         // Top 53 bits -> uniform in [0, 1): the same trick used for
         // `f64` generation everywhere else in the workspace.
         let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
@@ -360,6 +360,26 @@ impl ResilienceCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pinned jitter: backoff waits reach the modeled clock and so
+    /// every faulted run's latencies.
+    #[test]
+    fn golden_backoff_values() {
+        let p = ResiliencePolicy::default();
+        let got = [
+            p.backoff_s(0, "generate testbench", 0).to_bits(),
+            p.backoff_s(9, "revise RTL", 2).to_bits(),
+            p.backoff_s(u64::MAX, "", 16).to_bits(),
+        ];
+        assert_eq!(
+            got,
+            [
+                4602298320403618933,
+                4609486205955813051,
+                4625775785773121172
+            ]
+        );
+    }
 
     #[test]
     fn backoff_is_deterministic_capped_and_growing() {

@@ -66,6 +66,7 @@ use crate::report::{CompileReport, SimReport};
 use crate::source::{HdlFile, Language};
 use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::ir::Design;
+use aivril_obs::siphash::Sip13;
 use aivril_sim::{KernelTelemetry, SimConfig};
 
 /// A compile shard entry: the report plus the elaborated design, so a
@@ -393,103 +394,6 @@ impl fmt::Display for CacheStats {
 /// against chosen inputs, so the key is a constant: it must never
 /// change between builds, or every disk-tier entry goes dark.
 const SIP_KEY: (u64, u64) = (0x652e_6c69_7276_6961, 0x3832_3179_656b_6164);
-
-/// Streaming SipHash-1-3 with 128-bit output: one compression round per
-/// 8-byte word, three finalization rounds per output half.
-struct Sip13 {
-    v: [u64; 4],
-    /// Bytes not yet compressed, little-endian in the low `ntail` bytes.
-    tail: u64,
-    ntail: usize,
-    len: u64,
-}
-
-impl Sip13 {
-    /// The 128-bit-output state under key `(k0, k1)`.
-    fn keyed(k0: u64, k1: u64) -> Sip13 {
-        Sip13 {
-            v: [
-                k0 ^ 0x736f_6d65_7073_6575,
-                k1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
-                k0 ^ 0x6c79_6765_6e65_7261,
-                k1 ^ 0x7465_6462_7974_6573,
-            ],
-            tail: 0,
-            ntail: 0,
-            len: 0,
-        }
-    }
-
-    fn round(&mut self) {
-        let [v0, v1, v2, v3] = &mut self.v;
-        *v0 = v0.wrapping_add(*v1);
-        *v1 = v1.rotate_left(13) ^ *v0;
-        *v0 = v0.rotate_left(32);
-        *v2 = v2.wrapping_add(*v3);
-        *v3 = v3.rotate_left(16) ^ *v2;
-        *v0 = v0.wrapping_add(*v3);
-        *v3 = v3.rotate_left(21) ^ *v0;
-        *v2 = v2.wrapping_add(*v1);
-        *v1 = v1.rotate_left(17) ^ *v2;
-        *v2 = v2.rotate_left(32);
-    }
-
-    fn compress(&mut self, m: u64) {
-        self.v[3] ^= m;
-        self.round();
-        self.v[0] ^= m;
-    }
-
-    fn write(&mut self, mut bytes: &[u8]) {
-        self.len = self.len.wrapping_add(bytes.len() as u64);
-        if self.ntail > 0 {
-            let take = (8 - self.ntail).min(bytes.len());
-            for (i, &b) in bytes[..take].iter().enumerate() {
-                self.tail |= u64::from(b) << (8 * (self.ntail + i));
-            }
-            self.ntail += take;
-            bytes = &bytes[take..];
-            if self.ntail < 8 {
-                return;
-            }
-            let m = self.tail;
-            self.compress(m);
-            (self.tail, self.ntail) = (0, 0);
-        }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let mut m = [0u8; 8];
-            m.copy_from_slice(word);
-            self.compress(u64::from_le_bytes(m));
-        }
-        for (i, &b) in words.remainder().iter().enumerate() {
-            self.tail |= u64::from(b) << (8 * i);
-        }
-        self.ntail = words.remainder().len();
-    }
-
-    /// Compresses the final word and runs the three finalization
-    /// rounds after xoring `v2` with `mark`.
-    fn finalize(&mut self, mark: u64) -> u64 {
-        let last = ((self.len & 0xff) << 56) | self.tail;
-        self.compress(last);
-        self.v[2] ^= mark;
-        for _ in 0..3 {
-            self.round();
-        }
-        self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3]
-    }
-
-    fn finish128(mut self) -> u128 {
-        let low = self.finalize(0xee);
-        self.v[1] ^= 0xdd;
-        for _ in 0..3 {
-            self.round();
-        }
-        let high = self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3];
-        (u128::from(high) << 64) | u128::from(low)
-    }
-}
 
 /// Builds a content key from an explicit, length-prefixed serialisation
 /// (so adjacent fields can never alias), hashed with SipHash-1-3-128
@@ -830,48 +734,6 @@ mod tests {
         ];
         for (i, (got, want)) in got.iter().zip(want).enumerate() {
             assert_eq!(format!("{got:032x}"), format!("{want:032x}"), "key #{i}");
-        }
-    }
-
-    /// The compression and tail handling checked against the standard
-    /// library's SipHash-1-3 (the 64-bit variant under the zero key,
-    /// which is what `DefaultHasher::new` computes), at every length
-    /// from 0 to 40 bytes and split across writes at every point.
-    #[test]
-    fn sip13_core_matches_the_standard_library() {
-        use std::hash::Hasher;
-        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
-        for len in 0..=bytes.len() {
-            let msg = &bytes[..len];
-            let mut std = std::collections::hash_map::DefaultHasher::new();
-            std.write(msg);
-            let want = std.finish();
-            for split in 0..=len {
-                // The 64-bit variant: the 128-bit state minus its marker.
-                let mut ours = Sip13::keyed(0, 0);
-                ours.v[1] ^= 0xee;
-                ours.write(&msg[..split]);
-                ours.write(&msg[split..]);
-                assert_eq!(ours.finalize(0xff), want, "len {len}, split {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn sip13_128_is_write_split_invariant() {
-        let bytes: Vec<u8> = (0..64u8).collect();
-        let whole = {
-            let mut h = Sip13::keyed(SIP_KEY.0, SIP_KEY.1);
-            h.write(&bytes);
-            h.finish128()
-        };
-        for split in 0..bytes.len() {
-            let mut h = Sip13::keyed(SIP_KEY.0, SIP_KEY.1);
-            for chunk in bytes[..split].chunks(3) {
-                h.write(chunk);
-            }
-            h.write(&bytes[split..]);
-            assert_eq!(h.finish128(), whole, "split {split}");
         }
     }
 

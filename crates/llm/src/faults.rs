@@ -11,11 +11,11 @@
 
 use crate::chat::ChatRequest;
 use aivril_obs::faultplan;
+use aivril_obs::siphash::SipHasher13;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// A transport-level backend failure: the request consumed modeled time
 /// but produced no assistant message. Content-level degradations
@@ -198,12 +198,12 @@ impl FaultConfig {
     /// crate-internally so [`SimLlm`](crate::SimLlm) derives those
     /// parameters from the same stream that chose the class.
     pub(crate) fn rng(&self, model: &str, request: &ChatRequest) -> StdRng {
-        let mut h = DefaultHasher::new();
-        model.hash(&mut h);
-        request.params.seed.hash(&mut h);
-        request.params.attempt.hash(&mut h);
+        let mut h = SipHasher13::new();
+        h.write_str_pinned(model);
+        h.write_u64(request.params.seed);
+        h.write_u32(request.params.attempt);
         for m in &request.messages {
-            m.content.hash(&mut h);
+            h.write_str_pinned(&m.content);
         }
         StdRng::seed_from_u64(h.finish())
     }
@@ -223,6 +223,22 @@ mod tests {
                 ..GenParams::default()
             },
         }
+    }
+
+    /// Pinned seeds of the fault rolls (they hash the model, seed,
+    /// attempt and every message).
+    #[test]
+    fn golden_rng_values() {
+        use rand::RngCore;
+        let cfg = FaultConfig::uniform(0.1);
+        let mut req = request(3, 1);
+        req.messages
+            .push(Message::assistant("```verilog\nmodule m;\nendmodule\n```"));
+        let got = [
+            cfg.rng("m", &request(0, 0)).next_u64(),
+            cfg.rng("GPT-4o", &req).next_u64(),
+        ];
+        assert_eq!(got, [17703263249224158367, 15918550169479255649]);
     }
 
     #[test]

@@ -88,17 +88,32 @@ pub trait LanguageModel {
 /// no fence is present (models sometimes reply with bare code).
 #[must_use]
 pub fn extract_code(response: &str) -> String {
-    if let Some(start) = response.find("```") {
+    if let Some(start) = find_fence(response) {
         let after = &response[start + 3..];
         // Skip the info string (e.g. `verilog`).
         let body_start = after.find('\n').map_or(0, |i| i + 1);
         let body = &after[body_start..];
-        if let Some(end) = body.find("```") {
+        if let Some(end) = find_fence(body) {
             return body[..end].to_string();
         }
         return body.to_string();
     }
     response.to_string()
+}
+
+/// The byte offset of the first "```" in `text`. Code has few
+/// backticks, so a byte search for one and a look at the next two
+/// beats a substring searcher over a whole generated file.
+fn find_fence(text: &str) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = text[from..].find('`') {
+        let at = from + i;
+        if text[at..].starts_with("```") {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -114,6 +129,22 @@ mod tests {
     #[test]
     fn extract_without_fence_returns_all() {
         assert_eq!(extract_code("module m; endmodule"), "module m; endmodule");
+    }
+
+    #[test]
+    fn fences_are_found_past_stray_backticks() {
+        for r in [
+            "`a` `` ```v\nx ` `` y\n```",
+            "``````",
+            "````\n`````",
+            "a``\n``b```c",
+            "\u{e9}```\n\u{e9}`",
+        ] {
+            assert_eq!(find_fence(r), r.find("```"), "{r:?}");
+            let rest = &r[r.find("```").map_or(0, |i| i + 3)..];
+            assert_eq!(find_fence(rest), rest.find("```"), "{rest:?}");
+        }
+        assert_eq!(extract_code("`a` ```v\nx ` `` y\n``` z"), "x ` `` y\n");
     }
 
     #[test]

@@ -370,38 +370,36 @@ pub fn functional_templates(dialect: Dialect) -> &'static [FaultTemplate] {
 /// Counts non-overlapping occurrences of `pattern` in `text`.
 #[must_use]
 pub fn count_occurrences(text: &str, pattern: &str) -> usize {
-    if pattern.is_empty() {
+    #[cfg(test)]
+    tests::TEMPLATE_SEARCHES.with(|n| n.set(n.get() + 1));
+    // `contains` is vectorised and most templates are absent from a
+    // given text; `matches` walks a present pattern once.
+    if pattern.is_empty() || !text.contains(pattern) {
         return 0;
     }
-    let mut n = 0;
-    let mut at = 0;
-    while let Some(i) = text[at..].find(pattern) {
-        n += 1;
-        at += i + pattern.len();
-    }
-    n
+    text.matches(pattern).count()
 }
 
-/// Replaces the `occurrence`-th (0-based) match of `fault.template` in
-/// `text`. Returns the text unchanged when the occurrence is absent.
+/// Replaces the `occurrence`-th (0-based) non-overlapping match of
+/// `fault.template` in `text`. Returns the text unchanged when the
+/// occurrence is absent (an empty pattern never occurs).
 #[must_use]
 pub fn apply_fault(text: &str, fault: &AppliedFault) -> String {
     let pattern = fault.template.pattern;
-    let mut at = 0;
-    let mut seen = 0;
-    while let Some(i) = text[at..].find(pattern) {
-        let pos = at + i;
-        if seen == fault.occurrence {
-            let mut out = String::with_capacity(text.len());
-            out.push_str(&text[..pos]);
-            out.push_str(fault.template.replacement);
-            out.push_str(&text[pos + pattern.len()..]);
-            return out;
-        }
-        seen += 1;
-        at = pos + pattern.len();
+    if pattern.is_empty() {
+        return text.to_string();
     }
-    text.to_string()
+    match text.match_indices(pattern).nth(fault.occurrence) {
+        Some((pos, _)) => {
+            let replacement = fault.template.replacement;
+            let mut out = String::with_capacity(text.len() - pattern.len() + replacement.len());
+            out.push_str(&text[..pos]);
+            out.push_str(replacement);
+            out.push_str(&text[pos + pattern.len()..]);
+            out
+        }
+        None => text.to_string(),
+    }
 }
 
 /// Applies a set of faults in order. Later faults see the text produced
@@ -416,8 +414,98 @@ pub fn apply_all(text: &str, faults: &[AppliedFault]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`count_occurrences`] on this thread: every search
+        /// of a template over a text goes through it.
+        pub(crate) static TEMPLATE_SEARCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The searcher-per-match counter this module used to ship.
+    fn count_occurrences_oracle(text: &str, pattern: &str) -> usize {
+        if pattern.is_empty() {
+            return 0;
+        }
+        let mut n = 0;
+        let mut at = 0;
+        while let Some(i) = text[at..].find(pattern) {
+            n += 1;
+            at += i + pattern.len();
+        }
+        n
+    }
+
+    /// The searcher-per-match position of the `k`-th non-overlapping
+    /// match, as `apply_fault` used to find it.
+    fn nth_match_oracle(text: &str, pattern: &str, k: usize) -> Option<usize> {
+        let mut at = 0;
+        let mut seen = 0;
+        while let Some(i) = text[at..].find(pattern) {
+            let pos = at + i;
+            if seen == k {
+                return Some(pos);
+            }
+            seen += 1;
+            at = pos + pattern.len();
+        }
+        None
+    }
+
+    fn fault(pattern: &'static str, replacement: &'static str, occurrence: usize) -> AppliedFault {
+        AppliedFault {
+            template: FaultTemplate {
+                pattern,
+                replacement,
+                description: "x",
+            },
+            occurrence,
+            kind: FaultKind::Syntax,
+        }
+    }
+
+    #[test]
+    fn occurrence_indices_are_non_overlapping() {
+        // "aaaaa" holds "aa" at 0 and 2; the match at 1 overlaps the first.
+        for (k, want) in [(0, "Xaaa"), (1, "aaXa"), (2, "aaaaa")] {
+            assert_eq!(apply_fault("aaaaa", &fault("aa", "X", k)), want, "k={k}");
+        }
+        // Matches are counted left to right, each resuming after the last.
+        let src = "ab;\nab;\n;\n";
+        assert_eq!(apply_fault(src, &fault(";\n", "", 0)), "abab;\n;\n");
+        assert_eq!(apply_fault(src, &fault(";\n", "", 1)), "ab;\nab;\n");
+        assert_eq!(apply_fault(src, &fault(";\n", "", 2)), "ab;\nab;\n");
+        assert_eq!(apply_fault(src, &fault(";\n", "", 3)), src);
+        assert_eq!(
+            apply_fault("abc", &fault("", "X", 0)),
+            "abc",
+            "empty pattern"
+        );
+    }
+
+    const PATTERNS: [&str; 7] = ["a", "aa", "ab", ";\n", "aba", "b;\na", ""];
+
+    proptest! {
+        #[test]
+        fn oracle_counting_and_applying_match_the_per_match_searcher(
+            text in "[ab;\\n]{0,40}",
+            pattern in (0usize..PATTERNS.len()).prop_map(|i| PATTERNS[i]),
+            k in 0usize..12,
+        ) {
+            prop_assert_eq!(count_occurrences(&text, pattern), count_occurrences_oracle(&text, pattern));
+            let applied = apply_fault(&text, &fault(pattern, "<R>", k));
+            let want = match nth_match_oracle(&text, pattern, k) {
+                Some(pos) if !pattern.is_empty() => {
+                    format!("{}<R>{}", &text[..pos], &text[pos + pattern.len()..])
+                }
+                _ => text.clone(),
+            };
+            prop_assert_eq!(applied, want);
+        }
+    }
 
     const SRC: &str = "module m(input a, output y);\n  assign y = a & a;\nendmodule\n";
 
@@ -464,6 +552,9 @@ mod tests {
         for d in [Dialect::Verilog, Dialect::Vhdl] {
             assert!(!syntax_templates(d).is_empty());
             assert!(!functional_templates(d).is_empty());
+            for catalogue in [syntax_templates(d), functional_templates(d)] {
+                assert!(catalogue.len() <= crate::task::MAX_TEMPLATES);
+            }
         }
     }
 

@@ -23,6 +23,9 @@
 //!   truncation and an explicit policy for foreign files.
 //! * [`faultplan`] — the one grammar of `AIVRIL_FAULTS` and
 //!   `AIVRIL_EDA_FAULTS`, and the class pick both fault planes roll.
+//! * [`siphash`] — the pinned SipHash-1-3 behind the EDA cache keys
+//!   and every seeded draw (content plans, fault rolls, backoff
+//!   jitter), independent of std's unspecified `DefaultHasher`.
 //! * [`analyze`] — the read side: total parsers for the journal and
 //!   `aivril.results` artifacts plus the deterministic report
 //!   renderers ([`summary`], [`diff`], [`flame`], [`regress`]) behind
@@ -42,6 +45,7 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
+pub mod siphash;
 
 pub use analyze::{
     attribution, diff, flame, parse_artifact, parse_journal, parse_results, regress, summary,
