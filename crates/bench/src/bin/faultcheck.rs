@@ -40,7 +40,7 @@ fn main() {
                         kind: FaultKind::Functional,
                     };
                     let mutated = apply_fault(golden, &f);
-                    if mutated == *golden {
+                    if *mutated == **golden {
                         noop += 1;
                         continue;
                     }

@@ -437,20 +437,28 @@ impl fmt::Display for EvalStats {
 }
 
 /// Builds the simulated models' task knowledge from the benchmark
-/// suite's golden solutions.
+/// suite's golden solutions. The library shares the suite's texts: it
+/// clones their `Arc`s and copies no text.
 #[must_use]
 pub fn build_library(problems: &[Problem]) -> TaskLibrary {
     let mut lib = TaskLibrary::new();
     for p in problems {
         lib.add_task(
             &p.name,
-            &p.verilog.dut,
-            &p.verilog.tb,
-            &p.vhdl.dut,
-            &p.vhdl.tb,
+            p.verilog.dut.clone(),
+            p.verilog.tb.clone(),
+            p.vhdl.dut.clone(),
+            p.vhdl.tb.clone(),
         );
     }
     lib
+}
+
+/// The scoring file of `problem`'s reference testbench: `tb.v` or
+/// `tb.vhd`, sharing the suite's text.
+fn golden_tb_file(problem: &Problem, verilog: bool) -> HdlFile {
+    let ext = if verilog { "v" } else { "vhd" };
+    HdlFile::new(format!("tb.{ext}"), problem.golden(verilog).tb.clone())
 }
 
 /// One completed run, as stored by the worker pool (and, through the
@@ -535,6 +543,10 @@ pub struct Harness {
     // Built once per harness on first use; shared by every shard run
     // and every submitted job (the model clones share it by `Arc`).
     library: OnceLock<std::sync::Arc<TaskLibrary>>,
+    // Each problem's reference testbench files, `[Verilog, VHDL]`, by
+    // problem id: built once, so scoring neither copies a testbench nor
+    // re-hashes it (a file memoises its content digest).
+    golden_tbs: Vec<[HdlFile; 2]>,
 }
 
 impl Harness {
@@ -565,12 +577,18 @@ impl Harness {
             tools = tools.with_cache(EdaCache::new());
         }
         tools = tools.with_incremental(config.incremental);
+        let problems = suite();
+        let golden_tbs = problems
+            .iter()
+            .map(|p| [true, false].map(|verilog| golden_tb_file(p, verilog)))
+            .collect();
         Harness {
             tools,
-            problems: suite(),
+            problems,
             config,
             recorder: Recorder::disabled(),
             library: OnceLock::new(),
+            golden_tbs,
         }
     }
 
@@ -642,11 +660,14 @@ impl Harness {
         if !syntax {
             return ((false, false), compile.0.modeled_latency);
         }
-        let golden = problem.golden(verilog);
-        let report = self.tools.simulate(
-            &[dut, HdlFile::new(format!("tb.{ext}"), golden.tb.clone())],
-            Some("tb"),
-        );
+        let tb = self
+            .golden_tbs
+            .get(problem.id)
+            .map(|files| &files[usize::from(!verilog)])
+            .filter(|f| std::sync::Arc::ptr_eq(&f.text, &problem.golden(verilog).tb))
+            .cloned()
+            .unwrap_or_else(|| golden_tb_file(problem, verilog));
+        let report = self.tools.simulate(&[dut, tb], Some("tb"));
         (
             (true, report.passed),
             compile.0.modeled_latency + report.modeled_latency,

@@ -126,6 +126,15 @@ fn generation_unusable(gen: &Generation) -> bool {
     !gen.fenced || gen.code.trim().is_empty()
 }
 
+/// Rebuilds the DUT file of a run's `[dut, tb]` pair when `rtl` differs
+/// from the text it holds; an unchanged revision keeps its file, and so
+/// its memoised content digest.
+fn sync_dut(files: &mut [HdlFile; 2], task: &TaskInput, rtl: &str) {
+    if *files[0].text != *rtl {
+        files[0] = HdlFile::new(task.dut_file_name(), rtl);
+    }
+}
+
 /// The AIVRIL2 pipeline: testbench-first generation with a Syntax
 /// Optimization loop (Review Agent) and a Functional Optimization loop
 /// (Verification Agent).
@@ -294,15 +303,16 @@ impl<'t> Aivril2<'t> {
             0
         };
         let tb_loop_span = self.recorder.span("stage.tb_syntax_loop");
+        let mut tb_file: Option<HdlFile> = None;
         for iter in 0..=tb_loop_budget {
             if !self.config.testbench_first {
                 break;
             }
             let iter_span = self.recorder.span("iteration");
             iter_span.attr_int("index", iter as i64);
-            let report = self
-                .tools
-                .analyze(&[HdlFile::new(task.tb_file_name(), tb.clone())]);
+            let file = HdlFile::new(task.tb_file_name(), tb.as_str());
+            let report = self.tools.analyze(std::slice::from_ref(&file));
+            tb_file = Some(file);
             iter_span.attr_int("errors", report.error_count() as i64);
             trace.push(
                 Stage::TbSyntaxLoop,
@@ -345,7 +355,12 @@ impl<'t> Aivril2<'t> {
             tb = gen.code;
         }
         drop(tb_loop_span);
-        // The testbench is frozen from here on.
+        // The testbench is frozen from here on. Its file (and so its
+        // content digest) is built once and shared by every compile and
+        // simulation of the run: the last one analyzed, if it is final.
+        let tb_file = tb_file
+            .filter(|f| *f.text == *tb)
+            .unwrap_or_else(|| HdlFile::new(task.tb_file_name(), tb.as_str()));
 
         // -- Step ③: RTL generation, then its syntax loop.
         let rtl_gen = {
@@ -391,15 +406,17 @@ impl<'t> Aivril2<'t> {
             return self.degraded_result(rtl_gen.code, tb, trace, counters, &breaker);
         }
         let mut rtl = rtl_gen.code;
+        // The DUT file is rebuilt only when the RTL has changed since the
+        // last tool call (`sync_dut`), so each revision is copied and
+        // hashed once.
+        let mut files = [HdlFile::new(task.dut_file_name(), rtl.as_str()), tb_file];
         let mut syntax_pass = false;
         let rtl_loop_span = self.recorder.span("stage.rtl_syntax_loop");
         for iter in 0..=self.config.max_syntax_iters {
             let iter_span = self.recorder.span("iteration");
             iter_span.attr_int("index", iter as i64);
-            let report = self.tools.compile(&[
-                HdlFile::new(task.dut_file_name(), rtl.clone()),
-                HdlFile::new(task.tb_file_name(), tb.clone()),
-            ]);
+            sync_dut(&mut files, task, &rtl);
+            let report = self.tools.compile(&files);
             iter_span.attr_int("errors", report.error_count() as i64);
             trace.push(
                 Stage::RtlSyntaxLoop,
@@ -456,13 +473,8 @@ impl<'t> Aivril2<'t> {
             for iter in 0..=self.config.max_functional_iters {
                 let iter_span = self.recorder.span("iteration");
                 iter_span.attr_int("index", iter as i64);
-                let report = self.tools.simulate(
-                    &[
-                        HdlFile::new(task.dut_file_name(), rtl.clone()),
-                        HdlFile::new(task.tb_file_name(), tb.clone()),
-                    ],
-                    Some("tb"),
-                );
+                sync_dut(&mut files, task, &rtl);
+                let report = self.tools.simulate(&files, Some("tb"));
                 if iter_span.is_recording() {
                     iter_span.attr_bool("passed", report.passed);
                     iter_span.attr_int("failures", report.failures.len() as i64);

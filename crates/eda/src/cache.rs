@@ -14,9 +14,11 @@
 //! Keys are 128-bit SipHash-1-3 values under a fixed key, each over an
 //! unambiguous, length-prefixed serialisation of everything the
 //! invocation reads. A tool call (`analyze`, `compile_to_design`,
-//! `simulate`) hashes each of its files exactly once, into a digest of
-//! the file's `(name, language, text)` (`file_digests`); every key
-//! the call needs is then built from those digests:
+//! `simulate`) reads one digest per file, over the file's `(name,
+//! language, text)` (`file_digests`); every key the call needs is then
+//! built from those digests. A file memoises its digest, so a text that
+//! many calls share (a frozen testbench, a golden reference) is hashed
+//! once per run, not once per call:
 //!
 //! - the whole-call keys, shared by the cache and the tool-fault gate:
 //!   an operation tag (`analyze` / `compile` / `simulate`, so the three
@@ -457,21 +459,22 @@ fn language_tag(language: Language) -> u64 {
     }
 }
 
-/// One digest per file, over its `(name, language, text)`. A tool call
-/// hashes its files exactly once, here; every key it derives (the
-/// whole-call key the fault gate and the cache share, the per-file
-/// parse keys, the elaboration key) is built from these digests.
+/// One digest per file, over its `(name, language, text)`. Every key a
+/// tool call derives (the whole-call key the fault gate and the cache
+/// share, the per-file parse keys, the elaboration key) is built from
+/// these digests. Each file memoises its own ([`HdlFile`]'s digest
+/// memo), so a file handed to many calls is hashed once.
 pub(crate) fn file_digests(files: &[HdlFile]) -> Vec<u128> {
-    files
-        .iter()
-        .map(|f| {
-            let mut h = KeyHasher::new("file");
-            h.write_str(&f.name);
-            h.write_u64(language_tag(f.language));
-            h.write_str(&f.text);
-            h.finish()
-        })
-        .collect()
+    files.iter().map(|f| f.digest(file_digest)).collect()
+}
+
+/// Hashes one file's `(name, language, text)`.
+fn file_digest(f: &HdlFile) -> u128 {
+    let mut h = KeyHasher::new("file");
+    h.write_str(&f.name);
+    h.write_u64(language_tag(f.language));
+    h.write_str(&f.text);
+    h.finish()
 }
 
 /// Key for `ToolSuite::analyze`, over the ordered file digests (file
@@ -597,7 +600,7 @@ mod tests {
         differs(all(&renamed, Some("tb")), "the file name", &kinds);
 
         let mut edited = files();
-        edited[0].text.push('\n');
+        edited[0].text = format!("{}\n", edited[0].text).into();
         differs(all(&edited, Some("tb")), "the file text", &kinds);
 
         let mut relang = files();
@@ -641,6 +644,37 @@ mod tests {
         );
         let tighter = SimConfig { max_time: 10, ..c };
         assert_ne!(base[2], sim_key(&d, Some("tb"), &m, &tighter), "sim config");
+    }
+
+    /// A file's memoised digest is read back only while its name,
+    /// language and text are the ones it was computed from: after any
+    /// change the file digests exactly like a freshly built one.
+    #[test]
+    fn digest_memo_never_outlives_a_field_change() {
+        let fresh = |f: &HdlFile| {
+            let mut g = HdlFile::new(f.name.clone(), &*f.text);
+            g.language = f.language;
+            file_digest(&g)
+        };
+        let digest = |f: &HdlFile| file_digests(std::slice::from_ref(f))[0];
+        let mut f = files().remove(0);
+        let original = digest(&f);
+        assert_eq!(original, fresh(&f));
+        assert_eq!(digest(&f.clone()), original, "a clone shares the memo");
+
+        f.name = "other.v".into();
+        assert_eq!(digest(&f), fresh(&f), "renamed");
+        f.language = Language::Vhdl;
+        assert_eq!(digest(&f), fresh(&f), "language changed");
+        f.text = format!("{}// edited\n", f.text).into();
+        assert_eq!(digest(&f), fresh(&f), "text replaced");
+        let all_changed = digest(&f);
+        assert_ne!(all_changed, original);
+
+        // The same text in a new allocation digests the same.
+        let mut copy = files().remove(0);
+        copy.text = Arc::from(&*copy.text);
+        assert_eq!(digest(&copy), original);
     }
 
     #[test]

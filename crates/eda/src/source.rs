@@ -1,6 +1,7 @@
 //! HDL source files as the tool suite sees them.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Which hardware description language a file is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -13,11 +14,15 @@ pub enum Language {
 
 impl Language {
     /// Guesses the language from a file extension (`.v`/`.sv` →
-    /// Verilog, `.vhd`/`.vhdl` → VHDL); defaults to Verilog.
+    /// Verilog, `.vhd`/`.vhdl` → VHDL, in any case); defaults to Verilog.
     #[must_use]
     pub fn from_file_name(name: &str) -> Language {
-        let lower = name.to_ascii_lowercase();
-        if lower.ends_with(".vhd") || lower.ends_with(".vhdl") {
+        let has_suffix = |suffix: &str| {
+            name.len() >= suffix.len()
+                && name.as_bytes()[name.len() - suffix.len()..]
+                    .eq_ignore_ascii_case(suffix.as_bytes())
+        };
+        if has_suffix(".vhd") || has_suffix(".vhdl") {
             Language::Vhdl
         } else {
             Language::Verilog
@@ -44,26 +49,58 @@ impl fmt::Display for Language {
 }
 
 /// One named HDL source file handed to the tools.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The text is shared: cloning a file, or registering it in a tool
+/// call's source map, clones the `Arc`, never the text. The file's
+/// content digest (the per-file key of the EDA cache and the tool-fault
+/// gate, over its name, language and text) is computed on first use and
+/// kept with the file, so a file reused across tool calls — a frozen
+/// testbench, a golden reference — is hashed once. The memo remembers
+/// the name, language and text it was computed from and is ignored once
+/// any of them changes.
+#[derive(Clone)]
 pub struct HdlFile {
     /// File name shown in logs (e.g. `shift_register.v`).
     pub name: String,
     /// Source text.
-    pub text: String,
+    pub text: Arc<str>,
     /// Language, normally derived from the extension.
     pub language: Language,
+    digest: OnceLock<Digest>,
+}
+
+/// A memoised content digest and the fields it was computed from. The
+/// text is held by `Arc`, so while the memo lives no other text can
+/// take its address: pointer equality means the same text.
+#[derive(Debug, Clone)]
+struct Digest {
+    name: String,
+    language: Language,
+    text: Arc<str>,
+    value: u128,
+}
+
+impl Digest {
+    fn describes(&self, file: &HdlFile) -> bool {
+        Arc::ptr_eq(&self.text, &file.text)
+            && self.language == file.language
+            && self.name == file.name
+    }
 }
 
 impl HdlFile {
     /// Creates a file, deriving the language from the name's extension.
+    /// An `Arc<str>` text is shared as is; other text types are copied
+    /// into one.
     #[must_use]
-    pub fn new(name: impl Into<String>, text: impl Into<String>) -> HdlFile {
+    pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> HdlFile {
         let name = name.into();
         let language = Language::from_file_name(&name);
         HdlFile {
             name,
             text: text.into(),
             language,
+            digest: OnceLock::new(),
         }
     }
 
@@ -71,6 +108,41 @@ impl HdlFile {
     #[must_use]
     pub fn byte_len(&self) -> usize {
         self.text.len()
+    }
+
+    /// The file's content digest: `hash(self)` on first use, the memo
+    /// after that while the name, language and text are unchanged, and
+    /// `hash(self)` again (unmemoised) if one of them has changed.
+    pub(crate) fn digest(&self, hash: fn(&HdlFile) -> u128) -> u128 {
+        let memo = self.digest.get_or_init(|| Digest {
+            name: self.name.clone(),
+            language: self.language,
+            text: Arc::clone(&self.text),
+            value: hash(self),
+        });
+        if memo.describes(self) {
+            memo.value
+        } else {
+            hash(self)
+        }
+    }
+}
+
+impl PartialEq for HdlFile {
+    fn eq(&self, other: &HdlFile) -> bool {
+        self.name == other.name && self.language == other.language && self.text == other.text
+    }
+}
+
+impl Eq for HdlFile {}
+
+impl fmt::Debug for HdlFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HdlFile")
+            .field("name", &self.name)
+            .field("text", &self.text)
+            .field("language", &self.language)
+            .finish()
     }
 }
 
@@ -85,6 +157,20 @@ mod tests {
         assert_eq!(Language::from_file_name("a.VHD"), Language::Vhdl);
         assert_eq!(Language::from_file_name("a.vhdl"), Language::Vhdl);
         assert_eq!(Language::from_file_name("noext"), Language::Verilog);
+        // The suffix is compared in place, in any case; a bare or
+        // leading extension still counts, an inner one does not.
+        for (name, language) in [
+            ("A.VHD", Language::Vhdl),
+            ("b.Vhdl", Language::Vhdl),
+            ("c.sv", Language::Verilog),
+            ("d.v", Language::Verilog),
+            ("vhd", Language::Verilog),
+            (".vhd", Language::Vhdl),
+            ("x.vhd.v", Language::Verilog),
+            ("", Language::Verilog),
+        ] {
+            assert_eq!(Language::from_file_name(name), language, "{name:?}");
+        }
     }
 
     #[test]

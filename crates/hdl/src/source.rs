@@ -6,7 +6,7 @@
 //! when turning compiler logs into corrective prompts.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,18 +52,19 @@ impl Span {
     }
 }
 
-/// One registered source file.
+/// One registered source file. The text is shared, not owned: a tool
+/// call registers the caller's `Arc<str>` without copying it.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     name: String,
-    text: String,
+    text: Arc<str>,
     /// Byte offset of every line start, built on the first line lookup:
     /// only diagnostics read it, and most compiles report none.
     line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
-    fn new(name: String, text: String) -> SourceFile {
+    fn new(name: String, text: Arc<str>) -> SourceFile {
         SourceFile {
             name,
             text,
@@ -160,8 +161,9 @@ impl SourceMap {
         SourceMap::default()
     }
 
-    /// Registers a file and returns its id.
-    pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
+    /// Registers a file and returns its id. An `Arc<str>` text is
+    /// shared as is; other text types are copied into one.
+    pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<Arc<str>>) -> FileId {
         let id = FileId(self.files.len() as u32);
         self.files.push(SourceFile::new(name.into(), text.into()));
         id

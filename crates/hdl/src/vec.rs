@@ -125,6 +125,14 @@ impl LogicVec {
     #[must_use]
     pub fn filled(width: u32, fill: Logic) -> LogicVec {
         assert!(width > 0, "LogicVec width must be non-zero");
+        if width <= 64 {
+            let (a, b) = fill.to_avab();
+            return LogicVec::inline(
+                width,
+                u64::from(a).wrapping_neg(),
+                u64::from(b).wrapping_neg(),
+            );
+        }
         let n = words_for(width);
         let v = LogicVec {
             width,

@@ -925,10 +925,10 @@ mod tests {
         for p in &problems {
             lib.add_task(
                 &p.name,
-                &p.verilog.dut,
-                &p.verilog.tb,
-                &p.vhdl.dut,
-                &p.vhdl.tb,
+                p.verilog.dut.clone(),
+                p.verilog.tb.clone(),
+                p.vhdl.dut.clone(),
+                p.vhdl.tb.clone(),
             );
         }
         let lib = Arc::new(lib);

@@ -4,19 +4,20 @@ use crate::mutate::{
     count_occurrences, functional_templates, syntax_templates, Dialect, FaultTemplate,
 };
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Golden artefacts for one task in both languages.
+/// Golden artefacts for one task in both languages, shared with whoever
+/// else holds them (the benchmark suite, the scoring harness).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskKnowledge {
     /// Golden Verilog DUT.
-    pub verilog_dut: String,
+    pub verilog_dut: Arc<str>,
     /// Golden Verilog testbench.
-    pub verilog_tb: String,
+    pub verilog_tb: Arc<str>,
     /// Golden VHDL DUT.
-    pub vhdl_dut: String,
+    pub vhdl_dut: Arc<str>,
     /// Golden VHDL testbench.
-    pub vhdl_tb: String,
+    pub vhdl_tb: Arc<str>,
 }
 
 impl TaskKnowledge {
@@ -148,7 +149,7 @@ impl FaultSites {
 struct Entry {
     knowledge: TaskKnowledge,
     /// Built on the first request for the task, not with the library:
-    /// construction stays as cheap as copying the golden texts, and a
+    /// construction stays as cheap as sharing the golden texts, and a
     /// task never requested is never counted.
     sites: OnceLock<FaultSites>,
 }
@@ -168,14 +169,15 @@ impl TaskLibrary {
         TaskLibrary::default()
     }
 
-    /// Registers a task's golden artefacts.
+    /// Registers a task's golden artefacts. `Arc<str>` texts are shared
+    /// as they are, not copied; other text types are copied into one.
     pub fn add_task(
         &mut self,
         name: impl Into<String>,
-        verilog_dut: impl Into<String>,
-        verilog_tb: impl Into<String>,
-        vhdl_dut: impl Into<String>,
-        vhdl_tb: impl Into<String>,
+        verilog_dut: impl Into<Arc<str>>,
+        verilog_tb: impl Into<Arc<str>>,
+        vhdl_dut: impl Into<Arc<str>>,
+        vhdl_tb: impl Into<Arc<str>>,
     ) {
         self.tasks.insert(
             name.into(),

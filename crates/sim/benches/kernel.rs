@@ -382,10 +382,10 @@ fn many_module_artifact() -> String {
     let (r1, design) = suite.compile_to_design(&files, None);
     let (r2, _) = suite.compile_to_design(&files, Some("chain_top"));
     let mut outside = files.clone();
-    outside[8].text.push_str("// revision note\n");
+    outside[8].text = format!("{}// revision note\n", outside[8].text).into();
     let (r3, _) = suite.compile_to_design(&outside, None);
     let mut inside = files.clone();
-    inside[3].text = inside[3].text.replace("32'd4", "32'd40");
+    inside[3].text = inside[3].text.replace("32'd4", "32'd40").into();
     let (r4, _) = suite.compile_to_design(&inside, None);
 
     let stats = cache.stats();
@@ -541,7 +541,8 @@ fn bench_many_module(c: &mut Criterion) {
             edited[8].text = format!(
                 "module scratch(input s, output t);\n  \
                  assign t = ~s; // rev {revision}\nendmodule\n"
-            );
+            )
+            .into();
             suite.compile_to_design(&edited, None)
         })
     });

@@ -2,7 +2,7 @@
 //! generation for both languages, from a family-provided spec and a
 //! Rust golden model.
 
-use crate::port::{vhdl_lit, vlog_lit, Port, SplitMix};
+use crate::port::{push_u32, Lit, Port, SplitMix};
 use crate::{Difficulty, Family, GoldenPair, Problem};
 
 /// Description of a combinational problem, provided by a family module.
@@ -62,185 +62,470 @@ pub struct SeqSpec {
     pub expected: Vec<Option<Vec<u64>>>,
 }
 
-/// Builds a combinational [`Problem`].
-#[must_use]
-pub fn comb_problem(spec: CombSpec) -> Problem {
-    let vectors = choose_vectors(&spec.inputs, &spec.name);
-    let expected: Vec<Vec<u64>> = vectors.iter().map(|v| (spec.eval)(v)).collect();
-    let verilog = GoldenPair {
-        dut: vlog_dut(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.vlog_body,
-            spec.vlog_out_reg,
-            false,
-        ),
-        tb: vlog_comb_tb(&spec.name, &spec.inputs, &spec.outputs, &vectors, &expected),
-    };
-    let vhdl = GoldenPair {
-        dut: vhdl_dut(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.vhdl_decls,
-            &spec.vhdl_body,
-            false,
-        ),
-        tb: vhdl_comb_tb(&spec.name, &spec.inputs, &spec.outputs, &vectors, &expected),
-    };
-    Problem {
-        id: 0,
-        name: spec.name.clone(),
-        family: spec.family,
-        difficulty: spec.difficulty,
-        spec: prompt(
-            &spec.name,
-            &spec.description,
-            &spec.inputs,
-            &spec.outputs,
-            false,
-        ),
-        module_name: spec.name,
-        verilog,
-        vhdl,
-    }
+/// Appends the combinational problem `spec` to `problems`, at the next
+/// suite index.
+pub fn push_comb(problems: &mut Vec<Problem>, spec: CombSpec) {
+    problems.push(comb_problem(problems.len(), spec));
 }
 
-/// Builds a sequential [`Problem`].
-#[must_use]
-pub fn seq_problem(spec: SeqSpec) -> Problem {
+/// Appends the sequential problem `spec` to `problems`, at the next
+/// suite index.
+pub fn push_seq(problems: &mut Vec<Problem>, spec: SeqSpec) {
+    problems.push(seq_problem(problems.len(), spec));
+}
+
+/// Builds a combinational [`Problem`] with suite index `id`.
+fn comb_problem(id: usize, spec: CombSpec) -> Problem {
+    let width = spec.inputs.len();
+    let vectors = choose_vectors(&spec.inputs, &spec.name);
+    let mut expected = Vec::with_capacity(vectors.len() / width.max(1) * spec.outputs.len());
+    for v in vectors.chunks_exact(width.max(1)) {
+        expected.extend((spec.eval)(&v[..width]));
+    }
+    let steps = || {
+        vectors
+            .chunks_exact(width.max(1))
+            .map(|v| &v[..width])
+            .zip(expected.chunks_exact(spec.outputs.len().max(1)).map(Some))
+    };
+    Description {
+        name: &spec.name,
+        family: spec.family,
+        difficulty: spec.difficulty,
+        description: &spec.description,
+        inputs: &spec.inputs,
+        outputs: &spec.outputs,
+        vlog_body: &spec.vlog_body,
+        vlog_out_reg: spec.vlog_out_reg,
+        vhdl_decls: &spec.vhdl_decls,
+        vhdl_body: &spec.vhdl_body,
+        seq: false,
+    }
+    .problem(id, steps)
+}
+
+/// Builds a sequential [`Problem`] with suite index `id`.
+fn seq_problem(id: usize, spec: SeqSpec) -> Problem {
     assert_eq!(
         spec.stimulus.len(),
         spec.expected.len(),
         "stimulus and expected timelines must align"
     );
-    let verilog = GoldenPair {
-        dut: vlog_dut(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.vlog_body,
-            true,
-            true,
-        ),
-        tb: vlog_seq_tb(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.stimulus,
-            &spec.expected,
-        ),
+    let steps = || {
+        spec.stimulus
+            .iter()
+            .map(Vec::as_slice)
+            .zip(spec.expected.iter().map(Option::as_deref))
     };
-    let vhdl = GoldenPair {
-        dut: vhdl_dut(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.vhdl_decls,
-            &spec.vhdl_body,
-            true,
-        ),
-        tb: vhdl_seq_tb(
-            &spec.name,
-            &spec.inputs,
-            &spec.outputs,
-            &spec.stimulus,
-            &spec.expected,
-        ),
-    };
-    Problem {
-        id: 0,
-        name: spec.name.clone(),
+    Description {
+        name: &spec.name,
         family: spec.family,
         difficulty: spec.difficulty,
-        spec: prompt(
-            &spec.name,
-            &spec.description,
-            &spec.inputs,
-            &spec.outputs,
-            true,
-        ),
-        module_name: spec.name,
-        verilog,
-        vhdl,
+        description: &spec.description,
+        inputs: &spec.inputs,
+        outputs: &spec.outputs,
+        vlog_body: &spec.vlog_body,
+        vlog_out_reg: true,
+        vhdl_decls: &spec.vhdl_decls,
+        vhdl_body: &spec.vhdl_body,
+        seq: true,
     }
+    .problem(id, steps)
 }
 
-// ----------------------------------------------------------- prompts
+/// One testbench step: input values, and the expected outputs (`None`
+/// skips the checks of that step).
+type Step<'a> = (&'a [u64], Option<&'a [u64]>);
 
-fn prompt(name: &str, description: &str, inputs: &[Port], outputs: &[Port], seq: bool) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("Design task: {name}.\n"));
-    s.push_str(&format!(
-        "Implement a hardware module named `{name}` with the following interface:\n"
-    ));
-    if seq {
-        s.push_str("  - input clk (1 bit): clock\n");
+/// A problem description as the text generators read it, borrowed from
+/// a [`CombSpec`] or a [`SeqSpec`]. Every text is written straight into
+/// one buffer sized up front: no `format!` per line and no `String` per
+/// literal, range or connection list.
+struct Description<'a> {
+    name: &'a str,
+    family: Family,
+    difficulty: Difficulty,
+    description: &'a str,
+    inputs: &'a [Port],
+    outputs: &'a [Port],
+    vlog_body: &'a str,
+    /// Outputs are declared `reg` (driven procedurally).
+    vlog_out_reg: bool,
+    vhdl_decls: &'a str,
+    vhdl_body: &'a str,
+    /// Clocked: a `clk` input, and a testbench that drives the clock.
+    seq: bool,
+}
+
+impl Description<'_> {
+    /// The problem with suite index `id`; `steps` yields the testbench
+    /// steps, once per language.
+    fn problem<'s, I>(&self, id: usize, steps: impl Fn() -> I) -> Problem
+    where
+        I: ExactSizeIterator<Item = Step<'s>>,
+    {
+        let mut name = String::with_capacity(8 + self.name.len());
+        push_problem_name(&mut name, id, self.name);
+        Problem {
+            id,
+            name,
+            family: self.family,
+            difficulty: self.difficulty,
+            spec: self.prompt(id),
+            module_name: self.name.to_owned(),
+            verilog: GoldenPair {
+                dut: self.vlog_dut().into(),
+                tb: self.vlog_tb(steps()).into(),
+            },
+            vhdl: GoldenPair {
+                dut: self.vhdl_dut().into(),
+                tb: self.vhdl_tb(steps()).into(),
+            },
+        }
     }
-    for p in inputs {
-        s.push_str(&format!(
-            "  - input {} ({} bit{})\n",
-            p.name,
-            p.width,
-            plural(p.width)
-        ));
+
+    /// An upper bound on the bytes of the port lists, `per_port` bytes
+    /// of fixed text and three copies of the name each.
+    fn ports_len(&self, per_port: usize) -> usize {
+        self.inputs
+            .iter()
+            .chain(self.outputs)
+            .map(|p| 3 * p.name.len() + per_port)
+            .sum()
     }
-    for p in outputs {
-        s.push_str(&format!(
-            "  - output {} ({} bit{})\n",
-            p.name,
-            p.width,
-            plural(p.width)
-        ));
-    }
-    s.push_str(&format!("Behaviour: {description}\n"));
-    if seq {
-        s.push_str(
-            "All state updates occur on the rising edge of `clk`; outputs are registered.\n",
+
+    // ------------------------------------------------------- prompt
+
+    fn prompt(&self, id: usize) -> String {
+        let mut s = String::with_capacity(
+            256 + 2 * self.name.len() + self.description.len() + self.ports_len(32),
         );
+        s.push_str("Design task: ");
+        push_problem_name(&mut s, id, self.name);
+        s.push_str(".\nImplement a hardware module named `");
+        s.push_str(self.name);
+        s.push_str("` with the following interface:\n");
+        if self.seq {
+            s.push_str("  - input clk (1 bit): clock\n");
+        }
+        for (dir, ports) in [("input", self.inputs), ("output", self.outputs)] {
+            for p in ports {
+                s.push_str("  - ");
+                s.push_str(dir);
+                s.push(' ');
+                s.push_str(&p.name);
+                s.push_str(" (");
+                push_u32(&mut s, p.width);
+                s.push_str(if p.width == 1 { " bit)\n" } else { " bits)\n" });
+            }
+        }
+        s.push_str("Behaviour: ");
+        s.push_str(self.description);
+        s.push('\n');
+        if self.seq {
+            s.push_str(
+                "All state updates occur on the rising edge of `clk`; outputs are registered.\n",
+            );
+        }
+        s
     }
-    s
+
+    // ---------------------------------------------------------- DUTs
+
+    fn vlog_dut(&self) -> String {
+        let mut s =
+            String::with_capacity(64 + self.name.len() + self.vlog_body.len() + self.ports_len(40));
+        s.push_str("module ");
+        s.push_str(self.name);
+        s.push_str("(\n");
+        let mut sep = "";
+        if self.seq {
+            s.push_str("  input wire clk");
+            sep = ",\n";
+        }
+        let out_kind = if self.vlog_out_reg {
+            "  output reg "
+        } else {
+            "  output wire "
+        };
+        for (kind, ports) in [("  input wire ", self.inputs), (out_kind, self.outputs)] {
+            for p in ports {
+                s.push_str(sep);
+                s.push_str(kind);
+                p.push_vlog_range(&mut s);
+                s.push_str(&p.name);
+                sep = ",\n";
+            }
+        }
+        s.push_str("\n);\n");
+        s.push_str(self.vlog_body);
+        s.push_str("endmodule\n");
+        s
+    }
+
+    fn vhdl_dut(&self) -> String {
+        let mut s = String::with_capacity(
+            VHDL_LIBS.len()
+                + 128
+                + 2 * self.name.len()
+                + self.vhdl_decls.len()
+                + self.vhdl_body.len()
+                + self.ports_len(64),
+        );
+        s.push_str(VHDL_LIBS);
+        s.push_str("entity ");
+        s.push_str(self.name);
+        s.push_str(" is\n  port (\n");
+        let mut sep = "";
+        if self.seq {
+            s.push_str("    clk : in std_logic");
+            sep = ";\n";
+        }
+        for (dir, ports) in [(" : in ", self.inputs), (" : out ", self.outputs)] {
+            for p in ports {
+                s.push_str(sep);
+                s.push_str("    ");
+                s.push_str(&p.name);
+                s.push_str(dir);
+                p.push_vhdl_type(&mut s);
+                sep = ";\n";
+            }
+        }
+        s.push_str("\n  );\nend entity;\n\narchitecture rtl of ");
+        s.push_str(self.name);
+        s.push_str(" is\n");
+        s.push_str(self.vhdl_decls);
+        s.push_str("begin\n");
+        s.push_str(self.vhdl_body);
+        s.push_str("end architecture;\n");
+        s
+    }
+
+    // --------------------------------------------------- testbenches
+    //
+    // A combinational testbench applies each vector and checks the
+    // outputs 10 time units later; a sequential one drives a clock,
+    // applies each cycle's inputs before the rising edge and checks the
+    // registered outputs after it.
+
+    /// An upper bound on the bytes of a testbench over `steps` steps, so
+    /// the text is written into one allocation. `check` and `step` are
+    /// the language's fixed bytes per output check (case number
+    /// included) and per step (timing and clock lines).
+    fn tb_capacity(&self, steps: usize, check: usize, step: usize) -> usize {
+        let inputs: usize = self
+            .inputs
+            .iter()
+            .map(|p| p.name.len() + p.width as usize + 16)
+            .sum();
+        let checks: usize = self
+            .outputs
+            .iter()
+            .map(|p| 3 * p.name.len() + 2 * p.width as usize + check)
+            .sum();
+        512 + self.name.len() + self.ports_len(48) + steps * (inputs + checks + step)
+    }
+
+    fn vlog_tb<'s>(&self, steps: impl ExactSizeIterator<Item = Step<'s>>) -> String {
+        let mut s = String::with_capacity(self.tb_capacity(steps.len(), 112, 48));
+        s.push_str(if self.seq {
+            "module tb;\n  reg clk;\n"
+        } else {
+            "module tb;\n"
+        });
+        for (kind, ports) in [("  reg ", self.inputs), ("  wire ", self.outputs)] {
+            for p in ports {
+                s.push_str(kind);
+                p.push_vlog_range(&mut s);
+                s.push_str(&p.name);
+                s.push_str(";\n");
+            }
+        }
+        s.push_str("  ");
+        s.push_str(self.name);
+        s.push_str(if self.seq {
+            " dut(.clk(clk), "
+        } else {
+            " dut("
+        });
+        let mut sep = "";
+        for p in self.inputs.iter().chain(self.outputs) {
+            s.push_str(sep);
+            s.push('.');
+            s.push_str(&p.name);
+            s.push('(');
+            s.push_str(&p.name);
+            s.push(')');
+            sep = ", ";
+        }
+        s.push_str(");\n  integer errors;\n  initial begin\n    errors = 0;\n");
+        if self.seq {
+            s.push_str("    clk = 0;\n");
+        }
+        let mut case_no = 1u32;
+        for (vec, exp) in steps {
+            for (p, &v) in self.inputs.iter().zip(vec) {
+                s.push_str("    ");
+                s.push_str(&p.name);
+                s.push_str(" = ");
+                s.push_str(Lit::vlog(p.width, v).as_str());
+                s.push_str(";\n");
+            }
+            s.push_str(if self.seq {
+                "    #4; clk = 1;\n    #2;\n"
+            } else {
+                "    #10;\n"
+            });
+            for (p, &e) in self.outputs.iter().zip(exp.unwrap_or_default()) {
+                let lit = Lit::vlog(p.width, e);
+                s.push_str("    if (");
+                s.push_str(&p.name);
+                s.push_str(" !== ");
+                s.push_str(lit.as_str());
+                s.push_str(") begin $error(\"Test Case ");
+                push_u32(&mut s, case_no);
+                s.push_str(" Failed: ");
+                s.push_str(&p.name);
+                s.push_str(" should be ");
+                s.push_str(lit.as_str());
+                s.push_str(", got %b\", ");
+                s.push_str(&p.name);
+                s.push_str("); errors = errors + 1; end\n");
+                case_no += 1;
+            }
+            if self.seq {
+                // The extra #1 separates next-cycle input changes from
+                // the falling edge, so a wrong-clock-edge fault samples
+                // stale inputs and is caught by the checks.
+                s.push_str("    #3; clk = 0;\n    #1;\n");
+            }
+        }
+        s.push_str(
+            "    if (errors == 0) $display(\"All tests passed successfully!\");\n\
+             \x20   else $display(\"%0d test case(s) failed.\", errors);\n\
+             \x20   $finish;\n  end\nendmodule\n",
+        );
+        s
+    }
+
+    fn vhdl_tb<'s>(&self, steps: impl ExactSizeIterator<Item = Step<'s>>) -> String {
+        let mut s = String::with_capacity(self.tb_capacity(steps.len(), 84, 102));
+        s.push_str(VHDL_LIBS);
+        s.push_str("entity tb is\nend entity;\n\narchitecture sim of tb is\n");
+        if self.seq {
+            s.push_str("  signal clk : std_logic := '0';\n");
+        }
+        for p in self.inputs.iter().chain(self.outputs) {
+            s.push_str("  signal ");
+            s.push_str(&p.name);
+            s.push_str(" : ");
+            p.push_vhdl_type(&mut s);
+            s.push_str(";\n");
+        }
+        s.push_str("begin\n  dut: entity work.");
+        s.push_str(self.name);
+        s.push_str(if self.seq {
+            " port map (clk => clk, "
+        } else {
+            " port map ("
+        });
+        let mut sep = "";
+        for p in self.inputs.iter().chain(self.outputs) {
+            s.push_str(sep);
+            s.push_str(&p.name);
+            s.push_str(" => ");
+            s.push_str(&p.name);
+            sep = ", ";
+        }
+        s.push_str(");\n\n  stim: process\n  begin\n");
+        let mut case_no = 1u32;
+        for (vec, exp) in steps {
+            for (p, &v) in self.inputs.iter().zip(vec) {
+                s.push_str("    ");
+                s.push_str(&p.name);
+                s.push_str(" <= ");
+                s.push_str(Lit::vhdl(p.width, v).as_str());
+                s.push_str(";\n");
+            }
+            s.push_str(if self.seq {
+                "    wait for 4 ns;\n    clk <= '1';\n    wait for 2 ns;\n"
+            } else {
+                "    wait for 10 ns;\n"
+            });
+            for (p, &e) in self.outputs.iter().zip(exp.unwrap_or_default()) {
+                let lit = Lit::vhdl(p.width, e);
+                s.push_str("    assert ");
+                s.push_str(&p.name);
+                s.push_str(" = ");
+                s.push_str(lit.as_str());
+                s.push_str(" report \"Test Case ");
+                push_u32(&mut s, case_no);
+                s.push_str(" Failed: ");
+                s.push_str(&p.name);
+                s.push_str(" should be ");
+                // Without its double quotes, so the literal can sit
+                // inside the report string.
+                s.push_str(lit.as_str().trim_matches('"'));
+                s.push_str("\" severity error;\n");
+                case_no += 1;
+            }
+            if self.seq {
+                s.push_str("    wait for 3 ns;\n    clk <= '0';\n    wait for 1 ns;\n");
+            }
+        }
+        s.push_str(
+            "    report \"All tests passed successfully!\" severity note;\n    wait;\n\
+             \x20 end process;\nend architecture;\n",
+        );
+        s
+    }
 }
 
-fn plural(w: u32) -> &'static str {
-    if w == 1 {
-        ""
-    } else {
-        "s"
-    }
+const VHDL_LIBS: &str =
+    "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
+
+/// Appends the unique suite name, `prob{id:03}_{module}`.
+fn push_problem_name(s: &mut String, id: usize, module: &str) {
+    let id = u32::try_from(id).expect("suite index fits in u32");
+    s.push_str("prob");
+    s.push_str(&"00"[..usize::from(id < 10) + usize::from(id < 100)]);
+    push_u32(s, id);
+    s.push('_');
+    s.push_str(module);
 }
 
 // ------------------------------------------------------ vector choice
 
 /// Exhaustive when the input space is at most 2^10, otherwise 64 seeded
 /// pseudo-random vectors with the all-zeros / all-ones corners pinned.
-fn choose_vectors(inputs: &[Port], name: &str) -> Vec<Vec<u64>> {
+/// Vectors are stored flat, `inputs.len()` values each (one placeholder
+/// value for a problem without inputs).
+fn choose_vectors(inputs: &[Port], name: &str) -> Vec<u64> {
     let total_bits: u32 = inputs.iter().map(|p| p.width).sum();
     if total_bits <= 10 {
         let count = 1u64 << total_bits;
-        (0..count)
-            .map(|n| {
-                let mut fields = Vec::with_capacity(inputs.len());
-                let mut shift = 0;
-                for p in inputs {
-                    fields.push((n >> shift) & mask(p.width));
-                    shift += p.width;
-                }
-                fields
-            })
-            .collect()
+        let mut vectors = Vec::with_capacity(count as usize * inputs.len().max(1));
+        for n in 0..count {
+            let mut shift = 0;
+            for p in inputs {
+                vectors.push((n >> shift) & mask(p.width));
+                shift += p.width;
+            }
+            if inputs.is_empty() {
+                vectors.push(0);
+            }
+        }
+        vectors
     } else {
         let seed = name.bytes().fold(0xA5A5u64, |h, b| {
             h.wrapping_mul(0x100000001B3).wrapping_add(u64::from(b))
         });
         let mut rng = SplitMix::new(seed);
-        let mut vectors = vec![
-            inputs.iter().map(|_| 0u64).collect::<Vec<u64>>(),
-            inputs.iter().map(|p| mask(p.width)).collect::<Vec<u64>>(),
-        ];
+        let mut vectors = Vec::with_capacity(64 * inputs.len());
+        vectors.extend(inputs.iter().map(|_| 0u64));
+        vectors.extend(inputs.iter().map(|p| mask(p.width)));
         for _ in 0..62 {
-            vectors.push(inputs.iter().map(|p| rng.bits(p.width)).collect());
+            vectors.extend(inputs.iter().map(|p| rng.bits(p.width)));
         }
         vectors
     }
@@ -252,260 +537,6 @@ fn mask(width: u32) -> u64 {
     } else {
         (1u64 << width) - 1
     }
-}
-
-// -------------------------------------------------------- DUT codegen
-
-fn vlog_dut(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    body: &str,
-    out_reg: bool,
-    seq: bool,
-) -> String {
-    let mut ports = Vec::new();
-    if seq {
-        ports.push("  input wire clk".to_string());
-    }
-    for p in inputs {
-        ports.push(format!("  input wire {}{}", p.vlog_range(), p.name));
-    }
-    let out_kind = if out_reg { "reg" } else { "wire" };
-    for p in outputs {
-        ports.push(format!(
-            "  output {} {}{}",
-            out_kind,
-            p.vlog_range(),
-            p.name
-        ));
-    }
-    format!(
-        "module {name}(\n{}\n);\n{body}endmodule\n",
-        ports.join(",\n")
-    )
-}
-
-fn vhdl_dut(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    decls: &str,
-    body: &str,
-    seq: bool,
-) -> String {
-    let mut ports = Vec::new();
-    if seq {
-        ports.push("    clk : in std_logic".to_string());
-    }
-    for p in inputs {
-        ports.push(format!("    {} : in {}", p.name, p.vhdl_type()));
-    }
-    for p in outputs {
-        ports.push(format!("    {} : out {}", p.name, p.vhdl_type()));
-    }
-    format!(
-        "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n\
-         entity {name} is\n  port (\n{}\n  );\nend entity;\n\n\
-         architecture rtl of {name} is\n{decls}begin\n{body}end architecture;\n",
-        ports.join(";\n")
-    )
-}
-
-// ------------------------------------------------- combinational TBs
-
-fn vlog_comb_tb(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    vectors: &[Vec<u64>],
-    expected: &[Vec<u64>],
-) -> String {
-    let mut s = String::from("module tb;\n");
-    for p in inputs {
-        s.push_str(&format!("  reg {}{};\n", p.vlog_range(), p.name));
-    }
-    for p in outputs {
-        s.push_str(&format!("  wire {}{};\n", p.vlog_range(), p.name));
-    }
-    s.push_str(&format!("  {name} dut("));
-    let conns: Vec<String> = inputs
-        .iter()
-        .chain(outputs)
-        .map(|p| format!(".{}({})", p.name, p.name))
-        .collect();
-    s.push_str(&conns.join(", "));
-    s.push_str(");\n  integer errors;\n  initial begin\n    errors = 0;\n");
-    let mut case_no = 1u32;
-    for (vec, exp) in vectors.iter().zip(expected) {
-        for (p, v) in inputs.iter().zip(vec) {
-            s.push_str(&format!("    {} = {};\n", p.name, vlog_lit(p.width, *v)));
-        }
-        s.push_str("    #10;\n");
-        for (p, e) in outputs.iter().zip(exp) {
-            let lit = vlog_lit(p.width, *e);
-            s.push_str(&format!(
-                "    if ({} !== {}) begin $error(\"Test Case {} Failed: {} should be {}, got %b\", {}); errors = errors + 1; end\n",
-                p.name, lit, case_no, p.name, lit, p.name
-            ));
-            case_no += 1;
-        }
-    }
-    s.push_str(
-        "    if (errors == 0) $display(\"All tests passed successfully!\");\n\
-         \x20   else $display(\"%0d test case(s) failed.\", errors);\n\
-         \x20   $finish;\n  end\nendmodule\n",
-    );
-    s
-}
-
-fn vhdl_comb_tb(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    vectors: &[Vec<u64>],
-    expected: &[Vec<u64>],
-) -> String {
-    let mut s = String::from(
-        "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n\
-         entity tb is\nend entity;\n\narchitecture sim of tb is\n",
-    );
-    for p in inputs.iter().chain(outputs) {
-        s.push_str(&format!("  signal {} : {};\n", p.name, p.vhdl_type()));
-    }
-    s.push_str(&format!("begin\n  dut: entity work.{name} port map ("));
-    let conns: Vec<String> = inputs
-        .iter()
-        .chain(outputs)
-        .map(|p| format!("{} => {}", p.name, p.name))
-        .collect();
-    s.push_str(&conns.join(", "));
-    s.push_str(");\n\n  stim: process\n  begin\n");
-    let mut case_no = 1u32;
-    for (vec, exp) in vectors.iter().zip(expected) {
-        for (p, v) in inputs.iter().zip(vec) {
-            s.push_str(&format!("    {} <= {};\n", p.name, vhdl_lit(p.width, *v)));
-        }
-        s.push_str("    wait for 10 ns;\n");
-        for (p, e) in outputs.iter().zip(exp) {
-            let lit = vhdl_lit(p.width, *e);
-            // Strip quotes so the literal can sit inside the report string.
-            let shown = lit.replace('"', "");
-            s.push_str(&format!(
-                "    assert {} = {} report \"Test Case {} Failed: {} should be {}\" severity error;\n",
-                p.name, lit, case_no, p.name, shown
-            ));
-            case_no += 1;
-        }
-    }
-    s.push_str(
-        "    report \"All tests passed successfully!\" severity note;\n    wait;\n\
-         \x20 end process;\nend architecture;\n",
-    );
-    s
-}
-
-// --------------------------------------------------- sequential TBs
-
-fn vlog_seq_tb(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    stimulus: &[Vec<u64>],
-    expected: &[Option<Vec<u64>>],
-) -> String {
-    let mut s = String::from("module tb;\n  reg clk;\n");
-    for p in inputs {
-        s.push_str(&format!("  reg {}{};\n", p.vlog_range(), p.name));
-    }
-    for p in outputs {
-        s.push_str(&format!("  wire {}{};\n", p.vlog_range(), p.name));
-    }
-    s.push_str(&format!("  {name} dut(.clk(clk), "));
-    let conns: Vec<String> = inputs
-        .iter()
-        .chain(outputs)
-        .map(|p| format!(".{}({})", p.name, p.name))
-        .collect();
-    s.push_str(&conns.join(", "));
-    s.push_str(");\n  integer errors;\n  initial begin\n    errors = 0;\n    clk = 0;\n");
-    let mut case_no = 1u32;
-    for (vec, exp) in stimulus.iter().zip(expected) {
-        for (p, v) in inputs.iter().zip(vec) {
-            s.push_str(&format!("    {} = {};\n", p.name, vlog_lit(p.width, *v)));
-        }
-        s.push_str("    #4; clk = 1;\n    #2;\n");
-        if let Some(exp) = exp {
-            for (p, e) in outputs.iter().zip(exp) {
-                let lit = vlog_lit(p.width, *e);
-                s.push_str(&format!(
-                    "    if ({} !== {}) begin $error(\"Test Case {} Failed: {} should be {}, got %b\", {}); errors = errors + 1; end\n",
-                    p.name, lit, case_no, p.name, lit, p.name
-                ));
-                case_no += 1;
-            }
-        }
-        // The extra #1 separates next-cycle input changes from the
-        // falling edge, so a wrong-clock-edge fault samples stale inputs
-        // and is caught by the checks.
-        s.push_str("    #3; clk = 0;\n    #1;\n");
-    }
-    s.push_str(
-        "    if (errors == 0) $display(\"All tests passed successfully!\");\n\
-         \x20   else $display(\"%0d test case(s) failed.\", errors);\n\
-         \x20   $finish;\n  end\nendmodule\n",
-    );
-    s
-}
-
-fn vhdl_seq_tb(
-    name: &str,
-    inputs: &[Port],
-    outputs: &[Port],
-    stimulus: &[Vec<u64>],
-    expected: &[Option<Vec<u64>>],
-) -> String {
-    let mut s = String::from(
-        "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n\
-         entity tb is\nend entity;\n\narchitecture sim of tb is\n  signal clk : std_logic := '0';\n",
-    );
-    for p in inputs.iter().chain(outputs) {
-        s.push_str(&format!("  signal {} : {};\n", p.name, p.vhdl_type()));
-    }
-    s.push_str(&format!(
-        "begin\n  dut: entity work.{name} port map (clk => clk, "
-    ));
-    let conns: Vec<String> = inputs
-        .iter()
-        .chain(outputs)
-        .map(|p| format!("{} => {}", p.name, p.name))
-        .collect();
-    s.push_str(&conns.join(", "));
-    s.push_str(");\n\n  stim: process\n  begin\n");
-    let mut case_no = 1u32;
-    for (vec, exp) in stimulus.iter().zip(expected) {
-        for (p, v) in inputs.iter().zip(vec) {
-            s.push_str(&format!("    {} <= {};\n", p.name, vhdl_lit(p.width, *v)));
-        }
-        s.push_str("    wait for 4 ns;\n    clk <= '1';\n    wait for 2 ns;\n");
-        if let Some(exp) = exp {
-            for (p, e) in outputs.iter().zip(exp) {
-                let lit = vhdl_lit(p.width, *e);
-                let shown = lit.replace('"', "");
-                s.push_str(&format!(
-                    "    assert {} = {} report \"Test Case {} Failed: {} should be {}\" severity error;\n",
-                    p.name, lit, case_no, p.name, shown
-                ));
-                case_no += 1;
-            }
-        }
-        s.push_str("    wait for 3 ns;\n    clk <= '0';\n    wait for 1 ns;\n");
-    }
-    s.push_str(
-        "    report \"All tests passed successfully!\" severity note;\n    wait;\n\
-         \x20 end process;\nend architecture;\n",
-    );
-    s
 }
 
 #[cfg(test)]
@@ -530,7 +561,7 @@ mod tests {
 
     #[test]
     fn comb_problem_generates_exhaustive_tb() {
-        let p = comb_problem(tiny_comb());
+        let p = comb_problem(0, tiny_comb());
         // 2 inputs → 4 vectors → 4 checks in each testbench.
         assert_eq!(p.verilog.tb.matches("Test Case").count(), 4);
         assert_eq!(p.vhdl.tb.matches("Test Case").count(), 4);
@@ -554,7 +585,7 @@ mod tests {
             vhdl_decls: String::new(),
             eval: Box::new(|v| vec![(v[0] + v[1]) & 0xFF]),
         };
-        let p = comb_problem(spec);
+        let p = comb_problem(0, spec);
         assert_eq!(p.verilog.tb.matches("Test Case").count(), 64);
     }
 
@@ -573,7 +604,7 @@ mod tests {
             stimulus: vec![vec![1], vec![0], vec![1]],
             expected: vec![Some(vec![1]), Some(vec![0]), Some(vec![1])],
         };
-        let p = seq_problem(spec);
+        let p = seq_problem(0, spec);
         assert_eq!(p.verilog.tb.matches("Test Case").count(), 3);
         assert!(p.verilog.dut.contains("input wire clk"));
         assert!(p.vhdl.tb.contains("clk <= '1';"));
@@ -596,6 +627,6 @@ mod tests {
             stimulus: vec![vec![]],
             expected: vec![],
         };
-        let _ = seq_problem(spec);
+        let _ = seq_problem(0, spec);
     }
 }

@@ -1,6 +1,6 @@
 //! Adders, subtractors and incrementers (12 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -158,20 +158,20 @@ fn full_adder() -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [4, 8, 16] {
-        problems.push(comb_problem(adder_cout(w)));
+        push_comb(problems, adder_cout(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(adder_plain(w)));
+        push_comb(problems, adder_plain(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(subtractor(w)));
+        push_comb(problems, subtractor(w));
     }
-    problems.push(comb_problem(addsub(4)));
+    push_comb(problems, addsub(4));
     for w in [4, 8] {
-        problems.push(comb_problem(incrementer(w)));
+        push_comb(problems, incrementer(w));
     }
-    problems.push(comb_problem(half_adder()));
-    problems.push(comb_problem(full_adder()));
+    push_comb(problems, half_adder());
+    push_comb(problems, full_adder());
 }
 
 #[cfg(test)]

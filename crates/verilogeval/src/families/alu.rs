@@ -1,6 +1,6 @@
 //! Small arithmetic-logic units (10 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -183,16 +183,16 @@ fn sat_add(width: u32) -> CombSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(alu4op(4)));
-    problems.push(comb_problem(alu4op(8)));
-    problems.push(comb_problem(alu8op(4)));
-    problems.push(comb_problem(logic_unit(4)));
-    problems.push(comb_problem(logic_unit(8)));
-    problems.push(comb_problem(arith_flags(4)));
-    problems.push(comb_problem(arith_flags(8)));
-    problems.push(comb_problem(absdiff(4)));
-    problems.push(comb_problem(absdiff(8)));
-    problems.push(comb_problem(sat_add(4)));
+    push_comb(problems, alu4op(4));
+    push_comb(problems, alu4op(8));
+    push_comb(problems, alu8op(4));
+    push_comb(problems, logic_unit(4));
+    push_comb(problems, logic_unit(8));
+    push_comb(problems, arith_flags(4));
+    push_comb(problems, arith_flags(8));
+    push_comb(problems, absdiff(4));
+    push_comb(problems, absdiff(8));
+    push_comb(problems, sat_add(4));
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Magnitude comparators (10 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::{vhdl_lit, vlog_lit, Port};
 use crate::{Difficulty, Family, Problem};
 
@@ -133,18 +133,18 @@ fn in_range(width: u32, lo: u64, hi: u64) -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [4, 8] {
-        problems.push(comb_problem(eq(w)));
+        push_comb(problems, eq(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(lt(w)));
+        push_comb(problems, lt(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(full(w)));
+        push_comb(problems, full(w));
     }
-    problems.push(comb_problem(minmax(4, true)));
-    problems.push(comb_problem(minmax(4, false)));
-    problems.push(comb_problem(is_zero(8)));
-    problems.push(comb_problem(in_range(4, 3, 12)));
+    push_comb(problems, minmax(4, true));
+    push_comb(problems, minmax(4, false));
+    push_comb(problems, is_zero(8));
+    push_comb(problems, in_range(4, 3, 12));
 }
 
 #[cfg(test)]

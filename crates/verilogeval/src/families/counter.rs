@@ -1,6 +1,6 @@
 //! Clocked counters with synchronous reset (12 problems).
 
-use crate::builders::{seq_problem, SeqSpec};
+use crate::builders::{push_seq, SeqSpec};
 use crate::port::{Port, SplitMix};
 use crate::{Difficulty, Family, Problem};
 
@@ -81,41 +81,50 @@ fn counter(
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [4, 8] {
         let m = mask(w);
-        problems.push(seq_problem(counter(
-            &format!("count_up_w{w}"),
-            Difficulty::Medium,
-            &format!(
+        push_seq(
+            problems,
+            counter(
+                &format!("count_up_w{w}"),
+                Difficulty::Medium,
+                &format!(
                 "A {w}-bit up counter: q increments by 1 every clock cycle, wrapping at 2^{w}-1."
             ),
-            w,
-            vec![],
-            "      q <= q + 1;\n",
-            "        count <= count + 1;\n",
-            move |s, _| (s + 1) & m,
-        )));
+                w,
+                vec![],
+                "      q <= q + 1;\n",
+                "        count <= count + 1;\n",
+                move |s, _| (s + 1) & m,
+            ),
+        );
     }
     let m4 = mask(4);
-    problems.push(seq_problem(counter(
-        "count_up_en_w4",
-        Difficulty::Medium,
-        "A 4-bit up counter with enable: q increments only on cycles where en is 1.",
-        4,
-        vec![Port::new("en", 1)],
-        "      if (en) q <= q + 1;\n",
-        "        if en = '1' then\n          count <= count + 1;\n        end if;\n",
-        move |s, v| if v[0] == 1 { (s + 1) & m4 } else { s },
-    )));
-    problems.push(seq_problem(counter(
-        "count_down_w4",
-        Difficulty::Medium,
-        "A 4-bit down counter: q decrements by 1 every clock cycle, wrapping from 0 to 15.",
-        4,
-        vec![],
-        "      q <= q - 1;\n",
-        "        count <= count - 1;\n",
-        move |s, _| s.wrapping_sub(1) & m4,
-    )));
-    problems.push(seq_problem(counter(
+    push_seq(
+        problems,
+        counter(
+            "count_up_en_w4",
+            Difficulty::Medium,
+            "A 4-bit up counter with enable: q increments only on cycles where en is 1.",
+            4,
+            vec![Port::new("en", 1)],
+            "      if (en) q <= q + 1;\n",
+            "        if en = '1' then\n          count <= count + 1;\n        end if;\n",
+            move |s, v| if v[0] == 1 { (s + 1) & m4 } else { s },
+        ),
+    );
+    push_seq(
+        problems,
+        counter(
+            "count_down_w4",
+            Difficulty::Medium,
+            "A 4-bit down counter: q decrements by 1 every clock cycle, wrapping from 0 to 15.",
+            4,
+            vec![],
+            "      q <= q - 1;\n",
+            "        count <= count - 1;\n",
+            move |s, _| s.wrapping_sub(1) & m4,
+        ),
+    );
+    push_seq(problems, counter(
         "count_updown_w4",
         Difficulty::Medium,
         "A 4-bit up/down counter: q increments when dir is 1 and decrements when dir is 0, with wraparound.",
@@ -130,9 +139,9 @@ pub fn extend(problems: &mut Vec<Problem>) {
                 s.wrapping_sub(1) & m4
             }
         },
-    )));
+    ));
     for n in [10u64, 12] {
-        problems.push(seq_problem(counter(
+        push_seq(problems, counter(
             &format!("count_mod{n}_w4"),
             Difficulty::Medium,
             &format!("A modulo-{n} counter: q counts 0,1,...,{} and then wraps to 0.", n - 1),
@@ -141,9 +150,9 @@ pub fn extend(problems: &mut Vec<Problem>) {
             &format!("      if (q == 4'd{}) q <= 0;\n      else q <= q + 1;\n", n - 1),
             &format!("        if count = {} then\n          count <= (others => '0');\n        else\n          count <= count + 1;\n        end if;\n", n - 1),
             move |s, _| if s == n - 1 { 0 } else { s + 1 },
-        )));
+        ));
     }
-    problems.push(seq_problem(counter(
+    push_seq(problems, counter(
         "count_sat_w4",
         Difficulty::Medium,
         "A saturating 4-bit counter: q increments each cycle but stops at 15 instead of wrapping.",
@@ -152,13 +161,13 @@ pub fn extend(problems: &mut Vec<Problem>) {
         "      if (q != 4'b1111) q <= q + 1;\n",
         "        if count = \"1111\" then\n          count <= count;\n        else\n          count <= count + 1;\n        end if;\n",
         move |s, _| (s + 1).min(15),
-    )));
+    ));
 
     // Load counter needs a wide data input; built directly.
-    problems.push(seq_problem(load_counter()));
-    problems.push(seq_problem(ring_counter()));
-    problems.push(seq_problem(johnson_counter()));
-    problems.push(seq_problem(terminal_count()));
+    push_seq(problems, load_counter());
+    push_seq(problems, ring_counter());
+    push_seq(problems, johnson_counter());
+    push_seq(problems, terminal_count());
 }
 
 fn load_counter() -> SeqSpec {

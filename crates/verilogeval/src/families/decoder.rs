@@ -1,6 +1,6 @@
 //! Binary decoders with one-hot outputs (10 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -104,16 +104,16 @@ fn decoder(sel_bits: u32, enable: bool, active_low: bool) -> CombSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(decoder(1, false, false)));
-    problems.push(comb_problem(decoder(1, true, false)));
-    problems.push(comb_problem(decoder(2, false, false)));
-    problems.push(comb_problem(decoder(2, true, false)));
-    problems.push(comb_problem(decoder(2, true, true)));
-    problems.push(comb_problem(decoder(3, false, false)));
-    problems.push(comb_problem(decoder(3, true, false)));
-    problems.push(comb_problem(decoder(3, true, true)));
-    problems.push(comb_problem(decoder(4, false, false)));
-    problems.push(comb_problem(decoder(4, true, false)));
+    push_comb(problems, decoder(1, false, false));
+    push_comb(problems, decoder(1, true, false));
+    push_comb(problems, decoder(2, false, false));
+    push_comb(problems, decoder(2, true, false));
+    push_comb(problems, decoder(2, true, true));
+    push_comb(problems, decoder(3, false, false));
+    push_comb(problems, decoder(3, true, false));
+    push_comb(problems, decoder(3, true, true));
+    push_comb(problems, decoder(4, false, false));
+    push_comb(problems, decoder(4, true, false));
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Edge detectors and pulse logic (8 problems).
 
-use crate::builders::{seq_problem, SeqSpec};
+use crate::builders::{push_seq, SeqSpec};
 use crate::port::{Port, SplitMix};
 use crate::{Difficulty, Family, Problem};
 
@@ -212,33 +212,33 @@ fn delay2() -> SeqSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(seq_problem(detector(
+    push_seq(problems, detector(
         "rising",
         |prev, d| u64::from(prev == 0 && d == 1),
         "~prev & d",
         "(not prev) and d",
         "p pulses high for one cycle after each rising edge (0→1 transition) of the input d, observed across consecutive rising clock edges. rst synchronously clears the detector.",
-    )));
-    problems.push(seq_problem(detector(
+    ));
+    push_seq(problems, detector(
         "falling",
         |prev, d| u64::from(prev == 1 && d == 0),
         "prev & ~d",
         "prev and (not d)",
         "p pulses high for one cycle after each falling edge (1→0 transition) of the input d, observed across consecutive rising clock edges. rst synchronously clears the detector.",
-    )));
-    problems.push(seq_problem(detector(
+    ));
+    push_seq(problems, detector(
         "any",
         |prev, d| u64::from(prev != d),
         "prev ^ d",
         "prev xor d",
         "p pulses high for one cycle after every transition (either direction) of the input d, observed across consecutive rising clock edges. rst synchronously clears the detector.",
-    )));
-    problems.push(seq_problem(bus_change(4)));
-    problems.push(seq_problem(bus_change(8)));
-    problems.push(seq_problem(stable2()));
-    problems.push(seq_problem(toggle_on_rise()));
-    problems.push(seq_problem(sticky()));
-    problems.push(seq_problem(delay2()));
+    ));
+    push_seq(problems, bus_change(4));
+    push_seq(problems, bus_change(8));
+    push_seq(problems, stable2());
+    push_seq(problems, toggle_on_rise());
+    push_seq(problems, sticky());
+    push_seq(problems, delay2());
 }
 
 #[cfg(test)]

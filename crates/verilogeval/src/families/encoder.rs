@@ -1,6 +1,6 @@
 //! Priority encoders and detectors (8 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -98,32 +98,38 @@ fn reduction(
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(priority(4, true)));
-    problems.push(comb_problem(priority(4, false)));
-    problems.push(comb_problem(priority(8, true)));
-    problems.push(comb_problem(priority(8, false)));
-    problems.push(comb_problem(priority(2, true)));
-    problems.push(comb_problem(priority(6, false)));
+    push_comb(problems, priority(4, true));
+    push_comb(problems, priority(4, false));
+    push_comb(problems, priority(8, true));
+    push_comb(problems, priority(8, false));
+    push_comb(problems, priority(2, true));
+    push_comb(problems, priority(6, false));
 
     // any8: reduction OR.
     let all_zero_cmp = |w: u32| format!("'1' when r = \"{}\" else '0'", "0".repeat(w as usize));
     let any_cmp = |w: u32| format!("'0' when r = \"{}\" else '1'", "0".repeat(w as usize));
-    problems.push(comb_problem(reduction(
-        "any",
-        8,
-        "y is 1 when any bit of the 8-bit input r is set (reduction OR).",
-        "|r".into(),
-        any_cmp(8),
-        |r, _| u64::from(r != 0),
-    )));
-    problems.push(comb_problem(reduction(
-        "none",
-        8,
-        "y is 1 when no bit of the 8-bit input r is set (NOR reduction).",
-        "~|r".into(),
-        all_zero_cmp(8),
-        |r, _| u64::from(r == 0),
-    )));
+    push_comb(
+        problems,
+        reduction(
+            "any",
+            8,
+            "y is 1 when any bit of the 8-bit input r is set (reduction OR).",
+            "|r".into(),
+            any_cmp(8),
+            |r, _| u64::from(r != 0),
+        ),
+    );
+    push_comb(
+        problems,
+        reduction(
+            "none",
+            8,
+            "y is 1 when no bit of the 8-bit input r is set (NOR reduction).",
+            "~|r".into(),
+            all_zero_cmp(8),
+            |r, _| u64::from(r == 0),
+        ),
+    );
 }
 
 #[cfg(test)]

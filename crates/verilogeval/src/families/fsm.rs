@@ -1,7 +1,7 @@
 //! Finite-state machines: sequence detectors and small controllers
 //! (13 problems).
 
-use crate::builders::{seq_problem, SeqSpec};
+use crate::builders::{push_seq, SeqSpec};
 use crate::port::{Port, SplitMix};
 use crate::{Difficulty, Family, Problem};
 
@@ -265,16 +265,16 @@ fn serial_eq() -> SeqSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for pat in ["101", "110", "111", "010", "1001"] {
-        problems.push(seq_problem(detector(pat, true)));
+        push_seq(problems, detector(pat, true));
     }
-    problems.push(seq_problem(detector("101", false)));
-    problems.push(seq_problem(detector("11", false)));
-    problems.push(seq_problem(parity_fsm()));
-    problems.push(seq_problem(turnstile()));
-    problems.push(seq_problem(pattern_gen()));
-    problems.push(seq_problem(vending()));
-    problems.push(seq_problem(serial_eq()));
-    problems.push(seq_problem(detector("0110", true)));
+    push_seq(problems, detector("101", false));
+    push_seq(problems, detector("11", false));
+    push_seq(problems, parity_fsm());
+    push_seq(problems, turnstile());
+    push_seq(problems, pattern_gen());
+    push_seq(problems, vending());
+    push_seq(problems, serial_eq());
+    push_seq(problems, detector("0110", true));
 }
 
 #[cfg(test)]

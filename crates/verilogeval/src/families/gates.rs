@@ -1,6 +1,6 @@
 //! Basic logic gates and small gate networks (12 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -59,86 +59,91 @@ fn bus_gate(name: &str, width: u32, vop: &str, hop: &str, f: fn(u64, u64) -> u64
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(gate2("and2", "&", "and", |a, b| a & b, false)));
-    problems.push(comb_problem(gate2("or2", "|", "or", |a, b| a | b, false)));
-    problems.push(comb_problem(gate2("xor2", "^", "xor", |a, b| a ^ b, false)));
-    problems.push(comb_problem(gate2("nand2", "&", "and", |a, b| a & b, true)));
+    push_comb(problems, gate2("and2", "&", "and", |a, b| a & b, false));
+    push_comb(problems, gate2("or2", "|", "or", |a, b| a | b, false));
+    push_comb(problems, gate2("xor2", "^", "xor", |a, b| a ^ b, false));
+    push_comb(problems, gate2("nand2", "&", "and", |a, b| a & b, true));
 
-    problems.push(comb_problem(bus_gate("bus_and", 4, "&", "and", |a, b| {
-        a & b
-    })));
-    problems.push(comb_problem(bus_gate("bus_or", 8, "|", "or", |a, b| a | b)));
-    problems.push(comb_problem(bus_gate("bus_xor", 4, "^", "xor", |a, b| {
-        a ^ b
-    })));
-    problems.push(comb_problem(bus_gate(
-        "bus_xnor",
-        8,
-        "~^",
-        "xnor",
-        |a, b| !(a ^ b),
-    )));
+    push_comb(problems, bus_gate("bus_and", 4, "&", "and", |a, b| a & b));
+    push_comb(problems, bus_gate("bus_or", 8, "|", "or", |a, b| a | b));
+    push_comb(problems, bus_gate("bus_xor", 4, "^", "xor", |a, b| a ^ b));
+    push_comb(
+        problems,
+        bus_gate("bus_xnor", 8, "~^", "xnor", |a, b| !(a ^ b)),
+    );
 
     // AND-OR-invert: y = ~((a & b) | c)
-    problems.push(comb_problem(CombSpec {
-        name: "aoi21".into(),
-        family: Family::Gates,
-        difficulty: Difficulty::Easy,
-        description: "y is `~((a & b) | c)` — an AND-OR-invert gate.".into(),
-        inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
-        outputs: vec![Port::new("y", 1)],
-        vlog_body: "  assign y = ~((a & b) | c);\n".into(),
-        vlog_out_reg: false,
-        vhdl_body: "  y <= not ((a and b) or c);\n".into(),
-        vhdl_decls: String::new(),
-        eval: Box::new(|v| vec![!((v[0] & v[1]) | v[2]) & 1]),
-    }));
+    push_comb(
+        problems,
+        CombSpec {
+            name: "aoi21".into(),
+            family: Family::Gates,
+            difficulty: Difficulty::Easy,
+            description: "y is `~((a & b) | c)` — an AND-OR-invert gate.".into(),
+            inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
+            outputs: vec![Port::new("y", 1)],
+            vlog_body: "  assign y = ~((a & b) | c);\n".into(),
+            vlog_out_reg: false,
+            vhdl_body: "  y <= not ((a and b) or c);\n".into(),
+            vhdl_decls: String::new(),
+            eval: Box::new(|v| vec![!((v[0] & v[1]) | v[2]) & 1]),
+        },
+    );
 
     // 3-input majority vote.
-    problems.push(comb_problem(CombSpec {
-        name: "majority3".into(),
-        family: Family::Gates,
-        difficulty: Difficulty::Easy,
-        description: "y is 1 when at least two of the three inputs a, b, c are 1 (majority vote)."
-            .into(),
-        inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
-        outputs: vec![Port::new("y", 1)],
-        vlog_body: "  assign y = (a & b) | (a & c) | (b & c);\n".into(),
-        vlog_out_reg: false,
-        vhdl_body: "  y <= (a and b) or (a and c) or (b and c);\n".into(),
-        vhdl_decls: String::new(),
-        eval: Box::new(|v| vec![((v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2])) & 1]),
-    }));
+    push_comb(
+        problems,
+        CombSpec {
+            name: "majority3".into(),
+            family: Family::Gates,
+            difficulty: Difficulty::Easy,
+            description:
+                "y is 1 when at least two of the three inputs a, b, c are 1 (majority vote).".into(),
+            inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
+            outputs: vec![Port::new("y", 1)],
+            vlog_body: "  assign y = (a & b) | (a & c) | (b & c);\n".into(),
+            vlog_out_reg: false,
+            vhdl_body: "  y <= (a and b) or (a and c) or (b and c);\n".into(),
+            vhdl_decls: String::new(),
+            eval: Box::new(|v| vec![((v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2])) & 1]),
+        },
+    );
 
     // 3-input XOR.
-    problems.push(comb_problem(CombSpec {
-        name: "xor3".into(),
-        family: Family::Gates,
-        difficulty: Difficulty::Easy,
-        description: "y is the exclusive-OR of the three inputs a, b, c.".into(),
-        inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
-        outputs: vec![Port::new("y", 1)],
-        vlog_body: "  assign y = a ^ b ^ c;\n".into(),
-        vlog_out_reg: false,
-        vhdl_body: "  y <= a xor b xor c;\n".into(),
-        vhdl_decls: String::new(),
-        eval: Box::new(|v| vec![(v[0] ^ v[1] ^ v[2]) & 1]),
-    }));
+    push_comb(
+        problems,
+        CombSpec {
+            name: "xor3".into(),
+            family: Family::Gates,
+            difficulty: Difficulty::Easy,
+            description: "y is the exclusive-OR of the three inputs a, b, c.".into(),
+            inputs: vec![Port::new("a", 1), Port::new("b", 1), Port::new("c", 1)],
+            outputs: vec![Port::new("y", 1)],
+            vlog_body: "  assign y = a ^ b ^ c;\n".into(),
+            vlog_out_reg: false,
+            vhdl_body: "  y <= a xor b xor c;\n".into(),
+            vhdl_decls: String::new(),
+            eval: Box::new(|v| vec![(v[0] ^ v[1] ^ v[2]) & 1]),
+        },
+    );
 
     // Bus inverter.
-    problems.push(comb_problem(CombSpec {
-        name: "bus_not_w8".into(),
-        family: Family::Gates,
-        difficulty: Difficulty::Easy,
-        description: "y is the bitwise complement of the 8-bit input bus a.".into(),
-        inputs: vec![Port::new("a", 8)],
-        outputs: vec![Port::new("y", 8)],
-        vlog_body: "  assign y = ~a;\n".into(),
-        vlog_out_reg: false,
-        vhdl_body: "  y <= not a;\n".into(),
-        vhdl_decls: String::new(),
-        eval: Box::new(|v| vec![!v[0] & 0xFF]),
-    }));
+    push_comb(
+        problems,
+        CombSpec {
+            name: "bus_not_w8".into(),
+            family: Family::Gates,
+            difficulty: Difficulty::Easy,
+            description: "y is the bitwise complement of the 8-bit input bus a.".into(),
+            inputs: vec![Port::new("a", 8)],
+            outputs: vec![Port::new("y", 8)],
+            vlog_body: "  assign y = ~a;\n".into(),
+            vlog_out_reg: false,
+            vhdl_body: "  y <= not a;\n".into(),
+            vhdl_decls: String::new(),
+            eval: Box::new(|v| vec![!v[0] & 0xFF]),
+        },
+    );
 }
 
 #[cfg(test)]
@@ -157,7 +162,10 @@ mod tests {
     fn majority_golden_model() {
         let mut v = Vec::new();
         extend(&mut v);
-        let p = v.iter().find(|p| p.name == "majority3").expect("present");
+        let p = v
+            .iter()
+            .find(|p| p.module_name == "majority3")
+            .expect("present");
         // Exhaustive TB: 8 vectors × 1 output.
         assert_eq!(p.verilog.tb.matches("Test Case").count(), 8);
     }

@@ -1,6 +1,6 @@
 //! Gray-code converters (8 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -68,10 +68,10 @@ fn gray2bin(width: u32) -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [3, 4, 5, 8] {
-        problems.push(comb_problem(bin2gray(w)));
+        push_comb(problems, bin2gray(w));
     }
     for w in [3, 4, 5, 8] {
-        problems.push(comb_problem(gray2bin(w)));
+        push_comb(problems, gray2bin(w));
     }
 }
 

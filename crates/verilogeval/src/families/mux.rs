@@ -1,6 +1,6 @@
 //! Multiplexers (10 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -145,16 +145,16 @@ fn mux2_en(width: u32) -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [1, 4, 8] {
-        problems.push(comb_problem(mux2(w)));
+        push_comb(problems, mux2(w));
     }
     for w in [1, 4, 8] {
-        problems.push(comb_problem(mux4(w)));
+        push_comb(problems, mux4(w));
     }
     for w in [1, 2] {
-        problems.push(comb_problem(mux8(w)));
+        push_comb(problems, mux8(w));
     }
     for w in [2, 4] {
-        problems.push(comb_problem(mux2_en(w)));
+        push_comb(problems, mux2_en(w));
     }
 }
 
@@ -173,7 +173,10 @@ mod tests {
     fn mux4_uses_case_statements() {
         let mut v = Vec::new();
         extend(&mut v);
-        let p = v.iter().find(|p| p.name == "mux4to1_w4").expect("present");
+        let p = v
+            .iter()
+            .find(|p| p.module_name == "mux4to1_w4")
+            .expect("present");
         assert!(p.verilog.dut.contains("case (sel)"));
         assert!(p.vhdl.dut.contains("case sel is"));
     }

@@ -1,6 +1,6 @@
 //! Parity generators and checkers (8 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -67,11 +67,11 @@ fn checker(width: u32) -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [4, 8, 16] {
-        problems.push(comb_problem(generator(w, true)));
-        problems.push(comb_problem(generator(w, false)));
+        push_comb(problems, generator(w, true));
+        push_comb(problems, generator(w, false));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(checker(w)));
+        push_comb(problems, checker(w));
     }
 }
 

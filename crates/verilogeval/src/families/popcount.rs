@@ -1,6 +1,6 @@
 //! Population counters (8 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -105,13 +105,13 @@ fn majority_bits(width: u32) -> CombSpec {
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
     for w in [3, 4, 8, 16] {
-        problems.push(comb_problem(popcount(w)));
+        push_comb(problems, popcount(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(count_zeros(w)));
+        push_comb(problems, count_zeros(w));
     }
     for w in [4, 8] {
-        problems.push(comb_problem(majority_bits(w)));
+        push_comb(problems, majority_bits(w));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Seven-segment and character decoders (6 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -165,12 +165,12 @@ fn nibble_to_ascii(uppercase: bool) -> CombSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(hex7seg(false)));
-    problems.push(comb_problem(hex7seg(true)));
-    problems.push(comb_problem(bcd7seg()));
-    problems.push(comb_problem(bcd_valid()));
-    problems.push(comb_problem(nibble_to_ascii(true)));
-    problems.push(comb_problem(nibble_to_ascii(false)));
+    push_comb(problems, hex7seg(false));
+    push_comb(problems, hex7seg(true));
+    push_comb(problems, bcd7seg());
+    push_comb(problems, bcd_valid());
+    push_comb(problems, nibble_to_ascii(true));
+    push_comb(problems, nibble_to_ascii(false));
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Shifters and rotators (10 problems).
 
-use crate::builders::{comb_problem, CombSpec};
+use crate::builders::{push_comb, CombSpec};
 use crate::port::Port;
 use crate::{Difficulty, Family, Problem};
 
@@ -179,16 +179,16 @@ fn reverse(width: u32) -> CombSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(comb_problem(const_shift(8, 1, true)));
-    problems.push(comb_problem(const_shift(8, 2, true)));
-    problems.push(comb_problem(const_shift(8, 1, false)));
-    problems.push(comb_problem(const_shift(8, 2, false)));
-    problems.push(comb_problem(var_shift(8, true)));
-    problems.push(comb_problem(var_shift(8, false)));
-    problems.push(comb_problem(rotate1(8, true)));
-    problems.push(comb_problem(rotate1(8, false)));
-    problems.push(comb_problem(swap_nibbles()));
-    problems.push(comb_problem(reverse(4)));
+    push_comb(problems, const_shift(8, 1, true));
+    push_comb(problems, const_shift(8, 2, true));
+    push_comb(problems, const_shift(8, 1, false));
+    push_comb(problems, const_shift(8, 2, false));
+    push_comb(problems, var_shift(8, true));
+    push_comb(problems, var_shift(8, false));
+    push_comb(problems, rotate1(8, true));
+    push_comb(problems, rotate1(8, false));
+    push_comb(problems, swap_nibbles());
+    push_comb(problems, reverse(4));
 }
 
 #[cfg(test)]

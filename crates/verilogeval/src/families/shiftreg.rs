@@ -1,6 +1,6 @@
 //! Flip-flops and shift registers (10 problems).
 
-use crate::builders::{seq_problem, SeqSpec};
+use crate::builders::{push_seq, SeqSpec};
 use crate::port::{Port, SplitMix};
 use crate::{Difficulty, Family, Problem};
 
@@ -279,16 +279,16 @@ fn bidir() -> SeqSpec {
 
 /// Appends the family's problems.
 pub fn extend(problems: &mut Vec<Problem>) {
-    problems.push(seq_problem(dff(false)));
-    problems.push(seq_problem(dff(true)));
-    problems.push(seq_problem(siso(4)));
-    problems.push(seq_problem(siso(8)));
-    problems.push(seq_problem(sipo(4, false)));
-    problems.push(seq_problem(sipo(8, false)));
-    problems.push(seq_problem(sipo(4, true)));
-    problems.push(seq_problem(load_shift()));
-    problems.push(seq_problem(shift_en()));
-    problems.push(seq_problem(bidir()));
+    push_seq(problems, dff(false));
+    push_seq(problems, dff(true));
+    push_seq(problems, siso(4));
+    push_seq(problems, siso(8));
+    push_seq(problems, sipo(4, false));
+    push_seq(problems, sipo(8, false));
+    push_seq(problems, sipo(4, true));
+    push_seq(problems, load_shift());
+    push_seq(problems, shift_en());
+    push_seq(problems, bidir());
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@ pub use builders::{CombSpec, SeqSpec};
 pub use port::Port;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Circuit family a problem belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,12 +106,16 @@ pub enum Difficulty {
 }
 
 /// Golden DUT plus reference testbench for one language.
+///
+/// Each text is built once, by [`suite`], and shared from then on: the
+/// simulated model's task library, the harness's scoring files and the
+/// EDA source maps all hold clones of these `Arc`s, never copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenPair {
     /// Device-under-test source.
-    pub dut: String,
+    pub dut: Arc<str>,
     /// Self-checking reference testbench source (top unit `tb`).
-    pub tb: String,
+    pub tb: Arc<str>,
 }
 
 /// One benchmark problem.
@@ -148,7 +153,9 @@ impl Problem {
 }
 
 /// Builds the full 156-problem suite. Deterministic: two calls return
-/// identical problems.
+/// identical problems. Each problem is built knowing its index, so its
+/// unique name `prob{id:03}_{module}` is written once, straight into
+/// the name and the prompt.
 #[must_use]
 pub fn suite() -> Vec<Problem> {
     let mut problems = Vec::with_capacity(156);
@@ -168,17 +175,6 @@ pub fn suite() -> Vec<Problem> {
     families::shiftreg::extend(&mut problems);
     families::edge::extend(&mut problems);
     families::fsm::extend(&mut problems);
-    for (i, p) in problems.iter_mut().enumerate() {
-        p.id = i;
-        let short = std::mem::take(&mut p.name);
-        p.name = format!("prob{i:03}_{short}");
-        // The prompt's task line must carry the final (unique) name.
-        p.spec = p.spec.replacen(
-            &format!("Design task: {short}."),
-            &format!("Design task: {}.", p.name),
-            1,
-        );
-    }
     assert_eq!(problems.len(), 156, "suite size is part of the contract");
     problems
 }

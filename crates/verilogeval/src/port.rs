@@ -23,45 +23,120 @@ impl Port {
     /// Verilog range prefix: `[3:0] ` or the empty string for 1 bit.
     #[must_use]
     pub fn vlog_range(&self) -> String {
-        if self.width == 1 {
-            String::new()
-        } else {
-            format!("[{}:0] ", self.width - 1)
-        }
+        let mut s = String::new();
+        self.push_vlog_range(&mut s);
+        s
     }
 
     /// VHDL subtype: `std_logic` or `std_logic_vector(3 downto 0)`.
     #[must_use]
     pub fn vhdl_type(&self) -> String {
-        if self.width == 1 {
-            "std_logic".to_string()
-        } else {
-            format!("std_logic_vector({} downto 0)", self.width - 1)
+        let mut s = String::new();
+        self.push_vhdl_type(&mut s);
+        s
+    }
+
+    /// Appends [`Port::vlog_range`] to `out`.
+    pub(crate) fn push_vlog_range(&self, out: &mut String) {
+        if self.width != 1 {
+            out.push('[');
+            push_u32(out, self.width - 1);
+            out.push_str(":0] ");
         }
+    }
+
+    /// Appends [`Port::vhdl_type`] to `out`.
+    pub(crate) fn push_vhdl_type(&self, out: &mut String) {
+        if self.width == 1 {
+            out.push_str("std_logic");
+        } else {
+            out.push_str("std_logic_vector(");
+            push_u32(out, self.width - 1);
+            out.push_str(" downto 0)");
+        }
+    }
+}
+
+/// Writes `n` in decimal into the tail of `buf`, returning the digits.
+fn decimal(buf: &mut [u8; 10], mut n: u32) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn push_u32(out: &mut String, n: u32) {
+    out.push_str(decimal(&mut [0; 10], n));
+}
+
+/// An HDL literal formatted on the stack, so a generator can write the
+/// same literal twice without allocating it.
+pub(crate) struct Lit {
+    buf: [u8; 72],
+    len: usize,
+}
+
+impl Lit {
+    const EMPTY: Lit = Lit {
+        buf: [0; 72],
+        len: 0,
+    };
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn push_bin(&mut self, width: u32, value: u64) {
+        assert!(width <= 64, "literals are at most 64 bits wide");
+        for i in (0..width).rev() {
+            self.buf[self.len] = b'0' + (value >> i & 1) as u8;
+            self.len += 1;
+        }
+    }
+
+    /// A Verilog sized binary literal, e.g. `4'b0101`.
+    pub(crate) fn vlog(width: u32, value: u64) -> Lit {
+        let mut lit = Lit::EMPTY;
+        lit.push(decimal(&mut [0; 10], width).as_bytes());
+        lit.push(b"'b");
+        lit.push_bin(width, value);
+        lit
+    }
+
+    /// A VHDL literal: `'0'` for 1 bit, `"0101"` otherwise.
+    pub(crate) fn vhdl(width: u32, value: u64) -> Lit {
+        let mut lit = Lit::EMPTY;
+        let quote = if width == 1 { b"'" } else { b"\"" };
+        lit.push(quote);
+        lit.push_bin(width, value);
+        lit.push(quote);
+        lit
+    }
+
+    /// The literal's text.
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("ASCII literal")
     }
 }
 
 /// Formats a Verilog sized binary literal, e.g. `4'b0101`.
 #[must_use]
 pub fn vlog_lit(width: u32, value: u64) -> String {
-    format!("{}'b{}", width, bin_digits(width, value))
+    Lit::vlog(width, value).as_str().to_owned()
 }
 
 /// Formats a VHDL literal: `'0'` for 1 bit, `"0101"` otherwise.
 #[must_use]
 pub fn vhdl_lit(width: u32, value: u64) -> String {
-    if width == 1 {
-        format!("'{}'", value & 1)
-    } else {
-        format!("\"{}\"", bin_digits(width, value))
-    }
-}
-
-fn bin_digits(width: u32, value: u64) -> String {
-    (0..width)
-        .rev()
-        .map(|i| if value >> i & 1 == 1 { '1' } else { '0' })
-        .collect()
+    Lit::vhdl(width, value).as_str().to_owned()
 }
 
 /// Deterministic pseudo-random stream (splitmix64) used to pick test

@@ -130,7 +130,7 @@ fn corrupted_rtl_never_scores_functional() {
                 kind: FaultKind::Functional,
             };
             let mutated = apply_fault(golden, &fault);
-            if mutated == *golden {
+            if *mutated == **golden {
                 continue;
             }
             total += 1;

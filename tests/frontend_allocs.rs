@@ -14,6 +14,7 @@ use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::source::FileId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
@@ -62,7 +63,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Every golden source of the suite: (name, is_verilog, text).
-fn golden_files() -> Vec<(String, bool, String)> {
+fn golden_files() -> Vec<(String, bool, Arc<str>)> {
     aivril_verilogeval::suite()
         .into_iter()
         .flat_map(|p| {
@@ -166,8 +167,8 @@ fn compile_and_simulate(verilog: bool) -> Phases {
         let pair = p.golden(verilog);
         let mut sources = aivril_hdl::SourceMap::new();
         let ext = if verilog { "v" } else { "vhd" };
-        sources.add_file(format!("{}.{ext}", p.name), pair.dut.as_str());
-        sources.add_file(format!("{}_tb.{ext}", p.name), pair.tb.as_str());
+        sources.add_file(format!("{}.{ext}", p.name), pair.dut.clone());
+        sources.add_file(format!("{}_tb.{ext}", p.name), pair.tb.clone());
         let mut diags = Diagnostics::new();
         let (design, parse, elab) = if verilog {
             let ((unit, d), parse) = counted(|| aivril_verilog::analyze(&sources));

@@ -10,7 +10,7 @@
 use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::source::SourceMap;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn suite() -> &'static [aivril_verilogeval::Problem] {
     static SUITE: OnceLock<Vec<aivril_verilogeval::Problem>> = OnceLock::new();
@@ -18,8 +18,8 @@ fn suite() -> &'static [aivril_verilogeval::Problem] {
 }
 
 /// Real sources to mutate: Verilog and VHDL DUTs and testbenches.
-fn corpus() -> &'static [(bool, String)] {
-    static CORPUS: OnceLock<Vec<(bool, String)>> = OnceLock::new();
+fn corpus() -> &'static [(bool, Arc<str>)] {
+    static CORPUS: OnceLock<Vec<(bool, Arc<str>)>> = OnceLock::new();
     CORPUS.get_or_init(|| {
         suite()
             .iter()
@@ -114,7 +114,7 @@ proptest! {
         let end = (start + len).min(donor.len());
         // Byte-offset splices can land mid-char only in ASCII sources
         // (the corpus is ASCII), so direct slicing is safe here.
-        let mut text = src.clone();
+        let mut text = src.to_string();
         let at = cut % text.len().max(1);
         text.insert_str(at, &donor[start..end]);
         exercise_frontends(&text);

@@ -109,7 +109,7 @@ fn edit_outside_the_closure_replays_elaboration() {
     let before = cache.stats();
 
     let mut edited = files.clone();
-    edited[8].text.push_str("// cosmetic revision\n");
+    edited[8].text = format!("{}// cosmetic revision\n", edited[8].text).into();
     let (r2, _) = suite.compile_to_design(&edited, None);
     assert!(r2.success);
     let delta = cache.stats().since(&before);
@@ -141,7 +141,7 @@ fn edited_module_in_the_closure_reelaborates() {
     let before = cache.stats();
 
     let mut edited = files.clone();
-    edited[3].text = edited[3].text.replace("32'd4", "32'd40");
+    edited[3].text = edited[3].text.replace("32'd4", "32'd40").into();
     let (r2, d2) = suite.compile_to_design(&edited, None);
     assert!(r2.success);
     let delta = cache.stats().since(&before);
@@ -174,7 +174,7 @@ fn renamed_top_gets_its_own_closure_key() {
     // so the closure key differs and elaboration must re-run — a
     // replay of chain_top's entry would report the wrong top.
     let mut renamed = files.clone();
-    renamed[9].text = renamed[9].text.replace("chain_top", "alt_top");
+    renamed[9].text = renamed[9].text.replace("chain_top", "alt_top").into();
     let (r2, d2) = suite.compile_to_design(&renamed, None);
     assert!(r2.success);
     let delta = cache.stats().since(&before);
@@ -266,7 +266,7 @@ fn vhdl_closure_replays_and_falls_back_like_verilog() {
 
     // An edit to the uninstantiated entity replays the elaboration.
     let mut edited = files.clone();
-    edited[1].text.push_str("-- cosmetic\n");
+    edited[1].text = format!("{}-- cosmetic\n", edited[1].text).into();
     let (r2, _) = suite.compile_to_design(&edited, None);
     assert!(r2.success);
     let delta = cache.stats().since(&before);

@@ -15,7 +15,7 @@ use aivril_llm::{profiles, SimLlm, TaskLibrary};
 use aivril_metrics::pass_at_k;
 use aivril_sim::SimConfig;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn suite() -> &'static [aivril_verilogeval::Problem] {
     static SUITE: OnceLock<Vec<aivril_verilogeval::Problem>> = OnceLock::new();
@@ -65,8 +65,8 @@ fn simulate_failures(what: &str) -> Option<usize> {
     }
 }
 
-fn suite_sources() -> &'static [(String, String)] {
-    static SOURCES: OnceLock<Vec<(String, String)>> = OnceLock::new();
+fn suite_sources() -> &'static [(String, Arc<str>)] {
+    static SOURCES: OnceLock<Vec<(String, Arc<str>)>> = OnceLock::new();
     SOURCES.get_or_init(|| {
         suite()
             .iter()
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let sources = suite_sources();
         let (name, text) = &sources[idx % sources.len()];
-        let mut corrupted = text.clone();
+        let mut corrupted = text.to_string();
         let start = cut_start % corrupted.len().max(1);
         let end = (start + cut_len).min(corrupted.len());
         corrupted.replace_range(start..end, &insert);
@@ -122,7 +122,7 @@ proptest! {
         let problems = suite();
         let p = &problems[idx % problems.len()];
         // Flip one operator-ish byte in the DUT.
-        let mut dut = p.verilog.dut.clone().into_bytes();
+        let mut dut = p.verilog.dut.as_bytes().to_vec();
         let pos = flip % dut.len();
         if dut[pos] == b'&' { dut[pos] = b'|'; } else if dut[pos] == b'+' { dut[pos] = b'-'; }
         let dut = String::from_utf8(dut).expect("ascii");
