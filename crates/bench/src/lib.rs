@@ -1091,25 +1091,13 @@ impl Harness {
         // Diagnostic counters: deltas add across shards (they are
         // disjoint slices of one monotone counter stream); the entries
         // gauge takes the latest (= largest) store size.
-        let eda_cache =
-            shards
-                .iter()
-                .filter_map(|s| s.eda_cache)
-                .fold(None, |acc: Option<CacheStats>, d| {
-                    Some(match acc {
-                        None => d,
-                        Some(mut t) => {
-                            t.hits += d.hits;
-                            t.misses += d.misses;
-                            t.entries = t.entries.max(d.entries);
-                            t.parse_hits += d.parse_hits;
-                            t.parse_misses += d.parse_misses;
-                            t.elab_hits += d.elab_hits;
-                            t.elab_misses += d.elab_misses;
-                            t
-                        }
-                    })
-                });
+        let eda_cache = shards
+            .iter()
+            .filter_map(|s| s.eda_cache)
+            .reduce(|mut total, d| {
+                total.merge(&d);
+                total
+            });
         let mut kernel = KernelPerf::default();
         for s in &shards {
             kernel.merge(&s.kernel);

@@ -371,6 +371,19 @@ impl CacheStats {
             elab_misses: self.elab_misses - earlier.elab_misses,
         }
     }
+
+    /// Accumulates the counters of a disjoint interval (a shard's
+    /// [`CacheStats::since`] delta): counts add, and the entries gauge
+    /// takes the larger store size.
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.entries = self.entries.max(other.entries);
+        self.parse_hits += other.parse_hits;
+        self.parse_misses += other.parse_misses;
+        self.elab_hits += other.elab_hits;
+        self.elab_misses += other.elab_misses;
+    }
 }
 
 impl fmt::Display for CacheStats {

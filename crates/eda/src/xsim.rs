@@ -1,8 +1,9 @@
 //! The Vivado-like tool suite implementation.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::cache::{self, CompileEntry, EdaCache, ElabEntry, ParsedFile, SimEntry};
 use crate::faults::{EdaFaultPlan, ToolFault};
@@ -12,9 +13,11 @@ use crate::source::{HdlFile, Language};
 use crate::ToolSuite;
 use aivril_hdl::diag::{Diagnostics, Severity};
 use aivril_hdl::ir::Design;
-use aivril_hdl::source::SourceMap;
+use aivril_hdl::source::{FileId, SourceMap};
 use aivril_obs::Recorder;
 use aivril_sim::{KernelPerf, SimConfig, Simulator};
+use aivril_verilog::ast::SourceUnit;
+use aivril_vhdl::ast::DesignFile;
 
 /// The testbench completion marker AIVRIL2's agents look for — the same
 /// phrase the paper's Fig. 2 example prints on success.
@@ -37,10 +40,13 @@ pub struct XsimToolSuite {
     /// active when a cache is attached; artifacts are byte-identical
     /// either way.
     incremental: bool,
-    /// Kernel performance counters, summed over every simulation this
-    /// suite (and its clones — the worker pool) executes or replays
-    /// from cache. Diagnostic only; never feeds canonical artifacts.
-    kernel: Arc<KernelCounters>,
+    /// Kernel performance counters, folded by [`KernelPerf::merge`] over
+    /// every simulation this suite (and its clones — the worker pool)
+    /// executes or replays from cache. Per-run values are integers and
+    /// the merge commutes, so the totals are independent of worker
+    /// count, scheduling order and cache mode. Diagnostic only; never
+    /// feeds canonical artifacts.
+    kernel: Arc<Mutex<KernelPerf>>,
 }
 
 impl Default for XsimToolSuite {
@@ -52,52 +58,14 @@ impl Default for XsimToolSuite {
             cache: None,
             faults: EdaFaultPlan::default(),
             incremental: true,
-            kernel: Arc::new(KernelCounters::default()),
+            kernel: Arc::default(),
         }
     }
 }
 
-/// Thread-safe accumulator behind [`XsimToolSuite::kernel_stats`].
-/// Per-run [`KernelPerf`] values are integers and addition commutes, so
-/// the totals are independent of worker count, scheduling order, and
-/// cache mode (cache hits fold the *stored* run's counters).
-#[derive(Debug, Default)]
-struct KernelCounters {
-    instructions: AtomicU64,
-    sim_time_ns: AtomicU64,
-    eval_allocs: AtomicU64,
-    compactions: AtomicU64,
-    scratch_slots_max: AtomicU64,
-    arena_words_max: AtomicU64,
-}
-
-impl KernelCounters {
-    fn fold(&self, perf: &KernelPerf) {
-        self.instructions
-            .fetch_add(perf.instructions, Ordering::Relaxed);
-        self.sim_time_ns
-            .fetch_add(perf.sim_time_ns, Ordering::Relaxed);
-        self.eval_allocs
-            .fetch_add(perf.eval_allocs, Ordering::Relaxed);
-        self.compactions
-            .fetch_add(perf.compactions, Ordering::Relaxed);
-        self.scratch_slots_max
-            .fetch_max(perf.scratch_slots, Ordering::Relaxed);
-        self.arena_words_max
-            .fetch_max(perf.arena_words, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> KernelPerf {
-        KernelPerf {
-            instructions: self.instructions.load(Ordering::Relaxed),
-            sim_time_ns: self.sim_time_ns.load(Ordering::Relaxed),
-            eval_allocs: self.eval_allocs.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            scratch_slots: self.scratch_slots_max.load(Ordering::Relaxed),
-            arena_words: self.arena_words_max.load(Ordering::Relaxed),
-        }
-    }
-}
+/// The incremental-compile memo of one tool call: the cache and the
+/// call's per-file content digests. `None` parses and elaborates fresh.
+type Memo<'a> = Option<(&'a EdaCache, &'a [u128])>;
 
 impl XsimToolSuite {
     /// Creates a suite with default limits and latency constants.
@@ -161,13 +129,13 @@ impl XsimToolSuite {
         self
     }
 
-    /// The cache, when the incremental compile path should use it.
-    fn incremental_cache(&self) -> Option<&EdaCache> {
-        if self.incremental {
-            self.cache.as_ref()
-        } else {
-            None
-        }
+    /// The incremental-compile memo, when a cache is attached, the
+    /// incremental path is on and the call hashed its files.
+    fn memo<'a>(&'a self, digests: Option<&'a [u128]>) -> Memo<'a> {
+        self.cache
+            .as_ref()
+            .filter(|_| self.incremental)
+            .zip(digests)
     }
 
     /// Each file's content digest ([`cache::file_digests`]), hashed once
@@ -194,7 +162,17 @@ impl XsimToolSuite {
     /// and cache-off totals identical). Purely diagnostic.
     #[must_use]
     pub fn kernel_stats(&self) -> KernelPerf {
-        self.kernel.snapshot()
+        *self.kernel.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Folds one run's counters into [`Self::kernel_stats`]. A poisoned
+    /// lock is taken over: the guarded value is plain diagnostic
+    /// counters, valid after any partial merge.
+    fn fold_kernel(&self, perf: &KernelPerf) {
+        self.kernel
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(perf);
     }
 
     /// Counters + histogram for one compile-like tool invocation (only
@@ -314,68 +292,6 @@ impl XsimToolSuite {
             modeled_latency: v.penalty_s,
         }
     }
-
-    /// Applies a log-mutation fault (and any retry penalty) to a
-    /// completed compile-like report. The structured verdict is the
-    /// tool's exit protocol and stays intact; only the textual log is
-    /// corrupted. The mutation point is itself a pure hash of the
-    /// invocation identity.
-    fn shape_compile_fault(
-        &self,
-        op: &'static str,
-        mut report: CompileReport,
-        v: &FaultVerdict,
-    ) -> CompileReport {
-        match v.outcome {
-            FaultOutcome::Mutate(ToolFault::Garbled) => {
-                report.log = garble_log(
-                    &report.log,
-                    EdaFaultPlan::shape("garble", op, v.key, v.attempt),
-                );
-            }
-            FaultOutcome::Mutate(ToolFault::Truncate) => {
-                report.log = truncate_log(
-                    &report.log,
-                    EdaFaultPlan::shape("truncate", op, v.key, v.attempt),
-                );
-            }
-            _ => {}
-        }
-        report.modeled_latency += v.penalty_s;
-        report
-    }
-
-    /// Applies a log-mutation fault (and any retry penalty) to a
-    /// completed sim report. Unlike compiles, a testbench verdict *is*
-    /// read from the log (the pass marker, the failure lines), so the
-    /// pass/failure fields are re-derived from the corrupted text: a
-    /// truncated log that lost the marker reads as a failing run. The
-    /// re-derivation only ANDs into `passed`, so corruption can hide a
-    /// pass but never fabricate one.
-    fn shape_sim_fault(&self, mut report: SimReport, v: &FaultVerdict) -> SimReport {
-        match v.outcome {
-            FaultOutcome::Mutate(ToolFault::Garbled) => {
-                report.log = garble_log(
-                    &report.log,
-                    EdaFaultPlan::shape("garble", "simulate", v.key, v.attempt),
-                );
-            }
-            FaultOutcome::Mutate(ToolFault::Truncate) => {
-                report.log = truncate_log(
-                    &report.log,
-                    EdaFaultPlan::shape("truncate", "simulate", v.key, v.attempt),
-                );
-            }
-            _ => {}
-        }
-        if matches!(v.outcome, FaultOutcome::Mutate(_)) {
-            report.failures = extract_failures(&report.log);
-            report.passed =
-                report.passed && report.failures.is_empty() && report.log.contains(PASS_MARKER);
-        }
-        report.modeled_latency += v.penalty_s;
-        report
-    }
 }
 
 /// Outcome of rolling the tool-plane fault plan for one invocation.
@@ -406,6 +322,49 @@ enum FaultOutcome {
 impl FaultVerdict {
     fn failed(&self) -> bool {
         matches!(self.outcome, FaultOutcome::Fail)
+    }
+
+    /// Applies a log-mutation fault to a completed invocation's `log`;
+    /// true when the verdict was one. The mutation point is itself a
+    /// pure hash of the invocation identity.
+    fn mutate_log(&self, op: &'static str, log: &mut String) -> bool {
+        let FaultOutcome::Mutate(fault) = self.outcome else {
+            return false;
+        };
+        let shape = |what| EdaFaultPlan::shape(what, op, self.key, self.attempt);
+        match fault {
+            ToolFault::Garbled => *log = garble_log(log, shape("garble")),
+            ToolFault::Truncate => *log = truncate_log(log, shape("truncate")),
+            _ => {}
+        }
+        true
+    }
+
+    /// Applies a log-mutation fault (and any retry penalty) to a
+    /// completed compile-like report. The structured verdict is the
+    /// tool's exit protocol and stays intact; only the textual log is
+    /// corrupted.
+    fn shape_compile(&self, op: &'static str, mut report: CompileReport) -> CompileReport {
+        self.mutate_log(op, &mut report.log);
+        report.modeled_latency += self.penalty_s;
+        report
+    }
+
+    /// Applies a log-mutation fault (and any retry penalty) to a
+    /// completed sim report. Unlike compiles, a testbench verdict *is*
+    /// read from the log (the pass marker, the failure lines), so the
+    /// pass/failure fields are re-derived from the corrupted text: a
+    /// truncated log that lost the marker reads as a failing run. The
+    /// re-derivation only ANDs into `passed`, so corruption can hide a
+    /// pass but never fabricate one.
+    fn shape_sim(&self, mut report: SimReport) -> SimReport {
+        if self.mutate_log("simulate", &mut report.log) {
+            report.failures = extract_failures(&report.log);
+            report.passed =
+                report.passed && report.failures.is_empty() && report.log.contains(PASS_MARKER);
+        }
+        report.modeled_latency += self.penalty_s;
+        report
     }
 }
 
@@ -508,7 +467,7 @@ impl XsimToolSuite {
                 let (clean, design, hit) = self.compile_to_design_cached(files, top, key, digests);
                 match &verdict {
                     Some(v) => (
-                        self.shape_compile_fault("compile", clean.clone(), v),
+                        v.shape_compile("compile", clean.clone()),
                         Some(clean),
                         design,
                         hit,
@@ -561,25 +520,9 @@ impl XsimToolSuite {
         top: Option<&str>,
         digests: Option<&[u128]>,
     ) -> (CompileReport, Option<Arc<Design>>) {
-        let mut sources = SourceMap::new();
-        for f in files {
-            sources.add_file(f.name.clone(), f.text.clone());
-        }
+        let (sources, mut log) = analysis_start(files);
         let language = files.first().map_or(Language::Verilog, |f| f.language);
-        let mixed = files.iter().any(|f| f.language != language);
-
-        let mut log = String::new();
-        for f in files {
-            let tool = match f.language {
-                Language::Verilog => "xvlog",
-                Language::Vhdl => "xvhdl",
-            };
-            log.push_str(&format!(
-                "INFO: [{tool}] Analyzing {} file \"{}\" into library work\n",
-                f.language, f.name
-            ));
-        }
-        if mixed {
+        if files.iter().any(|f| f.language != language) {
             log.push_str(
                 "ERROR: [XSIM 43-4100] mixed-language compilation units must be elaborated per language\n",
             );
@@ -603,21 +546,19 @@ impl XsimToolSuite {
         // source set declares nothing elaboratable — previously this
         // fell through to `elaborate(.., "")`, whose "unknown unit ''"
         // diagnostic was useless to the Review Agent.
-        let (design, diags, no_top) = match language {
-            Language::Verilog => self.verilog_front(&sources, top, digests),
-            Language::Vhdl => self.vhdl_front(&sources, top, digests),
+        let memo = self.memo(digests);
+        let ((design, diags, no_top), what) = match language {
+            Language::Verilog => (front::<SourceUnit>(memo, &sources, top), "module"),
+            Language::Vhdl => (front::<DesignFile>(memo, &sources, top), "entity"),
         };
         log.push_str(&diags.render(&sources));
         let success = design.is_some();
         let mut messages = to_messages(&diags, &sources);
         if no_top {
-            let what = match language {
-                Language::Verilog => "module",
-                Language::Vhdl => "entity",
-            };
-            log.push_str(&format!(
-                "ERROR: [xelab 43-3316] no top module found: the source set declares no {what} to elaborate\n"
-            ));
+            let _ = writeln!(
+                log,
+                "ERROR: [xelab 43-3316] no top module found: the source set declares no {what} to elaborate"
+            );
             messages.push(ToolMessage {
                 severity: Severity::Error,
                 code: "xelab 43-3316".into(),
@@ -631,10 +572,11 @@ impl XsimToolSuite {
         if success {
             log.push_str("INFO: [xelab] Elaboration completed successfully\n");
         } else {
-            log.push_str(&format!(
-                "ERROR: [xelab] {} error(s) during analysis/elaboration\n",
+            let _ = writeln!(
+                log,
+                "ERROR: [xelab] {} error(s) during analysis/elaboration",
                 diags.error_count().max(1)
-            ));
+            );
         }
         let report = CompileReport {
             success,
@@ -644,286 +586,297 @@ impl XsimToolSuite {
         };
         (report, design)
     }
-
-    /// Verilog analysis + elaboration; incremental when a cache is
-    /// attached. Returns `(design, diagnostics, no_top)`.
-    fn verilog_front(
-        &self,
-        sources: &SourceMap,
-        top: Option<&str>,
-        digests: Option<&[u128]>,
-    ) -> (Option<Arc<Design>>, Diagnostics, bool) {
-        let (unit, parts, mut diags) = self.parse_verilog(sources, digests);
-        if diags.has_errors() {
-            return (None, diags, false);
-        }
-        let Some(top) = top
-            .map(String::from)
-            .or_else(|| aivril_verilog::find_top(&unit))
-        else {
-            return (None, diags, true);
-        };
-        let design = self.elaborate_verilog(&unit, parts.as_deref(), digests, &top, &mut diags);
-        (design.filter(|_| !diags.has_errors()), diags, false)
-    }
-
-    /// VHDL analysis + elaboration; incremental when a cache is
-    /// attached. Returns `(design, diagnostics, no_top)`.
-    fn vhdl_front(
-        &self,
-        sources: &SourceMap,
-        top: Option<&str>,
-        digests: Option<&[u128]>,
-    ) -> (Option<Arc<Design>>, Diagnostics, bool) {
-        let (file, parts, mut diags) = self.parse_vhdl(sources, digests);
-        if diags.has_errors() {
-            return (None, diags, false);
-        }
-        let Some(top) = top
-            .map(String::from)
-            .or_else(|| aivril_vhdl::find_top(&file))
-        else {
-            return (None, diags, true);
-        };
-        let design = self.elaborate_vhdl(&file, parts.as_deref(), digests, &top, &mut diags);
-        (design.filter(|_| !diags.has_errors()), diags, false)
-    }
-
-    /// Parses every file, through the per-file memo when incremental.
-    /// The second element carries the per-file units (the elab closure
-    /// needs to know which file defines which module) — `None` on the
-    /// non-incremental path.
-    fn parse_verilog(
-        &self,
-        sources: &SourceMap,
-        digests: Option<&[u128]>,
-    ) -> (
-        aivril_verilog::ast::SourceUnit,
-        Option<Vec<aivril_verilog::ast::SourceUnit>>,
-        Diagnostics,
-    ) {
-        let (Some(cache), Some(digests)) = (self.incremental_cache(), digests) else {
-            let (unit, diags) = aivril_verilog::analyze(sources);
-            return (unit, None, diags);
-        };
-        let mut unit = aivril_verilog::ast::SourceUnit::default();
-        let mut parts = Vec::new();
-        let mut diags = Diagnostics::new();
-        for (index, ((id, source), &digest)) in sources.iter().zip(digests).enumerate() {
-            let (slot, _) = cache.parse_slot(cache::parse_key(index, digest));
-            let entry = slot.get_or_init(|| {
-                let (part, part_diags) = aivril_verilog::analyze_file(id, source.text());
-                ParsedFile::Verilog(part, part_diags)
-            });
-            // The language in the file digest makes the other arm
-            // unreachable; parse fresh rather than panic if it ever
-            // isn't.
-            let (part, part_diags) = match entry {
-                ParsedFile::Verilog(part, part_diags) => (part.clone(), part_diags.clone()),
-                ParsedFile::Vhdl(..) => aivril_verilog::analyze_file(id, source.text()),
-            };
-            unit.modules.extend(part.modules.iter().cloned());
-            parts.push(part);
-            diags.extend(part_diags);
-        }
-        (unit, Some(parts), diags)
-    }
-
-    /// VHDL twin of [`Self::parse_verilog`].
-    fn parse_vhdl(
-        &self,
-        sources: &SourceMap,
-        digests: Option<&[u128]>,
-    ) -> (
-        aivril_vhdl::ast::DesignFile,
-        Option<Vec<aivril_vhdl::ast::DesignFile>>,
-        Diagnostics,
-    ) {
-        let (Some(cache), Some(digests)) = (self.incremental_cache(), digests) else {
-            let (file, diags) = aivril_vhdl::analyze(sources);
-            return (file, None, diags);
-        };
-        let mut file = aivril_vhdl::ast::DesignFile::default();
-        let mut parts = Vec::new();
-        let mut diags = Diagnostics::new();
-        for (index, ((id, source), &digest)) in sources.iter().zip(digests).enumerate() {
-            let (slot, _) = cache.parse_slot(cache::parse_key(index, digest));
-            let entry = slot.get_or_init(|| {
-                let (part, part_diags) = aivril_vhdl::analyze_file(id, source.text());
-                ParsedFile::Vhdl(part, part_diags)
-            });
-            let (part, part_diags) = match entry {
-                ParsedFile::Vhdl(part, part_diags) => (part.clone(), part_diags.clone()),
-                ParsedFile::Verilog(..) => aivril_vhdl::analyze_file(id, source.text()),
-            };
-            file.entities.extend(part.entities.iter().cloned());
-            file.architectures
-                .extend(part.architectures.iter().cloned());
-            parts.push(part);
-            diags.extend(part_diags);
-        }
-        (file, Some(parts), diags)
-    }
-
-    /// Elaborates through the closure-keyed memo when possible. The
-    /// memo stores elaboration's *own* diagnostics (the callers only
-    /// reach this point with error-free parse diags, so elaboration
-    /// against a fresh `Diagnostics` behaves identically) and replays
-    /// them on a hit.
-    fn elaborate_verilog(
-        &self,
-        unit: &aivril_verilog::ast::SourceUnit,
-        parts: Option<&[aivril_verilog::ast::SourceUnit]>,
-        digests: Option<&[u128]>,
-        top: &str,
-        diags: &mut Diagnostics,
-    ) -> Option<Arc<Design>> {
-        if let (Some(cache), Some(parts), Some(digests)) =
-            (self.incremental_cache(), parts, digests)
-        {
-            if let Some(closure) = verilog_closure(parts, top) {
-                let files = closure_digests(digests, &closure);
-                let key = cache::elab_key(Language::Verilog, top, &files);
-                let (slot, _) = cache.elab_slot(key);
-                let entry = slot.get_or_init(|| {
-                    let mut fresh = Diagnostics::new();
-                    let design = aivril_verilog::elaborate(unit, top, &mut fresh);
-                    ElabEntry {
-                        design: design.map(Arc::new),
-                        diags: fresh,
-                    }
-                });
-                diags.extend(entry.diags.clone());
-                return entry.design.clone();
-            }
-        }
-        aivril_verilog::elaborate(unit, top, diags).map(Arc::new)
-    }
-
-    /// VHDL twin of [`Self::elaborate_verilog`]. The memo key uses the
-    /// lowercased top, matching the elaborator's case folding.
-    fn elaborate_vhdl(
-        &self,
-        file: &aivril_vhdl::ast::DesignFile,
-        parts: Option<&[aivril_vhdl::ast::DesignFile]>,
-        digests: Option<&[u128]>,
-        top: &str,
-        diags: &mut Diagnostics,
-    ) -> Option<Arc<Design>> {
-        if let (Some(cache), Some(parts), Some(digests)) =
-            (self.incremental_cache(), parts, digests)
-        {
-            let top_lc = top.to_ascii_lowercase();
-            if let Some(closure) = vhdl_closure(parts, &top_lc) {
-                let files = closure_digests(digests, &closure);
-                let key = cache::elab_key(Language::Vhdl, &top_lc, &files);
-                let (slot, _) = cache.elab_slot(key);
-                let entry = slot.get_or_init(|| {
-                    let mut fresh = Diagnostics::new();
-                    let design = aivril_vhdl::elaborate(file, top, &mut fresh);
-                    ElabEntry {
-                        design: design.map(Arc::new),
-                        diags: fresh,
-                    }
-                });
-                diags.extend(entry.diags.clone());
-                return entry.design.clone();
-            }
-        }
-        aivril_vhdl::elaborate(file, top, diags).map(Arc::new)
-    }
 }
 
-/// The file indices contributing modules to `top`'s instantiation
-/// closure, or `None` when any module name is declared twice — the
-/// elaborator diagnoses redeclarations *globally*, so a closure key
-/// would not cover everything its output depends on. Unknown
-/// instantiated names contribute nothing (elaboration diagnoses them;
-/// the files defining nothing reachable can't influence that verdict).
-fn verilog_closure(
-    parts: &[aivril_verilog::ast::SourceUnit],
-    top: &str,
-) -> Option<BTreeSet<usize>> {
-    let mut def_file: HashMap<&str, usize> = HashMap::new();
-    let mut modules = HashMap::new();
-    for (index, part) in parts.iter().enumerate() {
-        for m in &part.modules {
-            if def_file.insert(m.name.as_str(), index).is_some() {
-                return None;
-            }
-            modules.insert(m.name.as_str(), m);
-        }
-    }
-    let mut files = BTreeSet::new();
-    let mut seen = HashSet::new();
-    let mut stack = vec![top];
-    while let Some(name) = stack.pop() {
-        if !seen.insert(name) {
-            continue;
-        }
-        let Some(m) = modules.get(name) else {
-            continue;
-        };
-        files.insert(def_file[name]);
-        for item in &m.items {
-            if let aivril_verilog::ast::Item::Instance { module, .. } = item {
-                stack.push(module.as_str());
-            }
-        }
-    }
-    Some(files)
+/// One HDL frontend's design container — a Verilog [`SourceUnit`] or a
+/// VHDL [`DesignFile`] — so parsing, elaboration and the memos around
+/// them are written once for both languages.
+trait Frontend: Default + Clone {
+    const LANGUAGE: Language;
+    /// Lexes and parses one file (`xvlog`/`xvhdl` on one file).
+    fn analyze_file(file: FileId, text: &str) -> (Self, Diagnostics);
+    /// Appends `part`'s design units (shared, not copied) after ours.
+    fn append(&mut self, part: &Self);
+    /// The top-level unit to elaborate when the caller names none.
+    fn find_top(&self) -> Option<String>;
+    fn elaborate(&self, top: &str, diags: &mut Diagnostics) -> Option<Design>;
+    /// `top` as the elaborator resolves it, for the memo key.
+    fn memo_top(top: &str) -> Cow<'_, str>;
+    /// The file indices contributing units to `top`'s instantiation
+    /// closure (`top` already through [`Frontend::memo_top`]), or `None`
+    /// when the elaborator's output depends on more than the closure.
+    /// Unknown instantiated names contribute nothing: elaboration
+    /// diagnoses them, and the files defining nothing reachable can't
+    /// influence that verdict.
+    fn closure(parts: &[Self], top: &str) -> Option<BTreeSet<usize>>;
+    fn into_parsed(self, diags: Diagnostics) -> ParsedFile;
+    fn from_parsed(entry: &ParsedFile) -> Option<(&Self, &Diagnostics)>;
 }
 
-/// VHDL twin of [`verilog_closure`]: walks entities plus their
-/// architectures. `None` on any duplicated entity name or second
-/// architecture for one entity — the elaborator resolves those
-/// last-wins, a dependency on file *order* the closure key doesn't
-/// express. `top` must already be lowercased.
-fn vhdl_closure(parts: &[aivril_vhdl::ast::DesignFile], top: &str) -> Option<BTreeSet<usize>> {
-    let mut ent_file: HashMap<&str, usize> = HashMap::new();
-    let mut arch_file: HashMap<&str, usize> = HashMap::new();
-    let mut archs = HashMap::new();
-    for (index, part) in parts.iter().enumerate() {
-        for e in &part.entities {
-            if ent_file.insert(e.name.as_str(), index).is_some() {
-                return None;
-            }
-        }
-        for a in &part.architectures {
-            if arch_file.insert(a.entity.as_str(), index).is_some() {
-                return None;
-            }
-            archs.insert(a.entity.as_str(), a);
-        }
+impl Frontend for SourceUnit {
+    const LANGUAGE: Language = Language::Verilog;
+
+    fn analyze_file(file: FileId, text: &str) -> (SourceUnit, Diagnostics) {
+        aivril_verilog::analyze_file(file, text)
     }
-    let mut files = BTreeSet::new();
-    let mut seen = HashSet::new();
-    let mut stack = vec![top.to_string()];
-    while let Some(name) = stack.pop() {
-        if !seen.insert(name.clone()) {
-            continue;
+
+    fn append(&mut self, part: &SourceUnit) {
+        self.modules.extend(part.modules.iter().cloned());
+    }
+
+    fn find_top(&self) -> Option<String> {
+        aivril_verilog::find_top(self)
+    }
+
+    fn elaborate(&self, top: &str, diags: &mut Diagnostics) -> Option<Design> {
+        aivril_verilog::elaborate(self, top, diags)
+    }
+
+    fn memo_top(top: &str) -> Cow<'_, str> {
+        Cow::Borrowed(top)
+    }
+
+    /// `None` when any module name is declared twice — the elaborator
+    /// diagnoses redeclarations *globally*.
+    fn closure(parts: &[SourceUnit], top: &str) -> Option<BTreeSet<usize>> {
+        let mut def_file: HashMap<&str, usize> = HashMap::new();
+        let mut modules = HashMap::new();
+        for (index, part) in parts.iter().enumerate() {
+            for m in &part.modules {
+                if def_file.insert(m.name.as_str(), index).is_some() {
+                    return None;
+                }
+                modules.insert(m.name.as_str(), m);
+            }
         }
-        if let Some(&index) = ent_file.get(name.as_str()) {
-            files.insert(index);
-        }
-        if let Some(&index) = arch_file.get(name.as_str()) {
-            files.insert(index);
-        }
-        if let Some(a) = archs.get(name.as_str()) {
-            for s in &a.stmts {
-                if let aivril_vhdl::ast::ConcurrentStmt::Instance { entity, .. } = s {
-                    stack.push(entity.to_ascii_lowercase());
+        let mut files = BTreeSet::new();
+        let mut seen = HashSet::new();
+        let mut stack = vec![top];
+        while let Some(name) = stack.pop() {
+            if !seen.insert(name) {
+                continue;
+            }
+            let Some(m) = modules.get(name) else {
+                continue;
+            };
+            files.insert(def_file[name]);
+            for item in &m.items {
+                if let aivril_verilog::ast::Item::Instance { module, .. } = item {
+                    stack.push(module.as_str());
                 }
             }
         }
+        Some(files)
     }
-    Some(files)
+
+    fn into_parsed(self, diags: Diagnostics) -> ParsedFile {
+        ParsedFile::Verilog(self, diags)
+    }
+
+    fn from_parsed(entry: &ParsedFile) -> Option<(&SourceUnit, &Diagnostics)> {
+        match entry {
+            ParsedFile::Verilog(part, diags) => Some((part, diags)),
+            ParsedFile::Vhdl(..) => None,
+        }
+    }
 }
 
-/// The ordered `(index, digest)` pairs of the closure's files, ready
-/// for [`cache::elab_key`].
-fn closure_digests(digests: &[u128], files: &BTreeSet<usize>) -> Vec<(usize, u128)> {
-    files.iter().map(|&index| (index, digests[index])).collect()
+impl Frontend for DesignFile {
+    const LANGUAGE: Language = Language::Vhdl;
+
+    fn analyze_file(file: FileId, text: &str) -> (DesignFile, Diagnostics) {
+        aivril_vhdl::analyze_file(file, text)
+    }
+
+    fn append(&mut self, part: &DesignFile) {
+        self.entities.extend(part.entities.iter().cloned());
+        self.architectures
+            .extend(part.architectures.iter().cloned());
+    }
+
+    fn find_top(&self) -> Option<String> {
+        aivril_vhdl::find_top(self)
+    }
+
+    fn elaborate(&self, top: &str, diags: &mut Diagnostics) -> Option<Design> {
+        aivril_vhdl::elaborate(self, top, diags)
+    }
+
+    /// VHDL names are case-insensitive; the elaborator folds to lower.
+    fn memo_top(top: &str) -> Cow<'_, str> {
+        Cow::Owned(top.to_ascii_lowercase())
+    }
+
+    /// Walks entities plus their architectures. `None` on any duplicated
+    /// entity name or second architecture for one entity — the
+    /// elaborator resolves those last-wins, a dependency on file *order*
+    /// the closure key doesn't express.
+    fn closure(parts: &[DesignFile], top: &str) -> Option<BTreeSet<usize>> {
+        let mut ent_file: HashMap<&str, usize> = HashMap::new();
+        let mut arch_file: HashMap<&str, usize> = HashMap::new();
+        let mut archs = HashMap::new();
+        for (index, part) in parts.iter().enumerate() {
+            for e in &part.entities {
+                if ent_file.insert(e.name.as_str(), index).is_some() {
+                    return None;
+                }
+            }
+            for a in &part.architectures {
+                if arch_file.insert(a.entity.as_str(), index).is_some() {
+                    return None;
+                }
+                archs.insert(a.entity.as_str(), a);
+            }
+        }
+        let mut files = BTreeSet::new();
+        let mut seen = HashSet::new();
+        let mut stack = vec![top.to_string()];
+        while let Some(name) = stack.pop() {
+            if !seen.insert(name.clone()) {
+                continue;
+            }
+            if let Some(&index) = ent_file.get(name.as_str()) {
+                files.insert(index);
+            }
+            if let Some(&index) = arch_file.get(name.as_str()) {
+                files.insert(index);
+            }
+            if let Some(a) = archs.get(name.as_str()) {
+                for s in &a.stmts {
+                    if let aivril_vhdl::ast::ConcurrentStmt::Instance { entity, .. } = s {
+                        stack.push(entity.to_ascii_lowercase());
+                    }
+                }
+            }
+        }
+        Some(files)
+    }
+
+    fn into_parsed(self, diags: Diagnostics) -> ParsedFile {
+        ParsedFile::Vhdl(self, diags)
+    }
+
+    fn from_parsed(entry: &ParsedFile) -> Option<(&DesignFile, &Diagnostics)> {
+        match entry {
+            ParsedFile::Vhdl(part, diags) => Some((part, diags)),
+            ParsedFile::Verilog(..) => None,
+        }
+    }
+}
+
+/// Analysis + elaboration of one language's sources. Returns
+/// `(design, diagnostics, no_top)`.
+fn front<F: Frontend>(
+    memo: Memo<'_>,
+    sources: &SourceMap,
+    top: Option<&str>,
+) -> (Option<Arc<Design>>, Diagnostics, bool) {
+    let (unit, parts, mut diags) = parse::<F>(memo, sources);
+    if diags.has_errors() {
+        return (None, diags, false);
+    }
+    let Some(top) = top.map(String::from).or_else(|| unit.find_top()) else {
+        return (None, diags, true);
+    };
+    let design = elaborate(memo, &unit, &parts, &top, &mut diags);
+    (design.filter(|_| !diags.has_errors()), diags, false)
+}
+
+/// Parses every file into one container. With a memo, the per-file
+/// parts come back too (the elaboration closure needs to know which
+/// file defines which unit); without one, that list stays empty.
+fn parse<F: Frontend>(memo: Memo<'_>, sources: &SourceMap) -> (F, Vec<F>, Diagnostics) {
+    let mut unit = F::default();
+    let mut parts = Vec::new();
+    let mut diags = Diagnostics::new();
+    for (index, (id, source)) in sources.iter().enumerate() {
+        let (part, part_diags) = parse_file::<F>(memo, index, id, source.text());
+        unit.append(&part);
+        diags.extend(part_diags);
+        if memo.is_some() {
+            parts.push(part);
+        }
+    }
+    (unit, parts, diags)
+}
+
+/// Parses file `index`, through the per-file parse memo when there is
+/// one.
+fn parse_file<F: Frontend>(
+    memo: Memo<'_>,
+    index: usize,
+    id: FileId,
+    text: &str,
+) -> (F, Diagnostics) {
+    let Some((cache, digests)) = memo else {
+        return F::analyze_file(id, text);
+    };
+    let (slot, _) = cache.parse_slot(cache::parse_key(index, digests[index]));
+    let entry = slot.get_or_init(|| {
+        let (part, diags) = F::analyze_file(id, text);
+        part.into_parsed(diags)
+    });
+    // The language in the file digest makes an entry of the other
+    // language unreachable; parse fresh rather than panic if it ever
+    // isn't.
+    match F::from_parsed(entry) {
+        Some((part, diags)) => (part.clone(), diags.clone()),
+        None => F::analyze_file(id, text),
+    }
+}
+
+/// Elaborates `top`, through the closure-keyed memo when there is one
+/// and the closure can be trusted. The memo stores elaboration's *own*
+/// diagnostics (callers only reach this point with error-free parse
+/// diags, so elaboration against a fresh `Diagnostics` behaves
+/// identically) and replays them on a hit.
+fn elaborate<F: Frontend>(
+    memo: Memo<'_>,
+    unit: &F,
+    parts: &[F],
+    top: &str,
+    diags: &mut Diagnostics,
+) -> Option<Arc<Design>> {
+    let memo = memo.and_then(|(cache, digests)| {
+        let top_key = F::memo_top(top);
+        let closure = F::closure(parts, &top_key)?;
+        let files: Vec<_> = closure.iter().map(|&i| (i, digests[i])).collect();
+        Some((cache, cache::elab_key(F::LANGUAGE, &top_key, &files)))
+    });
+    let Some((cache, key)) = memo else {
+        return unit.elaborate(top, diags).map(Arc::new);
+    };
+    let (slot, _) = cache.elab_slot(key);
+    let entry = slot.get_or_init(|| {
+        let mut fresh = Diagnostics::new();
+        let design = unit.elaborate(top, &mut fresh).map(Arc::new);
+        ElabEntry {
+            design,
+            diags: fresh,
+        }
+    });
+    diags.extend(entry.diags.clone());
+    entry.design.clone()
+}
+
+/// The source map of `files`, and the log header naming each file, that
+/// analysis and compilation both start from.
+fn analysis_start(files: &[HdlFile]) -> (SourceMap, String) {
+    let mut sources = SourceMap::new();
+    let mut log = String::new();
+    for f in files {
+        sources.add_file(f.name.clone(), f.text.clone());
+        let tool = match f.language {
+            Language::Verilog => "xvlog",
+            Language::Vhdl => "xvhdl",
+        };
+        let _ = writeln!(
+            log,
+            "INFO: [{tool}] Analyzing {} file \"{}\" into library work",
+            f.language, f.name
+        );
+    }
+    (sources, log)
 }
 
 fn total_bytes(files: &[HdlFile]) -> usize {
@@ -962,84 +915,6 @@ fn to_messages(diags: &Diagnostics, sources: &SourceMap) -> Vec<ToolMessage> {
         .collect()
 }
 
-impl XsimToolSuite {
-    /// Like [`ToolSuite::simulate`], additionally returning a VCD
-    /// waveform dump of the whole run (when compilation succeeded) —
-    /// the `xsim` `--wdb`-style debug artefact.
-    #[must_use]
-    pub fn simulate_with_waves(
-        &self,
-        files: &[HdlFile],
-        top: Option<&str>,
-    ) -> (SimReport, Option<String>) {
-        let span = self.recorder.span("eda.simulate");
-        let (compile_report, design) = self.compile_to_design(files, top);
-        let mut log = compile_report.log.clone();
-        let Some(design) = design else {
-            span.attr_bool("passed", false);
-            return (
-                SimReport {
-                    compiled: false,
-                    passed: false,
-                    log,
-                    failures: Vec::new(),
-                    compile_messages: compile_report.messages,
-                    end_time: 0,
-                    finished: false,
-                    diverged: None,
-                    modeled_latency: compile_report.modeled_latency,
-                },
-                None,
-            );
-        };
-        log.push_str(&format!(
-            "INFO: [xsim] Running simulation of '{}'\n",
-            design.top
-        ));
-        let mut sim = Simulator::new(&design, self.sim_config).with_recorder(self.recorder.clone());
-        sim.record_waves();
-        let result = sim.run();
-        self.kernel.fold(&sim.perf());
-        let vcd = sim.vcd();
-        log.push_str(&result.log_text());
-        let diverged = diverged_from(&result);
-        let failures = extract_failures(&log);
-        let passed = result.is_clean()
-            && failures.is_empty()
-            && (result.finished || result.starved)
-            && log.contains(PASS_MARKER);
-        let sim_latency = self.latency.sim_seconds(result.instructions_executed);
-        if span.is_recording() {
-            self.recorder.advance(sim_latency);
-            span.attr_bool("passed", passed);
-            span.attr_int("failures", failures.len() as i64);
-            span.attr_f64("sim_s", sim_latency);
-            self.recorder
-                .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
-            self.recorder.observe(
-                "eda_sim_seconds",
-                &[],
-                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-                sim_latency,
-            );
-        }
-        (
-            SimReport {
-                compiled: true,
-                passed,
-                log,
-                failures,
-                compile_messages: compile_report.messages,
-                end_time: result.end_time,
-                finished: result.finished,
-                diverged,
-                modeled_latency: compile_report.modeled_latency + sim_latency,
-            },
-            vcd,
-        )
-    }
-}
-
 /// Maps a kernel watchdog abort into the structured report diagnostic.
 fn diverged_from(result: &aivril_sim::SimResult) -> Option<crate::report::SimDiverged> {
     result.limit_hit.map(|limit| crate::report::SimDiverged {
@@ -1049,40 +924,151 @@ fn diverged_from(result: &aivril_sim::SimResult) -> Option<crate::report::SimDiv
     })
 }
 
+/// A sim report for a run that never reached, or never left, the
+/// kernel: no failures, no simulated time.
+fn unrun_report(
+    compiled: bool,
+    log: String,
+    compile_messages: Vec<ToolMessage>,
+    modeled_latency: f64,
+) -> SimReport {
+    SimReport {
+        compiled,
+        passed: false,
+        log,
+        failures: Vec::new(),
+        compile_messages,
+        end_time: 0,
+        finished: false,
+        diverged: None,
+        modeled_latency,
+    }
+}
+
 impl XsimToolSuite {
-    /// Runs the simulation phase on an already-elaborated design,
-    /// returning the report, the sim-phase share of the modeled latency
-    /// and — when `collect_telemetry` — the kernel series for cache
-    /// replay. This is the single implementation behind both the live
-    /// and cache-miss paths, so they cannot diverge.
+    /// Like [`ToolSuite::simulate`], additionally returning a VCD
+    /// waveform dump of the whole run (when compilation succeeded) —
+    /// the `xsim` `--wdb`-style debug artefact. It is the same run
+    /// `simulate` makes, except that it bypasses the sim-result cache,
+    /// whose entries hold no waveform.
+    #[must_use]
+    pub fn simulate_with_waves(
+        &self,
+        files: &[HdlFile],
+        top: Option<&str>,
+    ) -> (SimReport, Option<String>) {
+        self.simulate_run(files, top, true)
+    }
+
+    /// [`ToolSuite::simulate`], and the run's waveform when `waves`.
+    fn simulate_run(
+        &self,
+        files: &[HdlFile],
+        top: Option<&str>,
+        waves: bool,
+    ) -> (SimReport, Option<String>) {
+        let span = self.recorder.span("eda.simulate");
+        let digests = self.digests(files);
+        let digests = digests.as_deref();
+        let (compile_report, clean_compile, design) =
+            self.compile_to_design_recorded(files, top, digests);
+        let Some(design) = design else {
+            span.attr_bool("passed", false);
+            let report = unrun_report(
+                false,
+                compile_report.log,
+                compile_report.messages,
+                compile_report.modeled_latency,
+            );
+            return (report, None);
+        };
+        // The sim phase (and anything it caches) builds on the *clean*
+        // compile report; compile-level log corruption belongs to the
+        // compile invocation alone.
+        let compile = clean_compile.as_ref().unwrap_or(&compile_report);
+        let key = digests.map(|d| cache::sim_key(d, top, &self.latency, &self.sim_config));
+        // A crashed simulator never reaches the event kernel; the
+        // attempt's cost is the tool's startup share.
+        let verdict = self.fault_verdict("simulate", key, self.latency.sim_seconds(0));
+        let (report, sim_latency, cache_hit, vcd) = match &verdict {
+            Some(v) if v.failed() => {
+                let mut log = sim_log_head(compile, &design);
+                log.push_str(&self.faulted_compile_report("simulate", v).log);
+                let latency = compile.modeled_latency + v.penalty_s;
+                let report = unrun_report(true, log, compile.messages.clone(), latency);
+                (report, v.penalty_s, None, None)
+            }
+            _ => {
+                // Cached entries hold no waveform, so a waveform
+                // request runs the kernel live.
+                let key = key.filter(|_| !waves);
+                let (report, sim_latency, hit, vcd) =
+                    self.run_sim_cached(key, compile, &design, waves);
+                match &verdict {
+                    Some(v) => (v.shape_sim(report), sim_latency + v.penalty_s, hit, vcd),
+                    None => (report, sim_latency, hit, vcd),
+                }
+            }
+        };
+        if span.is_recording() {
+            // Pure functions of the (possibly cached) report — the hit
+            // and miss paths emit identical telemetry (the kernel's own
+            // series are replayed from the cache entry inside
+            // `run_sim_cached`).
+            self.recorder.advance(sim_latency);
+            span.attr_bool("passed", report.passed);
+            span.attr_int("failures", report.failures.len() as i64);
+            span.attr_f64("sim_s", sim_latency);
+            if let Some(hit) = cache_hit {
+                span.attr_bool("cache_hit", hit);
+            }
+            self.recorder
+                .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
+            self.recorder.observe(
+                "eda_sim_seconds",
+                &[],
+                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                sim_latency,
+            );
+        }
+        (report, vcd)
+    }
+
+    /// Runs the simulation phase on an already-elaborated design: the
+    /// one place the kernel runs, behind the live, cache-miss and
+    /// waveform paths alike, so they cannot diverge. The entry carries
+    /// the kernel series for cache replay when `collect_telemetry`; the
+    /// VCD dump comes back when `waves`.
     fn run_sim(
         &self,
         compile_report: &CompileReport,
         design: &Design,
         collect_telemetry: bool,
-    ) -> (SimReport, f64, Option<aivril_sim::KernelTelemetry>) {
-        let mut log = compile_report.log.clone();
-        log.push_str(&format!(
-            "INFO: [xsim] Running simulation of '{}'\n",
-            design.top
-        ));
+        waves: bool,
+    ) -> (SimEntry, Option<String>) {
+        let mut log = sim_log_head(compile_report, design);
         let mut sim = Simulator::new(design, self.sim_config).with_recorder(self.recorder.clone());
         if collect_telemetry {
             sim.collect_telemetry();
         }
+        if waves {
+            sim.record_waves();
+        }
         let result = sim.run();
-        self.kernel.fold(&sim.perf());
+        self.fold_kernel(&sim.perf());
         log.push_str(&result.log_text());
         if result.finished {
-            log.push_str(&format!(
-                "INFO: [xsim] $finish called at time : {} ns\n",
+            let _ = writeln!(
+                log,
+                "INFO: [xsim] $finish called at time : {} ns",
                 result.end_time
-            ));
+            );
         } else if result.starved {
-            log.push_str(&format!(
-                "INFO: [xsim] simulation stopped (event starvation) at time : {} ns\n",
+            let _ = writeln!(
+                log,
+                "INFO: [xsim] simulation stopped (event starvation) at time : {} ns",
                 result.end_time
-            ));
+            );
         }
         let failures = extract_failures(&log);
         // A run passes when it is error-free, produced no test failures,
@@ -1104,71 +1090,35 @@ impl XsimToolSuite {
             diverged: diverged_from(&result),
             modeled_latency: compile_report.modeled_latency + sim_latency,
         };
-        (report, sim_latency, sim.take_telemetry())
+        let vcd = sim.vcd();
+        let entry = SimEntry {
+            report,
+            sim_latency,
+            kernel: sim.take_telemetry(),
+        };
+        (entry, vcd)
     }
 
-    /// Cache layer around [`Self::run_sim`]. On a miss the kernel runs
-    /// live (recording into this suite's recorder as usual) and its
-    /// telemetry is stored in the entry; on a hit the stored telemetry
-    /// is replayed into this suite's recorder, so the metrics registry
-    /// ends up byte-identical to a cache-off run. The replay decision
-    /// follows *who executed the initializer*, not the hit accounting:
-    /// a thread can be accounted a hit yet win the `get_or_init` race,
-    /// in which case it already recorded live and must not replay.
+    /// Cache layer around [`Self::run_sim`], below the fault gate;
+    /// `key` is `None` when the result must not be cached. On a miss
+    /// the kernel runs live (recording into this suite's recorder as
+    /// usual) and its telemetry is stored in the entry; on a hit the
+    /// stored telemetry is replayed into this suite's recorder, so the
+    /// metrics registry ends up byte-identical to a cache-off run. The
+    /// replay decision follows *who executed the initializer*, not the
+    /// hit accounting: a thread can be accounted a hit yet win the
+    /// `get_or_init` race, in which case it already recorded live and
+    /// must not replay.
     fn run_sim_cached(
-        &self,
-        digests: Option<&[u128]>,
-        top: Option<&str>,
-        compile_report: &CompileReport,
-        design: &Design,
-    ) -> (SimReport, f64, Option<bool>) {
-        let key = digests.map(|d| cache::sim_key(d, top, &self.latency, &self.sim_config));
-        // A crashed simulator never reaches the event kernel; the
-        // attempt's cost is the tool's startup share.
-        let verdict = self.fault_verdict("simulate", key, self.latency.sim_seconds(0));
-        if let Some(v) = &verdict {
-            if v.failed() {
-                let mut log = compile_report.log.clone();
-                log.push_str(&format!(
-                    "INFO: [xsim] Running simulation of '{}'\n",
-                    design.top
-                ));
-                log.push_str(&self.faulted_compile_report("simulate", v).log);
-                let report = SimReport {
-                    compiled: true,
-                    passed: false,
-                    log,
-                    failures: Vec::new(),
-                    compile_messages: compile_report.messages.clone(),
-                    end_time: 0,
-                    finished: false,
-                    diverged: None,
-                    modeled_latency: compile_report.modeled_latency + v.penalty_s,
-                };
-                return (report, v.penalty_s, None);
-            }
-        }
-        let (report, sim_latency, hit) = self.run_sim_uncorrupted(key, compile_report, design);
-        match &verdict {
-            Some(v) => (
-                self.shape_sim_fault(report, v),
-                sim_latency + v.penalty_s,
-                hit,
-            ),
-            None => (report, sim_latency, hit),
-        }
-    }
-
-    /// The cache layer proper, below the fault gate.
-    fn run_sim_uncorrupted(
         &self,
         key: Option<u128>,
         compile_report: &CompileReport,
         design: &Design,
-    ) -> (SimReport, f64, Option<bool>) {
+        waves: bool,
+    ) -> (SimReport, f64, Option<bool>, Option<String>) {
         let (Some(cache), Some(key)) = (&self.cache, key) else {
-            let (report, sim_latency, _) = self.run_sim(compile_report, design, false);
-            return (report, sim_latency, None);
+            let (entry, vcd) = self.run_sim(compile_report, design, false, waves);
+            return (entry.report, entry.sim_latency, None, vcd);
         };
         let (slot, hit) = cache.sim_slot(key);
         let mut computed_here = false;
@@ -1181,12 +1131,7 @@ impl XsimToolSuite {
                 // Telemetry is collected even when this suite's recorder
                 // is disabled: the recorder-free scoring suite may
                 // populate an entry a traced worker hits later.
-                let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
-                SimEntry {
-                    report,
-                    sim_latency,
-                    kernel,
-                }
+                self.run_sim(compile_report, design, true, false).0
             })
         });
         if !computed_here {
@@ -1194,68 +1139,36 @@ impl XsimToolSuite {
                 kernel.record_to(&self.recorder);
                 // Fold the stored run's counters so the suite totals are
                 // the same whether the kernel executed or was replayed.
-                self.kernel.fold(&kernel.perf());
+                self.fold_kernel(&kernel.perf());
             }
         }
-        (entry.report.clone(), entry.sim_latency, Some(hit))
+        (entry.report.clone(), entry.sim_latency, Some(hit), None)
     }
 
     fn analyze_inner(&self, files: &[HdlFile], digests: Option<&[u128]>) -> CompileReport {
-        let mut sources = SourceMap::new();
-        for f in files {
-            sources.add_file(f.name.clone(), f.text.clone());
-        }
-        let mut log = String::new();
-        let mut diags = aivril_hdl::diag::Diagnostics::new();
-        for f in files {
-            let tool = match f.language {
-                Language::Verilog => "xvlog",
-                Language::Vhdl => "xvhdl",
-            };
-            log.push_str(&format!(
-                "INFO: [{tool}] Analyzing {} file \"{}\" into library work\n",
-                f.language, f.name
-            ));
-        }
-        let memo = self.incremental_cache().zip(digests);
+        let (sources, mut log) = analysis_start(files);
+        let memo = self.memo(digests);
+        let mut diags = Diagnostics::new();
         for (index, ((id, source), f)) in sources.iter().zip(files).enumerate() {
             // The file's own language picks the frontend, as it does
-            // for compile and simulate.
-            let language = f.language;
-            // Analysis only needs the syntax diagnostics, but parsing
-            // through the incremental memo lets a later compile of the
-            // same file set reuse the ASTs.
-            if let Some((cache, digests)) = memo {
-                let (slot, _) = cache.parse_slot(cache::parse_key(index, digests[index]));
-                let entry = slot.get_or_init(|| match language {
-                    Language::Vhdl => {
-                        let (part, sub) = aivril_vhdl::analyze_file(id, source.text());
-                        ParsedFile::Vhdl(part, sub)
-                    }
-                    Language::Verilog => {
-                        let (part, sub) = aivril_verilog::analyze_file(id, source.text());
-                        ParsedFile::Verilog(part, sub)
-                    }
-                });
-                let (ParsedFile::Verilog(_, sub) | ParsedFile::Vhdl(_, sub)) = entry;
-                diags.extend(sub.clone());
-            } else if language == Language::Vhdl {
-                let (_, sub) = aivril_vhdl::analyze_file(id, source.text());
-                diags.extend(sub);
-            } else {
-                let (_, sub) = aivril_verilog::analyze_file(id, source.text());
-                diags.extend(sub);
-            }
+            // for compile and simulate. Analysis only needs the syntax
+            // diagnostics, but parsing through the incremental memo
+            // lets a later compile of the same file set reuse the ASTs.
+            diags.extend(match f.language {
+                Language::Verilog => parse_file::<SourceUnit>(memo, index, id, source.text()).1,
+                Language::Vhdl => parse_file::<DesignFile>(memo, index, id, source.text()).1,
+            });
         }
         log.push_str(&diags.render(&sources));
         let success = !diags.has_errors();
         if success {
             log.push_str("INFO: [xvlog] Analysis completed successfully\n");
         } else {
-            log.push_str(&format!(
-                "ERROR: [xvlog] {} error(s) during analysis\n",
+            let _ = writeln!(
+                log,
+                "ERROR: [xvlog] {} error(s) during analysis",
                 diags.error_count()
-            ));
+            );
         }
         CompileReport {
             success,
@@ -1264,6 +1177,13 @@ impl XsimToolSuite {
             modeled_latency: self.latency.compile_seconds(total_bytes(files)),
         }
     }
+}
+
+/// The compile log followed by the line `xsim` opens a run with.
+fn sim_log_head(compile_report: &CompileReport, design: &Design) -> String {
+    let mut log = compile_report.log.clone();
+    let _ = writeln!(log, "INFO: [xsim] Running simulation of '{}'", design.top);
+    log
 }
 
 impl ToolSuite for XsimToolSuite {
@@ -1293,7 +1213,7 @@ impl ToolSuite for XsimToolSuite {
                     _ => (self.analyze_inner(files, digests), None),
                 };
                 match &verdict {
-                    Some(v) => (self.shape_compile_fault("analyze", report, v), hit),
+                    Some(v) => (v.shape_compile("analyze", report), hit),
                     None => (report, hit),
                 }
             }
@@ -1316,52 +1236,7 @@ impl ToolSuite for XsimToolSuite {
     }
 
     fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport {
-        let span = self.recorder.span("eda.simulate");
-        let digests = self.digests(files);
-        let digests = digests.as_deref();
-        let (compile_report, clean_compile, design) =
-            self.compile_to_design_recorded(files, top, digests);
-        let Some(design) = design else {
-            span.attr_bool("passed", false);
-            return SimReport {
-                compiled: false,
-                passed: false,
-                log: compile_report.log,
-                failures: Vec::new(),
-                compile_messages: compile_report.messages,
-                end_time: 0,
-                finished: false,
-                diverged: None,
-                modeled_latency: compile_report.modeled_latency,
-            };
-        };
-        // The sim phase (and anything it caches) builds on the *clean*
-        // compile report; compile-level log corruption belongs to the
-        // compile invocation alone.
-        let base_compile = clean_compile.as_ref().unwrap_or(&compile_report);
-        let (report, sim_latency, cache_hit) =
-            self.run_sim_cached(digests, top, base_compile, &design);
-        if span.is_recording() {
-            // Pure functions of the cached report — the hit and miss
-            // paths emit identical telemetry (the kernel's own series
-            // are replayed from the cache entry inside `run_sim_cached`).
-            self.recorder.advance(sim_latency);
-            span.attr_bool("passed", report.passed);
-            span.attr_int("failures", report.failures.len() as i64);
-            span.attr_f64("sim_s", sim_latency);
-            if let Some(hit) = cache_hit {
-                span.attr_bool("cache_hit", hit);
-            }
-            self.recorder
-                .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
-            self.recorder.observe(
-                "eda_sim_seconds",
-                &[],
-                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-                sim_latency,
-            );
-        }
-        report
+        self.simulate_run(files, top, false).0
     }
 }
 
@@ -1374,6 +1249,16 @@ mod tests {
         initial begin\n    a = 0; #1;\n    if (y !== 1'b1) $error(\"Test Case 1 Failed: y should be 1\");\n\
         else $display(\"All tests passed successfully!\");\n    $finish;\n  end\nendmodule\n";
     const BAD_V: &str = "module inv(input a, output y)\n  assign y = ~a;\nendmodule\n";
+    const GOOD_VHD: &str =
+        "entity inv is port (a : in std_logic; y : out std_logic); end entity;\n\
+        architecture rtl of inv is begin y <= not a; end architecture;\n";
+    const GOOD_VHD_TB: &str = "entity tb is end entity;\narchitecture sim of tb is\n\
+        signal a, y : std_logic;\nbegin\n\
+        dut: entity work.inv port map (a => a, y => y);\n\
+        process begin\n  a <= '0'; wait for 1 ns;\n\
+        assert y = '1' report \"Test Case 1 Failed\" severity error;\n\
+        report \"All tests passed successfully!\";\n  wait;\nend process;\n\
+        end architecture;\n";
 
     #[test]
     fn clean_compile_logs_success() {
@@ -1438,18 +1323,12 @@ mod tests {
 
     #[test]
     fn vhdl_flow_works() {
-        let dut = "entity inv is port (a : in std_logic; y : out std_logic); end entity;\n\
-                   architecture rtl of inv is begin y <= not a; end architecture;\n";
-        let tb = "entity tb is end entity;\narchitecture sim of tb is\n\
-                  signal a, y : std_logic;\nbegin\n\
-                  dut: entity work.inv port map (a => a, y => y);\n\
-                  process begin\n  a <= '0'; wait for 1 ns;\n\
-                  assert y = '1' report \"Test Case 1 Failed\" severity error;\n\
-                  report \"All tests passed successfully!\";\n  wait;\nend process;\n\
-                  end architecture;\n";
         let tools = XsimToolSuite::new();
         let report = tools.simulate(
-            &[HdlFile::new("inv.vhd", dut), HdlFile::new("tb.vhd", tb)],
+            &[
+                HdlFile::new("inv.vhd", GOOD_VHD),
+                HdlFile::new("tb.vhd", GOOD_VHD_TB),
+            ],
             Some("tb"),
         );
         assert!(report.compiled, "log: {}", report.log);
@@ -1464,9 +1343,7 @@ mod tests {
     /// analyzed by the same frontend that compiles it: its language's.
     #[test]
     fn analyze_uses_the_file_language_not_its_name() {
-        let vhdl = "entity inv is port (a : in std_logic; y : out std_logic); end entity;\n\
-                    architecture rtl of inv is begin y <= not a; end architecture;\n";
-        let mut as_v = HdlFile::new("inv.v", vhdl);
+        let mut as_v = HdlFile::new("inv.v", GOOD_VHD);
         as_v.language = Language::Vhdl;
         let mut as_vhd = HdlFile::new("inv.vhd", GOOD_V);
         as_vhd.language = Language::Verilog;
@@ -1497,6 +1374,8 @@ mod tests {
         assert!(report.log.contains("mixed-language"));
     }
 
+    /// The waveform path is `simulate`'s run plus a VCD: the same
+    /// report on every outcome, cache or no cache.
     #[test]
     fn waveform_dump_covers_the_run() {
         let tools = XsimToolSuite::new();
@@ -1511,6 +1390,63 @@ mod tests {
         assert!(vcd.contains(" a $end"), "tb signals declared: {vcd}");
         let (_, vcd) = tools.simulate_with_waves(&[HdlFile::new("inv.v", BAD_V)], None);
         assert!(vcd.is_none(), "no waves when compilation fails");
+
+        let broken = "module inv(input a, output y);\n  assign y = a;\nendmodule\n";
+        let starved_tb = GOOD_TB.replace("    $finish;\n", "");
+        let cases = [
+            (
+                "passing Verilog",
+                vec![("inv.v", GOOD_V), ("tb.v", GOOD_TB)],
+            ),
+            (
+                "passing VHDL",
+                vec![("inv.vhd", GOOD_VHD), ("tb.vhd", GOOD_VHD_TB)],
+            ),
+            (
+                "failing testbench",
+                vec![("inv.v", broken), ("tb.v", GOOD_TB)],
+            ),
+            (
+                "event-starved",
+                vec![("inv.v", GOOD_V), ("tb.v", &starved_tb)],
+            ),
+            ("compile error", vec![("inv.v", BAD_V), ("tb.v", GOOD_TB)]),
+        ];
+        // The cached suite runs `simulate` first, so a waveform request
+        // that read the sim-result cache would come back without waves.
+        for suite in [
+            XsimToolSuite::new(),
+            XsimToolSuite::new().with_cache(EdaCache::new()),
+        ] {
+            for (case, sources) in &cases {
+                let files: Vec<_> = sources.iter().map(|&(n, t)| HdlFile::new(n, t)).collect();
+                let plain = suite.simulate(&files, Some("tb"));
+                let (waved, vcd) = suite.simulate_with_waves(&files, Some("tb"));
+                assert_eq!(waved.log, plain.log, "{case}");
+                assert_eq!(waved.passed, plain.passed, "{case}");
+                assert_eq!(waved.failures, plain.failures, "{case}");
+                assert_eq!(waved.end_time, plain.end_time, "{case}");
+                assert_eq!(waved.finished, plain.finished, "{case}");
+                assert_eq!(waved.diverged, plain.diverged, "{case}");
+                assert_eq!(
+                    waved.modeled_latency.to_bits(),
+                    plain.modeled_latency.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(vcd.is_some(), plain.compiled, "{case}");
+            }
+        }
+        let files = [
+            HdlFile::new("inv.v", GOOD_V),
+            HdlFile::new("tb.v", starved_tb.as_str()),
+        ];
+        let (starved, _) = tools.simulate_with_waves(&files, Some("tb"));
+        assert!(starved.passed, "log: {}", starved.log);
+        assert!(
+            starved.log.contains("(event starvation)"),
+            "{}",
+            starved.log
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! never change a single observable byte in any mode.
 
 use aivril_bench::{results_json, Flow, Harness, HarnessConfig, ResultSection};
-use aivril_eda::{CompileReport, EdaCache, HdlFile, XsimToolSuite};
+use aivril_eda::{CompileReport, EdaCache, HdlFile, ToolSuite, XsimToolSuite};
 use aivril_llm::profiles;
 
 /// Eight chained Verilog stages, one uninstantiated scratch module,
@@ -326,5 +326,62 @@ fn harness_results_are_byte_identical_incremental_on_off() {
             "canonical artifact must not depend on incremental={incremental} \
              threads={threads}"
         );
+    }
+}
+
+/// Every problem of the suite in both languages, golden and with a
+/// syntax-broken DUT (its last line dropped): `analyze`,
+/// `compile_to_design` and `simulate` report byte-identically with no
+/// cache, with a cache but the incremental memos off, and with both on.
+/// The cached suites run the three calls in order, so compile and
+/// simulate replay the parses analyze memoised. Every second problem
+/// keeps a debug build under 10 s and still covers every family.
+#[test]
+fn reports_are_byte_identical_across_cache_and_memo_modes() {
+    let modes = [
+        XsimToolSuite::new(),
+        XsimToolSuite::new()
+            .with_cache(EdaCache::new())
+            .with_incremental(false),
+        XsimToolSuite::new().with_cache(EdaCache::new()),
+    ];
+    let reports = |suite: &XsimToolSuite, files: &[HdlFile]| -> String {
+        let analyzed = suite.analyze(files);
+        let (compiled, design) = suite.compile_to_design(files, None);
+        let simulated = suite.simulate(files, Some("tb"));
+        let top = design.map(|d| d.top.clone());
+        format!("{analyzed:?}\n{compiled:?}\n{top:?}\n{simulated:?}")
+    };
+    let suite = aivril_verilogeval::suite();
+    let families = |stride| {
+        let names = suite.iter().step_by(stride).map(|p| p.family.to_string());
+        names.collect::<std::collections::BTreeSet<_>>()
+    };
+    assert_eq!(families(2), families(1), "the stride skips a family");
+    for problem in suite.iter().step_by(2) {
+        for verilog in [true, false] {
+            let golden = problem.golden(verilog);
+            let ext = if verilog { "v" } else { "vhd" };
+            let tb = HdlFile::new(format!("{}_tb.{ext}", problem.name), golden.tb.clone());
+            let dut_name = format!("{}.{ext}", problem.name);
+            let text = golden.dut.trim_end();
+            let broken = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+            for (dut, syntax_ok) in [
+                (HdlFile::new(&dut_name, golden.dut.clone()), true),
+                (HdlFile::new(&dut_name, broken), false),
+            ] {
+                let files = [dut, tb.clone()];
+                assert_eq!(modes[0].analyze(&files).success, syntax_ok, "{dut_name}");
+                let reference = reports(&modes[0], &files);
+                for (mode, suite) in modes.iter().enumerate().skip(1) {
+                    assert_eq!(
+                        reference,
+                        reports(suite, &files),
+                        "{} ({ext}) differs in mode {mode}",
+                        files[0].name
+                    );
+                }
+            }
+        }
     }
 }
