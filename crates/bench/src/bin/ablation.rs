@@ -16,6 +16,8 @@ use aivril_bench::{Flow, Harness, HarnessConfig};
 use aivril_core::{Aivril2Config, PromptDetail};
 use aivril_llm::profiles;
 use aivril_metrics::suite_metric;
+use std::io::{self, Write};
+use std::process::ExitCode;
 
 fn run(
     config: HarnessConfig,
@@ -40,23 +42,32 @@ fn run(
     (s, f, iters)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    aivril_bench::with_stdout(experiments)
+}
+
+fn experiments(out: &mut impl Write) -> io::Result<ExitCode> {
     let base = HarnessConfig::from_env();
-    println!(
+    writeln!(
+        out,
         "Ablation experiments, {} tasks x {} samples on {} thread(s)\n",
         base.task_limit.min(156),
         base.samples,
         base.effective_threads()
-    );
+    )?;
 
     // -- 1. testbench-first vs simultaneous. Llama3-70B has the weakest
     // testbench generation (tb_syntax_ok 0.80 Verilog / 0.55 VHDL), so
     // the pre-validation loop matters most there.
-    println!("1. Testbench-first methodology (Llama3-70B; the AIVRIL -> AIVRIL2 delta)");
-    println!(
+    writeln!(
+        out,
+        "1. Testbench-first methodology (Llama3-70B; the AIVRIL -> AIVRIL2 delta)"
+    )?;
+    writeln!(
+        out,
         "{:<34}{:>10}{:>10}",
         "configuration", "pass@1_S", "pass@1_F"
-    );
+    )?;
     for verilog in [true, false] {
         let lang = if verilog { "Verilog" } else { "VHDL" };
         for tb_first in [true, false] {
@@ -66,7 +77,8 @@ fn main() {
                 ..cfg.pipeline
             };
             let (s, f, _) = run(cfg, &profiles::llama3_70b(), verilog);
-            println!(
+            writeln!(
+                out,
                 "{:<34}{s:>10.2}{f:>10.2}",
                 format!(
                     "{lang} / {}",
@@ -76,18 +88,20 @@ fn main() {
                         "simultaneous"
                     }
                 )
-            );
+            )?;
         }
     }
 
     // -- 2. iteration-budget sweep (Claude 3.5 Sonnet, Verilog).
-    println!(
+    writeln!(
+        out,
         "\n2. Iteration-budget sweep (Claude 3.5 Sonnet, Verilog; budget applies to both loops)"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<10}{:>10}{:>10}{:>14}",
         "budget", "pass@1_S", "pass@1_F", "avg cycles"
-    );
+    )?;
     for k in 1..=6u32 {
         let mut cfg = base.clone();
         cfg.pipeline = Aivril2Config {
@@ -96,16 +110,17 @@ fn main() {
             ..cfg.pipeline
         };
         let (s, f, it) = run(cfg, &profiles::claude35_sonnet(), true);
-        println!("{k:<10}{s:>10.2}{f:>10.2}{it:>14.2}");
+        writeln!(out, "{k:<10}{s:>10.2}{f:>10.2}{it:>14.2}")?;
     }
 
     // -- 3. corrective-prompt detail (Llama3-70B, VHDL: the most
     // iteration-hungry configuration, where distillation quality shows).
-    println!("\n3. Corrective-prompt detail (Llama3-70B, VHDL)");
-    println!(
+    writeln!(out, "\n3. Corrective-prompt detail (Llama3-70B, VHDL)")?;
+    writeln!(
+        out,
         "{:<16}{:>10}{:>10}{:>14}",
         "detail", "pass@1_S", "pass@1_F", "avg cycles"
-    );
+    )?;
     for (label, detail) in [
         ("detailed", PromptDetail::Detailed),
         ("errors-only", PromptDetail::ErrorsOnly),
@@ -116,11 +131,13 @@ fn main() {
             ..cfg.pipeline
         };
         let (s, f, it) = run(cfg, &profiles::llama3_70b(), false);
-        println!("{label:<16}{s:>10.2}{f:>10.2}{it:>14.2}");
+        writeln!(out, "{label:<16}{s:>10.2}{f:>10.2}{it:>14.2}")?;
     }
-    println!(
+    writeln!(
+        out,
         "\nExpected shapes: testbench-first dominates simultaneous; pass rates\n\
          saturate around budget 4-5; detailed prompts converge in fewer cycles\n\
          with higher pass rates."
-    );
+    )?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -41,8 +41,28 @@
 
 use aivril_bench::checkpoint;
 use aivril_obs::analyze;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Why a subcommand stopped: bad input (reported, exit 2), or stdout
+/// failing under it (a closed pipe ends the run quietly).
+enum Failure {
+    Input(String),
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Input(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -67,21 +87,21 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, Failure> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(usage());
     };
     match cmd.as_str() {
         "summary" => {
             let [path] = rest else { return Ok(usage()) };
-            print!("{}", analyze::summary(&read(path)?)?);
+            write!(out, "{}", analyze::summary(&read(path)?)?)?;
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
             let [a, b] = rest else { return Ok(usage()) };
-            let out = analyze::diff(a, &read(a)?, b, &read(b)?)?;
-            print!("{}", out.report);
-            Ok(if out.diverged {
+            let diff = analyze::diff(a, &read(a)?, b, &read(b)?)?;
+            write!(out, "{}", diff.report)?;
+            Ok(if diff.diverged {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
@@ -89,7 +109,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "flame" => {
             let [path] = rest else { return Ok(usage()) };
-            print!("{}", analyze::flame(&read(path)?)?);
+            write!(out, "{}", analyze::flame(&read(path)?)?)?;
             Ok(ExitCode::SUCCESS)
         }
         "tail" => {
@@ -112,7 +132,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // One scan per poll: the printed progress and the exit
                 // decision come from the same directory snapshot.
                 let groups = checkpoint::scan_dir(dir);
-                print!("{}", checkpoint::render_progress(dir, &groups));
+                write!(out, "{}", checkpoint::render_progress(dir, &groups))?;
                 let complete = !groups.is_empty() && groups.iter().all(|g| g.complete(expected));
                 if !follow || complete {
                     return Ok(ExitCode::SUCCESS);
@@ -139,15 +159,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         .ok()
                         .filter(|v| !v.is_empty())
                 })
-                .ok_or("regress needs --current <criterion.jsonl> (or CRITERION_JSON set)")?;
-            let out = analyze::regress(
+                .ok_or_else(|| {
+                    "regress needs --current <criterion.jsonl> (or CRITERION_JSON set)".to_string()
+                })?;
+            let regress = analyze::regress(
                 &read(&baseline)?,
                 &read(&current_path)?,
                 tolerance,
                 absolute,
             )?;
-            print!("{}", out.report);
-            Ok(if out.regressed {
+            write!(out, "{}", regress.report)?;
+            Ok(if regress.regressed {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
@@ -159,11 +181,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(e) => {
+    aivril_bench::with_stdout(|out| match run(&args, out) {
+        Ok(code) => Ok(code),
+        Err(Failure::Output(e)) => Err(e),
+        Err(Failure::Input(e)) => {
             eprintln!("[inspect] {e}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
-    }
+    })
 }

@@ -11,6 +11,7 @@
 //! errors — so the binary slots into scripts and CI like the real tools.
 
 use aivril_eda::{HdlFile, ToolSuite, XsimToolSuite};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -40,18 +41,22 @@ fn read_files(paths: &[String]) -> Result<Vec<HdlFile>, ExitCode> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    aivril_bench::with_stdout(|out| run(&args, out))
+}
+
+fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(command) = args.first().map(String::as_str) else {
-        return usage();
+        return Ok(usage());
     };
     let tools = XsimToolSuite::new();
-    match command {
+    Ok(match command {
         "compile" => {
             let files = match read_files(&args[1..]) {
                 Ok(f) => f,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let report = tools.compile(&files);
-            print!("{}", report.log);
+            write!(out, "{}", report.log)?;
             if report.success {
                 ExitCode::SUCCESS
             } else {
@@ -72,10 +77,10 @@ fn main() -> ExitCode {
             }
             let files = match read_files(&paths) {
                 Ok(f) => f,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let (report, waves) = tools.simulate_with_waves(&files, top.as_deref());
-            print!("{}", report.log);
+            write!(out, "{}", report.log)?;
             if let (Some(path), Some(vcd)) = (vcd_out, waves) {
                 match std::fs::write(&path, vcd) {
                     Ok(()) => eprintln!("waveform written to {path}"),
@@ -91,33 +96,34 @@ fn main() -> ExitCode {
         "suite" => match args.get(1).map(String::as_str) {
             Some("list") => {
                 for p in aivril_verilogeval::suite() {
-                    println!(
+                    writeln!(
+                        out,
                         "{:<34} {:<16} {:?}",
                         p.name,
                         p.family.to_string(),
                         p.difficulty
-                    );
+                    )?;
                 }
                 ExitCode::SUCCESS
             }
             Some("show") => {
                 let Some(name) = args.get(2) else {
-                    return usage();
+                    return Ok(usage());
                 };
                 let vhdl = args.iter().any(|a| a == "--vhdl");
                 let problems = aivril_verilogeval::suite();
                 let Some(p) = problems.iter().find(|p| &p.name == name) else {
                     eprintln!("error: unknown problem '{name}' (try `aivril suite list`)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 let golden = p.golden(!vhdl);
-                println!("=== spec ===\n{}", p.spec);
-                println!("=== golden DUT ===\n{}", golden.dut);
-                println!("=== reference testbench ===\n{}", golden.tb);
+                writeln!(out, "=== spec ===\n{}", p.spec)?;
+                writeln!(out, "=== golden DUT ===\n{}", golden.dut)?;
+                writeln!(out, "=== reference testbench ===\n{}", golden.tb)?;
                 ExitCode::SUCCESS
             }
             _ => usage(),
         },
         _ => usage(),
-    }
+    })
 }

@@ -4,8 +4,14 @@ use aivril_bench::{Harness, HarnessConfig};
 use aivril_llm::mutate::{
     apply_fault, count_occurrences, functional_templates, AppliedFault, Dialect, FaultKind,
 };
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    aivril_bench::with_stdout(run)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     // Honour `AIVRIL_TASKS` so CI can smoke a small slice; the default
     // (no env) still sweeps the full 156-problem suite.
     let base = HarnessConfig::from_env();
@@ -29,7 +35,7 @@ fn main() {
                 .all(|t| count_occurrences(golden, t.pattern) == 0)
             {
                 immune += 1;
-                println!("IMMUNE {} {}", if verilog { "V" } else { "H" }, p.name);
+                writeln!(out, "IMMUNE {} {}", if verilog { "V" } else { "H" }, p.name)?;
             }
             for t in functional_templates(dialect) {
                 let n = count_occurrences(golden, t.pattern);
@@ -48,17 +54,19 @@ fn main() {
                     let (s, func) = h.score(p, &mutated, verilog);
                     if !s {
                         broke_syntax += 1;
-                        println!(
+                        writeln!(
+                            out,
                             "SYNTAXBREAK {} {} '{}'->'{}'",
                             p.name, t.description, t.pattern, t.replacement
-                        );
+                        )?;
                     } else if !func {
                         caught += 1;
                     } else {
-                        println!(
+                        writeln!(
+                            out,
                             "UNCAUGHT {} {} '{}'->'{}' occ{}",
                             p.name, t.description, t.pattern, t.replacement, occ
-                        );
+                        )?;
                     }
                 }
             }
@@ -66,4 +74,5 @@ fn main() {
         eprintln!("{}: total={total} caught={caught} uncaught={} broke_syntax={broke_syntax} noop={noop} immune_problems={immune}",
             if verilog {"Verilog"} else {"VHDL"}, total - caught - broke_syntax);
     }
+    Ok(ExitCode::SUCCESS)
 }

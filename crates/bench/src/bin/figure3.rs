@@ -9,18 +9,25 @@ use aivril_bench::{
 };
 use aivril_llm::profiles;
 use aivril_metrics::{figure3, render_figure3};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    aivril_bench::with_stdout(run)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let config = HarnessConfig::from_env();
     let telemetry = Telemetry::from_env();
     let harness = Harness::new(config.clone()).with_recorder(telemetry.recorder());
-    println!(
+    writeln!(
+        out,
         "Running Figure 3: {} tasks x {} samples x 3 models x 2 languages x 2 flows \
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
         config.effective_threads()
-    );
+    )?;
 
     let mut rows = Vec::new();
     let mut sections = Vec::new();
@@ -46,23 +53,28 @@ fn main() {
     }
 
     if let Some(stats) = harness.cache_stats() {
-        println!("[cache] {stats}\n");
+        writeln!(out, "[cache] {stats}\n")?;
     }
     if let Some(path) = arg_value("--json") {
         write_json(&path, &results_json(&sections)).expect("write --json output");
-        println!("results written to {path}\n");
+        writeln!(out, "results written to {path}\n")?;
     }
     match telemetry.finish() {
-        Ok(summary) if !summary.is_empty() => println!("{summary}"),
+        Ok(summary) if !summary.is_empty() => writeln!(out, "{summary}")?,
         Ok(_) => {}
         Err(e) => eprintln!("[obs] export failed: {e}"),
     }
-    println!("{}", render_figure3(&rows));
+    writeln!(out, "{}", render_figure3(&rows))?;
     let worst = rows.iter().map(|r| r.total()).fold(0.0f64, f64::max);
-    println!("Worst-case average AIVRIL2 latency: {worst:.2}s (paper: did not exceed 42s).");
-    println!(
+    writeln!(
+        out,
+        "Worst-case average AIVRIL2 latency: {worst:.2}s (paper: did not exceed 42s)."
+    )?;
+    writeln!(
+        out,
         "Paper reference points: Llama3/VHDL baseline 6.68s vs ~39.29s AIVRIL2 (~6x);\n\
          Claude/Verilog ~2x; Llama3/VHDL cycles ~3.95 syntax + 4.7 functional;\n\
          Claude/Verilog cycles ~2 syntax + 3 functional."
-    );
+    )?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -11,18 +11,25 @@ use aivril_bench::{
 };
 use aivril_llm::profiles;
 use aivril_metrics::{delta_f, render_table1, suite_metric, suite_metric_with_se, Table1Row};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    aivril_bench::with_stdout(run)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let config = HarnessConfig::from_env();
     let telemetry = Telemetry::from_env();
     let harness = Harness::new(config.clone()).with_recorder(telemetry.recorder());
-    println!(
+    writeln!(
+        out,
         "Running Table 1: {} tasks x {} samples x 3 models x 2 languages x 2 flows \
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
         config.effective_threads()
-    );
+    )?;
     let start = std::time::Instant::now();
 
     let mut rows = Vec::new();
@@ -76,35 +83,56 @@ fn main() {
         });
     }
 
-    println!(
+    writeln!(
+        out,
         "Completed in {:.2}s wall on {} thread(s).\n",
         start.elapsed().as_secs_f64(),
         config.effective_threads()
-    );
-    println!("{}", render_table1(&rows));
+    )?;
+    writeln!(out, "{}", render_table1(&rows))?;
     if let Some(se) = max_se {
-        println!(
+        writeln!(
+            out,
             "(max standard error across cells, from per-task variation: ±{:.2} points)\n",
             se * 100.0
-        );
+        )?;
     }
     if let Some(stats) = harness.cache_stats() {
-        println!("[cache] {stats}\n");
+        writeln!(out, "[cache] {stats}\n")?;
     }
     if let Some(path) = arg_value("--json") {
         write_json(&path, &results_json(&sections)).expect("write --json output");
-        println!("results written to {path}\n");
+        writeln!(out, "results written to {path}\n")?;
     }
     match telemetry.finish() {
-        Ok(summary) if !summary.is_empty() => println!("{summary}"),
+        Ok(summary) if !summary.is_empty() => writeln!(out, "{summary}")?,
         Ok(_) => {}
         Err(e) => eprintln!("[obs] export failed: {e}"),
     }
-    println!("Paper reference (Table 1):");
-    println!("  Llama3-70B           V 71.15/37.82      H  1.28/ 0.00");
-    println!("  GPT-4o               V 71.79/51.29      H 39.10/27.56");
-    println!("  Claude 3.5 Sonnet    V 91.03/60.23      H 88.46/53.85");
-    println!("  AIVRIL2(Llama3)      V 100/55.13 d45.76 H 58.87/32.69 dN/A");
-    println!("  AIVRIL2(GPT-4o)      V 100/72.44 d41.23 H 100/59.62 d116.32");
-    println!("  AIVRIL2(Claude)      V 100/77.00 d27.84 H 100/66.00 d22.56");
+    writeln!(out, "Paper reference (Table 1):")?;
+    writeln!(
+        out,
+        "  Llama3-70B           V 71.15/37.82      H  1.28/ 0.00"
+    )?;
+    writeln!(
+        out,
+        "  GPT-4o               V 71.79/51.29      H 39.10/27.56"
+    )?;
+    writeln!(
+        out,
+        "  Claude 3.5 Sonnet    V 91.03/60.23      H 88.46/53.85"
+    )?;
+    writeln!(
+        out,
+        "  AIVRIL2(Llama3)      V 100/55.13 d45.76 H 58.87/32.69 dN/A"
+    )?;
+    writeln!(
+        out,
+        "  AIVRIL2(GPT-4o)      V 100/72.44 d41.23 H 100/59.62 d116.32"
+    )?;
+    writeln!(
+        out,
+        "  AIVRIL2(Claude)      V 100/77.00 d27.84 H 100/66.00 d22.56"
+    )?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -7,18 +7,25 @@ use aivril_bench::{
 };
 use aivril_llm::profiles;
 use aivril_metrics::{render_table2, suite_metric};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    aivril_bench::with_stdout(run)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let config = HarnessConfig::from_env();
     let telemetry = Telemetry::from_env();
     let harness = Harness::new(config.clone()).with_recorder(telemetry.recorder());
-    println!(
+    writeln!(
+        out,
         "Running Table 2: {} tasks x {} samples x 3 models (Verilog, AIVRIL2) \
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
         config.effective_threads()
-    );
+    )?;
 
     let mut measured = Vec::new();
     let mut sections = Vec::new();
@@ -45,18 +52,19 @@ fn main() {
     }
 
     if let Some(stats) = harness.cache_stats() {
-        println!("[cache] {stats}\n");
+        writeln!(out, "[cache] {stats}\n")?;
     }
     if let Some(path) = arg_value("--json") {
         write_json(&path, &results_json(&sections)).expect("write --json output");
-        println!("results written to {path}\n");
+        writeln!(out, "results written to {path}\n")?;
     }
     match telemetry.finish() {
-        Ok(summary) if !summary.is_empty() => println!("{summary}"),
+        Ok(summary) if !summary.is_empty() => writeln!(out, "{summary}")?,
         Ok(_) => {}
         Err(e) => eprintln!("[obs] export failed: {e}"),
     }
-    println!("{}", render_table2(&measured));
-    println!("Paper reference: AIVRIL2 rows are 55.13 (Llama3-70B), 72.44 (GPT-4o), 77 (Claude 3.5 Sonnet);");
-    println!("best case is 3.4x ChipNemo-13B's 22.4.");
+    writeln!(out, "{}", render_table2(&measured))?;
+    writeln!(out, "Paper reference: AIVRIL2 rows are 55.13 (Llama3-70B), 72.44 (GPT-4o), 77 (Claude 3.5 Sonnet);")?;
+    writeln!(out, "best case is 3.4x ChipNemo-13B's 22.4.")?;
+    Ok(ExitCode::SUCCESS)
 }

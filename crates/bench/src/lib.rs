@@ -41,8 +41,10 @@ use aivril_obs::{codec, json, Recorder};
 use aivril_sim::{KernelPerf, SimConfig};
 use aivril_verilogeval::{suite, Problem};
 use std::fmt;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -653,12 +655,12 @@ impl Harness {
     ) -> ((bool, bool), f64) {
         let ext = if verilog { "v" } else { "vhd" };
         let dut = HdlFile::new(format!("{}.{ext}", problem.module_name), rtl.to_string());
+        // Only the verdict is read: a cache hit must not elaborate again.
         let compile = self
             .tools
-            .compile_to_design(std::slice::from_ref(&dut), Some(&problem.module_name));
-        let syntax = compile.0.success;
-        if !syntax {
-            return ((false, false), compile.0.modeled_latency);
+            .compile_with_top(std::slice::from_ref(&dut), Some(&problem.module_name));
+        if !compile.success {
+            return ((false, false), compile.modeled_latency);
         }
         let tb = self
             .golden_tbs
@@ -670,7 +672,7 @@ impl Harness {
         let report = self.tools.simulate(&[dut, tb], Some("tb"));
         (
             (true, report.passed),
-            compile.0.modeled_latency + report.modeled_latency,
+            compile.modeled_latency + report.modeled_latency,
         )
     }
 
@@ -1418,6 +1420,25 @@ pub fn arg_value(flag: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Runs a binary's `body` against the locked stdout and returns its
+/// exit code. A reader that closes the pipe early (`aivril suite list |
+/// head -1`) ends the run quietly: the failed write returns
+/// `BrokenPipe` out of `body`, and the process exits successfully with
+/// nothing on stderr. Any other write error is reported and fails.
+pub fn with_stdout(
+    body: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<ExitCode>,
+) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 // The parallel harness hands `&XsimToolSuite`, `&ModelProfile` and

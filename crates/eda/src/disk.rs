@@ -52,8 +52,8 @@
 //! # What is persisted
 //!
 //! Only the `analyze` and `simulate` shards. A `compile` entry carries
-//! the elaborated `Arc<Design>` — process-local IR that is cheap to
-//! rebuild and has no serial form — so compile results stay
+//! a handle on the elaborated design — process-local IR that is cheap
+//! to rebuild and has no serial form — so compile results stay
 //! memory-only (see DESIGN.md §9).
 
 use std::collections::HashMap;

@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::cache::{self, CompileEntry, EdaCache, ElabEntry, ParsedFile, SimEntry};
 use crate::faults::{EdaFaultPlan, ToolFault};
@@ -423,11 +423,33 @@ fn mutation_point(log: &str, u: f64) -> usize {
     cut
 }
 
+/// A successful compile's design, as the compile step left it.
+enum Elaborated {
+    /// Elaborated by this call.
+    Built(Arc<Design>),
+    /// A compile-cache hit: the entry's top name and its weak handle on
+    /// the design, which [`XsimToolSuite::design`] upgrades or, once
+    /// nothing holds the design any more, elaborates again.
+    Cached { top: String, design: Weak<Design> },
+}
+
+impl Elaborated {
+    /// The elaborated top's name, as the simulator's log head prints it.
+    fn top(&self) -> &str {
+        match self {
+            Elaborated::Built(design) => &design.top,
+            Elaborated::Cached { top, .. } => top,
+        }
+    }
+}
+
 impl XsimToolSuite {
     /// Compiles `files` into a design, returning the elaborated design
-    /// alongside the report so callers (and `simulate`) don't repeat the
-    /// work ([C-INTERMEDIATE]). The design is `Arc`'d so a cached entry
-    /// can be shared without re-elaboration.
+    /// alongside the report so callers don't repeat the work
+    /// ([C-INTERMEDIATE]). On a compile-cache hit the design comes from
+    /// the elaboration memo, or is elaborated again when the memo no
+    /// longer holds it; callers that need only the verdict use
+    /// [`Self::compile_with_top`], which never elaborates on a hit.
     ///
     /// [C-INTERMEDIATE]: https://rust-lang.github.io/api-guidelines/flexibility.html
     #[must_use]
@@ -437,9 +459,40 @@ impl XsimToolSuite {
         top: Option<&str>,
     ) -> (CompileReport, Option<Arc<Design>>) {
         let digests = self.digests(files);
-        let (report, _clean, design) =
-            self.compile_to_design_recorded(files, top, digests.as_deref());
+        let digests = digests.as_deref();
+        let (report, _clean, elaborated) = self.compile_to_design_recorded(files, top, digests);
+        let design = elaborated.map(|e| self.design(e, files, top, digests));
         (report, design)
+    }
+
+    /// [`ToolSuite::compile`] with an explicit `top`: the report of
+    /// [`Self::compile_to_design`], without obtaining the design.
+    #[must_use]
+    pub fn compile_with_top(&self, files: &[HdlFile], top: Option<&str>) -> CompileReport {
+        let digests = self.digests(files);
+        self.compile_to_design_recorded(files, top, digests.as_deref())
+            .0
+    }
+
+    /// The design behind a successful compile of `(files, top)`: this
+    /// call's own, the one the compile entry's handle still reaches
+    /// (the elaboration memo holds it), or a fresh elaboration through
+    /// the parse memo.
+    fn design(
+        &self,
+        elaborated: Elaborated,
+        files: &[HdlFile],
+        top: Option<&str>,
+        digests: Option<&[u128]>,
+    ) -> Arc<Design> {
+        match elaborated {
+            Elaborated::Built(design) => design,
+            Elaborated::Cached { design, .. } => design.upgrade().unwrap_or_else(|| {
+                self.compile_to_design_inner(files, top, digests)
+                    .1
+                    .expect("a compile that succeeded once elaborates again")
+            }),
+        }
     }
 
     /// [`Self::compile_to_design`] plus the *unshaped* report: the fault
@@ -453,7 +506,7 @@ impl XsimToolSuite {
         files: &[HdlFile],
         top: Option<&str>,
         digests: Option<&[u128]>,
-    ) -> (CompileReport, Option<CompileReport>, Option<Arc<Design>>) {
+    ) -> (CompileReport, Option<CompileReport>, Option<Elaborated>) {
         let span = self.recorder.span("eda.compile");
         let key = digests.map(|d| cache::compile_key(d, top, &self.latency));
         let verdict = self.fault_verdict(
@@ -495,23 +548,39 @@ impl XsimToolSuite {
 
     /// Cache layer around [`Self::compile_to_design_inner`]. The third
     /// element reports the cache verdict (`None` = caching disabled).
+    /// The thread that fills the entry keeps the design it elaborated;
+    /// every other reader gets the entry's handle.
     fn compile_to_design_cached(
         &self,
         files: &[HdlFile],
         top: Option<&str>,
         key: Option<u128>,
         digests: Option<&[u128]>,
-    ) -> (CompileReport, Option<Arc<Design>>, Option<bool>) {
+    ) -> (CompileReport, Option<Elaborated>, Option<bool>) {
         let (Some(cache), Some(key)) = (&self.cache, key) else {
             let (report, design) = self.compile_to_design_inner(files, top, digests);
-            return (report, design, None);
+            return (report, design.map(Elaborated::Built), None);
         };
         let (slot, hit) = cache.compile_slot(key);
+        let mut built = None;
         let entry = slot.get_or_init(|| {
             let (report, design) = self.compile_to_design_inner(files, top, digests);
-            CompileEntry { report, design }
+            let entry = CompileEntry {
+                report,
+                top: design.as_ref().map(|d| d.top.clone()),
+                design: design.as_ref().map_or_else(Weak::new, Arc::downgrade),
+            };
+            built = design;
+            entry
         });
-        (entry.report.clone(), entry.design.clone(), Some(hit))
+        let elaborated = match built {
+            Some(design) => Some(Elaborated::Built(design)),
+            None => entry.top.as_ref().map(|top| Elaborated::Cached {
+                top: top.clone(),
+                design: Weak::clone(&entry.design),
+            }),
+        };
+        (entry.report.clone(), elaborated, Some(hit))
     }
 
     fn compile_to_design_inner(
@@ -970,9 +1039,9 @@ impl XsimToolSuite {
         let span = self.recorder.span("eda.simulate");
         let digests = self.digests(files);
         let digests = digests.as_deref();
-        let (compile_report, clean_compile, design) =
+        let (compile_report, clean_compile, elaborated) =
             self.compile_to_design_recorded(files, top, digests);
-        let Some(design) = design else {
+        let Some(elaborated) = elaborated else {
             span.attr_bool("passed", false);
             let report = unrun_report(
                 false,
@@ -992,7 +1061,7 @@ impl XsimToolSuite {
         let verdict = self.fault_verdict("simulate", key, self.latency.sim_seconds(0));
         let (report, sim_latency, cache_hit, vcd) = match &verdict {
             Some(v) if v.failed() => {
-                let mut log = sim_log_head(compile, &design);
+                let mut log = sim_log_head(compile, elaborated.top());
                 log.push_str(&self.faulted_compile_report("simulate", v).log);
                 let latency = compile.modeled_latency + v.penalty_s;
                 let report = unrun_report(true, log, compile.messages.clone(), latency);
@@ -1000,10 +1069,12 @@ impl XsimToolSuite {
             }
             _ => {
                 // Cached entries hold no waveform, so a waveform
-                // request runs the kernel live.
+                // request runs the kernel live. The design is obtained
+                // only when the kernel runs: a sim hit needs none.
                 let key = key.filter(|_| !waves);
+                let design = || self.design(elaborated, files, top, digests);
                 let (report, sim_latency, hit, vcd) =
-                    self.run_sim_cached(key, compile, &design, waves);
+                    self.run_sim_cached(key, compile, design, waves);
                 match &verdict {
                     Some(v) => (v.shape_sim(report), sim_latency + v.penalty_s, hit, vcd),
                     None => (report, sim_latency, hit, vcd),
@@ -1046,7 +1117,7 @@ impl XsimToolSuite {
         collect_telemetry: bool,
         waves: bool,
     ) -> (SimEntry, Option<String>) {
-        let mut log = sim_log_head(compile_report, design);
+        let mut log = sim_log_head(compile_report, &design.top);
         let mut sim = Simulator::new(design, self.sim_config).with_recorder(self.recorder.clone());
         if collect_telemetry {
             sim.collect_telemetry();
@@ -1100,7 +1171,8 @@ impl XsimToolSuite {
     }
 
     /// Cache layer around [`Self::run_sim`], below the fault gate;
-    /// `key` is `None` when the result must not be cached. On a miss
+    /// `key` is `None` when the result must not be cached. `design` is
+    /// called only when the kernel runs. On a miss
     /// the kernel runs live (recording into this suite's recorder as
     /// usual) and its telemetry is stored in the entry; on a hit the
     /// stored telemetry is replayed into this suite's recorder, so the
@@ -1113,11 +1185,11 @@ impl XsimToolSuite {
         &self,
         key: Option<u128>,
         compile_report: &CompileReport,
-        design: &Design,
+        design: impl FnOnce() -> Arc<Design>,
         waves: bool,
     ) -> (SimReport, f64, Option<bool>, Option<String>) {
         let (Some(cache), Some(key)) = (&self.cache, key) else {
-            let (entry, vcd) = self.run_sim(compile_report, design, false, waves);
+            let (entry, vcd) = self.run_sim(compile_report, &design(), false, waves);
             return (entry.report, entry.sim_latency, None, vcd);
         };
         let (slot, hit) = cache.sim_slot(key);
@@ -1131,7 +1203,7 @@ impl XsimToolSuite {
                 // Telemetry is collected even when this suite's recorder
                 // is disabled: the recorder-free scoring suite may
                 // populate an entry a traced worker hits later.
-                self.run_sim(compile_report, design, true, false).0
+                self.run_sim(compile_report, &design(), true, false).0
             })
         });
         if !computed_here {
@@ -1145,18 +1217,19 @@ impl XsimToolSuite {
         (entry.report.clone(), entry.sim_latency, Some(hit), None)
     }
 
-    fn analyze_inner(&self, files: &[HdlFile], digests: Option<&[u128]>) -> CompileReport {
+    fn analyze_inner(&self, files: &[HdlFile]) -> CompileReport {
         let (sources, mut log) = analysis_start(files);
-        let memo = self.memo(digests);
         let mut diags = Diagnostics::new();
-        for (index, ((id, source), f)) in sources.iter().zip(files).enumerate() {
+        for ((id, source), f) in sources.iter().zip(files) {
             // The file's own language picks the frontend, as it does
-            // for compile and simulate. Analysis only needs the syntax
-            // diagnostics, but parsing through the incremental memo
-            // lets a later compile of the same file set reuse the ASTs.
+            // for compile and simulate. Analysis parses without the
+            // per-file memo: the whole-call analyze cache answers its
+            // repeats, and the flow analyzes a testbench alone (file
+            // index 0) but compiles it after the DUT (index 1), so an
+            // AST stored under the analysis index would never be read.
             diags.extend(match f.language {
-                Language::Verilog => parse_file::<SourceUnit>(memo, index, id, source.text()).1,
-                Language::Vhdl => parse_file::<DesignFile>(memo, index, id, source.text()).1,
+                Language::Verilog => SourceUnit::analyze_file(id, source.text()).1,
+                Language::Vhdl => DesignFile::analyze_file(id, source.text()).1,
             });
         }
         log.push_str(&diags.render(&sources));
@@ -1179,10 +1252,11 @@ impl XsimToolSuite {
     }
 }
 
-/// The compile log followed by the line `xsim` opens a run with.
-fn sim_log_head(compile_report: &CompileReport, design: &Design) -> String {
+/// The compile log followed by the line `xsim` opens a run of `top`
+/// with.
+fn sim_log_head(compile_report: &CompileReport, top: &str) -> String {
     let mut log = compile_report.log.clone();
-    let _ = writeln!(log, "INFO: [xsim] Running simulation of '{}'", design.top);
+    let _ = writeln!(log, "INFO: [xsim] Running simulation of '{top}'");
     log
 }
 
@@ -1205,12 +1279,12 @@ impl ToolSuite for XsimToolSuite {
                         let (slot, hit) = cache.analyze_slot(key);
                         let report = slot
                             .get_or_init(|| {
-                                cache.load_or_compute(key, || self.analyze_inner(files, digests))
+                                cache.load_or_compute(key, || self.analyze_inner(files))
                             })
                             .clone();
                         (report, Some(hit))
                     }
-                    _ => (self.analyze_inner(files, digests), None),
+                    _ => (self.analyze_inner(files), None),
                 };
                 match &verdict {
                     Some(v) => (v.shape_compile("analyze", report), hit),
@@ -1232,7 +1306,7 @@ impl ToolSuite for XsimToolSuite {
     }
 
     fn compile(&self, files: &[HdlFile]) -> CompileReport {
-        self.compile_to_design(files, None).0
+        self.compile_with_top(files, None)
     }
 
     fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport {
@@ -1678,6 +1752,171 @@ mod tests {
         let clean = XsimToolSuite::new().with_cache(cache);
         let baseline = XsimToolSuite::new().simulate(&files, Some("tb"));
         assert_eq!(clean.simulate(&files, Some("tb")).log, baseline.log);
+    }
+
+    /// Compiles `n` single-module designs no earlier call elaborated:
+    /// `n` fresh elaboration-memo insertions.
+    fn elaborate_others(suite: &XsimToolSuite, tag: &str, n: usize) {
+        for i in 0..n {
+            let text = format!("module {tag}{i}(input a, output y);\n  assign y = a;\nendmodule\n");
+            let report = suite.compile(&[HdlFile::new(format!("{tag}{i}.v"), text)]);
+            assert!(report.success, "{}", report.log);
+        }
+    }
+
+    fn elab_counts(suite: &XsimToolSuite) -> (u64, u64) {
+        let stats = suite.cache().expect("cache attached").stats();
+        (stats.elab_hits, stats.elab_misses)
+    }
+
+    /// Neither a compile entry nor anything else outside the bounded
+    /// elaboration memo keeps a design alive.
+    #[test]
+    fn the_elaboration_memo_is_the_only_owner_of_a_design() {
+        let suite = XsimToolSuite::new().with_cache(EdaCache::new());
+        let files = [HdlFile::new("inv.v", GOOD_V), HdlFile::new("tb.v", GOOD_TB)];
+        let (report, design) = suite.compile_to_design(&files, Some("tb"));
+        assert!(report.success, "{}", report.log);
+        let weak = Arc::downgrade(&design.expect("compiled"));
+        elaborate_others(&suite, "early", cache::ELAB_MEMO_CAPACITY - 1);
+        assert!(weak.upgrade().is_some(), "the memo still holds the design");
+        elaborate_others(&suite, "late", 2);
+        assert!(
+            weak.upgrade().is_none(),
+            "{} further elaborations must free the design",
+            cache::ELAB_MEMO_CAPACITY + 1
+        );
+        // The compile entry survives its design: the same call is still
+        // a whole-call hit.
+        let before = suite.cache().expect("cache").stats();
+        let again = suite.compile_with_top(&files, Some("tb"));
+        assert_eq!(again.log, report.log);
+        let delta = suite.cache().expect("cache").stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (1, 0));
+    }
+
+    /// A design pushed out of the memo is elaborated again on demand,
+    /// and every report built on it is byte-identical to one from a
+    /// suite without a cache. Reading only the verdict of a cached
+    /// compile never elaborates.
+    #[test]
+    fn an_evicted_elaboration_reelaborates_byte_identically() {
+        let plain = XsimToolSuite::new();
+        let suite = XsimToolSuite::new().with_cache(EdaCache::new());
+        let files = [HdlFile::new("inv.v", GOOD_V), HdlFile::new("tb.v", GOOD_TB)];
+        let first = suite.compile_with_top(&files, Some("tb"));
+        elaborate_others(&suite, "other", cache::ELAB_MEMO_CAPACITY + 1);
+
+        // A whole-call hit reads the report alone: no elaboration.
+        let counts = elab_counts(&suite);
+        assert_eq!(suite.compile_with_top(&files, Some("tb")).log, first.log);
+        assert_eq!(
+            elab_counts(&suite),
+            counts,
+            "a verdict read must not elaborate"
+        );
+
+        // Another top spelling misses the whole-call cache and the
+        // evicted memo entry: one fresh elaboration, same report.
+        let (report, design) = suite.compile_to_design(&files, None);
+        assert_eq!(elab_counts(&suite), (counts.0, counts.1 + 1));
+        assert_eq!(report.log, first.log);
+        assert_eq!(report.log, plain.compile(&files).log);
+        assert_eq!(design.map(|d| d.top.clone()).as_deref(), Some("tb"));
+
+        // A compile hit whose design is gone, then a sim miss: the
+        // kernel runs on a design elaborated again.
+        elaborate_others(&suite, "more", cache::ELAB_MEMO_CAPACITY + 1);
+        let counts = elab_counts(&suite);
+        let simulated = suite.simulate(&files, Some("tb"));
+        assert_eq!(elab_counts(&suite), (counts.0, counts.1 + 1));
+        let fresh = plain.simulate(&files, Some("tb"));
+        assert!(simulated.passed, "{}", simulated.log);
+        assert_eq!(simulated.log, fresh.log);
+        assert_eq!(simulated.failures, fresh.failures);
+        assert_eq!(simulated.end_time, fresh.end_time);
+        assert_eq!(
+            simulated.modeled_latency.to_bits(),
+            fresh.modeled_latency.to_bits()
+        );
+        // The sim entry answers the repeat: no design needed at all.
+        elaborate_others(&suite, "last", cache::ELAB_MEMO_CAPACITY + 1);
+        let counts = elab_counts(&suite);
+        assert_eq!(suite.simulate(&files, Some("tb")).log, fresh.log);
+        assert_eq!(elab_counts(&suite), counts);
+    }
+
+    /// A simulator crash after a compile-cache hit opens its log with
+    /// the top the compile entry recorded, though no design is held.
+    #[test]
+    fn a_crashed_simulate_after_a_compile_hit_names_its_top() {
+        let plan = EdaFaultPlan::parse("crash=0.5,retry_max=0").expect("plan");
+        let m = ToolLatencyModel::default();
+        let c = SimConfig::default();
+        // A testbench variant whose compile rolls clean and whose
+        // simulate crashes (the rolls are pure functions of the keys).
+        let files = (0..64)
+            .map(|n| {
+                let tb = format!("{GOOD_TB}// variant {n}\n");
+                [HdlFile::new("inv.v", GOOD_V), HdlFile::new("tb.v", tb)]
+            })
+            .find(|files| {
+                let d = cache::file_digests(files);
+                plan.roll_tool("compile", cache::compile_key(&d, Some("tb"), &m), 0)
+                    .is_none()
+                    && plan
+                        .roll_tool("simulate", cache::sim_key(&d, Some("tb"), &m, &c), 0)
+                        .is_some()
+            })
+            .expect("some variant compiles clean and crashes in simulation");
+        let cache = EdaCache::new();
+        let clean = XsimToolSuite::new().with_cache(cache.clone());
+        assert!(clean.compile_with_top(&files, Some("tb")).success);
+        elaborate_others(&clean, "evict", cache::ELAB_MEMO_CAPACITY + 1);
+
+        let faulted = XsimToolSuite::new()
+            .with_eda_faults(plan)
+            .with_cache(cache.clone());
+        let before = cache.stats();
+        let report = faulted.simulate(&files, Some("tb"));
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (1, 0), "the compile hit");
+        assert_eq!(
+            (delta.elab_hits, delta.elab_misses),
+            (0, 0),
+            "a crashed simulator needs no design"
+        );
+        assert!(report.compiled && !report.passed);
+        assert!(
+            report
+                .log
+                .contains("INFO: [xsim] Running simulation of 'tb'"),
+            "{}",
+            report.log
+        );
+        assert!(
+            report.log.contains("terminated unexpectedly"),
+            "{}",
+            report.log
+        );
+        let uncached = XsimToolSuite::new().with_eda_faults(plan);
+        assert_eq!(report.log, uncached.simulate(&files, Some("tb")).log);
+    }
+
+    /// Analysis parses without the per-file memo: its ASTs would sit
+    /// where no compile looks them up.
+    #[test]
+    fn analyze_leaves_the_parse_memo_alone() {
+        let suite = XsimToolSuite::new().with_cache(EdaCache::new());
+        let files = [HdlFile::new("inv.v", GOOD_V), HdlFile::new("tb.v", GOOD_TB)];
+        assert!(suite.analyze(&files).success);
+        assert!(suite.analyze(&files).success);
+        let stats = suite.cache().expect("cache").stats();
+        assert_eq!((stats.parse_hits, stats.parse_misses), (0, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1), "the whole-call cache");
+        assert!(suite.compile(&files).success);
+        let stats = suite.cache().expect("cache").stats();
+        assert_eq!((stats.parse_hits, stats.parse_misses), (0, 2));
     }
 
     #[test]

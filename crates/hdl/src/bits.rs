@@ -79,6 +79,15 @@ fn extract_word(plane: &[u64], bit: u32) -> u64 {
     lo | hi
 }
 
+/// Unsigned comparison of two value planes, the shorter zero-extended.
+fn cmp_words(a: &[u64], b: &[u64]) -> Ordering {
+    (0..a.len().max(b.len()))
+        .rev()
+        .map(|i| word_at(a, i).cmp(&word_at(b, i)))
+        .find(|&ord| ord != Ordering::Equal)
+        .unwrap_or(Ordering::Equal)
+}
+
 /// ORs `src` shifted left by `shift` bits into `dst` (bits falling
 /// beyond `dst` are dropped).
 fn or_shifted(dst: &mut [u64], src: &[u64], shift: u32) {
@@ -286,12 +295,7 @@ impl<'a> BitsRef<'a> {
         if self.has_unknown() || rhs.has_unknown() {
             return None;
         }
-        let n = self.aval.len().max(rhs.aval.len());
-        let ord = (0..n)
-            .rev()
-            .map(|i| word_at(self.aval, i).cmp(&word_at(rhs.aval, i)))
-            .find(|&ord| ord != Ordering::Equal);
-        Some(ord.unwrap_or(Ordering::Equal))
+        Some(cmp_words(self.aval, rhs.aval))
     }
 
     /// `X` on unknown operands, else whether the value ordering
@@ -453,31 +457,95 @@ impl<'a> BitsMut<'a> {
         }
     }
 
-    /// `self = self * rhs`, keeping the product of the low words only
-    /// (exact for results of ≤ 64 bits); all-X on unknowns.
+    /// `self = self * rhs` (wrapping at `width`), all-X on unknowns. A
+    /// schoolbook product of whole words, low words first; only the
+    /// words below `width` are formed. The known operands leave the
+    /// unknown plane all-zero, so it holds the product while `self`'s
+    /// value plane is still being read: nothing is allocated.
     pub(crate) fn mul(&mut self, rhs: BitsRef<'_>) {
-        if !self.x_if_unknown(rhs) {
-            let low = self.view().word(0).0.wrapping_mul(rhs.word(0).0);
-            self.set_u64(low);
+        if self.x_if_unknown(rhs) {
+            return;
         }
+        let n = self.aval.len();
+        for i in 0..n {
+            let a = u128::from(self.aval[i]);
+            let mut carry = 0u128;
+            for j in 0..n - i {
+                let t = a * u128::from(rhs.word(j).0) + u128::from(self.bval[i + j]) + carry;
+                self.bval[i + j] = t as u64;
+                carry = t >> 64;
+            }
+        }
+        self.aval.copy_from_slice(self.bval);
+        self.bval.fill(0);
+        self.mask_top();
     }
 
-    /// `self = self / rhs`; all-X on unknowns, division by zero, or an
-    /// operand that does not fit in 64 bits.
+    /// `self = self / rhs`; all-X on unknowns or division by zero.
     pub(crate) fn div(&mut self, rhs: BitsRef<'_>) {
-        self.div_rem(rhs, |a, b| a / b);
+        if self.div_rem(rhs) {
+            self.bval.fill(0);
+        }
     }
 
     /// `self = self % rhs`; all-X under the same conditions as `div`.
     pub(crate) fn rem(&mut self, rhs: BitsRef<'_>) {
-        self.div_rem(rhs, |a, b| a % b);
+        if self.div_rem(rhs) {
+            self.aval.copy_from_slice(self.bval);
+            self.bval.fill(0);
+        }
     }
 
-    fn div_rem(&mut self, rhs: BitsRef<'_>, op: fn(u64, u64) -> u64) {
-        match (self.view().to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => self.set_u64(op(a, b)),
-            _ => self.fill(Logic::X),
+    /// Long division of known operands, one dividend bit at a time from
+    /// the top: on return the value plane holds the quotient and the
+    /// (otherwise all-zero) unknown plane the remainder, and the result
+    /// is `true`. On unknown operands or a zero divisor the value is
+    /// all-X and the result `false`. Nothing is allocated.
+    fn div_rem(&mut self, rhs: BitsRef<'_>) -> bool {
+        if self.x_if_unknown(rhs) {
+            return false;
         }
+        if rhs.aval.iter().all(|&w| w == 0) {
+            self.fill(Logic::X);
+            return false;
+        }
+        if rhs.aval.iter().skip(self.aval.len()).any(|&w| w != 0) {
+            // The divisor exceeds every dividend this wide.
+            self.bval.copy_from_slice(self.aval);
+            self.aval.fill(0);
+            return true;
+        }
+        if let ([a], Some(b)) = (&mut *self.aval, rhs.to_u64()) {
+            (*a, self.bval[0]) = (*a / b, *a % b);
+            return true;
+        }
+        let Some(top) = (0..64 * self.aval.len())
+            .rev()
+            .find(|&i| self.aval[i / 64] >> (i % 64) & 1 == 1)
+        else {
+            return true;
+        };
+        for bit in (0..=top).rev() {
+            let (w, mask) = (bit / 64, 1u64 << (bit % 64));
+            // remainder = 2 * remainder + this dividend bit, whose place
+            // the quotient bit takes. `carry` is the bit shifted out of
+            // the remainder's top word.
+            let mut carry = u64::from(self.aval[w] & mask != 0);
+            for r in self.bval.iter_mut() {
+                (*r, carry) = (*r << 1 | carry, *r >> 63);
+            }
+            self.aval[w] &= !mask;
+            if carry == 1 || cmp_words(self.bval, rhs.aval) != Ordering::Less {
+                let mut borrow = false;
+                for (i, r) in self.bval.iter_mut().enumerate() {
+                    let (d, o1) = r.overflowing_sub(word_at(rhs.aval, i));
+                    let (d, o2) = d.overflowing_sub(u64::from(borrow));
+                    (*r, borrow) = (d, o1 || o2);
+                }
+                self.aval[w] |= mask;
+            }
+        }
+        true
     }
 
     /// `self = self << amount`: all-X for an X/Z amount, zeros for a
@@ -773,7 +841,8 @@ impl ScratchBuf {
         self.bits_mut().neg();
     }
 
-    /// `self = self * rhs` (low 64 bits), all-X on unknown operands.
+    /// `self = self * rhs` (wrapping at the width), all-X on unknown
+    /// operands.
     pub fn mul_assign(&mut self, rhs: BitsRef<'_>) {
         self.binary(rhs, |d, r| d.mul(r));
     }
@@ -944,6 +1013,172 @@ mod tests {
         assert_eq!(buf.to_logic_vec(), LogicVec::from_u64(8, 2));
         buf.div_assign(LogicVec::zeros(8).as_bits());
         assert_eq!(buf.to_logic_vec(), LogicVec::xes(8));
+    }
+
+    /// `*`, `/` and `%` above 64 bits, on operands whose results have
+    /// closed forms. Each case runs through both owners of the kernels:
+    /// `ScratchBuf` (the simulator's evaluation path) and `LogicVec`.
+    #[test]
+    fn wide_mul_div_rem_hand_worked() {
+        let bits =
+            |w: u32, set: &mut dyn Iterator<Item = u32>| ones_at(w, &set.collect::<Vec<_>>());
+        let ones = |w: u32, n: u32| bits(w, &mut (0..n));
+        // 0x5555…: every even bit below `n`.
+        let fives = |w: u32, n: u32| bits(w, &mut (0..n).step_by(2));
+        let n = |w: u32, v: u64| LogicVec::from_u64(w, v);
+        type Op = fn(&LogicVec, &LogicVec) -> LogicVec;
+        type BufOp = fn(&mut ScratchBuf, BitsRef<'_>);
+        let (mul, div, rem): (Op, Op, Op) = (LogicVec::mul, LogicVec::div, LogicVec::rem);
+        let cases: Vec<(&str, Op, BufOp, LogicVec, LogicVec, LogicVec)> = vec![
+            // (2^64 - 1) * 2 = 2^65 - 2: the carry into bit 64 counts.
+            (
+                "65-bit mul",
+                mul,
+                ScratchBuf::mul_assign,
+                ones(65, 64),
+                n(65, 2),
+                bits(65, &mut (1..65)),
+            ),
+            // (2^64 + 4) / 2 = 2^63 + 2, and 2^64 ≡ 1 (mod 3).
+            (
+                "65-bit div",
+                div,
+                ScratchBuf::div_assign,
+                ones_at(65, &[64, 2]),
+                n(65, 2),
+                ones_at(65, &[63, 1]),
+            ),
+            (
+                "65-bit rem",
+                rem,
+                ScratchBuf::rem_assign,
+                ones_at(65, &[64, 2]),
+                n(65, 3),
+                n(65, 2),
+            ),
+            // (2^64 + 1)(2^64 - 1) = 2^128 - 1, and back.
+            (
+                "128-bit mul",
+                mul,
+                ScratchBuf::mul_assign,
+                ones_at(128, &[64, 0]),
+                ones(128, 64),
+                ones(128, 128),
+            ),
+            (
+                "128-bit div",
+                div,
+                ScratchBuf::div_assign,
+                ones(128, 128),
+                ones_at(128, &[64, 0]),
+                ones(128, 64),
+            ),
+            (
+                "128-bit rem",
+                rem,
+                ScratchBuf::rem_assign,
+                ones(128, 128),
+                ones_at(128, &[64]),
+                ones(128, 64),
+            ),
+            // 2^64 * 2^64 = 2^128; 2^128 = 3 * 0x5555…(128 bits) + 1.
+            (
+                "129-bit mul",
+                mul,
+                ScratchBuf::mul_assign,
+                ones_at(129, &[64]),
+                ones_at(129, &[64]),
+                ones_at(129, &[128]),
+            ),
+            (
+                "129-bit div",
+                div,
+                ScratchBuf::div_assign,
+                ones_at(129, &[128]),
+                n(129, 3),
+                fives(129, 128),
+            ),
+            (
+                "129-bit rem",
+                rem,
+                ScratchBuf::rem_assign,
+                ones_at(129, &[128]),
+                n(129, 3),
+                n(129, 1),
+            ),
+            // (2^383 + 1) * 3 = 2^384 + 2^383 + 3, wrapping to 2^383 + 3.
+            (
+                "384-bit mul",
+                mul,
+                ScratchBuf::mul_assign,
+                ones_at(384, &[383, 0]),
+                n(384, 3),
+                ones_at(384, &[383, 1, 0]),
+            ),
+            // 2^384 - 1 = (2^192 + 1)(2^192 - 1) = 3 * 0x5555…(384 bits).
+            (
+                "384-bit div",
+                div,
+                ScratchBuf::div_assign,
+                ones(384, 384),
+                ones_at(384, &[192, 0]),
+                ones(384, 192),
+            ),
+            (
+                "384-bit div by 3",
+                div,
+                ScratchBuf::div_assign,
+                ones(384, 384),
+                n(384, 3),
+                fives(384, 384),
+            ),
+            (
+                "384-bit rem",
+                rem,
+                ScratchBuf::rem_assign,
+                ones_at(384, &[383, 2, 1, 0]),
+                ones_at(384, &[100]),
+                n(384, 7),
+            ),
+            // A divisor above the dividend: quotient 0, remainder the dividend.
+            (
+                "384-bit small div",
+                div,
+                ScratchBuf::div_assign,
+                n(384, 5),
+                ones_at(384, &[300]),
+                n(384, 0),
+            ),
+            (
+                "384-bit small rem",
+                rem,
+                ScratchBuf::rem_assign,
+                n(384, 5),
+                ones_at(384, &[300]),
+                n(384, 5),
+            ),
+        ];
+        let mut buf = ScratchBuf::with_width(384);
+        for (what, op, buf_op, a, b, want) in &cases {
+            assert_eq!(op(a, b), *want, "{what}: LogicVec");
+            buf.load(a.as_bits());
+            buf_op(&mut buf, b.as_bits());
+            assert_eq!(buf.to_logic_vec(), *want, "{what}: ScratchBuf");
+        }
+        assert_eq!(buf.grows(), 0, "wide arithmetic allocates nothing");
+
+        // The four-state rules hold at every width: an X/Z operand bit,
+        // or a zero divisor, makes the whole result X.
+        for w in [65, 128, 129, 384] {
+            let mut unknown = ones(w, w);
+            unknown.set(w - 1, Logic::Z);
+            for op in [mul, div, rem] {
+                assert_eq!(op(&unknown, &n(w, 3)), LogicVec::xes(w), "{w}: X/Z operand");
+                assert_eq!(op(&n(w, 3), &unknown), LogicVec::xes(w), "{w}: X/Z operand");
+            }
+            assert_eq!(div(&ones(w, w), &n(w, 0)), LogicVec::xes(w), "{w}: ÷ 0");
+            assert_eq!(rem(&ones(w, w), &n(w, 0)), LogicVec::xes(w), "{w}: % 0");
+        }
     }
 
     #[test]

@@ -32,8 +32,7 @@ fn all_known(v: &Bits) -> bool {
     v.iter().copied().all(is_known)
 }
 
-/// Unsigned value of the low 64 bits; bits above 64 are ignored (the
-/// truncation the packed word-level arithmetic applies).
+/// Unsigned value of the low 64 bits; bits above 64 are ignored.
 fn low64(v: &Bits) -> u64 {
     v.iter()
         .take(64)
@@ -98,27 +97,57 @@ fn ref_negate(a: &Bits) -> Bits {
     ref_sub(&vec![Logic::Zero; a.len()], a)
 }
 
-/// Word-level multiplication semantics: product of the low 64 bits of
-/// each operand, placed in the low word of the result.
+/// Shift-and-add over known bits at the common width: `a << i` is
+/// added for every set bit `i` of `b`, wrapping at the width; all-X on
+/// any unknown operand bit.
 fn ref_mul(a: &Bits, b: &Bits) -> Bits {
     let w = a.len().max(b.len());
     if !all_known(a) || !all_known(b) {
         return xes(w);
     }
-    from_u64_bits(w, low64(a).wrapping_mul(low64(b)))
+    let mut product = vec![Logic::Zero; w];
+    for i in (0..w).filter(|&i| bit(b, i) == Logic::One) {
+        let shifted: Bits = (0..w)
+            .map(|k| if k >= i { bit(a, k - i) } else { Logic::Zero })
+            .collect();
+        product = ref_add(&product, &shifted);
+    }
+    product
 }
 
-fn from_u64_bits(width: usize, value: u64) -> Bits {
-    (0..width)
-        .map(|i| Logic::from_bool(i < 64 && value >> i & 1 == 1))
-        .collect()
+/// `a >= b` over known bits, the shorter zero-extended.
+fn ref_ge(a: &Bits, b: &Bits) -> bool {
+    (0..a.len().max(b.len()))
+        .rev()
+        .find(|&i| bit(a, i) != bit(b, i))
+        .is_none_or(|i| bit(a, i) == Logic::One)
 }
 
+/// Restoring long division at the common width, one dividend bit at a
+/// time from the top; all-X on an unknown operand bit or a zero
+/// divisor. The remainder carries one spare bit, so shifting it left
+/// never loses its top bit.
 fn ref_divrem(a: &Bits, b: &Bits, rem: bool) -> Bits {
     let w = a.len().max(b.len());
-    match (ref_to_u64(a), ref_to_u64(b)) {
-        (Some(x), Some(y)) if y != 0 => from_u64_bits(w, if rem { x % y } else { x / y }),
-        _ => xes(w),
+    if !all_known(a) || !all_known(b) || !b.contains(&Logic::One) {
+        return xes(w);
+    }
+    let mut quotient = vec![Logic::Zero; w];
+    let mut remainder = vec![Logic::Zero; w + 1];
+    for i in (0..w).rev() {
+        remainder.pop();
+        remainder.insert(0, bit(a, i));
+        if ref_ge(&remainder, b) {
+            let divisor: Bits = (0..=w).map(|k| bit(b, k)).collect();
+            remainder = ref_sub(&remainder, &divisor);
+            quotient[i] = Logic::One;
+        }
+    }
+    remainder.truncate(w);
+    if rem {
+        remainder
+    } else {
+        quotient
     }
 }
 
@@ -299,6 +328,13 @@ fn logic_strategy() -> BoxedStrategy<Logic> {
     .boxed()
 }
 
+/// Known bits only: wide operands drawn from the mostly-known
+/// distribution almost never come out all-known, and the multi-word
+/// products and long division need them.
+fn known_strategy() -> BoxedStrategy<Logic> {
+    prop_oneof![Just(Logic::Zero), Just(Logic::One)].boxed()
+}
+
 /// Mostly-known distribution, so arithmetic paths run on real values
 /// often instead of short-circuiting to all-X.
 fn mostly_known_strategy() -> BoxedStrategy<Logic> {
@@ -351,6 +387,36 @@ proptest! {
         assert_same(&pa.mul(&pb), &ref_mul(&a, &b), "mul")?;
         assert_same(&pa.div(&pb), &ref_divrem(&a, &b, false), "div")?;
         assert_same(&pa.rem(&pb), &ref_divrem(&a, &b, true), "rem")?;
+    }
+
+    /// Multi-word products and long division on known operands, through
+    /// both owners. The operand widths are drawn independently, so a
+    /// narrow divisor often leaves a quotient many words wide.
+    #[test]
+    fn known_multiword_arithmetic_matches_reference(
+        a in bits_strategy(known_strategy),
+        b in bits_strategy(known_strategy),
+    ) {
+        let (pa, pb) = (lv(&a), lv(&b));
+        let want = [
+            ref_mul(&a, &b),
+            ref_divrem(&a, &b, false),
+            ref_divrem(&a, &b, true),
+        ];
+        assert_same(&pa.mul(&pb), &want[0], "mul")?;
+        assert_same(&pa.div(&pb), &want[1], "div")?;
+        assert_same(&pa.rem(&pb), &want[2], "rem")?;
+        type Op = fn(&mut ScratchBuf, aivril_hdl::bits::BitsRef<'_>);
+        let ops: [(Op, &str); 3] = [
+            (ScratchBuf::mul_assign, "mul_assign"),
+            (ScratchBuf::div_assign, "div_assign"),
+            (ScratchBuf::rem_assign, "rem_assign"),
+        ];
+        for ((op, what), want) in ops.into_iter().zip(&want) {
+            let mut s = sb(&a);
+            op(&mut s, pb.as_bits());
+            assert_same_sb(&s, want, what)?;
+        }
     }
 
     #[test]

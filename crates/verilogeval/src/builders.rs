@@ -32,8 +32,19 @@ pub struct CombSpec {
     pub eval: GoldenEval,
 }
 
-/// A boxed golden-model function: input values → output values.
-pub type GoldenEval = Box<dyn Fn(&[u64]) -> Vec<u64>>;
+/// A boxed golden-model function: writes the output values for one
+/// input vector into a caller's slice, one value per output port.
+pub type GoldenEval = Box<dyn Fn(&[u64], &mut [u64])>;
+
+#[cfg(test)]
+impl CombSpec {
+    /// The golden model's outputs for one input vector.
+    pub(crate) fn golden(&self, inputs: &[u64]) -> Vec<u64> {
+        let mut outputs = vec![0; self.outputs.len()];
+        (self.eval)(inputs, &mut outputs);
+        outputs
+    }
+}
 
 /// Description of a sequential (posedge-clocked, Moore-style) problem.
 pub struct SeqSpec {
@@ -78,9 +89,13 @@ pub fn push_seq(problems: &mut Vec<Problem>, spec: SeqSpec) {
 fn comb_problem(id: usize, spec: CombSpec) -> Problem {
     let width = spec.inputs.len();
     let vectors = choose_vectors(&spec.inputs, &spec.name);
-    let mut expected = Vec::with_capacity(vectors.len() / width.max(1) * spec.outputs.len());
-    for v in vectors.chunks_exact(width.max(1)) {
-        expected.extend((spec.eval)(&v[..width]));
+    let outputs = spec.outputs.len();
+    let mut expected = vec![0; vectors.len() / width.max(1) * outputs];
+    for (v, out) in vectors
+        .chunks_exact(width.max(1))
+        .zip(expected.chunks_exact_mut(outputs.max(1)))
+    {
+        (spec.eval)(&v[..width], out);
     }
     let steps = || {
         vectors
@@ -555,7 +570,7 @@ mod tests {
             vlog_out_reg: false,
             vhdl_body: "  y <= a and b;\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![v[0] & v[1]]),
+            eval: Box::new(|v, out| out.copy_from_slice(&[v[0] & v[1]])),
         }
     }
 
@@ -583,7 +598,7 @@ mod tests {
             vlog_out_reg: false,
             vhdl_body: "  y <= std_logic_vector(unsigned(a) + unsigned(b));\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![(v[0] + v[1]) & 0xFF]),
+            eval: Box::new(|v, out| out.copy_from_slice(&[(v[0] + v[1]) & 0xFF])),
         };
         let p = comb_problem(0, spec);
         assert_eq!(p.verilog.tb.matches("Test Case").count(), 64);

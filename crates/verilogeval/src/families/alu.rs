@@ -26,14 +26,14 @@ fn alu4op(width: u32) -> CombSpec {
         vlog_out_reg: true,
         vhdl_body,
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
+        eval: Box::new(move |v, out| {
             let (a, b) = (v[0], v[1]);
-            vec![match v[2] {
+            out.copy_from_slice(&[match v[2] {
                 0 => (a + b) & m,
                 1 => a.wrapping_sub(b) & m,
                 2 => a & b,
                 _ => a | b,
-            }]
+            }])
         }),
     }
 }
@@ -60,9 +60,9 @@ fn alu8op(width: u32) -> CombSpec {
         vlog_out_reg: true,
         vhdl_body,
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
+        eval: Box::new(move |v, out| {
             let (a, b) = (v[0], v[1]);
-            vec![match v[2] {
+            out.copy_from_slice(&[match v[2] {
                 0 => (a + b) & m,
                 1 => a.wrapping_sub(b) & m,
                 2 => a & b,
@@ -71,7 +71,7 @@ fn alu8op(width: u32) -> CombSpec {
                 5 => !a & m,
                 6 => a << 1 & m,
                 _ => a >> 1,
-            }]
+            }])
         }),
     }
 }
@@ -92,14 +92,14 @@ fn logic_unit(width: u32) -> CombSpec {
         vlog_out_reg: true,
         vhdl_body: "  process (a, b, op)\n  begin\n    case op is\n      when \"00\" => y <= a and b;\n      when \"01\" => y <= a or b;\n      when \"10\" => y <= a xor b;\n      when others => y <= a nor b;\n    end case;\n  end process;\n".into(),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
+        eval: Box::new(move |v, out| {
             let (a, b) = (v[0], v[1]);
-            vec![match v[2] {
+            out.copy_from_slice(&[match v[2] {
                 0 => a & b,
                 1 => a | b,
                 2 => a ^ b,
                 _ => !(a | b) & m,
-            }]
+            }])
         }),
     }
 }
@@ -125,11 +125,11 @@ fn arith_flags(width: u32) -> CombSpec {
             "0".repeat(width as usize)
         ),
         vhdl_decls: format!("  signal t : std_logic_vector({width} downto 0);\n"),
-        eval: Box::new(move |v| {
+        eval: Box::new(move |v, out| {
             let (a, b, sub) = (v[0], v[1], v[2]);
             let t = if sub == 1 { a + (!b & m) + 1 } else { a + b };
             let y = t & m;
-            vec![y, t >> width & 1, u64::from(y == 0)]
+            out.copy_from_slice(&[y, t >> width & 1, u64::from(y == 0)])
         }),
     }
 }
@@ -149,7 +149,7 @@ fn absdiff(width: u32) -> CombSpec {
         vlog_out_reg: false,
         vhdl_body: "  y <= std_logic_vector(unsigned(a) - unsigned(b)) when unsigned(a) > unsigned(b) else std_logic_vector(unsigned(b) - unsigned(a));\n".into(),
         vhdl_decls: String::new(),
-        eval: Box::new(|v| vec![v[0].abs_diff(v[1])]),
+        eval: Box::new(|v, out| out.copy_from_slice(&[v[0].abs_diff(v[1])])),
     }
 }
 
@@ -177,7 +177,7 @@ fn sat_add(width: u32) -> CombSpec {
             width - 1
         ),
         vhdl_decls: format!("  signal t : std_logic_vector({width} downto 0);\n"),
-        eval: Box::new(move |v| vec![(v[0] + v[1]).min(m)]),
+        eval: Box::new(move |v, out| out.copy_from_slice(&[(v[0] + v[1]).min(m)])),
     }
 }
 
@@ -209,27 +209,27 @@ mod tests {
     #[test]
     fn alu_ops() {
         let s = alu4op(4);
-        assert_eq!((s.eval)(&[9, 8, 0]), vec![1], "add wraps");
-        assert_eq!((s.eval)(&[3, 5, 1]), vec![0xE], "sub wraps");
-        assert_eq!((s.eval)(&[0b1100, 0b1010, 2]), vec![0b1000]);
-        assert_eq!((s.eval)(&[0b1100, 0b1010, 3]), vec![0b1110]);
+        assert_eq!(s.golden(&[9, 8, 0]), vec![1], "add wraps");
+        assert_eq!(s.golden(&[3, 5, 1]), vec![0xE], "sub wraps");
+        assert_eq!(s.golden(&[0b1100, 0b1010, 2]), vec![0b1000]);
+        assert_eq!(s.golden(&[0b1100, 0b1010, 3]), vec![0b1110]);
     }
 
     #[test]
     fn arith_flags_borrow_semantics() {
         let s = arith_flags(4);
         // 5 - 3: no borrow → cout 1.
-        assert_eq!((s.eval)(&[5, 3, 1]), vec![2, 1, 0]);
+        assert_eq!(s.golden(&[5, 3, 1]), vec![2, 1, 0]);
         // 3 - 5: borrow → cout 0, wraparound value.
-        assert_eq!((s.eval)(&[3, 5, 1]), vec![0xE, 0, 0]);
+        assert_eq!(s.golden(&[3, 5, 1]), vec![0xE, 0, 0]);
         // 3 - 3: zero flag.
-        assert_eq!((s.eval)(&[3, 3, 1]), vec![0, 1, 1]);
+        assert_eq!(s.golden(&[3, 3, 1]), vec![0, 1, 1]);
     }
 
     #[test]
     fn saturation() {
         let s = sat_add(4);
-        assert_eq!((s.eval)(&[12, 9]), vec![15]);
-        assert_eq!((s.eval)(&[3, 4]), vec![7]);
+        assert_eq!(s.golden(&[12, 9]), vec![15]);
+        assert_eq!(s.golden(&[3, 4]), vec![7]);
     }
 }

@@ -26,14 +26,12 @@ fn gate2(name: &str, vop: &str, hop: &str, f: fn(u64, u64) -> u64, invert: bool)
         vlog_out_reg: false,
         vhdl_body: format!("  y <= {hexpr};\n"),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
-            vec![
-                (if invert {
-                    !f(v[0], v[1])
-                } else {
-                    f(v[0], v[1])
-                }) & 1,
-            ]
+        eval: Box::new(move |v, out| {
+            out.copy_from_slice(&[(if invert {
+                !f(v[0], v[1])
+            } else {
+                f(v[0], v[1])
+            }) & 1])
         }),
     }
 }
@@ -53,7 +51,7 @@ fn bus_gate(name: &str, width: u32, vop: &str, hop: &str, f: fn(u64, u64) -> u64
         vlog_out_reg: false,
         vhdl_body: format!("  y <= a {hop} b;\n"),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| vec![f(v[0], v[1]) & mask]),
+        eval: Box::new(move |v, out| out.copy_from_slice(&[f(v[0], v[1]) & mask])),
     }
 }
 
@@ -86,7 +84,7 @@ pub fn extend(problems: &mut Vec<Problem>) {
             vlog_out_reg: false,
             vhdl_body: "  y <= not ((a and b) or c);\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![!((v[0] & v[1]) | v[2]) & 1]),
+            eval: Box::new(|v, out| out.copy_from_slice(&[!((v[0] & v[1]) | v[2]) & 1])),
         },
     );
 
@@ -105,7 +103,9 @@ pub fn extend(problems: &mut Vec<Problem>) {
             vlog_out_reg: false,
             vhdl_body: "  y <= (a and b) or (a and c) or (b and c);\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![((v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2])) & 1]),
+            eval: Box::new(|v, out| {
+                out.copy_from_slice(&[((v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2])) & 1])
+            }),
         },
     );
 
@@ -123,7 +123,7 @@ pub fn extend(problems: &mut Vec<Problem>) {
             vlog_out_reg: false,
             vhdl_body: "  y <= a xor b xor c;\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![(v[0] ^ v[1] ^ v[2]) & 1]),
+            eval: Box::new(|v, out| out.copy_from_slice(&[(v[0] ^ v[1] ^ v[2]) & 1])),
         },
     );
 
@@ -141,7 +141,7 @@ pub fn extend(problems: &mut Vec<Problem>) {
             vlog_out_reg: false,
             vhdl_body: "  y <= not a;\n".into(),
             vhdl_decls: String::new(),
-            eval: Box::new(|v| vec![!v[0] & 0xFF]),
+            eval: Box::new(|v, out| out.copy_from_slice(&[!v[0] & 0xFF])),
         },
     );
 }

@@ -27,7 +27,9 @@ fn mux2(width: u32) -> CombSpec {
         vlog_out_reg: false,
         vhdl_body: "  y <= b when sel = '1' else a;\n".into(),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| vec![if v[2] == 1 { v[1] } else { v[0] } & mask]),
+        eval: Box::new(move |v, out| {
+            out.copy_from_slice(&[if v[2] == 1 { v[1] } else { v[0] } & mask])
+        }),
     }
 }
 
@@ -58,7 +60,7 @@ fn mux4(width: u32) -> CombSpec {
         vlog_out_reg: true,
         vhdl_body,
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| vec![v[v[4] as usize] & mask]),
+        eval: Box::new(move |v, out| out.copy_from_slice(&[v[v[4] as usize] & mask])),
     }
 }
 
@@ -99,7 +101,7 @@ fn mux8(width: u32) -> CombSpec {
         vlog_out_reg: true,
         vhdl_body,
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| vec![v[v[8] as usize] & mask]),
+        eval: Box::new(move |v, out| out.copy_from_slice(&[v[v[8] as usize] & mask])),
     }
 }
 
@@ -130,14 +132,14 @@ fn mux2_en(width: u32) -> CombSpec {
         vlog_out_reg: false,
         vhdl_body: "  y <= (others => '0') when en = '0' else b when sel = '1' else a;\n".into(),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
-            vec![if v[3] == 0 {
+        eval: Box::new(move |v, out| {
+            out.copy_from_slice(&[if v[3] == 0 {
                 0
             } else if v[2] == 1 {
                 v[1] & mask
             } else {
                 v[0] & mask
-            }]
+            }])
         }),
     }
 }

@@ -38,9 +38,9 @@ fn generator(width: u32, even: bool) -> CombSpec {
         vlog_out_reg: false,
         vhdl_body: format!("  p <= {hexpr};\n"),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| {
+        eval: Box::new(move |v, out| {
             let ones = v[0].count_ones() as u64 & 1;
-            vec![if even { ones } else { ones ^ 1 }]
+            out.copy_from_slice(&[if even { ones } else { ones ^ 1 }])
         }),
     }
 }
@@ -60,7 +60,7 @@ fn checker(width: u32) -> CombSpec {
         vlog_out_reg: false,
         vhdl_body: format!("  error <= ({chain}) xor p;\n"),
         vhdl_decls: String::new(),
-        eval: Box::new(move |v| vec![(u64::from(v[0].count_ones()) & 1) ^ v[1]]),
+        eval: Box::new(move |v, out| out.copy_from_slice(&[(u64::from(v[0].count_ones()) & 1) ^ v[1]])),
     }
 }
 
@@ -89,17 +89,17 @@ mod tests {
     #[test]
     fn parity_golden() {
         let even = generator(8, true);
-        assert_eq!((even.eval)(&[0b1011_0000]), vec![1]);
-        assert_eq!((even.eval)(&[0b1010_0101]), vec![0]);
+        assert_eq!(even.golden(&[0b1011_0000]), vec![1]);
+        assert_eq!(even.golden(&[0b1010_0101]), vec![0]);
         let odd = generator(8, false);
-        assert_eq!((odd.eval)(&[0]), vec![1]);
+        assert_eq!(odd.golden(&[0]), vec![1]);
     }
 
     #[test]
     fn checker_flags_bad_codewords() {
         let c = checker(4);
-        assert_eq!((c.eval)(&[0b0011, 0]), vec![0], "even weight, p=0: ok");
-        assert_eq!((c.eval)(&[0b0111, 0]), vec![1], "odd weight, p=0: error");
-        assert_eq!((c.eval)(&[0b0111, 1]), vec![0], "odd weight, p=1: ok");
+        assert_eq!(c.golden(&[0b0011, 0]), vec![0], "even weight, p=0: ok");
+        assert_eq!(c.golden(&[0b0111, 0]), vec![1], "odd weight, p=0: error");
+        assert_eq!(c.golden(&[0b0111, 1]), vec![0], "odd weight, p=1: ok");
     }
 }

@@ -90,11 +90,12 @@ fn text_bytes(problems: &[Problem]) -> usize {
 }
 
 /// Allocations per problem that building the suite may make. Measured
-/// at 158.5: the family specs (names, bodies, port lists, the golden
-/// model closure), one `Vec` per golden-model evaluation, the flat
-/// vector tables, and one pre-sized buffer plus its shared copy per
-/// text. Before the generators wrote in place it was 3,030.
-const SUITE_ALLOCS_PER_PROBLEM: f64 = 165.0;
+/// at 56.7: the family specs (names, bodies, port lists, the golden
+/// model closure), the flat vector and expected-output tables, and one
+/// pre-sized buffer plus its shared copy per text. The golden models
+/// write into the expected-output table; when each returned a `Vec` it
+/// was 158.5, and before the generators wrote in place 3,030.
+const SUITE_ALLOCS_PER_PROBLEM: f64 = 60.0;
 
 #[test]
 fn building_the_suite_allocates_a_bounded_count_per_problem() {
