@@ -30,7 +30,8 @@
 pub mod checkpoint;
 
 use aivril_core::{
-    Aivril2, Aivril2Config, BaselineFlow, ResilienceCounters, RunResult, Stage, TaskInput,
+    dut_file_name, tb_file_name, Aivril2, Aivril2Config, BaselineFlow, ResilienceCounters,
+    RunResult, Stage, TaskInput,
 };
 use aivril_eda::{
     CacheStats, DiskStats, EdaCache, EdaFaultPlan, HdlFile, ToolSuite, XsimToolSuite,
@@ -456,11 +457,14 @@ pub fn build_library(problems: &[Problem]) -> TaskLibrary {
     lib
 }
 
-/// The scoring file of `problem`'s reference testbench: `tb.v` or
-/// `tb.vhd`, sharing the suite's text.
+/// The scoring file of `problem`'s reference testbench, named as the
+/// pipeline names a testbench ([`tb_file_name`]) and sharing the
+/// suite's text.
 fn golden_tb_file(problem: &Problem, verilog: bool) -> HdlFile {
-    let ext = if verilog { "v" } else { "vhd" };
-    HdlFile::new(format!("tb.{ext}"), problem.golden(verilog).tb.clone())
+    HdlFile::new(
+        tb_file_name(&problem.module_name, verilog),
+        problem.golden(verilog).tb.clone(),
+    )
 }
 
 /// One completed run, as stored by the worker pool (and, through the
@@ -638,6 +642,13 @@ impl Harness {
     /// simulates it against the *reference* testbench for pass@1_F —
     /// the paper's methodology ("executing the testbenches provided in
     /// the benchmark suite").
+    ///
+    /// The files carry the names the pipeline gives a run's DUT and
+    /// testbench ([`dut_file_name`], [`tb_file_name`]). Names are part of
+    /// the EDA cache's keys, so when a run ends on the reference
+    /// testbench, the scoring simulate is the pipeline's last simulate
+    /// and a shared [`EdaCache`] answers it. Only the verdict and the
+    /// modeled latency are read, and neither depends on file names.
     #[must_use]
     pub fn score(&self, problem: &Problem, rtl: &str, verilog: bool) -> (bool, bool) {
         self.score_with_latency(problem, rtl, verilog).0
@@ -653,15 +664,27 @@ impl Harness {
         rtl: &str,
         verilog: bool,
     ) -> ((bool, bool), f64) {
-        let ext = if verilog { "v" } else { "vhd" };
-        let dut = HdlFile::new(format!("{}.{ext}", problem.module_name), rtl.to_string());
+        let files = self.scoring_files(problem, rtl, verilog);
         // Only the verdict is read: a cache hit must not elaborate again.
         let compile = self
             .tools
-            .compile_with_top(std::slice::from_ref(&dut), Some(&problem.module_name));
+            .compile_with_top(&files[..1], Some(&problem.module_name));
         if !compile.success {
             return ((false, false), compile.modeled_latency);
         }
+        let report = self.tools.simulate(&files, Some("tb"));
+        (
+            (true, report.passed),
+            compile.modeled_latency + report.modeled_latency,
+        )
+    }
+
+    /// The `[dut, reference testbench]` pair that scores `rtl`, under the
+    /// pipeline's file names. The testbench is the file built at set-up,
+    /// whose digest is hashed once per process; a problem from outside
+    /// this harness's suite gets a fresh one.
+    fn scoring_files(&self, problem: &Problem, rtl: &str, verilog: bool) -> [HdlFile; 2] {
+        let dut = HdlFile::new(dut_file_name(&problem.module_name, verilog), rtl);
         let tb = self
             .golden_tbs
             .get(problem.id)
@@ -669,11 +692,7 @@ impl Harness {
             .filter(|f| std::sync::Arc::ptr_eq(&f.text, &problem.golden(verilog).tb))
             .cloned()
             .unwrap_or_else(|| golden_tb_file(problem, verilog));
-        let report = self.tools.simulate(&[dut, tb], Some("tb"));
-        (
-            (true, report.passed),
-            compile.modeled_latency + report.modeled_latency,
-        )
+        [dut, tb]
     }
 
     /// Executes one run. Self-contained: everything a run needs —
@@ -1478,6 +1497,72 @@ mod tests {
         assert!(!s && !f);
         let (s, f) = h.score(p, &p.vhdl.dut, false);
         assert!(s && f, "golden VHDL must score clean");
+    }
+
+    fn task_of(problem: &Problem, verilog: bool, seed: u64) -> TaskInput {
+        TaskInput {
+            name: problem.name.clone(),
+            module_name: problem.module_name.clone(),
+            spec: problem.spec.clone(),
+            verilog,
+            seed,
+        }
+    }
+
+    #[test]
+    fn scoring_uses_the_pipelines_file_names() {
+        let h = small();
+        for p in h.problems() {
+            for verilog in [true, false] {
+                let task = task_of(p, verilog, 0);
+                let [dut, tb] = h.scoring_files(p, &p.golden(verilog).dut, verilog);
+                assert_eq!(dut.name, task.dut_file_name());
+                assert_eq!(tb.name, task.tb_file_name());
+            }
+        }
+    }
+
+    #[test]
+    fn scoring_a_run_that_passed_on_the_reference_testbench_hits_the_cache() {
+        // A run whose functional loop passed with the reference
+        // testbench last simulated exactly the scoring pair, so the
+        // scoring simulate must be answered by the shared cache.
+        let h = Harness::new(HarnessConfig {
+            task_limit: 6,
+            eda_cache: true,
+            ..HarnessConfig::default()
+        });
+        let profile = profiles::claude35_sonnet();
+        let pipeline = Aivril2::new(&h.tools, h.config.pipeline);
+        for verilog in [true, false] {
+            let run = h
+                .problems()
+                .iter()
+                .enumerate()
+                .flat_map(|(i, p)| (0..8).map(move |sample| (p, run_seed(i, sample))))
+                .find_map(|(p, seed)| {
+                    let task = task_of(p, verilog, seed);
+                    let mut model = SimLlm::new(profile.clone(), h.library());
+                    let run = pipeline.run(&mut model, &task);
+                    let golden_tb = run.final_tb.as_str() == &*p.golden(verilog).tb;
+                    (run.functional_pass && golden_tb).then_some((p, task, run))
+                });
+            let (p, task, run) = run.expect("some run passes on the reference testbench");
+            // The scoring compile (the DUT alone) is a call the pipeline
+            // never makes; make it first so only the simulate is left.
+            let dut = HdlFile::new(task.dut_file_name(), run.final_rtl.as_str());
+            let compile = h
+                .tools
+                .compile_with_top(std::slice::from_ref(&dut), Some(&p.module_name));
+            assert!(compile.success);
+            let before = h.cache_stats().expect("cache on");
+            assert_eq!(h.score(p, &run.final_rtl, verilog), (true, true));
+            let delta = h.cache_stats().expect("cache on").since(&before);
+            assert!(
+                delta.misses == 0 && delta.hits > 0,
+                "verilog={verilog}: scoring re-ran a tool: {delta}"
+            );
+        }
     }
 
     #[test]

@@ -72,6 +72,6 @@ pub use flow::{Aivril2, BaselineFlow, RunResult};
 pub use resilience::{
     BreakerBank, CircuitBreaker, ResilienceCounters, ResiliencePolicy, MAX_RETRY_AFTER_S,
 };
-pub use task::TaskInput;
+pub use task::{dut_file_name, tb_file_name, TaskInput};
 pub use trace::{RunTrace, Stage, TraceEvent, TraceEventKind};
 pub use user::{spec_is_sufficient, NoClarification, StaticUser, UserProxy};

@@ -1,4 +1,36 @@
-//! Task description handed to the pipeline.
+//! Task description handed to the pipeline, and the file names its
+//! tool calls use.
+//!
+//! There is one naming rule: a task's DUT is `<module>.v` /
+//! `<module>.vhd` and its testbench `tb_<module>.v` / `tb_<module>.vhd`.
+//! The pipeline ([`TaskInput::dut_file_name`],
+//! [`TaskInput::tb_file_name`]) and the harness's scoring both take their
+//! names from [`dut_file_name`] and [`tb_file_name`]. A file's name is
+//! part of its EDA cache key, so when a run ends on the reference
+//! testbench, scoring it repeats the pipeline's last simulate call, and
+//! a shared cache answers it.
+
+/// File extension of the target language: `v` or `vhd`.
+fn extension(verilog: bool) -> &'static str {
+    if verilog {
+        "v"
+    } else {
+        "vhd"
+    }
+}
+
+/// Name of `module`'s DUT file: `<module>.v` / `<module>.vhd`.
+#[must_use]
+pub fn dut_file_name(module: &str, verilog: bool) -> String {
+    format!("{module}.{}", extension(verilog))
+}
+
+/// Name of `module`'s testbench file: `tb_<module>.v` /
+/// `tb_<module>.vhd`.
+#[must_use]
+pub fn tb_file_name(module: &str, verilog: bool) -> String {
+    format!("tb_{module}.{}", extension(verilog))
+}
 
 /// One RTL design task, as presented to AIVRIL2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,26 +48,23 @@ pub struct TaskInput {
 }
 
 impl TaskInput {
-    /// Conventional DUT file name (`<module>.v` / `<module>.vhd`).
+    /// DUT file name ([`dut_file_name`]: `<module>.v` / `<module>.vhd`).
     #[must_use]
     pub fn dut_file_name(&self) -> String {
-        format!("{}.{}", self.module_name, self.extension())
+        dut_file_name(&self.module_name, self.verilog)
     }
 
-    /// Conventional testbench file name.
+    /// Testbench file name ([`tb_file_name`]: `tb_<module>.v` /
+    /// `tb_<module>.vhd`).
     #[must_use]
     pub fn tb_file_name(&self) -> String {
-        format!("tb_{}.{}", self.module_name, self.extension())
+        tb_file_name(&self.module_name, self.verilog)
     }
 
     /// File extension for the target language.
     #[must_use]
     pub fn extension(&self) -> &'static str {
-        if self.verilog {
-            "v"
-        } else {
-            "vhd"
-        }
+        extension(self.verilog)
     }
 }
 
@@ -56,5 +85,6 @@ mod tests {
         assert_eq!(t.tb_file_name(), "tb_adder.v");
         t.verilog = false;
         assert_eq!(t.dut_file_name(), "adder.vhd");
+        assert_eq!(t.tb_file_name(), "tb_adder.vhd");
     }
 }

@@ -4,10 +4,14 @@
 //! inputs constantly: the testbench is recompiled unchanged on every
 //! iteration, `SimLlm` derives candidates by fault-injecting golden RTL
 //! (so distinct grid runs converge to identical text), and the scoring
-//! pass recompiles sources the pipeline already compiled. Every tool
-//! invocation here is a pure function of its inputs, so memoization is
-//! sound with **no invalidation logic at all** — a key can never go
-//! stale because nothing outside the key influences the result.
+//! pass simulates sources the pipeline already simulated. Scoring names
+//! its files as the pipeline does (`aivril_core::{dut_file_name,
+//! tb_file_name}`), so when a run ends on the reference testbench, its
+//! scoring simulate has the whole-call key of the pipeline's last
+//! simulate and reads that entry. Every tool invocation here is a pure
+//! function of its inputs, so memoization is sound with **no
+//! invalidation logic at all** — a key can never go stale because
+//! nothing outside the key influences the result.
 //!
 //! # Key derivation
 //!
