@@ -6,7 +6,7 @@
 //! level of detail is what lets the Code Agent converge in few
 //! iterations.
 
-use aivril_eda::{CompileReport, ToolMessage};
+use aivril_eda::ToolMessage;
 
 /// One distilled syntax finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,13 +34,13 @@ impl ReviewAgent {
         ReviewAgent
     }
 
-    /// Extracts structured findings from a compile report, resolving
-    /// line numbers against `source` (the artefact under review).
+    /// Extracts structured findings from a failed check's tool
+    /// messages, resolving line numbers against `source` (the artefact
+    /// under review).
     #[must_use]
-    pub fn findings(&self, report: &CompileReport, source: &str) -> Vec<SyntaxFinding> {
+    pub fn findings(&self, messages: &[ToolMessage], source: &str) -> Vec<SyntaxFinding> {
         let lines: Vec<&str> = source.lines().collect();
-        report
-            .messages
+        messages
             .iter()
             .filter(|m| m.is_error())
             .map(|m| {
@@ -65,11 +65,11 @@ impl ReviewAgent {
     #[must_use]
     pub fn corrective_prompt(
         &self,
-        report: &CompileReport,
+        messages: &[ToolMessage],
         source: &str,
         artifact: &str,
     ) -> String {
-        let findings = self.findings(report, source);
+        let findings = self.findings(messages, source);
         let mut p = format!(
             "The compiler reported {} syntax error(s) in your {artifact}. \
              Fix every issue and return the complete corrected file.\n\n",
@@ -98,8 +98,8 @@ impl ReviewAgent {
     /// prompt-detail ablation: no locations, snippets or hints, so the
     /// Code Agent has far less to work with.
     #[must_use]
-    pub fn corrective_prompt_brief(&self, report: &CompileReport, artifact: &str) -> String {
-        let errors: Vec<&ToolMessage> = report.messages.iter().filter(|m| m.is_error()).collect();
+    pub fn corrective_prompt_brief(&self, messages: &[ToolMessage], artifact: &str) -> String {
+        let errors: Vec<&ToolMessage> = messages.iter().filter(|m| m.is_error()).collect();
         let mut p = format!(
             "The compiler reported {} syntax error(s) in your {artifact}. Fix them.\n",
             errors.len().max(1)
@@ -139,7 +139,7 @@ mod tests {
         let report = tools.compile(&[HdlFile::new("m.v", BROKEN)]);
         assert!(!report.success);
         let agent = ReviewAgent::new();
-        let findings = agent.findings(&report, BROKEN);
+        let findings = agent.findings(&report.messages, BROKEN);
         assert!(!findings.is_empty());
         let f = &findings[0];
         assert!(f.line.is_some());
@@ -152,7 +152,7 @@ mod tests {
         let tools = XsimToolSuite::new();
         let report = tools.compile(&[HdlFile::new("m.v", BROKEN)]);
         let agent = ReviewAgent::new();
-        let prompt = agent.corrective_prompt(&report, BROKEN, "RTL module");
+        let prompt = agent.corrective_prompt(&report.messages, BROKEN, "RTL module");
         assert!(prompt.contains("syntax error"), "{prompt}");
         assert!(prompt.contains("m.v:"), "{prompt}");
         assert!(prompt.contains("offending line"), "{prompt}");
@@ -166,7 +166,7 @@ mod tests {
         let report = tools.compile(&[HdlFile::new("m.v", good)]);
         assert!(report.success);
         let agent = ReviewAgent::new();
-        assert!(agent.findings(&report, good).is_empty());
+        assert!(agent.findings(&report.messages, good).is_empty());
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         let tools = XsimToolSuite::new();
         let report = tools.compile(&[HdlFile::new("m.v", BROKEN)]);
         let agent = ReviewAgent::new();
-        let prompt = agent.corrective_prompt_brief(&report, "RTL module");
+        let prompt = agent.corrective_prompt_brief(&report.messages, "RTL module");
         assert!(prompt.contains("syntax error"));
         assert!(!prompt.contains("offending line"));
         assert!(!prompt.contains("m.v:"));

@@ -1,5 +1,17 @@
 //! The two pipelines: the AIVRIL2 loop architecture and the zero-shot
 //! baseline it is compared against.
+//!
+//! Both run on one per-run context, `Run`: it owns the Code Agent's
+//! conversation, the trace and the resilience state, and every model
+//! call goes through its one retry path, `Run::ask`. AIVRIL2 is three
+//! steps over that context (Fig. 2; DESIGN.md, "The pipeline"):
+//!
+//! - `Run::generate`: a fresh generation — the testbench (②), the RTL
+//!   (③) and the baseline's single shot;
+//! - `Aivril2::syntax_loop`: the Review agent's check-and-revise loop,
+//!   over the testbench (`analyze`) and then the RTL (`compile`);
+//! - `Aivril2::functional_loop`: the Verification agent's
+//!   simulate-and-revise loop with rollback (⑤–⑧).
 
 use crate::agents::{CodeAgent, Generation, ReviewAgent, VerificationAgent};
 use crate::config::{Aivril2Config, PromptDetail};
@@ -7,7 +19,7 @@ use crate::resilience::{CircuitBreaker, ResilienceCounters, ResiliencePolicy};
 use crate::task::TaskInput;
 use crate::trace::{RunTrace, Stage, TraceEventKind};
 use crate::user::{spec_is_sufficient, NoClarification, UserProxy};
-use aivril_eda::{HdlFile, ToolSuite};
+use aivril_eda::{CompileReport, HdlFile, SimReport, ToolMessage, ToolSuite};
 use aivril_llm::{LanguageModel, LlmError};
 use aivril_obs::Recorder;
 
@@ -32,100 +44,6 @@ pub struct RunResult {
     pub resilience: ResilienceCounters,
 }
 
-/// Runs `call` under the retry/backoff/breaker policy. `call` receives
-/// the attempt index (mixed into the fault RNG by the agent) and either
-/// yields a usable [`Generation`] or a transport fault.
-///
-/// `Some(gen)` on success; `None` after graceful degradation — the
-/// matching [`TraceEventKind::Retry`]/[`TraceEventKind::Degraded`]
-/// events are already in `trace` and the counters updated. All waits
-/// happen on the modeled clock (`trace.total_latency()` is "now"), so
-/// the whole schedule is deterministic.
-#[allow(clippy::too_many_arguments)]
-fn with_retries(
-    policy: &ResiliencePolicy,
-    breaker: &mut CircuitBreaker,
-    trace: &mut RunTrace,
-    counters: &mut ResilienceCounters,
-    recorder: &Recorder,
-    stage: Stage,
-    seed: u64,
-    op: &str,
-    mut call: impl FnMut(u32) -> Result<Generation, LlmError>,
-) -> Option<Generation> {
-    for attempt in 0..=policy.retry_max {
-        let now = trace.total_latency();
-        if !breaker.try_acquire(now) {
-            counters.degraded += 1;
-            trace.push(
-                stage,
-                TraceEventKind::Degraded,
-                format!("{op}: circuit breaker open; skipping the call"),
-                0.0,
-                0.0,
-            );
-            return None;
-        }
-        match call(attempt) {
-            Ok(gen) => {
-                breaker.on_success();
-                return Some(gen);
-            }
-            Err(err) => {
-                counters.llm_faults += 1;
-                let fault_s = err.elapsed_s();
-                let now = trace.total_latency() + fault_s;
-                breaker.on_failure(now);
-                let opened = breaker.is_open(now);
-                if attempt < policy.retry_max && !opened {
-                    // Honour an explicit Retry-After when it exceeds our
-                    // own backoff schedule.
-                    let floor = match err {
-                        LlmError::RateLimited { retry_after_s } => retry_after_s,
-                        LlmError::Timeout { .. } => 0.0,
-                    };
-                    let wait = policy.backoff_s(seed, op, attempt).max(floor);
-                    counters.retries += 1;
-                    counters.backoff_s += wait;
-                    recorder.advance(wait);
-                    trace.push(
-                        stage,
-                        TraceEventKind::Retry,
-                        format!("{op}: {err}; retrying after {wait:.2}s backoff"),
-                        fault_s + wait,
-                        0.0,
-                    );
-                } else {
-                    let why = if opened {
-                        "circuit breaker opened"
-                    } else {
-                        "retry budget exhausted"
-                    };
-                    counters.degraded += 1;
-                    trace.push(
-                        stage,
-                        TraceEventKind::Degraded,
-                        format!("{op}: {err}; {why}"),
-                        fault_s,
-                        0.0,
-                    );
-                    return None;
-                }
-            }
-        }
-    }
-    None
-}
-
-/// `true` when a fresh generation is unusable as a starting point: the
-/// model answered in prose (no code fence — it does not know the task)
-/// or produced an empty artefact. Corrective iteration cannot restore
-/// knowledge the model never had, so the pipeline degrades immediately
-/// instead of burning its iteration budget.
-fn generation_unusable(gen: &Generation) -> bool {
-    !gen.fenced || gen.code.trim().is_empty()
-}
-
 /// Rebuilds the DUT file of a run's `[dut, tb]` pair when `rtl` differs
 /// from the text it holds; an unchanged revision keeps its file, and so
 /// its memoised content digest.
@@ -133,6 +51,305 @@ fn sync_dut(files: &mut [HdlFile; 2], task: &TaskInput, rtl: &str) {
     if *files[0].text != *rtl {
         files[0] = HdlFile::new(task.dut_file_name(), rtl);
     }
+}
+
+/// Step ①: when the prompt lacks the details the Code Agent needs
+/// (Sec. 3.1), asks `user` and records the exchange in `trace`. Returns
+/// the task with the answer folded in, when the user gave one.
+fn clarify(task: &TaskInput, user: &dyn UserProxy, trace: &mut RunTrace) -> Option<TaskInput> {
+    if spec_is_sufficient(&task.spec, &task.module_name) {
+        return None;
+    }
+    let question = format!(
+        "The specification does not fully identify the design task or the                  required module `{}`. Please provide the complete requirements:                  the task name, the interface (ports and widths), and the intended                  behaviour.",
+        task.module_name
+    );
+    let answer = user.clarify(&question);
+    let what = if answer.is_empty() {
+        "clarification requested; no answer — proceeding with the original prompt"
+    } else {
+        "clarification requested; user supplied additional detail"
+    };
+    trace.push(
+        Stage::TbGeneration,
+        TraceEventKind::Clarification,
+        what,
+        0.0,
+        0.0,
+    );
+    (!answer.is_empty()).then(|| TaskInput {
+        spec: format!("{}\n{answer}", task.spec),
+        ..task.clone()
+    })
+}
+
+/// One pipeline run's state: the Code Agent's conversation, the trace
+/// on the modeled clock, and the resilience policy, breaker and counters
+/// that every model call goes through.
+struct Run<'r, 'm> {
+    agent: CodeAgent<'m>,
+    trace: RunTrace,
+    policy: ResiliencePolicy,
+    breaker: CircuitBreaker,
+    counters: ResilienceCounters,
+    recorder: &'r Recorder,
+    seed: u64,
+}
+
+impl<'r, 'm> Run<'r, 'm> {
+    fn new(
+        model: &'m mut dyn LanguageModel,
+        task: &TaskInput,
+        config: &Aivril2Config,
+        recorder: &'r Recorder,
+    ) -> Run<'r, 'm> {
+        Run {
+            agent: CodeAgent::new(model, task, config.gen_params),
+            trace: RunTrace::default(),
+            policy: config.resilience,
+            breaker: CircuitBreaker::new(&config.resilience),
+            counters: ResilienceCounters::default(),
+            recorder,
+            seed: task.seed,
+        }
+    }
+
+    /// Asks the Code Agent (`call`) under the retry/backoff/breaker
+    /// policy, setting the attempt index the agent mixes into the fault
+    /// RNG before each try.
+    ///
+    /// `Some(gen)` on success; `None` after graceful degradation — the
+    /// matching [`TraceEventKind::Retry`]/[`TraceEventKind::Degraded`]
+    /// events are already in the trace and the counters updated. All
+    /// waits happen on the modeled clock (`trace.total_latency()` is
+    /// "now"), so the whole schedule is deterministic.
+    fn ask(
+        &mut self,
+        stage: Stage,
+        op: &str,
+        mut call: impl FnMut(&mut CodeAgent<'m>) -> Result<Generation, LlmError>,
+    ) -> Option<Generation> {
+        for attempt in 0..=self.policy.retry_max {
+            let now = self.trace.total_latency();
+            if !self.breaker.try_acquire(now) {
+                self.degrade(
+                    stage,
+                    format!("{op}: circuit breaker open; skipping the call"),
+                    0.0,
+                );
+                return None;
+            }
+            self.agent.set_attempt(attempt);
+            let err = match call(&mut self.agent) {
+                Ok(gen) => {
+                    self.breaker.on_success();
+                    return Some(gen);
+                }
+                Err(err) => err,
+            };
+            self.counters.llm_faults += 1;
+            let fault_s = err.elapsed_s();
+            let now = self.trace.total_latency() + fault_s;
+            self.breaker.on_failure(now);
+            let opened = self.breaker.is_open(now);
+            if attempt == self.policy.retry_max || opened {
+                let why = if opened {
+                    "circuit breaker opened"
+                } else {
+                    "retry budget exhausted"
+                };
+                self.degrade(stage, format!("{op}: {err}; {why}"), fault_s);
+                return None;
+            }
+            // Honour an explicit Retry-After when it exceeds our own
+            // backoff schedule.
+            let floor = match err {
+                LlmError::RateLimited { retry_after_s } => retry_after_s,
+                LlmError::Timeout { .. } => 0.0,
+            };
+            let wait = self.policy.backoff_s(self.seed, op, attempt).max(floor);
+            self.counters.retries += 1;
+            self.counters.backoff_s += wait;
+            self.recorder.advance(wait);
+            self.trace.push(
+                stage,
+                TraceEventKind::Retry,
+                format!("{op}: {err}; retrying after {wait:.2}s backoff"),
+                fault_s + wait,
+                0.0,
+            );
+        }
+        None
+    }
+
+    /// A fresh generation (steps ② and ③, and the baseline's one shot):
+    /// asks under `op` inside `span` and records `stage`'s
+    /// [`TraceEventKind::Generation`] event.
+    ///
+    /// `Err` carries what the run ends with instead: an empty artefact
+    /// when the call degraded, or the reply's code when `artefact` names
+    /// a generation that must be usable and this one is not.
+    fn generate(
+        &mut self,
+        stage: Stage,
+        span: &str,
+        op: &str,
+        artefact: Option<&str>,
+        call: impl FnMut(&mut CodeAgent<'m>) -> Result<Generation, LlmError>,
+    ) -> Result<String, String> {
+        let span = self.recorder.span(span);
+        let Some(gen) = self.ask(stage, op, call) else {
+            return Err(String::new());
+        };
+        span.attr_f64("llm_s", gen.latency_s);
+        self.trace
+            .push(stage, TraceEventKind::Generation, op, gen.latency_s, 0.0);
+        // An unusable generation — the model answered in prose (no code
+        // fence: it does not know the task) or produced an empty
+        // artefact — cannot be a starting point. Corrective iteration
+        // cannot restore knowledge the model never had, so the run
+        // degrades at once instead of burning its iteration budget.
+        match artefact {
+            Some(artefact) if !gen.fenced || gen.code.trim().is_empty() => {
+                let what = format!("{artefact} generation unusable (no code); aborting the run");
+                self.degrade(stage, what, 0.0);
+                Err(gen.code)
+            }
+            _ => Ok(gen.code),
+        }
+    }
+
+    /// Records a graceful degradation: the run gives up on a step.
+    fn degrade(&mut self, stage: Stage, what: String, llm_latency: f64) {
+        self.counters.degraded += 1;
+        self.trace
+            .push(stage, TraceEventKind::Degraded, what, llm_latency, 0.0);
+    }
+
+    /// Restores version `index` of the Code Agent's conversation as the
+    /// current RTL and records why.
+    fn rollback(&mut self, index: usize, rtl: &mut String, what: String) {
+        self.agent.rollback_to(index);
+        *rtl = self.agent.versions()[index].clone();
+        self.trace.push(
+            Stage::FunctionalLoop,
+            TraceEventKind::Rollback,
+            what,
+            0.0,
+            0.0,
+        );
+    }
+
+    /// Ends the run with its final artefacts. A run the pipeline
+    /// abandoned early (exhausted retries, open breaker, or an unusable
+    /// generation) ends here too, with both checks failed: nothing
+    /// panics and nothing is lost, the trace carries the
+    /// [`TraceEventKind::Degraded`] record and the partial artefacts are
+    /// returned as-is.
+    fn finish(
+        mut self,
+        rtl: String,
+        tb: String,
+        syntax_pass: bool,
+        functional_pass: bool,
+    ) -> RunResult {
+        self.counters.breaker_opens = self.breaker.opens();
+        if self.recorder.is_enabled() {
+            self.record_metrics(syntax_pass, functional_pass);
+        }
+        RunResult {
+            final_rtl: rtl,
+            final_tb: tb,
+            syntax_pass,
+            functional_pass,
+            trace: self.trace,
+            resilience: self.counters,
+        }
+    }
+
+    /// End-of-run pipeline counters (only called when recording).
+    fn record_metrics(&self, syntax_pass: bool, functional_pass: bool) {
+        let (rec, trace, res) = (self.recorder, &self.trace, &self.counters);
+        rec.counter_add("pipeline_runs_total", &[("flow", "aivril2")], 1);
+        for (check, pass) in [("syntax", syntax_pass), ("functional", functional_pass)] {
+            rec.counter_add("pipeline_pass_total", &[("check", check)], u64::from(pass));
+        }
+        for (label, stage) in [
+            ("tb_syntax", Stage::TbSyntaxLoop),
+            ("rtl_syntax", Stage::RtlSyntaxLoop),
+            ("functional", Stage::FunctionalLoop),
+        ] {
+            rec.counter_add(
+                "pipeline_iterations_total",
+                &[("loop", label)],
+                u64::from(trace.iterations(stage)),
+            );
+        }
+        let rollbacks = trace
+            .events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Rollback)
+            .count() as u64;
+        rec.counter_add("pipeline_rollbacks_total", &[], rollbacks);
+        // Diagnostic-only resilience series (`resilience_` prefix, like
+        // `eda_cache_`): emitted only when something actually fired, so
+        // fault-free telemetry stays byte-identical.
+        for (name, value) in [
+            ("resilience_retries_total", u64::from(res.retries)),
+            ("resilience_degraded_total", u64::from(res.degraded)),
+            (
+                "resilience_breaker_opens_total",
+                u64::from(res.breaker_opens),
+            ),
+            ("resilience_sim_diverged_total", u64::from(res.sim_diverged)),
+        ] {
+            if value > 0 {
+                rec.counter_add(name, &[], value);
+            }
+        }
+    }
+}
+
+/// One Syntax Optimization loop: its stage and span, the tool check's
+/// event kind and narration, and what the Review agent's prompt and the
+/// revise call name.
+struct SyntaxLoop {
+    stage: Stage,
+    span: &'static str,
+    check: TraceEventKind,
+    /// Narration of a check event, before `: N error(s)`.
+    checked: &'static str,
+    artefact: &'static str,
+    revise: &'static str,
+}
+
+/// The testbench's loop: `analyze` alone, before any RTL exists.
+const TB_SYNTAX: SyntaxLoop = SyntaxLoop {
+    stage: Stage::TbSyntaxLoop,
+    span: "stage.tb_syntax_loop",
+    check: TraceEventKind::Analysis,
+    checked: "analyze testbench",
+    artefact: "testbench",
+    revise: "revise testbench",
+};
+
+/// The RTL's loop: `compile` of `[dut, tb]`.
+const RTL_SYNTAX: SyntaxLoop = SyntaxLoop {
+    stage: Stage::RtlSyntaxLoop,
+    span: "stage.rtl_syntax_loop",
+    check: TraceEventKind::Compile,
+    checked: "compile",
+    artefact: "RTL module",
+    revise: "revise RTL",
+};
+
+/// Tool feedback the Code Agent revises from.
+enum Feedback<'a> {
+    /// The messages of a failed check, the source they point into, and
+    /// what the prompt calls that source.
+    Syntax(&'a [ToolMessage], &'a str, &'a str),
+    /// A compiled simulation that did not pass.
+    Functional(&'a SimReport),
 }
 
 /// The AIVRIL2 pipeline: testbench-first generation with a Syntax
@@ -185,15 +402,22 @@ impl<'t> Aivril2<'t> {
         self
     }
 
-    fn syntax_corrective(
-        &self,
-        report: &aivril_eda::CompileReport,
-        source: &str,
-        artifact: &str,
-    ) -> String {
-        match self.config.prompt_detail {
-            PromptDetail::Detailed => self.review.corrective_prompt(report, source, artifact),
-            PromptDetail::ErrorsOnly => self.review.corrective_prompt_brief(report, artifact),
+    /// The corrective prompt for `feedback` at the configured
+    /// [`PromptDetail`]: the Review agent's for syntax feedback, the
+    /// Verification agent's for a failed simulation.
+    fn corrective(&self, feedback: Feedback<'_>) -> String {
+        use PromptDetail::{Detailed, ErrorsOnly};
+        match (feedback, self.config.prompt_detail) {
+            (Feedback::Syntax(messages, source, artefact), Detailed) => {
+                self.review.corrective_prompt(messages, source, artefact)
+            }
+            (Feedback::Syntax(messages, _, artefact), ErrorsOnly) => {
+                self.review.corrective_prompt_brief(messages, artefact)
+            }
+            (Feedback::Functional(report), Detailed) => self.verification.corrective_prompt(report),
+            (Feedback::Functional(report), ErrorsOnly) => {
+                self.verification.corrective_prompt_brief(report)
+            }
         }
     }
 
@@ -212,491 +436,244 @@ impl<'t> Aivril2<'t> {
         task: &TaskInput,
         user: &dyn UserProxy,
     ) -> RunResult {
-        let mut trace = RunTrace::default();
         // -- Step ①: check the user requirement is workable; open the
-        // clarification dialogue if not.
-        let mut task = task.clone();
-        if !spec_is_sufficient(&task.spec, &task.module_name) {
-            let question = format!(
-                "The specification does not fully identify the design task or the                  required module `{}`. Please provide the complete requirements:                  the task name, the interface (ports and widths), and the intended                  behaviour.",
-                task.module_name
-            );
-            let answer = user.clarify(&question);
-            if answer.is_empty() {
-                trace.push(
-                    Stage::TbGeneration,
-                    TraceEventKind::Clarification,
-                    "clarification requested; no answer — proceeding with the original prompt",
-                    0.0,
-                    0.0,
-                );
-            } else {
-                task.spec = format!(
-                    "{}
-{answer}",
-                    task.spec
-                );
-                trace.push(
-                    Stage::TbGeneration,
-                    TraceEventKind::Clarification,
-                    "clarification requested; user supplied additional detail",
-                    0.0,
-                    0.0,
-                );
-            }
-        }
-        let task = &task;
-        let policy = self.config.resilience;
-        let mut counters = ResilienceCounters::default();
-        let mut breaker = CircuitBreaker::new(&policy);
-        let mut agent = CodeAgent::new(model, task, self.config.gen_params);
+        // clarification dialogue if not. (The answer changes only the
+        // spec, not the Code Agent's language or seed.)
+        let mut run = Run::new(model, task, &self.config, &self.recorder);
+        let clarified = clarify(task, user, &mut run.trace);
+        let task = clarified.as_ref().unwrap_or(task);
 
-        // -- Step ②: testbench generation, then its syntax loop.
-        let tb_gen = {
-            let span = self.recorder.span("stage.tb_generation");
-            let tb_gen = with_retries(
-                &policy,
-                &mut breaker,
-                &mut trace,
-                &mut counters,
-                &self.recorder,
-                Stage::TbGeneration,
-                task.seed,
-                "generate testbench",
-                |attempt| {
-                    agent.set_attempt(attempt);
-                    agent.generate_testbench(task)
-                },
-            );
-            if let Some(gen) = &tb_gen {
-                span.attr_f64("llm_s", gen.latency_s);
-            }
-            tb_gen
-        };
-        let Some(tb_gen) = tb_gen else {
-            return self.degraded_result(String::new(), String::new(), trace, counters, &breaker);
-        };
-        trace.push(
+        // -- Step ②: testbench generation, then its syntax loop. The
+        // AIVRIL(1)-style ablation skips the loop's pre-validation: the
+        // testbench is used exactly as generated.
+        let mut tb = match run.generate(
             Stage::TbGeneration,
-            TraceEventKind::Generation,
+            "stage.tb_generation",
             "generate testbench",
-            tb_gen.latency_s,
-            0.0,
-        );
-        if generation_unusable(&tb_gen) {
-            counters.degraded += 1;
-            trace.push(
-                Stage::TbGeneration,
-                TraceEventKind::Degraded,
-                "testbench generation unusable (no code); aborting the run",
-                0.0,
-                0.0,
-            );
-            return self.degraded_result(String::new(), tb_gen.code, trace, counters, &breaker);
-        }
-        let mut tb = tb_gen.code;
-        // The AIVRIL(1)-style ablation skips the testbench-first
-        // pre-validation: the testbench is used exactly as generated.
-        let tb_loop_budget = if self.config.testbench_first {
-            self.config.max_syntax_iters
-        } else {
-            0
+            Some("testbench"),
+            |agent| agent.generate_testbench(task),
+        ) {
+            Ok(tb) => tb,
+            Err(tb) => return run.finish(String::new(), tb, false, false),
         };
-        let tb_loop_span = self.recorder.span("stage.tb_syntax_loop");
-        let mut tb_file: Option<HdlFile> = None;
-        for iter in 0..=tb_loop_budget {
-            if !self.config.testbench_first {
-                break;
-            }
-            let iter_span = self.recorder.span("iteration");
-            iter_span.attr_int("index", iter as i64);
-            let file = HdlFile::new(task.tb_file_name(), tb.as_str());
+        let tb_budget = self
+            .config
+            .testbench_first
+            .then_some(self.config.max_syntax_iters);
+        let mut tb_file = None;
+        self.syntax_loop(&mut run, &TB_SYNTAX, tb_budget, &mut tb, |tb| {
+            let file = HdlFile::new(task.tb_file_name(), tb);
             let report = self.tools.analyze(std::slice::from_ref(&file));
             tb_file = Some(file);
-            iter_span.attr_int("errors", report.error_count() as i64);
-            trace.push(
-                Stage::TbSyntaxLoop,
-                TraceEventKind::Analysis,
-                format!("analyze testbench: {} error(s)", report.error_count()),
-                0.0,
-                report.modeled_latency,
-            );
-            if report.success {
-                break;
-            }
-            if trace.iterations(Stage::TbSyntaxLoop) >= self.config.max_syntax_iters {
-                break;
-            }
-            let corrective = self.syntax_corrective(&report, &tb, "testbench");
-            let Some(gen) = with_retries(
-                &policy,
-                &mut breaker,
-                &mut trace,
-                &mut counters,
-                &self.recorder,
-                Stage::TbSyntaxLoop,
-                task.seed,
-                "revise testbench",
-                |attempt| {
-                    agent.set_attempt(attempt);
-                    agent.revise(corrective.clone())
-                },
-            ) else {
-                // Degrade: freeze the best testbench we have.
-                break;
-            };
-            trace.push(
-                Stage::TbSyntaxLoop,
-                TraceEventKind::Revise,
-                "revise after syntax feedback",
-                gen.latency_s,
-                0.0,
-            );
-            tb = gen.code;
-        }
-        drop(tb_loop_span);
+            report
+        });
         // The testbench is frozen from here on. Its file (and so its
         // content digest) is built once and shared by every compile and
         // simulation of the run: the last one analyzed, if it is final.
         let tb_file = tb_file
-            .filter(|f| *f.text == *tb)
+            .filter(|f: &HdlFile| *f.text == *tb)
             .unwrap_or_else(|| HdlFile::new(task.tb_file_name(), tb.as_str()));
 
         // -- Step ③: RTL generation, then its syntax loop.
-        let rtl_gen = {
-            let span = self.recorder.span("stage.rtl_generation");
-            let rtl_gen = with_retries(
-                &policy,
-                &mut breaker,
-                &mut trace,
-                &mut counters,
-                &self.recorder,
-                Stage::RtlGeneration,
-                task.seed,
-                "generate RTL",
-                |attempt| {
-                    agent.set_attempt(attempt);
-                    agent.generate_rtl(task, &tb)
-                },
-            );
-            if let Some(gen) = &rtl_gen {
-                span.attr_f64("llm_s", gen.latency_s);
-            }
-            rtl_gen
-        };
-        let Some(rtl_gen) = rtl_gen else {
-            return self.degraded_result(String::new(), tb, trace, counters, &breaker);
-        };
-        trace.push(
+        let mut rtl = match run.generate(
             Stage::RtlGeneration,
-            TraceEventKind::Generation,
+            "stage.rtl_generation",
             "generate RTL",
-            rtl_gen.latency_s,
-            0.0,
-        );
-        if generation_unusable(&rtl_gen) {
-            counters.degraded += 1;
-            trace.push(
-                Stage::RtlGeneration,
-                TraceEventKind::Degraded,
-                "RTL generation unusable (no code); aborting the run",
-                0.0,
-                0.0,
-            );
-            return self.degraded_result(rtl_gen.code, tb, trace, counters, &breaker);
-        }
-        let mut rtl = rtl_gen.code;
+            Some("RTL"),
+            |agent| agent.generate_rtl(task, &tb),
+        ) {
+            Ok(rtl) => rtl,
+            Err(rtl) => return run.finish(rtl, tb, false, false),
+        };
         // The DUT file is rebuilt only when the RTL has changed since the
         // last tool call (`sync_dut`), so each revision is copied and
         // hashed once.
         let mut files = [HdlFile::new(task.dut_file_name(), rtl.as_str()), tb_file];
-        let mut syntax_pass = false;
-        let rtl_loop_span = self.recorder.span("stage.rtl_syntax_loop");
-        for iter in 0..=self.config.max_syntax_iters {
+        let budget = Some(self.config.max_syntax_iters);
+        let compiled = self.syntax_loop(&mut run, &RTL_SYNTAX, budget, &mut rtl, |rtl| {
+            sync_dut(&mut files, task, rtl);
+            self.tools.compile(&files)
+        });
+
+        // -- Steps ⑤–⑧: the functional loop (only for compiling designs).
+        let (syntax_pass, functional_pass) =
+            self.functional_loop(&mut run, task, &mut files, &mut rtl, compiled);
+        run.finish(rtl, tb, syntax_pass, functional_pass)
+    }
+
+    /// A Syntax Optimization loop (steps ③–④): runs `check` on
+    /// `source`, and while it reports errors, revises `source` from the
+    /// Review agent's prompt, at most `budget` times. `None` skips the
+    /// loop; its span still opens. A revise call that degrades keeps
+    /// the last revision. Returns whether the last check was clean.
+    fn syntax_loop(
+        &self,
+        run: &mut Run<'_, '_>,
+        step: &SyntaxLoop,
+        budget: Option<u32>,
+        source: &mut String,
+        mut check: impl FnMut(&str) -> CompileReport,
+    ) -> bool {
+        let _span = self.recorder.span(step.span);
+        let Some(budget) = budget else {
+            return false;
+        };
+        for iter in 0..=budget {
             let iter_span = self.recorder.span("iteration");
-            iter_span.attr_int("index", iter as i64);
-            sync_dut(&mut files, task, &rtl);
-            let report = self.tools.compile(&files);
+            iter_span.attr_int("index", i64::from(iter));
+            let report = check(source);
             iter_span.attr_int("errors", report.error_count() as i64);
-            trace.push(
-                Stage::RtlSyntaxLoop,
-                TraceEventKind::Compile,
-                format!("compile: {} error(s)", report.error_count()),
+            run.trace.push(
+                step.stage,
+                step.check,
+                format!("{}: {} error(s)", step.checked, report.error_count()),
                 0.0,
                 report.modeled_latency,
             );
             if report.success {
-                syntax_pass = true;
+                return true;
+            }
+            if iter == budget {
                 break;
             }
-            if trace.iterations(Stage::RtlSyntaxLoop) >= self.config.max_syntax_iters {
-                break;
-            }
-            let corrective = self.syntax_corrective(&report, &rtl, "RTL module");
-            let Some(gen) = with_retries(
-                &policy,
-                &mut breaker,
-                &mut trace,
-                &mut counters,
-                &self.recorder,
-                Stage::RtlSyntaxLoop,
-                task.seed,
-                "revise RTL",
-                |attempt| {
-                    agent.set_attempt(attempt);
-                    agent.revise(corrective.clone())
-                },
-            ) else {
-                // Degrade: keep the last RTL revision; `syntax_pass`
-                // stays false.
+            let corrective =
+                self.corrective(Feedback::Syntax(&report.messages, source, step.artefact));
+            let Some(gen) = run.ask(step.stage, step.revise, |agent| {
+                agent.revise(corrective.clone())
+            }) else {
                 break;
             };
-            trace.push(
-                Stage::RtlSyntaxLoop,
+            run.trace.push(
+                step.stage,
                 TraceEventKind::Revise,
                 "revise after syntax feedback",
                 gen.latency_s,
                 0.0,
             );
-            rtl = gen.code;
+            *source = gen.code;
         }
-        drop(rtl_loop_span);
+        false
+    }
 
-        // -- Steps ⑤–⑧: the functional loop (only for compiling designs).
-        // The Code Agent keeps every version; when a revision makes the
-        // failure count strictly worse, the loop rolls the conversation
-        // back to the best version seen so far (Sec. 3.1).
-        let mut functional_pass = false;
+    /// The Functional Optimization loop (steps ⑤–⑧), run only when the
+    /// RTL `compiled`: simulates `[dut, tb]` against the frozen
+    /// testbench and revises the RTL from the Verification agent's
+    /// prompt. The Code Agent keeps every version; when a revision makes
+    /// the failure count strictly worse, the loop rolls the conversation
+    /// back to the best version seen so far (Sec. 3.1), and a revise
+    /// call that degrades falls back to it too. Returns the run's
+    /// `(syntax_pass, functional_pass)`.
+    fn functional_loop(
+        &self,
+        run: &mut Run<'_, '_>,
+        task: &TaskInput,
+        files: &mut [HdlFile; 2],
+        rtl: &mut String,
+        compiled: bool,
+    ) -> (bool, bool) {
+        let _span = self.recorder.span("stage.functional_loop");
+        if !compiled {
+            return (false, false);
+        }
         let mut best: Option<(usize, usize)> = None; // (failure count, version index)
-        let func_loop_span = self.recorder.span("stage.functional_loop");
-        if syntax_pass {
-            for iter in 0..=self.config.max_functional_iters {
-                let iter_span = self.recorder.span("iteration");
-                iter_span.attr_int("index", iter as i64);
-                sync_dut(&mut files, task, &rtl);
-                let report = self.tools.simulate(&files, Some("tb"));
-                if iter_span.is_recording() {
-                    iter_span.attr_bool("passed", report.passed);
-                    iter_span.attr_int("failures", report.failures.len() as i64);
+        for iter in 0..=self.config.max_functional_iters {
+            let iter_span = self.recorder.span("iteration");
+            iter_span.attr_int("index", i64::from(iter));
+            sync_dut(files, task, rtl);
+            let report = self.tools.simulate(files, Some("tb"));
+            if iter_span.is_recording() {
+                iter_span.attr_bool("passed", report.passed);
+                iter_span.attr_int("failures", report.failures.len() as i64);
+            }
+            if report.diverged.is_some() {
+                run.counters.sim_diverged += 1;
+            }
+            let what = if report.passed {
+                "simulate: all tests passed".to_string()
+            } else if !report.compiled {
+                // Distinguish a compile-broken revision from a compiled
+                // run with zero extracted failures, so trace consumers
+                // can trust the failure counts.
+                "simulate: revision failed to compile".to_string()
+            } else if let Some(diverged) = &report.diverged {
+                format!("simulate: watchdog abort ({})", diverged.limit)
+            } else {
+                format!("simulate: {} failing test case(s)", report.failures.len())
+            };
+            run.trace.push(
+                Stage::FunctionalLoop,
+                TraceEventKind::Simulate,
+                what,
+                0.0,
+                report.modeled_latency,
+            );
+            if self.verification.all_tests_passed(&report) {
+                return (true, true);
+            }
+            let failures = if report.compiled {
+                report.failures.len()
+            } else {
+                usize::MAX
+            };
+            // The agent produced at least the testbench and RTL to reach
+            // this loop, but guard the underflow anyway now that
+            // generations can fail.
+            let current_version = run.agent.versions().len().saturating_sub(1);
+            match best {
+                Some((best_failures, best_version)) if failures > best_failures => {
+                    let regressed = if failures == usize::MAX {
+                        "compile-breaking".to_string()
+                    } else {
+                        failures.to_string()
+                    };
+                    run.rollback(
+                        best_version,
+                        rtl,
+                        format!(
+                            "rollback: revision regressed to {regressed} failure(s); restored version {best_version}"
+                        ),
+                    );
                 }
-                if report.diverged.is_some() {
-                    counters.sim_diverged += 1;
-                }
-                trace.push(
-                    Stage::FunctionalLoop,
-                    TraceEventKind::Simulate,
-                    format!(
-                        "simulate: {}",
-                        if report.passed {
-                            "all tests passed".to_string()
-                        } else if !report.compiled {
-                            // Distinguish a compile-broken revision from a
-                            // compiled run with zero extracted failures, so
-                            // trace consumers can trust the failure counts.
-                            "revision failed to compile".to_string()
-                        } else if let Some(diverged) = &report.diverged {
-                            format!("watchdog abort ({})", diverged.limit)
-                        } else {
-                            format!("{} failing test case(s)", report.failures.len())
-                        }
-                    ),
-                    0.0,
-                    report.modeled_latency,
-                );
-                if self.verification.all_tests_passed(&report) {
-                    functional_pass = true;
-                    break;
-                }
-                let failures = if report.compiled {
-                    report.failures.len()
-                } else {
-                    usize::MAX
-                };
-                // The agent produced at least the testbench and RTL to
-                // reach this loop, but guard the underflow anyway now
-                // that generations can fail.
-                let current_version = agent.versions().len().saturating_sub(1);
-                match best {
-                    Some((best_failures, best_version)) if failures > best_failures => {
-                        agent.rollback_to(best_version);
-                        rtl = agent.versions()[best_version].clone();
-                        trace.push(
-                            Stage::FunctionalLoop,
-                            TraceEventKind::Rollback,
-                            format!(
-                                "rollback: revision regressed to {} failure(s); restored version {}",
-                                if failures == usize::MAX {
-                                    "compile-breaking".to_string()
-                                } else {
-                                    failures.to_string()
-                                },
-                                best_version
-                            ),
-                            0.0,
-                            0.0,
+                _ => best = Some((failures, current_version)),
+            }
+            if iter == self.config.max_functional_iters {
+                break;
+            }
+            // A revision may have broken compilation again; route the
+            // failure to the appropriate agent.
+            let corrective = if report.compiled {
+                self.corrective(Feedback::Functional(&report))
+            } else {
+                self.review
+                    .corrective_prompt(&report.compile_messages, rtl, "RTL module")
+            };
+            let Some(gen) = run.ask(Stage::FunctionalLoop, "revise after simulation", |agent| {
+                agent.revise(corrective.clone())
+            }) else {
+                // Degrade to the best version seen so far instead of
+                // aborting the run (the current `rtl` was just evaluated
+                // and recorded in `best` unless worse).
+                if let Some((_, best_version)) = best {
+                    if best_version + 1 < run.agent.versions().len() {
+                        run.rollback(
+                            best_version,
+                            rtl,
+                            format!("rollback: degraded to best-so-far version {best_version}"),
                         );
                     }
-                    _ => best = Some((failures, current_version)),
                 }
-                if trace.iterations(Stage::FunctionalLoop) >= self.config.max_functional_iters {
-                    break;
-                }
-                // A revision may have broken compilation again; route the
-                // failure to the appropriate agent.
-                let corrective = if report.compiled {
-                    match self.config.prompt_detail {
-                        PromptDetail::Detailed => self.verification.corrective_prompt(&report),
-                        PromptDetail::ErrorsOnly => {
-                            self.verification.corrective_prompt_brief(&report)
-                        }
-                    }
-                } else {
-                    syntax_pass = false;
-                    self.review
-                        .corrective_prompt_from_sim(&report, &rtl, "RTL module")
-                };
-                let Some(gen) = with_retries(
-                    &policy,
-                    &mut breaker,
-                    &mut trace,
-                    &mut counters,
-                    &self.recorder,
-                    Stage::FunctionalLoop,
-                    task.seed,
-                    "revise after simulation",
-                    |attempt| {
-                        agent.set_attempt(attempt);
-                        agent.revise(corrective.clone())
-                    },
-                ) else {
-                    // Degrade to the best version seen so far instead of
-                    // aborting the run (the current `rtl` was just
-                    // evaluated and recorded in `best` unless worse).
-                    if let Some((_, best_version)) = best {
-                        if best_version + 1 < agent.versions().len() {
-                            agent.rollback_to(best_version);
-                            rtl = agent.versions()[best_version].clone();
-                            trace.push(
-                                Stage::FunctionalLoop,
-                                TraceEventKind::Rollback,
-                                format!("rollback: degraded to best-so-far version {best_version}"),
-                                0.0,
-                                0.0,
-                            );
-                        }
-                    }
-                    break;
-                };
-                trace.push(
-                    Stage::FunctionalLoop,
-                    TraceEventKind::Revise,
-                    "revise after functional feedback",
-                    gen.latency_s,
-                    0.0,
-                );
-                rtl = gen.code;
-                if !syntax_pass {
-                    // Re-established below if the next compile succeeds.
-                    syntax_pass = true;
-                }
-            }
-        }
-        drop(func_loop_span);
-
-        counters.breaker_opens = breaker.opens();
-        if self.recorder.is_enabled() {
-            self.record_run_metrics(&trace, syntax_pass, functional_pass, &counters);
-        }
-        RunResult {
-            final_rtl: rtl,
-            final_tb: tb,
-            syntax_pass,
-            functional_pass,
-            trace,
-            resilience: counters,
-        }
-    }
-
-    /// Assembles the structured-failure result for a run the pipeline
-    /// had to abandon early (exhausted retries, open breaker, or an
-    /// unusable generation). Nothing panics and nothing is lost: the
-    /// trace carries the [`TraceEventKind::Degraded`] record and the
-    /// partial artefacts are returned as-is.
-    fn degraded_result(
-        &self,
-        rtl: String,
-        tb: String,
-        trace: RunTrace,
-        mut counters: ResilienceCounters,
-        breaker: &CircuitBreaker,
-    ) -> RunResult {
-        counters.breaker_opens = breaker.opens();
-        if self.recorder.is_enabled() {
-            self.record_run_metrics(&trace, false, false, &counters);
-        }
-        RunResult {
-            final_rtl: rtl,
-            final_tb: tb,
-            syntax_pass: false,
-            functional_pass: false,
-            trace,
-            resilience: counters,
-        }
-    }
-
-    /// End-of-run pipeline counters (only called when recording).
-    fn record_run_metrics(
-        &self,
-        trace: &RunTrace,
-        syntax_pass: bool,
-        functional_pass: bool,
-        res: &ResilienceCounters,
-    ) {
-        let rec = &self.recorder;
-        rec.counter_add("pipeline_runs_total", &[("flow", "aivril2")], 1);
-        rec.counter_add(
-            "pipeline_pass_total",
-            &[("check", "syntax")],
-            u64::from(syntax_pass),
-        );
-        rec.counter_add(
-            "pipeline_pass_total",
-            &[("check", "functional")],
-            u64::from(functional_pass),
-        );
-        for (label, stage) in [
-            ("tb_syntax", Stage::TbSyntaxLoop),
-            ("rtl_syntax", Stage::RtlSyntaxLoop),
-            ("functional", Stage::FunctionalLoop),
-        ] {
-            rec.counter_add(
-                "pipeline_iterations_total",
-                &[("loop", label)],
-                u64::from(trace.iterations(stage)),
+                return (report.compiled, false);
+            };
+            run.trace.push(
+                Stage::FunctionalLoop,
+                TraceEventKind::Revise,
+                "revise after functional feedback",
+                gen.latency_s,
+                0.0,
             );
+            *rtl = gen.code;
         }
-        let rollbacks = trace
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Rollback)
-            .count() as u64;
-        rec.counter_add("pipeline_rollbacks_total", &[], rollbacks);
-        // Diagnostic-only resilience series (`resilience_` prefix, like
-        // `eda_cache_`): emitted only when something actually fired, so
-        // fault-free telemetry stays byte-identical.
-        for (name, value) in [
-            ("resilience_retries_total", u64::from(res.retries)),
-            ("resilience_degraded_total", u64::from(res.degraded)),
-            (
-                "resilience_breaker_opens_total",
-                u64::from(res.breaker_opens),
-            ),
-            ("resilience_sim_diverged_total", u64::from(res.sim_diverged)),
-        ] {
-            if value > 0 {
-                rec.counter_add(name, &[], value);
-            }
-        }
+        (true, false)
     }
 }
 
@@ -715,80 +692,24 @@ impl BaselineFlow {
     /// Generates RTL once; no feedback of any kind. Transport faults are
     /// retried under the same policy as the full pipeline; if the budget
     /// is exhausted the baseline degrades to an empty artefact (scored
-    /// as a failure) instead of panicking.
+    /// as a failure) instead of panicking. It records nothing: its
+    /// recorder is disabled, so the generation span is a no-op.
     pub fn run(
         &self,
         model: &mut dyn LanguageModel,
         task: &TaskInput,
         config: &Aivril2Config,
     ) -> RunResult {
-        let mut trace = RunTrace::default();
-        let policy = config.resilience;
-        let mut counters = ResilienceCounters::default();
-        let mut breaker = CircuitBreaker::new(&policy);
         let recorder = Recorder::disabled();
-        let mut agent = CodeAgent::new(model, task, config.gen_params);
-        let gen = with_retries(
-            &policy,
-            &mut breaker,
-            &mut trace,
-            &mut counters,
-            &recorder,
+        let mut run = Run::new(model, task, config, &recorder);
+        let (Ok(rtl) | Err(rtl)) = run.generate(
             Stage::RtlGeneration,
-            task.seed,
+            "stage.rtl_generation",
             "zero-shot RTL generation",
-            |attempt| {
-                agent.set_attempt(attempt);
-                agent.generate_rtl(task, "(no testbench available)")
-            },
+            None,
+            |agent| agent.generate_rtl(task, "(no testbench available)"),
         );
-        counters.breaker_opens = breaker.opens();
-        let Some(gen) = gen else {
-            return RunResult {
-                final_rtl: String::new(),
-                final_tb: String::new(),
-                syntax_pass: false,
-                functional_pass: false,
-                trace,
-                resilience: counters,
-            };
-        };
-        trace.push(
-            Stage::RtlGeneration,
-            TraceEventKind::Generation,
-            "zero-shot RTL generation",
-            gen.latency_s,
-            0.0,
-        );
-        RunResult {
-            final_rtl: gen.code,
-            final_tb: String::new(),
-            syntax_pass: false,
-            functional_pass: false,
-            trace,
-            resilience: counters,
-        }
-    }
-}
-
-impl ReviewAgent {
-    /// Adapts a failed-compile simulation report into the syntax
-    /// corrective format (used when a functional-loop revision broke
-    /// compilation).
-    #[must_use]
-    pub fn corrective_prompt_from_sim(
-        &self,
-        report: &aivril_eda::SimReport,
-        source: &str,
-        artifact: &str,
-    ) -> String {
-        let compile_report = aivril_eda::CompileReport {
-            success: report.compiled,
-            log: report.log.clone(),
-            messages: report.compile_messages.clone(),
-            modeled_latency: 0.0,
-        };
-        self.corrective_prompt(&compile_report, source, artifact)
+        run.finish(rtl, String::new(), false, false)
     }
 }
 
