@@ -641,12 +641,11 @@ impl<'t> Aivril2<'t> {
             }
             // A revision may have broken compilation again; route the
             // failure to the appropriate agent.
-            let corrective = if report.compiled {
-                self.corrective(Feedback::Functional(&report))
+            let corrective = self.corrective(if report.compiled {
+                Feedback::Functional(&report)
             } else {
-                self.review
-                    .corrective_prompt(&report.compile_messages, rtl, "RTL module")
-            };
+                Feedback::Syntax(&report.compile_messages, rtl, "RTL module")
+            });
             let Some(gen) = run.ask(Stage::FunctionalLoop, "revise after simulation", |agent| {
                 agent.revise(corrective.clone())
             }) else {
@@ -839,17 +838,21 @@ mod rollback_tests {
     use aivril_eda::XsimToolSuite;
     use aivril_llm::{ChatRequest, ChatResponse, LanguageModel, TokenUsage};
 
-    /// Scripted model: returns canned replies in order, ignoring history.
+    /// Scripted model: returns canned replies in order, ignoring history,
+    /// and keeps the prompt of every request.
     struct Scripted {
         replies: Vec<&'static str>,
         at: usize,
+        prompts: Vec<String>,
     }
 
     impl LanguageModel for Scripted {
         fn name(&self) -> &str {
             "scripted"
         }
-        fn chat(&mut self, _request: &ChatRequest) -> Result<ChatResponse, aivril_llm::LlmError> {
+        fn chat(&mut self, request: &ChatRequest) -> Result<ChatResponse, aivril_llm::LlmError> {
+            let prompt = request.messages.last().expect("a prompt");
+            self.prompts.push(prompt.content.clone());
             let content = self.replies[self.at.min(self.replies.len() - 1)].to_string();
             self.at += 1;
             Ok(ChatResponse {
@@ -867,23 +870,29 @@ mod rollback_tests {
     const V2: &str = "module inv(input wire a, output wire y);\n  assign y = a;\nendmodule\n";
     // Correct.
     const V3: &str = "module inv(input wire a, output wire y);\n  assign y = ~a;\nendmodule\n";
+    // Does not compile: a missing semicolon.
+    const BROKEN: &str = "module inv(input wire a, output wire y);\n  assign y = ~a\nendmodule\n";
+
+    fn task() -> TaskInput {
+        TaskInput {
+            name: "inv".into(),
+            module_name: "inv".into(),
+            spec: "y is the logical inverse of a".into(),
+            verilog: true,
+            seed: 0,
+        }
+    }
 
     #[test]
     fn functional_loop_rolls_back_regressions() {
         let mut model = Scripted {
             replies: vec![TB, V1, V2, V3],
             at: 0,
+            prompts: Vec::new(),
         };
         let tools = XsimToolSuite::new();
         let pipeline = Aivril2::new(&tools, Aivril2Config::default());
-        let task = TaskInput {
-            name: "inv".into(),
-            module_name: "inv".into(),
-            spec: "y is the logical inverse of a".into(),
-            verilog: true,
-            seed: 0,
-        };
-        let result = pipeline.run(&mut model, &task);
+        let result = pipeline.run(&mut model, &task());
         assert!(
             result.functional_pass,
             "trace:\n{}",
@@ -895,6 +904,38 @@ mod rollback_tests {
             "expected a rollback event, got:\n{narration}"
         );
         assert_eq!(result.final_rtl, V3);
+    }
+
+    /// The errors-only ablation withholds locations, snippets and hints
+    /// from every corrective prompt, including the Review prompt the
+    /// functional loop sends when a revision stops compiling.
+    #[test]
+    fn errors_only_prompt_stays_brief_when_a_revision_breaks_compilation() {
+        let mut model = Scripted {
+            replies: vec![TB, V1, BROKEN, V3],
+            at: 0,
+            prompts: Vec::new(),
+        };
+        let tools = XsimToolSuite::new();
+        let config = Aivril2Config {
+            prompt_detail: PromptDetail::ErrorsOnly,
+            ..Aivril2Config::default()
+        };
+        let result = Aivril2::new(&tools, config).run(&mut model, &task());
+        let narration = result.trace.narration();
+        assert!(
+            narration.contains("simulate: revision failed to compile"),
+            "{narration}"
+        );
+        // Prompts: testbench, RTL, revise V1, then revise the broken RTL.
+        let prompt = &model.prompts[3];
+        assert!(
+            prompt.contains("syntax error(s) in your RTL module"),
+            "{prompt}"
+        );
+        for detail in ["offending line", "hint:", "inv.v:"] {
+            assert!(!prompt.contains(detail), "{detail} in:\n{prompt}");
+        }
     }
 }
 

@@ -198,7 +198,9 @@ fn errors_only_prompts_under_faults_are_pinned() {
         d.saw("revision failed to compile"),
         "slice never breaks compilation"
     );
-    assert_pinned("errors-only under faults", got, 0xb9c1_62c9_006e_d017);
+    // Moved when the functional loop's compile-broken prompt stopped
+    // ignoring `PromptDetail` (it was always the detailed one).
+    assert_pinned("errors-only under faults", got, 0x0ef7_05ec_ee7f_7950);
 }
 
 #[test]
