@@ -61,7 +61,10 @@ fn clarify(task: &TaskInput, user: &dyn UserProxy, trace: &mut RunTrace) -> Opti
         return None;
     }
     let question = format!(
-        "The specification does not fully identify the design task or the                  required module `{}`. Please provide the complete requirements:                  the task name, the interface (ports and widths), and the intended                  behaviour.",
+        "The specification does not fully identify the design task or the \
+         required module `{}`. Please provide the complete requirements: \
+         the task name, the interface (ports and widths), and the intended \
+         behaviour.",
         task.module_name
     );
     let answer = user.clarify(&question);
@@ -1178,6 +1181,37 @@ mod clarification_tests {
             clarified_wins >= 4,
             "clarified runs won only {clarified_wins}/8"
         );
+    }
+
+    /// Keeps every question it is asked; never answers.
+    #[derive(Default)]
+    struct Recording(std::cell::RefCell<Vec<String>>);
+
+    impl UserProxy for Recording {
+        fn clarify(&self, question: &str) -> String {
+            self.0.borrow_mut().push(question.to_string());
+            String::new()
+        }
+    }
+
+    #[test]
+    fn clarification_question_names_the_module_in_plain_prose() {
+        let tools = XsimToolSuite::new();
+        let pipeline = Aivril2::new(&tools, Aivril2Config::default());
+        let task = TaskInput {
+            name: "inv".into(),
+            module_name: "inv".into(),
+            spec: "please build an inverter".into(),
+            verilog: true,
+            seed: 3,
+        };
+        let user = Recording::default();
+        let _ = pipeline.run_with_user(&mut model(), &task, &user);
+        let questions = user.0.into_inner();
+        assert_eq!(questions.len(), 1, "{questions:?}");
+        let question = &questions[0];
+        assert!(question.contains("module `inv`"), "{question}");
+        assert!(!question.contains("  "), "double space in: {question}");
     }
 
     #[test]
