@@ -531,13 +531,13 @@ fn run_isolated(f: impl FnOnce() -> JobRun) -> JobRun {
     })
 }
 
-/// Per-worker execution state: one model conversation context and one
-/// pipeline instance, shared with no other worker.
-struct Worker<'t> {
-    model: SimLlm,
-    pipeline: Aivril2<'t>,
-    baseline: BaselineFlow,
-    recorder: Recorder,
+/// Where a run sits: its problem and sample (a submitted job is sample
+/// 0) and the seed it runs with.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    problem: usize,
+    sample: u32,
+    seed: u64,
 }
 
 /// The evaluation harness: tools + suite + model knowledge.
@@ -695,72 +695,87 @@ impl Harness {
         [dut, tb]
     }
 
-    /// Executes one run. Self-contained: everything a run needs —
-    /// including its `seed` — arrives through its arguments, so calls
-    /// are order-independent and trivially parallel. The grid path
-    /// passes [`run_seed`] of the cell coordinates; the serve layer
-    /// passes its own `(tenant, job)`-derived seed.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one(
+    /// Executes one run in a fresh worker — tool suite, model and
+    /// pipeline shared with no other run — whose telemetry goes to
+    /// `recorder`. Self-contained: everything a run needs, including
+    /// its seed, arrives through its arguments, so calls are
+    /// order-independent and trivially parallel. The grid path passes
+    /// [`run_seed`] of the cell coordinates; the serve layer passes its
+    /// own `(tenant, job)`-derived seed.
+    ///
+    /// A run that panics is isolated into a crashed record
+    /// ([`run_isolated`]) and its journal scope closed here; the
+    /// half-written worker dies with it.
+    fn run_cell(
         &self,
-        worker: &mut Worker<'_>,
-        problem: &Problem,
-        problem_index: usize,
-        sample: u32,
-        seed: u64,
+        profile: &ModelProfile,
         verilog: bool,
         flow: Flow,
+        cell: Cell,
+        recorder: &Recorder,
     ) -> JobRun {
+        let problem = &self.problems[cell.problem];
+        let tools = self.tools.clone().with_recorder(recorder.clone());
+        let mut model = SimLlm::new(profile.clone(), self.library())
+            .with_faults(self.config.faults)
+            .with_recorder(recorder.clone());
+        let pipeline = Aivril2::new(&tools, self.config.pipeline).with_recorder(recorder.clone());
         let task = TaskInput {
             name: problem.name.clone(),
             module_name: problem.module_name.clone(),
             spec: problem.spec.clone(),
             verilog,
-            seed,
+            seed: cell.seed,
         };
-        // Journal events of this run are grouped under its grid
-        // coordinates; the external scoring below stays untraced (it
-        // uses the harness's shared, recorder-free tool suite and is
-        // not part of the pipeline the paper's figures describe).
-        worker.recorder.begin_run(problem_index as u32, sample);
-        let result: RunResult = match flow {
-            Flow::Baseline => worker
-                .baseline
-                .run(&mut worker.model, &task, &self.config.pipeline),
-            Flow::Aivril2 => worker.pipeline.run(&mut worker.model, &task),
-        };
-        worker.recorder.end_run();
-        let ((syntax, functional), score_latency) =
-            self.score_with_latency(problem, &result.final_rtl, verilog);
-        // Baseline latency includes its single EDA evaluation pass
-        // (the paper's baseline bars include EDA tool time);
-        // AIVRIL2's tool time is already inside its trace.
-        let extra = if flow == Flow::Baseline {
-            score_latency
-        } else {
-            0.0
-        };
-        let outcome = SampleOutcome {
-            syntax,
-            functional,
-            total_latency: result.trace.total_latency() + extra,
-            syntax_phase_latency: result.trace.syntax_phase_latency(),
-            functional_phase_latency: result.trace.functional_phase_latency(),
-            syntax_iters: result.trace.iterations(Stage::TbSyntaxLoop)
-                + result.trace.iterations(Stage::RtlSyntaxLoop),
-            functional_iters: result.trace.iterations(Stage::FunctionalLoop),
-            crashed: false,
-        };
-        JobRun {
-            record: RunRecord {
-                outcome,
-                llm_seconds: result.trace.llm_latency(),
-                tool_seconds: result.trace.tool_latency() + extra,
-                resilience: result.resilience,
-            },
-            rtl: result.final_rtl,
-            tb: result.final_tb,
+        let job = run_isolated(|| {
+            // Journal events of this run are grouped under its grid
+            // coordinates; the external scoring below stays untraced
+            // (it uses the harness's shared, recorder-free tool suite
+            // and is not part of the pipeline the paper's figures
+            // describe).
+            recorder.begin_run(cell.problem as u32, cell.sample);
+            let result: RunResult = match flow {
+                Flow::Baseline => BaselineFlow::new().run(&mut model, &task, &self.config.pipeline),
+                Flow::Aivril2 => pipeline.run(&mut model, &task),
+            };
+            recorder.end_run();
+            let ((syntax, functional), score_latency) =
+                self.score_with_latency(problem, &result.final_rtl, verilog);
+            // Baseline latency includes its single EDA evaluation pass
+            // (the paper's baseline bars include EDA tool time);
+            // AIVRIL2's tool time is already inside its trace.
+            let extra = if flow == Flow::Baseline {
+                score_latency
+            } else {
+                0.0
+            };
+            let outcome = SampleOutcome {
+                syntax,
+                functional,
+                total_latency: result.trace.total_latency() + extra,
+                syntax_phase_latency: result.trace.syntax_phase_latency(),
+                functional_phase_latency: result.trace.functional_phase_latency(),
+                syntax_iters: result.trace.iterations(Stage::TbSyntaxLoop)
+                    + result.trace.iterations(Stage::RtlSyntaxLoop),
+                functional_iters: result.trace.iterations(Stage::FunctionalLoop),
+                crashed: false,
+            };
+            JobRun {
+                record: RunRecord {
+                    outcome,
+                    llm_seconds: result.trace.llm_latency(),
+                    tool_seconds: result.trace.tool_latency() + extra,
+                    resilience: result.resilience,
+                },
+                rtl: result.final_rtl,
+                tb: result.final_tb,
+            }
+        });
+        if job.record.outcome.crashed {
+            // Close the interrupted run's journal scope.
+            recorder.end_run();
         }
+        job
     }
 
     /// Executes one *submitted job* outside the evaluation grid: the
@@ -798,32 +813,12 @@ impl Harness {
             "problem index {problem_index} outside the {}-problem suite",
             problems.len()
         );
-        let library = self.library();
-        let tools = self.tools.clone().with_recorder(recorder.clone());
-        let mut worker = Worker {
-            model: SimLlm::new(profile.clone(), library)
-                .with_faults(self.config.faults)
-                .with_recorder(recorder.clone()),
-            pipeline: Aivril2::new(&tools, self.config.pipeline).with_recorder(recorder.clone()),
-            baseline: BaselineFlow::new(),
-            recorder: recorder.clone(),
+        let cell = Cell {
+            problem: problem_index,
+            sample: 0,
+            seed,
         };
-        let job = run_isolated(|| {
-            self.run_one(
-                &mut worker,
-                &problems[problem_index],
-                problem_index,
-                0,
-                seed,
-                verilog,
-                flow,
-            )
-        });
-        if job.record.outcome.crashed {
-            // Close the interrupted run's journal scope.
-            worker.recorder.end_run();
-        }
-        job
+        self.run_cell(profile, verilog, flow, cell, recorder)
     }
 
     /// Runs one flow over the suite for one model × language, returning
@@ -932,7 +927,6 @@ impl Harness {
             range.start <= range.end && range.end <= total,
             "shard range {range:?} outside the {total}-cell grid"
         );
-        let library = self.library();
 
         // Telemetry: one fork per shard run (carrying the context
         // pairs), one sub-fork per cell. All of this is a no-op when
@@ -989,7 +983,7 @@ impl Harness {
             for _ in 0..threads {
                 // Shadow the shared state as references so the `move`
                 // closure copies pointers, not the values themselves.
-                let (library, slots, cursor) = (&library, &slots, &cursor);
+                let (slots, cursor) = (&slots, &cursor);
                 let (pending, eval_rec, ckpt) = (&pending, &eval_rec, &ckpt);
                 scope.spawn(move || {
                     loop {
@@ -1007,33 +1001,14 @@ impl Harness {
                         // (the model clone shares the task library) and
                         // keeps cells fully independent.
                         let cell_rec = eval_rec.fork();
-                        let tools = self.tools.clone().with_recorder(cell_rec.clone());
-                        let mut worker = Worker {
-                            model: SimLlm::new(profile.clone(), library.clone())
-                                .with_faults(self.config.faults)
-                                .with_recorder(cell_rec.clone()),
-                            pipeline: Aivril2::new(&tools, self.config.pipeline)
-                                .with_recorder(cell_rec.clone()),
-                            baseline: BaselineFlow::new(),
-                            recorder: cell_rec.clone(),
+                        let coords = Cell {
+                            problem: pi,
+                            sample: si,
+                            seed: run_seed(pi, si),
                         };
-                        let record = run_isolated(|| {
-                            self.run_one(
-                                &mut worker,
-                                &problems[pi],
-                                pi,
-                                si,
-                                run_seed(pi, si),
-                                verilog,
-                                flow,
-                            )
-                        })
-                        .record;
-                        if record.outcome.crashed {
-                            // Close the interrupted run's journal; the
-                            // half-written worker dies with this cell.
-                            worker.recorder.end_run();
-                        }
+                        let record = self
+                            .run_cell(profile, verilog, flow, coords, &cell_rec)
+                            .record;
                         if let Some(ckpt) = ckpt {
                             ckpt.append(
                                 cell,
