@@ -4,7 +4,7 @@
 //! Both run on one per-run context, `Run`: it owns the Code Agent's
 //! conversation, the trace and the resilience state, and every model
 //! call goes through its one retry path, `Run::ask`. AIVRIL2 is three
-//! steps over that context (Fig. 2; DESIGN.md, "The pipeline"):
+//! steps over that context (Fig. 2; DESIGN.md §2a):
 //!
 //! - `Run::generate`: a fresh generation — the testbench (②), the RTL
 //!   (③) and the baseline's single shot;
