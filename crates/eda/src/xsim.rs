@@ -81,13 +81,6 @@ impl XsimToolSuite {
         self
     }
 
-    /// Overrides the latency model.
-    #[must_use]
-    pub fn with_latency_model(mut self, latency: ToolLatencyModel) -> XsimToolSuite {
-        self.latency = latency;
-        self
-    }
-
     /// Attaches an observability recorder: every analyze/compile/
     /// simulate call emits an `eda.*` span (phase, diagnostics, modeled
     /// seconds), advances the modeled clock, and feeds the

@@ -167,12 +167,6 @@ impl Diagnostics {
         &self.diags
     }
 
-    /// Moves the recorded diagnostics out of this sink.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-
     /// Merges another sink's contents into this one.
     pub fn extend(&mut self, other: Diagnostics) {
         self.diags.extend(other.diags);

@@ -347,18 +347,6 @@ impl LValue {
             LValue::Concat(parts) => parts.iter().map(|p| p.width(design)).sum(),
         }
     }
-
-    /// The nets written by this l-value.
-    pub fn collect_writes(&self, out: &mut Vec<NetId>) {
-        match self {
-            LValue::Net(id) | LValue::Range(id, _, _) | LValue::Index(id, _) => out.push(*id),
-            LValue::Concat(parts) => {
-                for p in parts {
-                    p.collect_writes(out);
-                }
-            }
-        }
-    }
 }
 
 /// An event that can resume a waiting process.
@@ -592,13 +580,6 @@ impl Design {
     #[must_use]
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.0 as usize]
-    }
-
-    /// Total number of process instructions — a rough design-size measure
-    /// used by the EDA latency model.
-    #[must_use]
-    pub fn instruction_count(&self) -> usize {
-        self.processes.iter().map(|p| p.body.len()).sum()
     }
 }
 
