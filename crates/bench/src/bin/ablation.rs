@@ -15,7 +15,7 @@
 use aivril_bench::{Flow, Harness, HarnessConfig};
 use aivril_core::{Aivril2Config, PromptDetail};
 use aivril_llm::profiles;
-use aivril_metrics::suite_metric;
+use aivril_metrics::{sample_mean, suite_metric};
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -29,16 +29,9 @@ fn run(
     eprintln!("   {stats}");
     let s = suite_metric(&outcomes, 1, |x| x.syntax) * 100.0;
     let f = suite_metric(&outcomes, 1, |x| x.functional) * 100.0;
-    let iters: f64 = {
-        let (mut sum, mut n) = (0.0, 0u32);
-        for o in &outcomes {
-            for x in &o.samples {
-                sum += f64::from(x.syntax_iters + x.functional_iters);
-                n += 1;
-            }
-        }
-        sum / f64::from(n.max(1))
-    };
+    let iters = sample_mean(&outcomes, |x| {
+        f64::from(x.syntax_iters + x.functional_iters)
+    });
     (s, f, iters)
 }
 
@@ -69,7 +62,7 @@ fn experiments(out: &mut impl Write) -> io::Result<ExitCode> {
         "configuration", "pass@1_S", "pass@1_F"
     )?;
     for verilog in [true, false] {
-        let lang = if verilog { "Verilog" } else { "VHDL" };
+        let lang = aivril_metrics::language_name(verilog);
         for tb_first in [true, false] {
             let mut cfg = base.clone();
             cfg.pipeline = Aivril2Config {

@@ -2,11 +2,9 @@
 //! (measured here) against published state-of-the-art numbers (cited
 //! constants — the closed systems cannot be rerun).
 
-use aivril_bench::{
-    arg_value, results_json, write_json, Flow, Harness, HarnessConfig, ResultSection, Telemetry,
-};
+use aivril_bench::{Driver, Flow};
 use aivril_llm::profiles;
-use aivril_metrics::{render_table2, suite_metric};
+use aivril_metrics::{paper, render_table2, suite_metric};
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -15,56 +13,20 @@ fn main() -> ExitCode {
 }
 
 fn run(out: &mut impl Write) -> io::Result<ExitCode> {
-    let config = HarnessConfig::from_env();
-    let telemetry = Telemetry::from_env();
-    let harness = Harness::new(config.clone()).with_recorder(telemetry.recorder());
-    writeln!(
-        out,
-        "Running Table 2: {} tasks x {} samples x 3 models (Verilog, AIVRIL2) \
-         on {} thread(s)\n",
-        harness.problems().len(),
-        config.samples,
-        config.effective_threads()
-    )?;
+    let mut driver = Driver::from_env();
+    driver.header(out, "Table 2", " x 3 models (Verilog, AIVRIL2)")?;
 
     let mut measured = Vec::new();
-    let mut sections = Vec::new();
     for profile in profiles::all() {
-        eprintln!("== AIVRIL2 ({}) ==", profile.name);
-        let (outcomes, stats) = harness.evaluate_with_stats(&profile, true, Flow::Aivril2);
-        eprintln!("   {stats}");
+        let outcomes = driver.evaluate(&profile, true, Flow::Aivril2);
         let f = suite_metric(&outcomes, 1, |s| s.functional) * 100.0;
-        let license = if profile.name.contains("Llama") {
-            "Open Source"
-        } else {
-            "Closed Source"
-        };
-        measured.push((
-            format!("AIVRIL2 ({})", profile.name),
-            license.to_string(),
-            f,
-        ));
-        sections.push(ResultSection {
-            label: format!("{} Verilog aivril2", profile.name),
-            outcomes,
-            stats,
-        });
+        let license = paper::model(&profile.name).map_or("", |m| m.license);
+        let name = format!("AIVRIL2 ({})", profile.name);
+        measured.push((name, license.to_string(), f));
     }
 
-    if let Some(stats) = harness.cache_stats() {
-        writeln!(out, "[cache] {stats}\n")?;
-    }
-    if let Some(path) = arg_value("--json") {
-        write_json(&path, &results_json(&sections)).expect("write --json output");
-        writeln!(out, "results written to {path}\n")?;
-    }
-    match telemetry.finish() {
-        Ok(summary) if !summary.is_empty() => writeln!(out, "{summary}")?,
-        Ok(_) => {}
-        Err(e) => eprintln!("[obs] export failed: {e}"),
-    }
+    driver.finish(out)?;
     writeln!(out, "{}", render_table2(&measured))?;
-    writeln!(out, "Paper reference: AIVRIL2 rows are 55.13 (Llama3-70B), 72.44 (GPT-4o), 77 (Claude 3.5 Sonnet);")?;
-    writeln!(out, "best case is 3.4x ChipNemo-13B's 22.4.")?;
+    write!(out, "{}", paper::table2_reference())?;
     Ok(ExitCode::SUCCESS)
 }

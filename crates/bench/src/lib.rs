@@ -37,12 +37,12 @@ use aivril_eda::{
     CacheStats, DiskStats, EdaCache, EdaFaultPlan, HdlFile, ToolSuite, XsimToolSuite,
 };
 use aivril_llm::{FaultConfig, ModelProfile, SimLlm, TaskLibrary};
-use aivril_metrics::{EvalOutcome, SampleOutcome};
+use aivril_metrics::{language_name, EvalOutcome, SampleOutcome};
 use aivril_obs::{codec, json, Recorder};
 use aivril_sim::{KernelPerf, SimConfig};
 use aivril_verilogeval::{suite, Problem};
 use std::fmt;
-use std::io::Write as _;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
@@ -57,6 +57,19 @@ pub enum Flow {
     Baseline,
     /// The full AIVRIL2 loop architecture.
     Aivril2,
+}
+
+impl Flow {
+    /// The flow's stable lower-case name (`baseline`, `aivril2`), as
+    /// written in checkpoint fingerprints, journal context, result
+    /// labels and serve frames.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Flow::Baseline => "baseline",
+            Flow::Aivril2 => "aivril2",
+        }
+    }
 }
 
 /// Harness configuration.
@@ -172,9 +185,10 @@ impl HarnessConfig {
     }
 
     /// The parse behind [`HarnessConfig::from_vars`], returning the
-    /// warnings instead of printing them. A malformed resilience knob
-    /// is *warned about and ignored* (the `AIVRIL_SHARD` discipline),
-    /// never silently dropped: `AIVRIL_RETRY_MAX`,
+    /// warnings instead of printing them. A malformed numeric knob is
+    /// *warned about and ignored* (the `AIVRIL_SHARD` discipline),
+    /// never silently dropped: `AIVRIL_SAMPLES`, `AIVRIL_TASKS`,
+    /// `AIVRIL_THREADS`, `AIVRIL_RETRY_MAX`,
     /// `AIVRIL_BREAKER_THRESHOLD` and `AIVRIL_SIM_MAX_DELTAS` must be
     /// non-negative integers, and `AIVRIL_BACKOFF_BASE_MS` must be a
     /// finite, non-negative number — a NaN or negative base would
@@ -183,15 +197,6 @@ impl HarnessConfig {
     pub fn from_vars_checked(get: impl Fn(&str) -> Option<String>) -> (HarnessConfig, Vec<String>) {
         let mut c = HarnessConfig::default();
         let mut warnings = Vec::new();
-        if let Some(n) = get("AIVRIL_SAMPLES").and_then(|v| v.parse().ok()) {
-            c.samples = n;
-        }
-        if let Some(n) = get("AIVRIL_TASKS").and_then(|v| v.parse().ok()) {
-            c.task_limit = n;
-        }
-        if let Some(n) = get("AIVRIL_THREADS").and_then(|v| v.parse().ok()) {
-            c.threads = n;
-        }
         if let Some(v) = get("AIVRIL_EDA_CACHE") {
             c.eda_cache = !v.is_empty() && v != "0";
         }
@@ -222,6 +227,15 @@ impl HarnessConfig {
                 }
             }
         };
+        if let Some(n) = parse_u32("AIVRIL_SAMPLES") {
+            c.samples = n;
+        }
+        if let Some(n) = parse_u32("AIVRIL_TASKS") {
+            c.task_limit = n as usize;
+        }
+        if let Some(n) = parse_u32("AIVRIL_THREADS") {
+            c.threads = n as usize;
+        }
         if let Some(n) = parse_u32("AIVRIL_RETRY_MAX") {
             c.pipeline.resilience.retry_max = n;
         }
@@ -877,10 +891,7 @@ impl Harness {
         let mut w = codec::Writer::new();
         w.str(&format!("{profile:?}"));
         w.bool(verilog);
-        w.str(match flow {
-            Flow::Baseline => "baseline",
-            Flow::Aivril2 => "aivril2",
-        });
+        w.str(flow.label());
         w.u64(u64::from(self.config.samples));
         w.u64(self.problems().len() as u64);
         w.bool(self.recorder.is_enabled());
@@ -935,13 +946,7 @@ impl Harness {
         eval_rec.set_context(&[
             ("model", &profile.name),
             ("lang", if verilog { "verilog" } else { "vhdl" }),
-            (
-                "flow",
-                match flow {
-                    Flow::Baseline => "baseline",
-                    Flow::Aivril2 => "aivril2",
-                },
-            ),
+            ("flow", flow.label()),
         ]);
 
         // Checkpoint replay: restore finished cells in grid order (so
@@ -1260,9 +1265,108 @@ impl Telemetry {
     }
 }
 
+/// What the figure binaries share: a [`Harness`] with [`Telemetry`]
+/// from the environment attached, and the [`ResultSection`] of every
+/// evaluation it ran, for `--json`.
+pub struct Driver {
+    harness: Harness,
+    telemetry: Telemetry,
+    sections: Vec<ResultSection>,
+}
+
+impl Driver {
+    /// A driver over the environment's configuration.
+    #[must_use]
+    pub fn from_env() -> Driver {
+        Driver::new(HarnessConfig::from_env())
+    }
+
+    /// A driver over `config`, with telemetry from the environment.
+    #[must_use]
+    pub fn new(config: HarnessConfig) -> Driver {
+        let telemetry = Telemetry::from_env();
+        let harness = Harness::new(config).with_recorder(telemetry.recorder());
+        Driver {
+            harness,
+            telemetry,
+            sections: Vec::new(),
+        }
+    }
+
+    /// Writes `Running {title}: {n} tasks x {s} samples{dims} on {t}
+    /// thread(s)` and a blank line.
+    ///
+    /// # Errors
+    ///
+    /// Returns the write error.
+    pub fn header(&self, out: &mut impl Write, title: &str, dims: &str) -> std::io::Result<()> {
+        writeln!(
+            out,
+            "Running {title}: {} tasks x {} samples{dims} on {} thread(s)\n",
+            self.harness.problems().len(),
+            self.harness.config.samples,
+            self.threads()
+        )
+    }
+
+    /// The worker count the evaluations run on.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.harness.config.effective_threads()
+    }
+
+    /// Evaluates `profile` on one language and flow, logs the stats to
+    /// stderr and records the outcomes as the section `"{model}
+    /// {Verilog|VHDL} {flow}"`.
+    pub fn evaluate(
+        &mut self,
+        profile: &ModelProfile,
+        verilog: bool,
+        flow: Flow,
+    ) -> Vec<EvalOutcome> {
+        let (lang, flow_name) = (language_name(verilog), flow.label());
+        let label = format!("{} {lang} {flow_name}", profile.name);
+        eprintln!("== {label} ==");
+        let (outcomes, stats) = self.harness.evaluate_with_stats(profile, verilog, flow);
+        eprintln!("   {stats}");
+        self.sections.push(ResultSection {
+            label,
+            outcomes: outcomes.clone(),
+            stats,
+        });
+        outcomes
+    }
+
+    /// Writes the `[cache]` line, the `--json` results and the telemetry
+    /// exports, and the metrics summary when one was asked for.
+    ///
+    /// # Errors
+    ///
+    /// Returns the write error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `--json` file cannot be written.
+    pub fn finish(self, out: &mut impl Write) -> std::io::Result<()> {
+        if let Some(stats) = self.harness.cache_stats() {
+            writeln!(out, "[cache] {stats}\n")?;
+        }
+        if let Some(path) = arg_value("--json") {
+            write_json(&path, &results_json(&self.sections)).expect("write --json output");
+            writeln!(out, "results written to {path}\n")?;
+        }
+        match self.telemetry.finish() {
+            Ok(summary) if !summary.is_empty() => writeln!(out, "{summary}")?,
+            Ok(_) => {}
+            Err(e) => eprintln!("[obs] export failed: {e}"),
+        }
+        Ok(())
+    }
+}
+
 /// One labelled evaluation's results, as serialised by
-/// [`results_json`]: the section label (e.g. `claude-3.5-sonnet
-/// verilog aivril2`), the per-task outcomes and the aggregate stats.
+/// [`results_json`]: the section label (e.g. `Claude 3.5 Sonnet
+/// Verilog aivril2`), the per-task outcomes and the aggregate stats.
 #[derive(Debug, Clone)]
 pub struct ResultSection {
     /// Human-readable section label.
@@ -1654,8 +1758,12 @@ mod tests {
     fn malformed_resilience_knobs_warn_and_fall_back() {
         // Each malformed knob must produce a warning *and* leave the
         // default in place — the AIVRIL_SHARD discipline, not a silent
-        // drop.
+        // drop: `AIVRIL_SAMPLES=1O` (a letter O) must not quietly run
+        // the default 5 samples.
         let knobs = [
+            ("AIVRIL_SAMPLES", "1O"),
+            ("AIVRIL_TASKS", "-4"),
+            ("AIVRIL_THREADS", "two"),
             ("AIVRIL_RETRY_MAX", "many"),
             ("AIVRIL_BREAKER_THRESHOLD", "-2"),
             ("AIVRIL_SIM_MAX_DELTAS", "1e4"),
@@ -1672,6 +1780,11 @@ mod tests {
             assert_eq!(c.pipeline.resilience.breaker_threshold, d.breaker_threshold);
             assert_eq!(c.pipeline.resilience.backoff_base_s, d.backoff_base_s);
             assert_eq!(c.sim_max_deltas, None);
+            let grid = HarnessConfig::default();
+            assert_eq!(
+                (c.samples, c.task_limit, c.threads),
+                (grid.samples, grid.task_limit, grid.threads)
+            );
         }
     }
 

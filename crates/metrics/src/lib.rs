@@ -7,15 +7,17 @@
 //! * [`render_table1`], [`render_table2`], [`figure3`]/[`render_figure3`]
 //!   — assembly and ASCII rendering of every table and figure in the
 //!   paper's evaluation section.
+//! * [`paper`] — the paper's published numbers, the one place they are
+//!   written.
 
 #![warn(missing_docs)]
 
+pub mod paper;
 mod passk;
 mod tables;
 
 pub use passk::{pass_at_k, suite_pass_at_k};
 pub use tables::{
-    delta_f, figure3, render_figure3, render_table1, render_table2, suite_metric,
-    suite_metric_with_se, table2_literature, EvalOutcome, Figure3Row, LiteratureEntry,
-    SampleOutcome, Table1Row,
+    delta_f, figure3, language_name, render_figure3, render_table1, render_table2, sample_mean,
+    suite_metric, suite_metric_with_se, EvalOutcome, Figure3Row, SampleOutcome, Table1Row,
 };

@@ -78,6 +78,16 @@ pub fn suite_metric_with_se(
     (mean, se)
 }
 
+/// The display name of an HDL in tables and labels: `Verilog` or `VHDL`.
+#[must_use]
+pub fn language_name(verilog: bool) -> &'static str {
+    if verilog {
+        "Verilog"
+    } else {
+        "VHDL"
+    }
+}
+
 /// One row of Table 1 (percentages).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
@@ -147,81 +157,6 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     out
 }
 
-/// One literature entry for Table 2 (published pass@1_F values the
-/// closed systems report; we cannot rerun them).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiteratureEntry {
-    /// System name as cited.
-    pub name: &'static str,
-    /// Model license regime.
-    pub license: &'static str,
-    /// Verilog pass@1_F (%) as published.
-    pub pass1_f: f64,
-}
-
-/// Published comparison numbers from the paper's Table 2 (Verilog only,
-/// as in the paper).
-#[must_use]
-pub fn table2_literature() -> Vec<LiteratureEntry> {
-    vec![
-        LiteratureEntry {
-            name: "Llama3-70B [17]",
-            license: "Open Source",
-            pass1_f: 37.82,
-        },
-        LiteratureEntry {
-            name: "CodeGen-16B [18]",
-            license: "Open Source",
-            pass1_f: 41.9,
-        },
-        LiteratureEntry {
-            name: "CodeV-CodeQwen [6]",
-            license: "Open Source",
-            pass1_f: 53.2,
-        },
-        LiteratureEntry {
-            name: "ChipNemo-13B [1]",
-            license: "Closed Source",
-            pass1_f: 22.4,
-        },
-        LiteratureEntry {
-            name: "ChipNemo-70B [1]",
-            license: "Closed Source",
-            pass1_f: 27.6,
-        },
-        LiteratureEntry {
-            name: "CodeGen-16B-Verilog-SFT [5]",
-            license: "Closed Source",
-            pass1_f: 28.8,
-        },
-        LiteratureEntry {
-            name: "RTLFixer [3]",
-            license: "Closed Source",
-            pass1_f: 36.8,
-        },
-        LiteratureEntry {
-            name: "VeriAssist [4]",
-            license: "Closed Source",
-            pass1_f: 50.5,
-        },
-        LiteratureEntry {
-            name: "GPT-4o [16]",
-            license: "Closed Source",
-            pass1_f: 51.29,
-        },
-        LiteratureEntry {
-            name: "Claude 3.5 Sonnet [15]",
-            license: "Closed Source",
-            pass1_f: 60.23,
-        },
-        LiteratureEntry {
-            name: "AIVRIL [7]",
-            license: "Closed Source",
-            pass1_f: 67.3,
-        },
-    ]
-}
-
 /// Renders Table 2: literature rows plus our measured AIVRIL2 rows.
 #[must_use]
 pub fn render_table2(measured: &[(String, String, f64)]) -> String {
@@ -235,7 +170,7 @@ pub fn render_table2(measured: &[(String, String, f64)]) -> String {
         "Technology", "Model License", "pass@1_F"
     ));
     out.push_str("------------------------------------------------------------\n");
-    for e in table2_literature() {
+    for e in &crate::paper::TABLE2_LITERATURE {
         out.push_str(&format!(
             "{:<30}{:<16}{:>10.2}\n",
             e.name, e.license, e.pass1_f
@@ -290,28 +225,23 @@ pub fn figure3(
     baseline: &[EvalOutcome],
     aivril2: &[EvalOutcome],
 ) -> Figure3Row {
-    let avg = |outs: &[EvalOutcome], f: &dyn Fn(&SampleOutcome) -> f64| -> f64 {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for o in outs {
-            for s in &o.samples {
-                sum += f(s);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    };
     Figure3Row {
         config: config.into(),
-        baseline_s: avg(baseline, &|s| s.total_latency),
-        syntax_phase_s: avg(aivril2, &|s| s.syntax_phase_latency),
-        functional_phase_s: avg(aivril2, &|s| s.functional_phase_latency),
-        syntax_cycles: avg(aivril2, &|s| f64::from(s.syntax_iters)),
-        functional_cycles: avg(aivril2, &|s| f64::from(s.functional_iters)),
+        baseline_s: sample_mean(baseline, |s| s.total_latency),
+        syntax_phase_s: sample_mean(aivril2, |s| s.syntax_phase_latency),
+        functional_phase_s: sample_mean(aivril2, |s| s.functional_phase_latency),
+        syntax_cycles: sample_mean(aivril2, |s| f64::from(s.syntax_iters)),
+        functional_cycles: sample_mean(aivril2, |s| f64::from(s.functional_iters)),
     }
+}
+
+/// The mean of `f` over every sample of every task; `0` when there are
+/// none.
+#[must_use]
+pub fn sample_mean(outcomes: &[EvalOutcome], f: impl Fn(&SampleOutcome) -> f64) -> f64 {
+    let samples = outcomes.iter().flat_map(|o| &o.samples);
+    let (sum, n) = samples.fold((0.0, 0u32), |(sum, n), s| (sum + f(s), n + 1));
+    sum / f64::from(n.max(1))
 }
 
 /// Renders Figure 3 as an ASCII bar chart plus the numeric breakdown.
@@ -356,6 +286,7 @@ pub fn render_figure3(rows: &[Figure3Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::LLAMA3_70B;
 
     #[test]
     fn se_is_zero_for_unanimous_tasks_and_positive_otherwise() {
@@ -424,46 +355,44 @@ mod tests {
 
     #[test]
     fn delta_f_handles_zero_baseline() {
-        assert_eq!(delta_f(32.69, 0.0), None);
-        let d = delta_f(55.13, 37.82).expect("defined");
-        assert!((d - 45.77).abs() < 0.05);
+        let (base, full) = (&LLAMA3_70B.baseline, &LLAMA3_70B.aivril2);
+        assert_eq!(delta_f(full.vhdl.pass1_f, base.vhdl.pass1_f), None);
+        let d = delta_f(full.verilog.pass1_f, base.verilog.pass1_f).expect("defined");
+        assert!((d - full.verilog.delta_f.expect("printed")).abs() < 0.05);
     }
 
     #[test]
     fn table1_renders_all_rows() {
+        let row = |config: &str, r: &crate::paper::Row| Table1Row {
+            config: config.into(),
+            verilog_s: r.verilog.pass1_s,
+            verilog_f: r.verilog.pass1_f,
+            vhdl_s: r.vhdl.pass1_s,
+            vhdl_f: r.vhdl.pass1_f,
+            delta_verilog: r.verilog.delta_f,
+            delta_vhdl: r.vhdl.delta_f,
+        };
         let rows = vec![
-            Table1Row {
-                config: "Llama3-70B".into(),
-                verilog_s: 71.15,
-                verilog_f: 37.82,
-                vhdl_s: 1.28,
-                vhdl_f: 0.0,
-                delta_verilog: None,
-                delta_vhdl: None,
-            },
-            Table1Row {
-                config: "AIVRIL2 (Llama3-70B)".into(),
-                verilog_s: 100.0,
-                verilog_f: 55.13,
-                vhdl_s: 58.87,
-                vhdl_f: 32.69,
-                delta_verilog: Some(45.76),
-                delta_vhdl: None,
-            },
+            row("Llama3-70B", &LLAMA3_70B.baseline),
+            row("AIVRIL2 (Llama3-70B)", &LLAMA3_70B.aivril2),
         ];
         let t = render_table1(&rows);
         assert!(t.contains("AIVRIL2 (Llama3-70B)"));
-        assert!(t.contains("45.76"));
+        assert!(t.contains(&format!(
+            "{:.2}",
+            LLAMA3_70B.aivril2.verilog.delta_f.unwrap()
+        )));
         assert!(t.contains("N/A"), "{t}");
     }
 
     #[test]
     fn table2_includes_literature_and_measured() {
-        let t = render_table2(&[("AIVRIL2 (GPT-4o)".into(), "Closed Source".into(), 72.44)]);
+        let t = render_table2(&[("AIVRIL2 (GPT-4o)".into(), "Closed Source".into(), 70.5)]);
         assert!(t.contains("RTLFixer"));
         assert!(t.contains("ChipNemo-13B"));
-        assert!(t.contains("72.44"));
-        assert_eq!(table2_literature().len(), 11);
+        assert!(t.contains("70.50"));
+        let literature = t.lines().skip(4).take_while(|l| !l.starts_with("----"));
+        assert_eq!(literature.count(), 11);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! `admit`/`done` pair, and a job is pending exactly when its `admit`s
 //! outnumber its `done`s (the latest `admit`'s spec wins).
 
-use crate::protocol::{flow_label, SubmitRequest};
+use crate::protocol::SubmitRequest;
 use aivril_bench::Flow;
 use aivril_obs::applog::{AppendLog, HeaderPolicy};
 use aivril_obs::codec;
@@ -74,7 +74,7 @@ fn admit_payload(spec: &SubmitRequest) -> String {
     w.str(&spec.job);
     w.str(&spec.task);
     w.bool(spec.verilog);
-    w.str(flow_label(spec.flow));
+    w.str(spec.flow.label());
     w.finish()
 }
 

@@ -162,7 +162,7 @@ pub fn render_request(req: &Request) -> String {
             ("job", json::string(&s.job)),
             ("task", json::string(&s.task)),
             ("lang", json::string(lang_label(s.verilog))),
-            ("flow", json::string(flow_label(s.flow))),
+            ("flow", json::string(s.flow.label())),
         ]),
     }
 }
@@ -174,15 +174,6 @@ pub fn lang_label(verilog: bool) -> &'static str {
         "verilog"
     } else {
         "vhdl"
-    }
-}
-
-/// Stable label for a [`Flow`].
-#[must_use]
-pub fn flow_label(flow: Flow) -> &'static str {
-    match flow {
-        Flow::Baseline => "baseline",
-        Flow::Aivril2 => "aivril2",
     }
 }
 
@@ -263,7 +254,7 @@ pub fn result_frame(spec: &SubmitRequest, seed: u64, run: &JobRun) -> String {
         ("job", json::string(&spec.job)),
         ("task", json::string(&spec.task)),
         ("lang", json::string(lang_label(spec.verilog))),
-        ("flow", json::string(flow_label(spec.flow))),
+        ("flow", json::string(spec.flow.label())),
         ("seed", seed_hex(seed)),
         ("syntax", o.syntax.to_string()),
         ("functional", o.functional.to_string()),

@@ -279,7 +279,7 @@ impl Server {
         self.executions.fetch_add(1, Ordering::SeqCst);
         let recorder = Recorder::new();
         recorder.set_context(&[
-            ("flow", protocol::flow_label(spec.flow)),
+            ("flow", spec.flow.label()),
             ("job", &spec.job),
             ("lang", protocol::lang_label(spec.verilog)),
             ("model", &self.profile.name),
