@@ -2,6 +2,11 @@
 //! samples, one model) that finishes in seconds. Useful for sanity
 //! checking after changes, before committing to the full table runs.
 //!
+//! The shape is fixed at the first 10 tasks x 2 samples:
+//! `AIVRIL_TASKS` and `AIVRIL_SAMPLES` are not read. Every other
+//! harness variable (`AIVRIL_THREADS`, `AIVRIL_EDA_CACHE`,
+//! `AIVRIL_CANONICAL`, ...) applies as usual.
+//!
 //! Observability: honours `AIVRIL_TRACE_JSON`, `AIVRIL_TRACE_CHROME`
 //! and `AIVRIL_METRICS` (see README), and `--json <path>` writes the
 //! outcomes and stats as schema-versioned JSON.

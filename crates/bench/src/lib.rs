@@ -70,6 +70,15 @@ impl Flow {
             Flow::Aivril2 => "aivril2",
         }
     }
+
+    /// The flow named `label`, the inverse of [`Flow::label`]; `None`
+    /// for any other text.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Flow> {
+        [Flow::Baseline, Flow::Aivril2]
+            .into_iter()
+            .find(|flow| flow.label() == label)
+    }
 }
 
 /// Harness configuration.
@@ -1576,6 +1585,16 @@ mod tests {
         assert!(!s && !f);
         let (s, f) = h.score(p, &p.vhdl.dut, false);
         assert!(s && f, "golden VHDL must score clean");
+    }
+
+    #[test]
+    fn flow_labels_round_trip() {
+        for flow in [Flow::Baseline, Flow::Aivril2] {
+            assert_eq!(Flow::from_label(flow.label()), Some(flow));
+        }
+        assert_eq!(Flow::from_label("Aivril2"), None, "labels are exact");
+        assert_eq!(Flow::from_label("pipeline"), None);
+        assert_eq!(Flow::from_label(""), None);
     }
 
     fn task_of(problem: &Problem, verilog: bool, seed: u64) -> TaskInput {

@@ -10,6 +10,8 @@
 //!   part-selects, matching Verilog evaluation semantics.
 //! * [`name`] — [`Name`], the inline identifier string both frontends'
 //!   ASTs use for names and literal text.
+//! * [`scratch`] — the scratch stacks both parsers build their
+//!   exact-size AST lists on.
 //! * [`source`] — source files, spans and line/column mapping used by both
 //!   language frontends and by the diagnostics engine.
 //! * [`diag`] — structured diagnostics with Vivado-style log rendering
@@ -37,6 +39,7 @@ pub mod diag;
 pub mod ir;
 pub mod logic;
 pub mod name;
+pub mod scratch;
 pub mod source;
 pub mod vec;
 

@@ -116,9 +116,9 @@ fn main() {
         Some(other) => fatal(&format!("--lang must be verilog|vhdl, got {other}")),
     };
     let flow = match arg_value("--flow").as_deref() {
-        None | Some("aivril2") => Flow::Aivril2,
-        Some("baseline") => Flow::Baseline,
-        Some(other) => fatal(&format!("--flow must be aivril2|baseline, got {other}")),
+        None => Flow::Aivril2,
+        Some(label) => Flow::from_label(label)
+            .unwrap_or_else(|| fatal(&format!("--flow must be aivril2|baseline, got {label}"))),
     };
     let out_dir = arg_value("--out");
     let expect_reject = has_flag("--expect-reject");

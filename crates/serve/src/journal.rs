@@ -106,11 +106,7 @@ fn decode_line(line: &str) -> Option<Record> {
         "admit" => {
             let (tenant, job, task) = (r.str()?, r.str()?, r.str()?);
             let verilog = r.bool()?;
-            let flow = match r.str()?.as_str() {
-                "aivril2" => Flow::Aivril2,
-                "baseline" => Flow::Baseline,
-                _ => return None,
-            };
+            let flow = Flow::from_label(&r.str()?)?;
             r.at_end().then_some(Record::Admit(SubmitRequest {
                 tenant,
                 job,

@@ -129,13 +129,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
             };
             let flow = match v.get("flow").and_then(json::Value::str) {
-                None | Some("aivril2") => Flow::Aivril2,
-                Some("baseline") => Flow::Baseline,
-                Some(other) => {
-                    return Err(format!(
-                        "submit: \"flow\" must be aivril2|baseline, got {other:?}"
-                    ))
-                }
+                None => Flow::Aivril2,
+                Some(label) => Flow::from_label(label).ok_or_else(|| {
+                    format!("submit: \"flow\" must be aivril2|baseline, got {label:?}")
+                })?,
             };
             Ok(Request::Submit(SubmitRequest {
                 tenant: field("tenant")?,

@@ -1,4 +1,10 @@
 //! Abstract syntax tree for the Verilog-2001 subset.
+//!
+//! Every list is a boxed slice exactly as long as what it holds (the
+//! parser collects each list on a scratch stack and moves it out with
+//! one allocation), and the rare wide variants ([`Expr::Call`],
+//! [`Item::Function`]) are boxed, so the common nodes stay small: the
+//! EDA parse memo keeps one of these trees for every file it has seen.
 
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
@@ -23,14 +29,14 @@ pub struct Module {
     /// Location of the header.
     pub span: Span,
     /// `#(parameter ...)` header parameters, plus body `parameter` items.
-    pub params: Vec<ParamDecl>,
+    pub params: Box<[ParamDecl]>,
     /// ANSI-style port declarations (empty for non-ANSI headers).
-    pub ports: Vec<Port>,
+    pub ports: Box<[Port]>,
     /// Non-ANSI header port names (`module m(a, b);`), in port order;
     /// their directions come from body [`Item::PortDecl`] items.
-    pub nonansi_ports: Vec<(String, Span)>,
+    pub nonansi_ports: Box<[(String, Span)]>,
     /// Module body items.
-    pub items: Vec<Item>,
+    pub items: Box<[Item]>,
 }
 
 /// One parameter declaration with its default expression.
@@ -91,19 +97,19 @@ pub enum Item {
         /// Optional `[msb:lsb]` range.
         range: Option<(Expr, Expr)>,
         /// Declared names with optional initialisers (`reg q = 0;`).
-        names: Vec<(String, Span, Option<Expr>)>,
+        names: Box<[(String, Span, Option<Expr>)]>,
     },
     /// Memory declaration: `reg [7:0] name [0:15];`
     MemDecl {
         /// Element `[msb:lsb]` range (element width).
         width_range: Option<(Expr, Expr)>,
         /// Declared memories.
-        names: Vec<MemName>,
+        names: Box<[MemName]>,
     },
     /// `integer` declaration — elaborated as a 32-bit `reg`.
     IntegerDecl {
         /// Declared names.
-        names: Vec<(String, Span)>,
+        names: Box<[(String, Span)]>,
     },
     /// Body port-direction declaration for a non-ANSI header
     /// (`input [3:0] a;` / `output reg q;`).
@@ -115,7 +121,7 @@ pub enum Item {
         /// Optional `[msb:lsb]` range.
         range: Option<(Expr, Expr)>,
         /// Declared names.
-        names: Vec<(String, Span)>,
+        names: Box<[(String, Span)]>,
     },
     /// Body `parameter`/`localparam`.
     Param(ParamDecl),
@@ -133,7 +139,7 @@ pub enum Item {
         /// Sensitivity: `Some(events)` for `@(...)`, `None` when the body
         /// paces itself with delays (`always #5 clk = ~clk;`), and
         /// `Some(empty)` for `@*`.
-        events: Option<Vec<EventExpr>>,
+        events: Option<Box<[EventExpr]>>,
         /// Body statement.
         body: Stmt,
         /// Location.
@@ -147,7 +153,8 @@ pub enum Item {
         span: Span,
     },
     /// `function [range] name; input decls...; body endfunction`
-    Function(FunctionDecl),
+    /// (boxed: rare, and wider than the other items).
+    Function(Box<FunctionDecl>),
     /// Module instantiation.
     Instance {
         /// Instantiated module name.
@@ -155,7 +162,7 @@ pub enum Item {
         /// Instance name.
         name: String,
         /// `#(.P(expr))` parameter overrides.
-        param_overrides: Vec<(String, Expr)>,
+        param_overrides: Box<[(String, Expr)]>,
         /// Port connections.
         connections: Connections,
         /// Location.
@@ -177,7 +184,7 @@ pub struct FunctionDecl {
     /// Optional return `[msb:lsb]` range (1 bit when absent).
     pub range: Option<(Expr, Expr)>,
     /// Input arguments in declaration order.
-    pub inputs: Vec<FunctionInput>,
+    pub inputs: Box<[FunctionInput]>,
     /// Body statement.
     pub body: Stmt,
     /// Location.
@@ -188,9 +195,9 @@ pub struct FunctionDecl {
 #[derive(Debug, Clone)]
 pub enum Connections {
     /// `.port(expr)` pairs; `expr` of `None` means explicitly open.
-    Named(Vec<(String, Option<Expr>, Span)>),
+    Named(Box<[(String, Option<Expr>, Span)]>),
     /// Positional expressions.
-    Positional(Vec<Expr>),
+    Positional(Box<[Expr]>),
 }
 
 /// One entry of an `@(...)` event list.
@@ -208,7 +215,7 @@ pub enum EventExpr {
 #[derive(Debug, Clone)]
 pub enum Stmt {
     /// `begin ... end`
-    Block(Vec<Stmt>),
+    Block(Box<[Stmt]>),
     /// `target = expr;`
     Blocking {
         /// Assignment target.
@@ -241,7 +248,7 @@ pub enum Stmt {
         /// Scrutinee.
         subject: Expr,
         /// `(labels, body)` arms in source order.
-        arms: Vec<(Vec<Expr>, Stmt)>,
+        arms: Box<[(Box<[Expr]>, Stmt)]>,
         /// `default:` body.
         default: Option<Box<Stmt>>,
         /// `true` for `casez`/`casex` (don't-care matching).
@@ -289,7 +296,7 @@ pub enum Stmt {
     /// `@(events) [stmt]`
     EventControl {
         /// Events.
-        events: Vec<EventExpr>,
+        events: Box<[EventExpr]>,
         /// Optional controlled statement.
         then: Option<Box<Stmt>>,
         /// Location of the `@`.
@@ -305,9 +312,9 @@ pub enum Stmt {
     /// `$task(args);`
     SysCall {
         /// Task name including `$`.
-        name: String,
+        name: Name,
         /// Arguments (strings or expressions).
-        args: Vec<SysArg>,
+        args: Box<[SysArg]>,
         /// Location.
         span: Span,
     },
@@ -371,10 +378,8 @@ pub enum Expr {
     Binary {
         /// Operator.
         op: BinOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
+        /// Left and right operands, in one allocation.
+        operands: Box<[Expr; 2]>,
     },
     /// `cond ? a : b`
     Ternary {
@@ -386,7 +391,7 @@ pub enum Expr {
         els: Box<Expr>,
     },
     /// `{a, b, ...}`
-    Concat(Vec<Expr>),
+    Concat(Box<[Expr]>),
     /// `{n{v}}`
     Repeat {
         /// Replication count (constant).
@@ -399,15 +404,20 @@ pub enum Expr {
         /// Location.
         span: Span,
     },
-    /// `f(arg, ...)` — a function call, inlined at elaboration.
-    Call {
-        /// Function name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Location.
-        span: Span,
-    },
+    /// `f(arg, ...)` — a function call, inlined at elaboration (boxed:
+    /// rare, and wider than the other expressions).
+    Call(Box<Call>),
+}
+
+/// A function call in expression position.
+#[derive(Debug, Clone)]
+pub struct Call {
+    /// Function name.
+    pub name: String,
+    /// Arguments.
+    pub args: Box<[Expr]>,
+    /// Location.
+    pub span: Span,
 }
 
 impl Expr {
@@ -421,11 +431,11 @@ impl Expr {
             }
             Expr::Index { base, .. } | Expr::RangeSel { base, .. } => base.span(),
             Expr::Unary { operand, .. } => operand.span(),
-            Expr::Binary { lhs, .. } => lhs.span(),
+            Expr::Binary { operands, .. } => operands[0].span(),
             Expr::Ternary { cond, .. } => cond.span(),
             Expr::Concat(parts) => parts.first().and_then(Expr::span),
             Expr::Repeat { count, .. } => count.span(),
-            Expr::Call { span, .. } => Some(*span),
+            Expr::Call(call) => Some(call.span),
         }
     }
 }

@@ -375,7 +375,7 @@ impl<'a> Elaborator<'a, '_> {
                     }
                 }
                 Item::Always { events, body, span } => {
-                    self.compile_always(events, body, &scope, *span);
+                    self.compile_always(events.as_deref(), body, &scope, *span);
                 }
                 Item::Initial { body, span } => {
                     let mut b = Builder::default();
@@ -663,7 +663,8 @@ impl<'a> Elaborator<'a, '_> {
                     _ => return None,
                 })
             }
-            ast::Expr::Binary { op, lhs, rhs } => {
+            ast::Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 let a = self.try_eval_const(lhs, scope)?;
                 let b = self.try_eval_const(rhs, scope)?;
                 Some(match op {
@@ -768,7 +769,8 @@ impl<'a> Elaborator<'a, '_> {
                     operand: Box::new(inner),
                 }
             }
-            ast::Expr::Binary { op, lhs, rhs } => {
+            ast::Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 if *op == BinOp::Pow {
                     // Support constant powers only (all the suite needs).
                     if let Some(v) = self.try_eval_const(e, scope) {
@@ -832,14 +834,15 @@ impl<'a> Elaborator<'a, '_> {
                 }
             }
             ast::Expr::Time { .. } => Expr::Time,
-            ast::Expr::Call { name, span, .. } => {
+            ast::Expr::Call(call) => {
                 self.error(
                     codes::VLOG_SYNTAX,
                     format!(
-                        "function call '{name}(...)' is not allowed in this context \
-                         (functions are supported in procedural code and continuous assignments)"
+                        "function call '{}(...)' is not allowed in this context \
+                         (functions are supported in procedural code and continuous assignments)",
+                        call.name
                     ),
-                    *span,
+                    call.span,
                 );
                 Expr::Const(LogicVec::xes(1))
             }
@@ -854,7 +857,7 @@ impl<'a> Elaborator<'a, '_> {
             return self.lower_expr(e, scope);
         }
         match e {
-            ast::Expr::Call { name, args, span } => self.inline_call(name, args, *span, scope, b),
+            ast::Expr::Call(call) => self.inline_call(&call.name, &call.args, call.span, scope, b),
             ast::Expr::Unary { op, operand } => {
                 let inner = self.lower_expr_proc(operand, scope, b);
                 match unop_of(*op) {
@@ -865,7 +868,8 @@ impl<'a> Elaborator<'a, '_> {
                     None => inner, // unary `+` is the identity
                 }
             }
-            ast::Expr::Binary { op, lhs, rhs } => {
+            ast::Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 let l = self.lower_expr_proc(lhs, scope, b);
                 let r = self.lower_expr_proc(rhs, scope, b);
                 match binop_of(*op) {
@@ -1140,7 +1144,7 @@ impl<'a> Elaborator<'a, '_> {
 
     fn compile_always(
         &mut self,
-        events: &Option<Vec<EventExpr>>,
+        events: Option<&[EventExpr]>,
         body: &'a ast::Stmt,
         scope: &Scope<'a>,
         span: Span,
@@ -1489,7 +1493,7 @@ impl<'a> Elaborator<'a, '_> {
     fn compile_case(
         &mut self,
         subject: &ast::Expr,
-        arms: &'a [(Vec<ast::Expr>, ast::Stmt)],
+        arms: &'a [(Box<[ast::Expr]>, ast::Stmt)],
         default: Option<&'a ast::Stmt>,
         wildcard: bool,
         span: Span,
@@ -1695,7 +1699,7 @@ fn expr_contains_call(e: &ast::Expr) -> bool {
     match e {
         ast::Expr::Call { .. } => true,
         ast::Expr::Unary { operand, .. } => expr_contains_call(operand),
-        ast::Expr::Binary { lhs, rhs, .. } => expr_contains_call(lhs) || expr_contains_call(rhs),
+        ast::Expr::Binary { operands, .. } => operands.iter().any(expr_contains_call),
         ast::Expr::Ternary { cond, then, els } => {
             expr_contains_call(cond) || expr_contains_call(then) || expr_contains_call(els)
         }

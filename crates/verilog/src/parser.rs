@@ -5,10 +5,15 @@
 //! boundaries, so a single fault produces a focused log rather than an
 //! avalanche — important for the quality of the Review Agent's
 //! corrective prompts.
+//!
+//! Lists are collected on [`Scratch`] stacks owned by the parser and
+//! moved out with one exact allocation each ([`aivril_hdl::scratch`]),
+//! so an AST list is never larger than what it holds.
 
 use crate::ast::*;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::scratch::Lists;
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
 
@@ -18,6 +23,7 @@ pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
         tokens,
         pos: 0,
         diags,
+        scratch: Scratch::default(),
     };
     let mut unit = SourceUnit::default();
     while !p.at_eof() {
@@ -45,6 +51,35 @@ struct Parser<'s, 'd> {
     tokens: Vec<Token<'s>>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    scratch: Scratch,
+}
+
+aivril_hdl::scratch_stacks! {
+    /// One stack per list element type.
+    struct Scratch {
+        items: Item,
+        params: ParamDecl,
+        ports: Port,
+        names: (String, Span),
+        net_names: (String, Span, Option<Expr>),
+        mem_names: MemName,
+        overrides: (String, Expr),
+        inputs: FunctionInput,
+        connections: (String, Option<Expr>, Span),
+        stmts: Stmt,
+        arms: (Box<[Expr]>, Stmt),
+        events: EventExpr,
+        sys_args: SysArg,
+        exprs: Expr,
+    }
+}
+
+impl Lists for Parser<'_, '_> {
+    type Scratch = Scratch;
+
+    fn scratch(&mut self) -> &mut Scratch {
+        &mut self.scratch
+    }
 }
 
 impl<'s> Parser<'s, '_> {
@@ -143,47 +178,47 @@ impl<'s> Parser<'s, '_> {
 
     fn parse_module(&mut self) -> Option<Module> {
         let (name, span) = self.expect_ident()?;
-        let mut params = Vec::new();
-        let mut ports = Vec::new();
-        let mut nonansi_ports = Vec::new();
+        let mut params = Box::default();
+        let mut ports = Box::default();
+        let mut nonansi_ports = Box::default();
         if self.eat(Punct::Hash) {
             self.expect(Punct::LParen)?;
-            self.parse_param_list(&mut params);
+            params = self.list(Self::parse_param_list);
             self.expect(Punct::RParen);
         }
         if self.eat(Punct::LParen) {
             // A header whose first entry is a bare identifier is the
             // non-ANSI style: directions come from body declarations.
             if self.peek().kind == TokenKind::Ident {
-                while let Some((pname, pspan)) = self.expect_ident() {
-                    nonansi_ports.push((pname, pspan));
-                    if !self.eat(Punct::Comma) {
-                        break;
+                nonansi_ports = self.list(|p| {
+                    while let Some(port) = p.expect_ident() {
+                        p.push(port);
+                        if !p.eat(Punct::Comma) {
+                            break;
+                        }
                     }
-                }
+                });
             } else {
-                self.parse_port_list(&mut ports);
+                ports = self.list(Self::parse_port_list);
             }
             self.expect(Punct::RParen);
         }
         if self.expect(Punct::Semi).is_none() {
             self.sync_to_semi();
         }
-        let mut items = Vec::new();
-        loop {
-            if self.eat_kw(Kw::Endmodule) {
+        let items = self.list(|p| loop {
+            if p.eat_kw(Kw::Endmodule) {
                 break;
             }
-            if self.at_eof() {
-                let tok = self.peek();
-                self.error("expected 'endmodule', found end of file".into(), tok.span);
+            if p.at_eof() {
+                let tok = p.peek();
+                p.error("expected 'endmodule', found end of file".into(), tok.span);
                 break;
             }
-            match self.parse_item() {
-                Some(mut found) => items.append(&mut found),
-                None => self.sync_to_semi(),
+            if p.attempt::<Item>(Self::parse_item).is_none() {
+                p.sync_to_semi();
             }
-        }
+        });
         Some(Module {
             name,
             span,
@@ -194,7 +229,7 @@ impl<'s> Parser<'s, '_> {
         })
     }
 
-    fn parse_param_list(&mut self, params: &mut Vec<ParamDecl>) {
+    fn parse_param_list(&mut self) {
         loop {
             self.eat_kw(Kw::Parameter);
             let Some((name, span)) = self.expect_ident() else {
@@ -204,7 +239,7 @@ impl<'s> Parser<'s, '_> {
                 return;
             }
             let default = self.parse_expr();
-            params.push(ParamDecl {
+            self.push(ParamDecl {
                 name,
                 default,
                 span,
@@ -216,7 +251,7 @@ impl<'s> Parser<'s, '_> {
         }
     }
 
-    fn parse_port_list(&mut self, ports: &mut Vec<Port>) {
+    fn parse_port_list(&mut self) {
         if self.check(Punct::RParen) {
             return;
         }
@@ -251,7 +286,7 @@ impl<'s> Parser<'s, '_> {
             let Some((name, span)) = self.expect_ident() else {
                 return;
             };
-            ports.push(Port {
+            self.push(Port {
                 dir,
                 net_type,
                 range: range.clone(),
@@ -273,7 +308,9 @@ impl<'s> Parser<'s, '_> {
         Some((msb, lsb))
     }
 
-    fn parse_item(&mut self) -> Option<Vec<Item>> {
+    /// Parses one body declaration or statement, pushing its items
+    /// (one declaration can make several).
+    fn parse_item(&mut self) -> Option<()> {
         let tok = self.peek();
         match tok.kind {
             TokenKind::Keyword(Kw::Input)
@@ -299,21 +336,15 @@ impl<'s> Parser<'s, '_> {
                 } else {
                     None
                 };
-                let mut names = Vec::new();
-                loop {
-                    let (name, span) = self.expect_ident()?;
-                    names.push((name, span));
-                    if !self.eat(Punct::Comma) {
-                        break;
-                    }
-                }
+                let names = self.try_list(Self::parse_name_list)?;
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::PortDecl {
+                self.push(Item::PortDecl {
                     dir,
                     net_type,
                     range,
                     names,
-                }])
+                });
+                Some(())
             }
             TokenKind::Keyword(Kw::Wire) | TokenKind::Keyword(Kw::Reg) => {
                 let net_type = if self.eat_kw(Kw::Reg) {
@@ -328,68 +359,64 @@ impl<'s> Parser<'s, '_> {
                 } else {
                     None
                 };
-                let mut names = Vec::new();
-                let mut mems = Vec::new();
-                loop {
-                    let (name, span) = self.expect_ident()?;
-                    if self.check(Punct::LBracket) {
-                        // Array dimension: a memory declaration.
-                        let (a, b) = self.parse_range()?;
-                        if net_type != NetType::Reg {
-                            self.error("memories must be declared as 'reg'".into(), span);
-                        }
-                        mems.push((name, (a, b), span));
-                    } else {
-                        let init = if self.eat(Punct::Assign) {
-                            Some(self.parse_expr())
+                // Plain nets and memories are two lists filled side by
+                // side, each on its own stack.
+                let mut names = Box::default();
+                let mems = self.try_list::<MemName>(|p| {
+                    names = p.try_list(|p| loop {
+                        let (name, span) = p.expect_ident()?;
+                        if p.check(Punct::LBracket) {
+                            // Array dimension: a memory declaration.
+                            let (a, b) = p.parse_range()?;
+                            if net_type != NetType::Reg {
+                                p.error("memories must be declared as 'reg'".into(), span);
+                            }
+                            p.push((name, (a, b), span));
                         } else {
-                            None
-                        };
-                        names.push((name, span, init));
-                    }
-                    if !self.eat(Punct::Comma) {
-                        break;
-                    }
-                }
+                            let init = if p.eat(Punct::Assign) {
+                                Some(p.parse_expr())
+                            } else {
+                                None
+                            };
+                            p.push((name, span, init));
+                        }
+                        if !p.eat(Punct::Comma) {
+                            return Some(());
+                        }
+                    })?;
+                    Some(())
+                })?;
                 self.expect(Punct::Semi)?;
-                let mut items = Vec::new();
                 if !names.is_empty() {
-                    items.push(Item::NetDecl {
+                    self.push(Item::NetDecl {
                         net_type,
                         range: range.clone(),
                         names,
                     });
                 }
                 if !mems.is_empty() {
-                    items.push(Item::MemDecl {
+                    self.push(Item::MemDecl {
                         width_range: range,
                         names: mems,
                     });
                 }
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Integer) => {
                 self.bump();
-                let mut names = Vec::new();
-                loop {
-                    let (name, span) = self.expect_ident()?;
-                    names.push((name, span));
-                    if !self.eat(Punct::Comma) {
-                        break;
-                    }
-                }
+                let names = self.try_list(Self::parse_name_list)?;
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::IntegerDecl { names }])
+                self.push(Item::IntegerDecl { names });
+                Some(())
             }
             TokenKind::Keyword(Kw::Parameter) | TokenKind::Keyword(Kw::Localparam) => {
                 let local = tok.kind == TokenKind::Keyword(Kw::Localparam);
                 self.bump();
-                let mut items = Vec::new();
                 loop {
                     let (name, span) = self.expect_ident()?;
                     self.expect(Punct::Assign)?;
                     let default = self.parse_expr();
-                    items.push(Item::Param(ParamDecl {
+                    self.push(Item::Param(ParamDecl {
                         name,
                         default,
                         span,
@@ -400,16 +427,15 @@ impl<'s> Parser<'s, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Assign) => {
                 self.bump();
-                let mut items = Vec::new();
                 loop {
                     let target = self.parse_lvalue_expr()?;
                     self.expect(Punct::Assign)?;
                     let expr = self.parse_expr();
-                    items.push(Item::ContinuousAssign {
+                    self.push(Item::ContinuousAssign {
                         target,
                         expr,
                         span: tok.span,
@@ -419,7 +445,7 @@ impl<'s> Parser<'s, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Always) => {
                 self.bump();
@@ -429,19 +455,21 @@ impl<'s> Parser<'s, '_> {
                     None
                 };
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Always {
+                self.push(Item::Always {
                     events,
                     body,
                     span: tok.span,
-                }])
+                });
+                Some(())
             }
             TokenKind::Keyword(Kw::Initial) => {
                 self.bump();
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Initial {
+                self.push(Item::Initial {
                     body,
                     span: tok.span,
-                }])
+                });
+                Some(())
             }
             TokenKind::Keyword(Kw::Function) => {
                 self.bump();
@@ -456,24 +484,26 @@ impl<'s> Parser<'s, '_> {
                 };
                 let (name, _) = self.expect_ident()?;
                 self.expect(Punct::Semi)?;
-                let mut inputs = Vec::new();
-                while self.eat_kw(Kw::Input) {
-                    self.eat_kw(Kw::Wire);
-                    self.eat_kw(Kw::Signed);
-                    let arange = if self.check(Punct::LBracket) {
-                        self.parse_range()
-                    } else {
-                        None
-                    };
-                    loop {
-                        let (aname, aspan) = self.expect_ident()?;
-                        inputs.push((aname, arange.clone(), aspan));
-                        if !self.eat(Punct::Comma) {
-                            break;
+                let inputs = self.try_list(|p| {
+                    while p.eat_kw(Kw::Input) {
+                        p.eat_kw(Kw::Wire);
+                        p.eat_kw(Kw::Signed);
+                        let arange = if p.check(Punct::LBracket) {
+                            p.parse_range()
+                        } else {
+                            None
+                        };
+                        loop {
+                            let (aname, aspan) = p.expect_ident()?;
+                            p.push((aname, arange.clone(), aspan));
+                            if !p.eat(Punct::Comma) {
+                                break;
+                            }
                         }
+                        p.expect(Punct::Semi)?;
                     }
-                    self.expect(Punct::Semi)?;
-                }
+                    Some(())
+                })?;
                 let body = self.parse_stmt()?;
                 if !self.eat_kw(Kw::Endfunction) {
                     let t = self.peek();
@@ -483,37 +513,38 @@ impl<'s> Parser<'s, '_> {
                     );
                     return None;
                 }
-                Some(vec![Item::Function(FunctionDecl {
+                self.push(Item::Function(Box::new(FunctionDecl {
                     name,
                     range,
                     inputs,
                     body,
                     span: tok.span,
-                })])
+                })));
+                Some(())
             }
             TokenKind::Ident => {
                 // Module instantiation: modname [#(...)] instname ( ... ) ;
                 let module = self.bump().value();
-                let mut param_overrides = Vec::new();
+                let mut param_overrides = Box::default();
                 if self.eat(Punct::Hash) {
                     self.expect(Punct::LParen)?;
-                    loop {
-                        if self.eat(Punct::Dot) {
-                            let (pname, _) = self.expect_ident()?;
-                            self.expect(Punct::LParen)?;
-                            let e = self.parse_expr();
-                            self.expect(Punct::RParen)?;
-                            param_overrides.push((pname, e));
+                    param_overrides = self.try_list(|p| loop {
+                        if p.eat(Punct::Dot) {
+                            let (pname, _) = p.expect_ident()?;
+                            p.expect(Punct::LParen)?;
+                            let e = p.parse_expr();
+                            p.expect(Punct::RParen)?;
+                            p.push((pname, e));
                         } else {
                             // Positional parameter override — rare; named
                             // slot is synthesised by ordinal later.
-                            let e = self.parse_expr();
-                            param_overrides.push((String::new(), e));
+                            let e = p.parse_expr();
+                            p.push((String::new(), e));
                         }
-                        if !self.eat(Punct::Comma) {
-                            break;
+                        if !p.eat(Punct::Comma) {
+                            return Some(());
                         }
-                    }
+                    })?;
                     self.expect(Punct::RParen)?;
                 }
                 let (name, _) = self.expect_ident()?;
@@ -521,13 +552,14 @@ impl<'s> Parser<'s, '_> {
                 let connections = self.parse_connections()?;
                 self.expect(Punct::RParen)?;
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::Instance {
+                self.push(Item::Instance {
                     module,
                     name,
                     param_overrides,
                     connections,
                     span: tok.span,
-                }])
+                });
+                Some(())
             }
             _ => {
                 self.error(format!("syntax error near {}", tok.describe()), tok.span);
@@ -536,65 +568,78 @@ impl<'s> Parser<'s, '_> {
         }
     }
 
-    fn parse_connections(&mut self) -> Option<Connections> {
-        if self.check(Punct::RParen) {
-            return Some(Connections::Positional(Vec::new()));
-        }
-        if self.check(Punct::Dot) {
-            let mut conns = Vec::new();
-            loop {
-                let dot = self.expect(Punct::Dot)?;
-                let (pname, _) = self.expect_ident()?;
-                self.expect(Punct::LParen)?;
-                let expr = if self.check(Punct::RParen) {
-                    None
-                } else {
-                    Some(self.parse_expr())
-                };
-                self.expect(Punct::RParen)?;
-                conns.push((pname, expr, dot.span));
-                if !self.eat(Punct::Comma) {
-                    break;
-                }
+    /// `name {, name}`, pushed as `(name, span)`.
+    fn parse_name_list(&mut self) -> Option<()> {
+        loop {
+            let name = self.expect_ident()?;
+            self.push(name);
+            if !self.eat(Punct::Comma) {
+                return Some(());
             }
-            Some(Connections::Named(conns))
-        } else {
-            let mut exprs = Vec::new();
-            loop {
-                exprs.push(self.parse_expr());
-                if !self.eat(Punct::Comma) {
-                    break;
-                }
-            }
-            Some(Connections::Positional(exprs))
         }
     }
 
-    fn parse_event_list(&mut self) -> Option<Vec<EventExpr>> {
+    fn parse_connections(&mut self) -> Option<Connections> {
+        if self.check(Punct::RParen) {
+            return Some(Connections::Positional(Box::default()));
+        }
+        if self.check(Punct::Dot) {
+            let conns = self.try_list(|p| loop {
+                let dot = p.expect(Punct::Dot)?;
+                let (pname, _) = p.expect_ident()?;
+                p.expect(Punct::LParen)?;
+                let expr = if p.check(Punct::RParen) {
+                    None
+                } else {
+                    Some(p.parse_expr())
+                };
+                p.expect(Punct::RParen)?;
+                p.push((pname, expr, dot.span));
+                if !p.eat(Punct::Comma) {
+                    return Some(());
+                }
+            })?;
+            Some(Connections::Named(conns))
+        } else {
+            Some(Connections::Positional(self.parse_expr_list()))
+        }
+    }
+
+    /// `expr {, expr}`.
+    fn parse_expr_list(&mut self) -> Box<[Expr]> {
+        self.list(|p| loop {
+            let e = p.parse_expr();
+            p.push(e);
+            if !p.eat(Punct::Comma) {
+                break;
+            }
+        })
+    }
+
+    fn parse_event_list(&mut self) -> Option<Box<[EventExpr]>> {
         // Forms: @* | @(*) | @(ev [or|, ev]*)
         if self.check(Punct::Star) {
             self.bump();
-            return Some(Vec::new());
+            return Some(Box::default());
         }
         self.expect(Punct::LParen)?;
         if self.eat(Punct::Star) {
             self.expect(Punct::RParen)?;
-            return Some(Vec::new());
+            return Some(Box::default());
         }
-        let mut events = Vec::new();
-        loop {
-            let ev = if self.eat_kw(Kw::Posedge) {
-                EventExpr::Posedge(self.parse_expr())
-            } else if self.eat_kw(Kw::Negedge) {
-                EventExpr::Negedge(self.parse_expr())
+        let events = self.list(|p| loop {
+            let ev = if p.eat_kw(Kw::Posedge) {
+                EventExpr::Posedge(p.parse_expr())
+            } else if p.eat_kw(Kw::Negedge) {
+                EventExpr::Negedge(p.parse_expr())
             } else {
-                EventExpr::Any(self.parse_expr())
+                EventExpr::Any(p.parse_expr())
             };
-            events.push(ev);
-            if !(self.eat_kw(Kw::Or) || self.eat(Punct::Comma)) {
+            p.push(ev);
+            if !(p.eat_kw(Kw::Or) || p.eat(Punct::Comma)) {
                 break;
             }
-        }
+        });
         self.expect(Punct::RParen)?;
         Some(events)
     }
@@ -610,25 +655,24 @@ impl<'s> Parser<'s, '_> {
                 if self.eat(Punct::Colon) {
                     self.expect_ident();
                 }
-                let mut stmts = Vec::new();
-                loop {
-                    if self.eat_kw(Kw::End) {
+                let stmts = self.list(|p| loop {
+                    if p.eat_kw(Kw::End) {
                         break;
                     }
-                    if self.at_eof() {
-                        self.error("expected 'end', found end of file".into(), tok.span);
+                    if p.at_eof() {
+                        p.error("expected 'end', found end of file".into(), tok.span);
                         break;
                     }
-                    match self.parse_stmt() {
-                        Some(s) => stmts.push(s),
+                    match p.parse_stmt() {
+                        Some(s) => p.push(s),
                         None => {
-                            self.sync_to_semi();
-                            if self.check_kw(Kw::Endmodule) {
+                            p.sync_to_semi();
+                            if p.check_kw(Kw::Endmodule) {
                                 break;
                             }
                         }
                     }
-                }
+                });
                 Some(Stmt::Block(stmts))
             }
             TokenKind::Keyword(Kw::If) => {
@@ -652,29 +696,25 @@ impl<'s> Parser<'s, '_> {
                 self.expect(Punct::LParen)?;
                 let subject = self.parse_expr();
                 self.expect(Punct::RParen)?;
-                let mut arms = Vec::new();
                 let mut default = None;
-                loop {
-                    if self.eat_kw(Kw::Endcase) {
-                        break;
+                let arms = self.try_list(|p| loop {
+                    if p.eat_kw(Kw::Endcase) {
+                        return Some(());
                     }
-                    if self.at_eof() {
-                        self.error("expected 'endcase', found end of file".into(), tok.span);
-                        break;
+                    if p.at_eof() {
+                        p.error("expected 'endcase', found end of file".into(), tok.span);
+                        return Some(());
                     }
-                    if self.eat_kw(Kw::Default) {
-                        self.eat(Punct::Colon);
-                        default = Some(Box::new(self.parse_stmt()?));
+                    if p.eat_kw(Kw::Default) {
+                        p.eat(Punct::Colon);
+                        default = Some(Box::new(p.parse_stmt()?));
                         continue;
                     }
-                    let mut labels = vec![self.parse_expr()];
-                    while self.eat(Punct::Comma) {
-                        labels.push(self.parse_expr());
-                    }
-                    self.expect(Punct::Colon)?;
-                    let body = self.parse_stmt()?;
-                    arms.push((labels, body));
-                }
+                    let labels = p.parse_expr_list();
+                    p.expect(Punct::Colon)?;
+                    let body = p.parse_stmt()?;
+                    p.push((labels, body));
+                })?;
                 Some(Stmt::Case {
                     subject,
                     arms,
@@ -765,23 +805,26 @@ impl<'s> Parser<'s, '_> {
                 })
             }
             TokenKind::SysIdent => {
-                let name = self.bump().value();
-                let mut args = Vec::new();
-                if self.eat(Punct::LParen) {
-                    if !self.check(Punct::RParen) {
-                        loop {
-                            if self.peek().kind == TokenKind::Str {
-                                args.push(SysArg::Str(self.bump().value()));
-                            } else {
-                                args.push(SysArg::Expr(self.parse_expr()));
-                            }
-                            if !self.eat(Punct::Comma) {
-                                break;
+                let name = self.bump().name();
+                let args = self.try_list(|p| {
+                    if p.eat(Punct::LParen) {
+                        if !p.check(Punct::RParen) {
+                            loop {
+                                let arg = if p.peek().kind == TokenKind::Str {
+                                    SysArg::Str(p.bump().value())
+                                } else {
+                                    SysArg::Expr(p.parse_expr())
+                                };
+                                p.push(arg);
+                                if !p.eat(Punct::Comma) {
+                                    break;
+                                }
                             }
                         }
+                        p.expect(Punct::RParen)?;
                     }
-                    self.expect(Punct::RParen)?;
-                }
+                    Some(())
+                })?;
                 self.expect(Punct::Semi)?;
                 Some(Stmt::SysCall {
                     name,
@@ -803,14 +846,14 @@ impl<'s> Parser<'s, '_> {
                         let amount = self.parse_delay_value();
                         let value = self.parse_expr();
                         self.expect(Punct::Semi)?;
-                        return Some(Stmt::Block(vec![
+                        return Some(Stmt::Block(Box::new([
                             Stmt::Delay { amount, then: None },
                             Stmt::Blocking {
                                 target,
                                 value,
                                 span,
                             },
-                        ]));
+                        ])));
                     }
                     let value = self.parse_expr();
                     self.expect(Punct::Semi)?;
@@ -896,13 +939,13 @@ impl<'s> Parser<'s, '_> {
     /// optional select, or a concatenation of such.
     fn parse_lvalue_expr(&mut self) -> Option<Expr> {
         if self.eat(Punct::LBrace) {
-            let mut parts = Vec::new();
-            loop {
-                parts.push(self.parse_lvalue_expr()?);
-                if !self.eat(Punct::Comma) {
-                    break;
+            let parts = self.try_list(|p| loop {
+                let part = p.parse_lvalue_expr()?;
+                p.push(part);
+                if !p.eat(Punct::Comma) {
+                    return Some(());
                 }
-            }
+            })?;
             self.expect(Punct::RBrace)?;
             return Some(Expr::Concat(parts));
         }
@@ -1000,8 +1043,7 @@ impl<'s> Parser<'s, '_> {
             let rhs = self.parse_binary(level + 1);
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                operands: Box::new([lhs, rhs]),
             };
         }
         lhs
@@ -1072,21 +1114,17 @@ impl<'s> Parser<'s, '_> {
                 if self.check(Punct::LParen) {
                     // Function call in expression position.
                     self.bump();
-                    let mut call_args = Vec::new();
-                    if !self.check(Punct::RParen) {
-                        loop {
-                            call_args.push(self.parse_expr());
-                            if !self.eat(Punct::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Punct::RParen);
-                    return Expr::Call {
-                        name: tok.value(),
-                        args: call_args,
-                        span: tok.span,
+                    let args = if self.check(Punct::RParen) {
+                        Box::default()
+                    } else {
+                        self.parse_expr_list()
                     };
+                    self.expect(Punct::RParen);
+                    return Expr::Call(Box::new(Call {
+                        name: tok.value(),
+                        args,
+                        span: tok.span,
+                    }));
                 }
                 Expr::Ident {
                     name: tok.name(),
@@ -1113,14 +1151,16 @@ impl<'s> Parser<'s, '_> {
                     // Additional items inside replication braces would be a
                     // nested concat; support {n{a,b}} via Concat.
                     let value = if self.eat(Punct::Comma) {
-                        let mut parts = vec![value];
-                        loop {
-                            parts.push(self.parse_expr());
-                            if !self.eat(Punct::Comma) {
-                                break;
+                        Expr::Concat(self.list(|p| {
+                            p.push(value);
+                            loop {
+                                let e = p.parse_expr();
+                                p.push(e);
+                                if !p.eat(Punct::Comma) {
+                                    break;
+                                }
                             }
-                        }
-                        Expr::Concat(parts)
+                        }))
                     } else {
                         value
                     };
@@ -1131,10 +1171,13 @@ impl<'s> Parser<'s, '_> {
                         value: Box::new(value),
                     };
                 }
-                let mut parts = vec![first];
-                while self.eat(Punct::Comma) {
-                    parts.push(self.parse_expr());
-                }
+                let parts = self.list(|p| {
+                    p.push(first);
+                    while p.eat(Punct::Comma) {
+                        let e = p.parse_expr();
+                        p.push(e);
+                    }
+                });
                 self.expect(Punct::RBrace);
                 Expr::Concat(parts)
             }
@@ -1334,7 +1377,8 @@ mod tests {
         match e {
             Expr::Ident { name, .. } => name.to_string(),
             Expr::Number { text, .. } => text.to_string(),
-            Expr::Binary { op, lhs, rhs } => {
+            Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 format!("({op:?} {} {})", sexpr(lhs), sexpr(rhs))
             }
             Expr::Unary { op, operand } => format!("({op:?} {})", sexpr(operand)),

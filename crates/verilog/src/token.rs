@@ -319,9 +319,20 @@ impl Token<'_> {
     }
 }
 
-/// Decodes the escapes of raw string-literal contents.
+/// Decodes the escapes of raw string-literal contents into a string of
+/// exactly the decoded length.
 fn unescape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
+    // Each escape decodes to the character after its backslash (or to
+    // nothing, at the end), so it is one byte shorter than written.
+    let mut escapes = 0;
+    let mut bytes = raw.bytes();
+    while let Some(b) = bytes.next() {
+        if b == b'\\' {
+            escapes += 1;
+            bytes.next();
+        }
+    }
+    let mut out = String::with_capacity(raw.len() - escapes);
     let mut chars = raw.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {

@@ -1,4 +1,11 @@
 //! Abstract syntax tree for the VHDL-93 subset.
+//!
+//! Every list is a boxed slice exactly as long as what it holds (the
+//! parser collects each list on a scratch stack and moves it out with
+//! one allocation), and the rare wide variants ([`Expr::Call`],
+//! [`Expr::Slice`], [`Expr::Attr`], [`SeqStmt::For`]) are boxed, so the
+//! common nodes stay small: the EDA parse memo keeps one of these trees
+//! for every file it has seen.
 
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
@@ -23,9 +30,9 @@ pub struct Entity {
     /// Entity name (lowercased).
     pub name: String,
     /// Generic declarations.
-    pub generics: Vec<GenericDecl>,
+    pub generics: Box<[GenericDecl]>,
     /// Port declarations.
-    pub ports: Vec<PortDecl>,
+    pub ports: Box<[PortDecl]>,
     /// Location of the header.
     pub span: Span,
 }
@@ -93,9 +100,9 @@ pub struct Architecture {
     /// Target entity name.
     pub entity: String,
     /// Declarative part.
-    pub decls: Vec<Decl>,
+    pub decls: Box<[Decl]>,
     /// Concurrent statements.
-    pub stmts: Vec<ConcurrentStmt>,
+    pub stmts: Box<[ConcurrentStmt]>,
     /// Location.
     pub span: Span,
 }
@@ -106,7 +113,7 @@ pub enum Decl {
     /// `signal a, b : TYPE [:= init];`
     Signal {
         /// Declared names.
-        names: Vec<(String, Span)>,
+        names: Box<[(String, Span)]>,
         /// Type.
         ty: TypeMark,
         /// Optional initial value.
@@ -140,11 +147,11 @@ pub enum ConcurrentStmt {
         /// Optional label.
         label: Option<String>,
         /// Sensitivity list signal names.
-        sensitivity: Vec<(String, Span)>,
+        sensitivity: Box<[(String, Span)]>,
         /// Process-local variable declarations.
-        variables: Vec<VarDecl>,
+        variables: Box<[VarDecl]>,
         /// Sequential body.
-        body: Vec<SeqStmt>,
+        body: Box<[SeqStmt]>,
         /// Location.
         span: Span,
     },
@@ -155,9 +162,9 @@ pub enum ConcurrentStmt {
         /// Instantiated entity name.
         entity: String,
         /// Generic associations.
-        generic_map: Vec<(String, Expr)>,
+        generic_map: Box<[(String, Expr)]>,
         /// Port associations (`open` = `None`).
-        port_map: Vec<(String, Option<Expr>, Span)>,
+        port_map: Box<[(String, Option<Expr>, Span)]>,
         /// Location.
         span: Span,
     },
@@ -180,7 +187,7 @@ pub enum SeverityLevel {
 #[derive(Debug, Clone)]
 pub struct VarDecl {
     /// Declared names.
-    pub names: Vec<(String, Span)>,
+    pub names: Box<[(String, Span)]>,
     /// Type.
     pub ty: TypeMark,
     /// Optional initial value.
@@ -211,40 +218,28 @@ pub enum SeqStmt {
     /// `if c1 then .. elsif c2 then .. else .. end if;`
     If {
         /// `(condition, body)` arms: the `if` plus each `elsif`.
-        arms: Vec<(Expr, Vec<SeqStmt>)>,
+        arms: Box<[(Expr, Box<[SeqStmt]>)]>,
         /// `else` body.
-        els: Option<Vec<SeqStmt>>,
+        els: Option<Box<[SeqStmt]>>,
     },
     /// `case subject is when ... end case;`
     Case {
         /// Scrutinee.
         subject: Expr,
         /// `(choices, body)` arms; an empty choice list = `when others`.
-        arms: Vec<(Vec<Expr>, Vec<SeqStmt>)>,
+        arms: Box<[CaseArm]>,
         /// Location.
         span: Span,
     },
-    /// `for i in A to|downto B loop ... end loop;`
-    For {
-        /// Loop variable name.
-        var: String,
-        /// Start bound.
-        from: Expr,
-        /// End bound.
-        to: Expr,
-        /// Direction.
-        downto: bool,
-        /// Body.
-        body: Vec<SeqStmt>,
-        /// Location.
-        span: Span,
-    },
+    /// `for i in A to|downto B loop ... end loop;` (boxed: rare, and
+    /// wider than the other statements).
+    For(Box<ForLoop>),
     /// `while cond loop ... end loop;`
     While {
         /// Condition.
         cond: Expr,
         /// Body.
-        body: Vec<SeqStmt>,
+        body: Box<[SeqStmt]>,
     },
     /// `wait for N ns;`
     WaitFor {
@@ -287,6 +282,27 @@ pub enum SeqStmt {
     },
     /// `null;`
     Null,
+}
+
+/// One `when` arm of a `case`: `(choices, body)`, where empty choices
+/// are `when others`.
+pub type CaseArm = (Box<[Expr]>, Box<[SeqStmt]>);
+
+/// A `for` loop.
+#[derive(Debug, Clone)]
+pub struct ForLoop {
+    /// Loop variable name.
+    pub var: String,
+    /// Start bound.
+    pub from: Expr,
+    /// End bound.
+    pub to: Expr,
+    /// Direction.
+    pub downto: bool,
+    /// Body.
+    pub body: Box<[SeqStmt]>,
+    /// Location.
+    pub span: Span,
 }
 
 /// Binary operators.
@@ -382,36 +398,11 @@ pub enum Expr {
     },
     /// `name(arg1, arg2, ...)` — call, index, or conversion; resolved at
     /// elaboration.
-    Call {
-        /// Called/indexed name.
-        name: Name,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Location.
-        span: Span,
-    },
+    Call(Box<Call>),
     /// `name(H downto L)` / `name(L to H)` slice.
-    Slice {
-        /// Sliced name.
-        name: Name,
-        /// High/left bound.
-        left: Box<Expr>,
-        /// Low/right bound.
-        right: Box<Expr>,
-        /// Direction.
-        downto: bool,
-        /// Location.
-        span: Span,
-    },
+    Slice(Box<Slice>),
     /// `name'attr` (only `'event` is supported).
-    Attr {
-        /// Base name.
-        name: Name,
-        /// Attribute name (lowercased).
-        attr: Name,
-        /// Location.
-        span: Span,
-    },
+    Attr(Box<Attr>),
     /// Unary operation.
     Unary {
         /// Operator.
@@ -423,10 +414,8 @@ pub enum Expr {
     Binary {
         /// Operator.
         op: BinOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
+        /// Left and right operands, in one allocation.
+        operands: Box<[Expr; 2]>,
     },
     /// `(others => FILL)` aggregate.
     Aggregate {
@@ -446,6 +435,43 @@ pub enum Expr {
     },
 }
 
+/// `name(arg1, arg2, ...)`: a call, an index or a conversion.
+#[derive(Debug, Clone)]
+pub struct Call {
+    /// Called/indexed name.
+    pub name: Name,
+    /// Arguments.
+    pub args: Box<[Expr]>,
+    /// Location.
+    pub span: Span,
+}
+
+/// `name(H downto L)` / `name(L to H)`.
+#[derive(Debug, Clone)]
+pub struct Slice {
+    /// Sliced name.
+    pub name: Name,
+    /// High/left bound.
+    pub left: Expr,
+    /// Low/right bound.
+    pub right: Expr,
+    /// Direction.
+    pub downto: bool,
+    /// Location.
+    pub span: Span,
+}
+
+/// `name'attr`.
+#[derive(Debug, Clone)]
+pub struct Attr {
+    /// Base name.
+    pub name: Name,
+    /// Attribute name (lowercased).
+    pub attr: Name,
+    /// Location.
+    pub span: Span,
+}
+
 impl Expr {
     /// Best-effort source anchor.
     #[must_use]
@@ -458,12 +484,12 @@ impl Expr {
             | Expr::StrLit { span, .. }
             | Expr::Bool { span, .. }
             | Expr::Ident { span, .. }
-            | Expr::Call { span, .. }
-            | Expr::Slice { span, .. }
-            | Expr::Attr { span, .. }
             | Expr::Aggregate { span, .. } => Some(*span),
+            Expr::Call(call) => Some(call.span),
+            Expr::Slice(slice) => Some(slice.span),
+            Expr::Attr(attr) => Some(attr.span),
             Expr::Unary { operand, .. } => operand.span(),
-            Expr::Binary { lhs, .. } => lhs.span(),
+            Expr::Binary { operands, .. } => operands[0].span(),
             Expr::When { value, .. } => value.span(),
         }
     }

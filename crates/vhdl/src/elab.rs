@@ -382,7 +382,8 @@ impl<'a> Elaborator<'a, '_> {
                     UnOp::Not => i64::from(v == 0),
                 })
             }
-            ast::Expr::Binary { op, lhs, rhs } => {
+            ast::Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 let a = self.try_eval_const(lhs, scope)?;
                 let b = self.try_eval_const(rhs, scope)?;
                 Some(match op {
@@ -506,14 +507,15 @@ impl<'a> Elaborator<'a, '_> {
                     }
                 }
             }
-            ast::Expr::Call { name, args, span } => self.lower_call(name, args, *span, scope),
-            ast::Expr::Slice {
-                name,
-                left,
-                right,
-                span,
-                ..
-            } => {
+            ast::Expr::Call(call) => self.lower_call(&call.name, &call.args, call.span, scope),
+            ast::Expr::Slice(slice) => {
+                let ast::Slice {
+                    name,
+                    left,
+                    right,
+                    span,
+                    ..
+                } = &**slice;
                 let Some(&net) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
@@ -527,7 +529,8 @@ impl<'a> Elaborator<'a, '_> {
                 let (msb, lsb) = if l >= r { (l, r) } else { (r, l) };
                 Expr::Range { net, msb, lsb }
             }
-            ast::Expr::Attr { name, attr, span } => {
+            ast::Expr::Attr(a) => {
+                let ast::Attr { name, attr, span } = &**a;
                 let Some(&net) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
@@ -566,20 +569,20 @@ impl<'a> Elaborator<'a, '_> {
                     UnOp::Plus => inner,
                 }
             }
-            ast::Expr::Binary { op, lhs, rhs } => {
+            ast::Expr::Binary { op, operands } => {
+                let [lhs, rhs] = &**operands;
                 let mut l = self.lower_expr(lhs, scope);
                 let mut r = self.lower_expr(rhs, scope);
                 // VHDL numeric_std: an integer operand adopts the vector
                 // operand's width.
                 let nw = |id: NetId| self.net_width(id);
-                if matches!(**lhs, ast::Expr::Int { .. }) && !matches!(**rhs, ast::Expr::Int { .. })
-                {
+                if matches!(lhs, ast::Expr::Int { .. }) && !matches!(rhs, ast::Expr::Int { .. }) {
                     let w = r.width_with(&nw);
                     if let Expr::Const(v) = &l {
                         l = Expr::Const(v.resize(w.max(1)));
                     }
-                } else if matches!(**rhs, ast::Expr::Int { .. })
-                    && !matches!(**lhs, ast::Expr::Int { .. })
+                } else if matches!(rhs, ast::Expr::Int { .. })
+                    && !matches!(lhs, ast::Expr::Int { .. })
                 {
                     let w = l.width_with(&nw);
                     if let Expr::Const(v) = &r {
@@ -798,7 +801,8 @@ impl<'a> Elaborator<'a, '_> {
                     None
                 }
             },
-            ast::Expr::Call { name, args, span } => {
+            ast::Expr::Call(call) => {
+                let ast::Call { name, args, span } = &**call;
                 let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
@@ -814,13 +818,14 @@ impl<'a> Elaborator<'a, '_> {
                 let idx = self.lower_expr(&args[0], scope);
                 Some(LValue::Index(id, idx))
             }
-            ast::Expr::Slice {
-                name,
-                left,
-                right,
-                span,
-                ..
-            } => {
+            ast::Expr::Slice(slice) => {
+                let ast::Slice {
+                    name,
+                    left,
+                    right,
+                    span,
+                    ..
+                } = &**slice;
                 let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
@@ -1032,14 +1037,15 @@ impl<'a> Elaborator<'a, '_> {
                     b.patch(j, b.here());
                 }
             }
-            SeqStmt::For {
-                var,
-                from,
-                to,
-                downto,
-                body,
-                span,
-            } => {
+            SeqStmt::For(f) => {
+                let ast::ForLoop {
+                    var,
+                    from,
+                    to,
+                    downto,
+                    body,
+                    span,
+                } = &**f;
                 // Hidden 32-bit loop counter, visible as `var` in the body.
                 let counter = self.design.add_net(Net {
                     name: format!("{}{}@{}", scope.prefix, var, span.start),
@@ -1106,7 +1112,8 @@ impl<'a> Elaborator<'a, '_> {
             SeqStmt::WaitUntil { cond, span } => {
                 // `wait until rising_edge(clk)` gets a precise edge wait;
                 // the general form loops on any change of the read nets.
-                if let ast::Expr::Call { name, args, .. } = cond {
+                if let ast::Expr::Call(call) = cond {
+                    let ast::Call { name, args, .. } = &**call;
                     if name == "rising_edge" || name == "falling_edge" {
                         if let Some(ast::Expr::Ident { name: sig, .. }) = args.first() {
                             if let Some(&net) = scope.nets.get(sig.as_str()) {

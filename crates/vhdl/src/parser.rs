@@ -1,8 +1,13 @@
 //! Recursive-descent parser for the VHDL-93 subset.
+//!
+//! Lists are collected on [`Scratch`] stacks owned by the parser and
+//! moved out with one exact allocation each ([`aivril_hdl::scratch`]),
+//! so an AST list is never larger than what it holds.
 
 use crate::ast::*;
 use crate::lexer::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::scratch::Lists;
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
 
@@ -12,6 +17,7 @@ pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
         tokens,
         pos: 0,
         diags,
+        scratch: Scratch::default(),
     };
     let mut file = DesignFile::default();
     while !p.at_eof() {
@@ -53,6 +59,33 @@ struct Parser<'s, 'd> {
     tokens: Vec<Token<'s>>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    scratch: Scratch,
+}
+
+aivril_hdl::scratch_stacks! {
+    /// One stack per list element type.
+    struct Scratch {
+        generics: GenericDecl,
+        ports: PortDecl,
+        names: (String, Span),
+        decls: Decl,
+        concurrent: ConcurrentStmt,
+        variables: VarDecl,
+        generic_map: (String, Expr),
+        port_map: (String, Option<Expr>, Span),
+        stmts: SeqStmt,
+        if_arms: (Expr, Box<[SeqStmt]>),
+        case_arms: CaseArm,
+        exprs: Expr,
+    }
+}
+
+impl Lists for Parser<'_, '_> {
+    type Scratch = Scratch;
+
+    fn scratch(&mut self) -> &mut Scratch {
+        &mut self.scratch
+    }
 }
 
 impl<'s> Parser<'s, '_> {
@@ -203,71 +236,65 @@ impl<'s> Parser<'s, '_> {
     fn parse_entity(&mut self) -> Option<Entity> {
         let (name, span) = self.expect_ident()?;
         self.expect_kw(Kw::Is)?;
-        let mut generics = Vec::new();
-        let mut ports = Vec::new();
+        let mut generics = Box::default();
+        let mut ports = Box::default();
         if self.eat_kw(Kw::Generic) {
             self.expect(Punct::LParen)?;
-            loop {
-                let mut names = vec![self.expect_ident()?];
-                while self.eat(Punct::Comma) {
-                    names.push(self.expect_ident()?);
-                }
-                self.expect(Punct::Colon)?;
-                let _ty = self.parse_type_mark()?;
-                let default = if self.eat(Punct::Assign) {
-                    Some(self.parse_expr())
+            generics = self.try_list(|p| loop {
+                let names = p.parse_ident_list()?;
+                p.expect(Punct::Colon)?;
+                let _ty = p.parse_type_mark()?;
+                let default = if p.eat(Punct::Assign) {
+                    Some(p.parse_expr())
                 } else {
                     None
                 };
                 for (n, s) in names {
-                    generics.push(GenericDecl {
+                    p.push(GenericDecl {
                         name: n,
                         default: default.clone(),
                         span: s,
                     });
                 }
-                if !self.eat(Punct::Semi) {
-                    break;
+                if !p.eat(Punct::Semi) {
+                    return Some(());
                 }
-            }
+            })?;
             self.expect(Punct::RParen)?;
             self.expect(Punct::Semi)?;
         }
         if self.eat_kw(Kw::Port) {
             self.expect(Punct::LParen)?;
-            loop {
-                let mut names = vec![self.expect_ident()?];
-                while self.eat(Punct::Comma) {
-                    names.push(self.expect_ident()?);
-                }
-                self.expect(Punct::Colon)?;
-                let dir = if self.eat_kw(Kw::In) {
+            ports = self.try_list(|p| loop {
+                let names = p.parse_ident_list()?;
+                p.expect(Punct::Colon)?;
+                let dir = if p.eat_kw(Kw::In) {
                     PortDir::In
-                } else if self.eat_kw(Kw::Out) {
+                } else if p.eat_kw(Kw::Out) {
                     PortDir::Out
-                } else if self.eat_kw(Kw::Inout) {
+                } else if p.eat_kw(Kw::Inout) {
                     PortDir::Inout
                 } else {
-                    let tok = self.peek();
-                    self.error(
+                    let tok = p.peek();
+                    p.error(
                         format!("expected port direction, found {}", tok.describe()),
                         tok.span,
                     );
                     PortDir::In
                 };
-                let ty = self.parse_type_mark()?;
+                let ty = p.parse_type_mark()?;
                 for (n, s) in names {
-                    ports.push(PortDecl {
+                    p.push(PortDecl {
                         name: n,
                         dir,
                         ty: ty.clone(),
                         span: s,
                     });
                 }
-                if !self.eat(Punct::Semi) {
-                    break;
+                if !p.eat(Punct::Semi) {
+                    return Some(());
                 }
-            }
+            })?;
             self.expect(Punct::RParen)?;
             self.expect(Punct::Semi)?;
         }
@@ -282,6 +309,17 @@ impl<'s> Parser<'s, '_> {
             generics,
             ports,
             span,
+        })
+    }
+
+    /// `ident {, ident}`.
+    fn parse_ident_list(&mut self) -> Option<Box<[(String, Span)]>> {
+        self.try_list(|p| loop {
+            let name = p.expect_ident()?;
+            p.push(name);
+            if !p.eat(Punct::Comma) {
+                return Some(());
+            }
         })
     }
 
@@ -340,77 +378,75 @@ impl<'s> Parser<'s, '_> {
         self.expect_kw(Kw::Of)?;
         let (entity, _) = self.expect_ident()?;
         self.expect_kw(Kw::Is)?;
-        let mut decls = Vec::new();
-        while !self.check_kw(Kw::Begin) && !self.at_eof() {
-            if self.eat_kw(Kw::Signal) {
-                let mut names = vec![self.expect_ident()?];
-                while self.eat(Punct::Comma) {
-                    names.push(self.expect_ident()?);
-                }
-                self.expect(Punct::Colon)?;
-                let ty = self.parse_type_mark()?;
-                let init = if self.eat(Punct::Assign) {
-                    Some(self.parse_expr())
-                } else {
-                    None
-                };
-                self.expect(Punct::Semi)?;
-                decls.push(Decl::Signal { names, ty, init });
-            } else if self.eat_kw(Kw::Constant) {
-                let (cname, cspan) = self.expect_ident()?;
-                self.expect(Punct::Colon)?;
-                let _ty = self.parse_type_mark()?;
-                self.expect(Punct::Assign)?;
-                let value = self.parse_expr();
-                self.expect(Punct::Semi)?;
-                decls.push(Decl::Constant {
-                    name: cname,
-                    value,
-                    span: cspan,
-                });
-            } else if self.eat_kw(Kw::Component) {
-                // Component declarations are tolerated and skipped; only
-                // direct entity instantiation is supported.
-                while !self.at_eof() {
-                    if self.eat_kw(Kw::End) && self.eat_kw(Kw::Component) {
-                        if self.peek().kind == TokenKind::Ident {
-                            self.bump();
+        let decls = self.try_list(|p| {
+            while !p.check_kw(Kw::Begin) && !p.at_eof() {
+                if p.eat_kw(Kw::Signal) {
+                    let names = p.parse_ident_list()?;
+                    p.expect(Punct::Colon)?;
+                    let ty = p.parse_type_mark()?;
+                    let init = if p.eat(Punct::Assign) {
+                        Some(p.parse_expr())
+                    } else {
+                        None
+                    };
+                    p.expect(Punct::Semi)?;
+                    p.push(Decl::Signal { names, ty, init });
+                } else if p.eat_kw(Kw::Constant) {
+                    let (cname, cspan) = p.expect_ident()?;
+                    p.expect(Punct::Colon)?;
+                    let _ty = p.parse_type_mark()?;
+                    p.expect(Punct::Assign)?;
+                    let value = p.parse_expr();
+                    p.expect(Punct::Semi)?;
+                    p.push(Decl::Constant {
+                        name: cname,
+                        value,
+                        span: cspan,
+                    });
+                } else if p.eat_kw(Kw::Component) {
+                    // Component declarations are tolerated and skipped;
+                    // only direct entity instantiation is supported.
+                    while !p.at_eof() {
+                        if p.eat_kw(Kw::End) && p.eat_kw(Kw::Component) {
+                            if p.peek().kind == TokenKind::Ident {
+                                p.bump();
+                            }
+                            p.expect(Punct::Semi)?;
+                            break;
                         }
-                        self.expect(Punct::Semi)?;
-                        break;
+                        p.bump();
                     }
-                    self.bump();
+                } else {
+                    let tok = p.peek();
+                    p.error(
+                        format!("expected declaration or 'begin', found {}", tok.describe()),
+                        tok.span,
+                    );
+                    return None;
                 }
-            } else {
-                let tok = self.peek();
-                self.error(
-                    format!("expected declaration or 'begin', found {}", tok.describe()),
-                    tok.span,
-                );
-                return None;
             }
-        }
+            Some(())
+        })?;
         self.expect_kw(Kw::Begin)?;
-        let mut stmts = Vec::new();
-        loop {
-            if self.check_kw(Kw::End) {
-                self.bump();
-                self.eat_kw(Kw::Architecture);
-                if self.peek().kind == TokenKind::Ident {
-                    self.bump();
+        let stmts = self.try_list(|p| loop {
+            if p.check_kw(Kw::End) {
+                p.bump();
+                p.eat_kw(Kw::Architecture);
+                if p.peek().kind == TokenKind::Ident {
+                    p.bump();
                 }
-                self.expect(Punct::Semi)?;
-                break;
+                p.expect(Punct::Semi)?;
+                return Some(());
             }
-            if self.at_eof() {
-                self.error("expected 'end', found end of file".into(), span);
-                break;
+            if p.at_eof() {
+                p.error("expected 'end', found end of file".into(), span);
+                return Some(());
             }
-            match self.parse_concurrent_stmt() {
-                Some(s) => stmts.push(s),
-                None => self.skip_past_semi(),
+            match p.parse_concurrent_stmt() {
+                Some(s) => p.push(s),
+                None => p.skip_past_semi(),
             }
-        }
+        })?;
         Some(Architecture {
             name,
             entity,
@@ -433,45 +469,39 @@ impl<'s> Parser<'s, '_> {
         };
         if self.check_kw(Kw::Process) {
             let span = self.bump().span;
-            let mut sensitivity = Vec::new();
+            let mut sensitivity = Box::default();
             if self.eat(Punct::LParen) {
-                loop {
-                    sensitivity.push(self.expect_ident()?);
-                    if !self.eat(Punct::Comma) {
-                        break;
-                    }
-                }
+                sensitivity = self.parse_ident_list()?;
                 self.expect(Punct::RParen)?;
             }
             self.eat_kw(Kw::Is);
             // Process-declarative part: variable declarations.
-            let mut variables = Vec::new();
-            while !self.check_kw(Kw::Begin) && !self.at_eof() {
-                let tok = self.peek();
-                if self.eat_kw(Kw::Variable) {
-                    let mut names = vec![self.expect_ident()?];
-                    while self.eat(Punct::Comma) {
-                        names.push(self.expect_ident()?);
-                    }
-                    self.expect(Punct::Colon)?;
-                    let ty = self.parse_type_mark()?;
-                    let init = if self.eat(Punct::Assign) {
-                        Some(self.parse_expr())
+            let variables = self.try_list(|p| {
+                while !p.check_kw(Kw::Begin) && !p.at_eof() {
+                    let tok = p.peek();
+                    if p.eat_kw(Kw::Variable) {
+                        let names = p.parse_ident_list()?;
+                        p.expect(Punct::Colon)?;
+                        let ty = p.parse_type_mark()?;
+                        let init = if p.eat(Punct::Assign) {
+                            Some(p.parse_expr())
+                        } else {
+                            None
+                        };
+                        p.expect(Punct::Semi)?;
+                        p.push(VarDecl { names, ty, init });
                     } else {
-                        None
-                    };
-                    self.expect(Punct::Semi)?;
-                    variables.push(VarDecl { names, ty, init });
-                } else {
-                    self.error(
-                        format!("expected 'variable' or 'begin', found {}", tok.describe()),
-                        tok.span,
-                    );
-                    return None;
+                        p.error(
+                            format!("expected 'variable' or 'begin', found {}", tok.describe()),
+                            tok.span,
+                        );
+                        return None;
+                    }
                 }
-            }
+                Some(())
+            })?;
             self.expect_kw(Kw::Begin)?;
-            let body = self.parse_seq_stmts(&[Kw::End])?;
+            let body = self.parse_seq_stmts(&[Kw::End]);
             self.expect_kw(Kw::End)?;
             self.expect_kw(Kw::Process)?;
             if self.peek().kind == TokenKind::Ident {
@@ -500,38 +530,39 @@ impl<'s> Parser<'s, '_> {
             } else {
                 lib
             };
-            let mut generic_map = Vec::new();
+            let mut generic_map = Box::default();
             if self.eat_kw(Kw::Generic) {
                 self.expect_kw(Kw::Map)?;
                 self.expect(Punct::LParen)?;
-                loop {
-                    let (gname, _) = self.expect_ident()?;
-                    self.expect(Punct::Arrow)?;
-                    generic_map.push((gname, self.parse_expr()));
-                    if !self.eat(Punct::Comma) {
-                        break;
+                generic_map = self.try_list(|p| loop {
+                    let (gname, _) = p.expect_ident()?;
+                    p.expect(Punct::Arrow)?;
+                    let value = p.parse_expr();
+                    p.push((gname, value));
+                    if !p.eat(Punct::Comma) {
+                        return Some(());
                     }
-                }
+                })?;
                 self.expect(Punct::RParen)?;
             }
             self.expect_kw(Kw::Port)?;
             self.expect_kw(Kw::Map)?;
             self.expect(Punct::LParen)?;
-            let mut port_map = Vec::new();
-            loop {
-                let (pname, pspan) = self.expect_ident()?;
-                self.expect(Punct::Arrow)?;
+            let port_map = self.try_list(|p| loop {
+                let (pname, pspan) = p.expect_ident()?;
+                p.expect(Punct::Arrow)?;
                 // `open` connection.
-                if self.peek().is_word("open") {
-                    self.bump();
-                    port_map.push((pname, None, pspan));
+                let actual = if p.peek().is_word("open") {
+                    p.bump();
+                    None
                 } else {
-                    port_map.push((pname, Some(self.parse_expr()), pspan));
+                    Some(p.parse_expr())
+                };
+                p.push((pname, actual, pspan));
+                if !p.eat(Punct::Comma) {
+                    return Some(());
                 }
-                if !self.eat(Punct::Comma) {
-                    break;
-                }
-            }
+            })?;
             self.expect(Punct::RParen)?;
             self.expect(Punct::Semi)?;
             return Some(ConcurrentStmt::Instance {
@@ -558,46 +589,46 @@ impl<'s> Parser<'s, '_> {
     // ----------------------------------------------------- sequentials
 
     /// Parses sequential statements until one of `stops` is the lookahead.
-    fn parse_seq_stmts(&mut self, stops: &[Kw]) -> Option<Vec<SeqStmt>> {
-        let mut out = Vec::new();
-        loop {
-            if self.at_eof() || stops.iter().any(|&k| self.check_kw(k)) {
-                return Some(out);
+    fn parse_seq_stmts(&mut self, stops: &[Kw]) -> Box<[SeqStmt]> {
+        self.list(|p| loop {
+            if p.at_eof() || stops.iter().any(|&k| p.check_kw(k)) {
+                return;
             }
-            match self.parse_seq_stmt() {
-                Some(s) => out.push(s),
+            match p.parse_seq_stmt() {
+                Some(s) => p.push(s),
                 None => {
-                    self.skip_past_semi();
-                    if self.at_eof() {
-                        return Some(out);
+                    p.skip_past_semi();
+                    if p.at_eof() {
+                        return;
                     }
                 }
             }
-        }
+        })
     }
 
     fn parse_seq_stmt(&mut self) -> Option<SeqStmt> {
         let tok = self.peek();
         if self.eat_kw(Kw::If) {
-            let mut arms = Vec::new();
-            let cond = self.parse_expr();
-            self.expect_kw(Kw::Then)?;
-            let body = self.parse_seq_stmts(&[Kw::Elsif, Kw::Else, Kw::End])?;
-            arms.push((cond, body));
             let mut els = None;
-            loop {
-                if self.eat_kw(Kw::Elsif) {
-                    let c = self.parse_expr();
-                    self.expect_kw(Kw::Then)?;
-                    let b = self.parse_seq_stmts(&[Kw::Elsif, Kw::Else, Kw::End])?;
-                    arms.push((c, b));
-                } else if self.eat_kw(Kw::Else) {
-                    els = Some(self.parse_seq_stmts(&[Kw::End])?);
-                    break;
-                } else {
-                    break;
+            let arms = self.try_list(|p| {
+                let cond = p.parse_expr();
+                p.expect_kw(Kw::Then)?;
+                let body = p.parse_seq_stmts(&[Kw::Elsif, Kw::Else, Kw::End]);
+                p.push((cond, body));
+                loop {
+                    if p.eat_kw(Kw::Elsif) {
+                        let c = p.parse_expr();
+                        p.expect_kw(Kw::Then)?;
+                        let b = p.parse_seq_stmts(&[Kw::Elsif, Kw::Else, Kw::End]);
+                        p.push((c, b));
+                    } else if p.eat_kw(Kw::Else) {
+                        els = Some(p.parse_seq_stmts(&[Kw::End]));
+                        return Some(());
+                    } else {
+                        return Some(());
+                    }
                 }
-            }
+            })?;
             self.expect_kw(Kw::End)?;
             self.expect_kw(Kw::If)?;
             self.expect(Punct::Semi)?;
@@ -606,21 +637,25 @@ impl<'s> Parser<'s, '_> {
         if self.eat_kw(Kw::Case) {
             let subject = self.parse_expr();
             self.expect_kw(Kw::Is)?;
-            let mut arms = Vec::new();
-            while self.eat_kw(Kw::When) {
-                let mut choices = Vec::new();
-                if !self.eat_kw(Kw::Others) {
-                    loop {
-                        choices.push(self.parse_expr());
-                        if !self.eat(Punct::Bar) {
-                            break;
+            let arms = self.try_list(|p| {
+                while p.eat_kw(Kw::When) {
+                    let choices = p.list(|p| {
+                        if !p.eat_kw(Kw::Others) {
+                            loop {
+                                let e = p.parse_expr();
+                                p.push(e);
+                                if !p.eat(Punct::Bar) {
+                                    break;
+                                }
+                            }
                         }
-                    }
+                    });
+                    p.expect(Punct::Arrow)?;
+                    let body = p.parse_seq_stmts(&[Kw::When, Kw::End]);
+                    p.push((choices, body));
                 }
-                self.expect(Punct::Arrow)?;
-                let body = self.parse_seq_stmts(&[Kw::When, Kw::End])?;
-                arms.push((choices, body));
-            }
+                Some(())
+            })?;
             self.expect_kw(Kw::End)?;
             self.expect_kw(Kw::Case)?;
             self.expect(Punct::Semi)?;
@@ -647,23 +682,23 @@ impl<'s> Parser<'s, '_> {
             };
             let to = self.parse_expr();
             self.expect_kw(Kw::Loop)?;
-            let body = self.parse_seq_stmts(&[Kw::End])?;
+            let body = self.parse_seq_stmts(&[Kw::End]);
             self.expect_kw(Kw::End)?;
             self.expect_kw(Kw::Loop)?;
             self.expect(Punct::Semi)?;
-            return Some(SeqStmt::For {
+            return Some(SeqStmt::For(Box::new(ForLoop {
                 var,
                 from,
                 to,
                 downto,
                 body,
                 span: tok.span,
-            });
+            })));
         }
         if self.eat_kw(Kw::While) {
             let cond = self.parse_expr();
             self.expect_kw(Kw::Loop)?;
-            let body = self.parse_seq_stmts(&[Kw::End])?;
+            let body = self.parse_seq_stmts(&[Kw::End]);
             self.expect_kw(Kw::End)?;
             self.expect_kw(Kw::Loop)?;
             self.expect(Punct::Semi)?;
@@ -842,8 +877,7 @@ impl<'s> Parser<'s, '_> {
             let rhs = self.parse_relational();
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                operands: Box::new([lhs, rhs]),
             };
         }
     }
@@ -863,8 +897,7 @@ impl<'s> Parser<'s, '_> {
         let rhs = self.parse_shift();
         Expr::Binary {
             op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+            operands: Box::new([lhs, rhs]),
         }
     }
 
@@ -880,8 +913,7 @@ impl<'s> Parser<'s, '_> {
         let rhs = self.parse_adding();
         Expr::Binary {
             op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+            operands: Box::new([lhs, rhs]),
         }
     }
 
@@ -898,8 +930,7 @@ impl<'s> Parser<'s, '_> {
             let rhs = self.parse_term();
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                operands: Box::new([lhs, rhs]),
             };
         }
     }
@@ -918,8 +949,7 @@ impl<'s> Parser<'s, '_> {
             let rhs = self.parse_factor();
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                operands: Box::new([lhs, rhs]),
             };
         }
     }
@@ -1038,11 +1068,11 @@ impl<'s> Parser<'s, '_> {
                         Some(a) => a.name(),
                         None => Name::new("event"),
                     };
-                    return Expr::Attr {
+                    return Expr::Attr(Box::new(Attr {
                         name,
                         attr,
                         span: tok.span,
-                    };
+                    }));
                 }
                 // Call / index / slice?
                 if self.eat(Punct::LParen) {
@@ -1050,35 +1080,38 @@ impl<'s> Parser<'s, '_> {
                     if self.eat_kw(Kw::Downto) {
                         let right = self.parse_expr();
                         self.expect(Punct::RParen);
-                        return Expr::Slice {
+                        return Expr::Slice(Box::new(Slice {
                             name,
-                            left: Box::new(first),
-                            right: Box::new(right),
+                            left: first,
+                            right,
                             downto: true,
                             span: tok.span,
-                        };
+                        }));
                     }
                     if self.eat_kw(Kw::To) {
                         let right = self.parse_expr();
                         self.expect(Punct::RParen);
-                        return Expr::Slice {
+                        return Expr::Slice(Box::new(Slice {
                             name,
-                            left: Box::new(first),
-                            right: Box::new(right),
+                            left: first,
+                            right,
                             downto: false,
                             span: tok.span,
-                        };
+                        }));
                     }
-                    let mut args = vec![first];
-                    while self.eat(Punct::Comma) {
-                        args.push(self.parse_expr());
-                    }
+                    let args = self.list(|p| {
+                        p.push(first);
+                        while p.eat(Punct::Comma) {
+                            let e = p.parse_expr();
+                            p.push(e);
+                        }
+                    });
                     self.expect(Punct::RParen);
-                    return Expr::Call {
+                    return Expr::Call(Box::new(Call {
                         name,
                         args,
                         span: tok.span,
-                    };
+                    }));
                 }
                 Expr::Ident {
                     name,
@@ -1123,7 +1156,7 @@ impl<'s> Parser<'s, '_> {
             return None;
         }
         match self.parse_primary() {
-            e @ (Expr::Ident { .. } | Expr::Call { .. } | Expr::Slice { .. }) => Some(e),
+            e @ (Expr::Ident { .. } | Expr::Call(_) | Expr::Slice(_)) => Some(e),
             _ => {
                 self.error("illegal assignment target".into(), tok.span);
                 None
@@ -1358,7 +1391,7 @@ end architecture;
         );
         match &unit.architectures[0].stmts[0] {
             ConcurrentStmt::Process { body, .. } => {
-                assert!(matches!(body[0], SeqStmt::For { downto: false, .. }));
+                assert!(matches!(&body[0], SeqStmt::For(f) if !f.downto));
             }
             other => panic!("expected process, got {other:?}"),
         }

@@ -8,7 +8,10 @@
 //! allocations a whole `analyze_file` (lex + parse + AST) makes per
 //! token. It then counts every phase of compiling and simulating each
 //! golden DUT+testbench pair — parse, elaboration, lowering, run — and
-//! gates each one. Run it with `--nocapture` for the per-phase table.
+//! gates each one. Finally it gates what a parsed file keeps: the live
+//! AST bytes per source byte of the golden testbenches, and the widths
+//! of the statement and expression nodes. Run it with `--nocapture` for
+//! the per-phase table and the measured ratios.
 
 use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::source::FileId;
@@ -20,33 +23,43 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed on this thread (layout sizes,
+    /// so allocator overhead is not counted).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one allocation of `grown` more live bytes.
+fn count(grown: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn
     // down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell`, which never allocates.
+fn size(layout: Layout) -> i64 {
+    i64::try_from(layout.size()).expect("allocation size fits i64")
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(size(layout));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(size(layout));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(i64::try_from(new_size).expect("allocation size fits i64") - size(layout));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - size(layout)));
         System.dealloc(ptr, layout);
     }
 }
@@ -60,6 +73,18 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the bytes it left allocated on
+/// this thread: what the result holds, once `f`'s temporaries are gone.
+fn retained<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    let grown = LIVE.with(Cell::get) - before;
+    (
+        out,
+        u64::try_from(grown).expect("a result holds no negative bytes"),
+    )
 }
 
 /// Every golden source of the suite: (name, is_verilog, text).
@@ -129,11 +154,11 @@ fn lexing_allocates_nothing_per_token() {
             bytes as f64 / tokens as f64,
             files.len() / 2
         );
-        // What is left is AST nodes (boxes, vectors) and the few names
-        // longer than a `Name` holds inline; an owned string per token
-        // would put this near 3, and one per name near 1. Measured: 0.29
-        // (Verilog) and 0.20 (VHDL).
-        let bound = if *lang == "verilog" { 0.32 } else { 0.23 };
+        // What is left is AST nodes (boxes, one exact allocation per
+        // list) and the few names longer than a `Name` holds inline; an
+        // owned string per token would put this near 3, and one per name
+        // near 1. Measured: 0.197 (Verilog) and 0.159 (VHDL).
+        let bound = if *lang == "verilog" { 0.21 } else { 0.17 };
         assert!(
             per_token < bound,
             "{lang}: {per_token:.2} allocations per token"
@@ -225,8 +250,8 @@ fn compile_phases_allocate_per_file() {
     }
     // (parse, elab, lower, run) gates per language.
     let gates = [
-        (200_000, 142_000, 7_200, 8_500),
-        (99_000, 73_000, 7_200, 8_700),
+        (134_000, 142_000, 7_200, 8_500),
+        (78_000, 73_000, 7_200, 8_700),
     ];
     for ((lang, p), (parse, elab, lower, run)) in measured.iter().zip(gates) {
         assert!(
@@ -245,5 +270,58 @@ fn compile_phases_allocate_per_file() {
             p.lower
         );
         assert!(p.run <= run, "{lang}: the runs made {} allocations", p.run);
+    }
+}
+
+/// Live bytes of the parsed ASTs of the 156 golden testbenches, per
+/// source byte. The EDA cache's parse memo keeps one such AST for every
+/// file it has seen, so this ratio is what a memoized testbench costs.
+/// Lists are exactly as long as what they hold and the common nodes do
+/// not pay for rare wide variants: measured 5.94x (Verilog) and 3.52x
+/// (VHDL). The bounds sit a few percent above; growth-doubled lists
+/// and unboxed wide variants read 13.5x and 9.4x.
+#[test]
+fn parsed_testbenches_hold_a_few_bytes_per_source_byte() {
+    let file = FileId(0);
+    // (source bytes, live AST bytes) per language
+    let mut totals = [(0usize, 0u64); 2];
+    for p in aivril_verilogeval::suite() {
+        let (v, v_bytes) = retained(|| aivril_verilog::analyze_file(file, &p.verilog.tb));
+        assert!(!v.1.has_errors(), "{}: {:?}", p.name, v.1.all());
+        let (h, h_bytes) = retained(|| aivril_vhdl::analyze_file(file, &p.vhdl.tb));
+        assert!(!h.1.has_errors(), "{}: {:?}", p.name, h.1.all());
+        totals[0].0 += p.verilog.tb.len();
+        totals[0].1 += v_bytes;
+        totals[1].0 += p.vhdl.tb.len();
+        totals[1].1 += h_bytes;
+    }
+    for ((lang, (source, live)), bound) in ["verilog", "vhdl"].iter().zip(totals).zip([6.2, 3.7]) {
+        let ratio = live as f64 / source as f64;
+        println!(
+            "{lang}: 156 testbenches, {source} source bytes, {live} live AST bytes = \
+             {ratio:.2} per source byte"
+        );
+        assert!(
+            ratio <= bound,
+            "{lang}: {ratio:.2} AST bytes per source byte"
+        );
+    }
+}
+
+/// Every statement and expression in a memoized AST is one of these
+/// enums, so their widths set what a node costs. Each is as wide as its
+/// common variants; the rare wide ones are boxed (Verilog `Expr::Call`,
+/// VHDL `Expr::{Call, Slice, Attr}` and `SeqStmt::For`).
+#[test]
+fn ast_nodes_fit_their_ceilings() {
+    use std::mem::size_of;
+    for (node, size, ceiling) in [
+        ("verilog Expr", size_of::<aivril_verilog::ast::Expr>(), 40),
+        ("verilog Stmt", size_of::<aivril_verilog::ast::Stmt>(), 96),
+        ("vhdl Expr", size_of::<aivril_vhdl::ast::Expr>(), 40),
+        ("vhdl SeqStmt", size_of::<aivril_vhdl::ast::SeqStmt>(), 96),
+    ] {
+        println!("{node}: {size} bytes");
+        assert!(size <= ceiling, "{node} is {size} bytes, over {ceiling}");
     }
 }
