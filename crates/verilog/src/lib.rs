@@ -586,6 +586,97 @@ mod function_tests {
         assert!(err.render(&sources).contains("argument"));
     }
 
+    /// `double` with an 8-bit body, so only the line under test warns.
+    const DOUBLE: &str = "module tb;\n  function [7:0] double;\n    input [7:0] v;\n\
+                          double = v + v;\n  endfunction\n  reg [7:0] a, y;\n  wire [7:0] w;\n";
+
+    fn log_of(body: &str) -> String {
+        let mut sources = SourceMap::new();
+        sources.add_file("t.v", format!("{DOUBLE}{body}endmodule\n"));
+        match compile(&sources, "tb") {
+            Ok(_) => panic!("expected a failed compile"),
+            Err(e) => e.render(&sources),
+        }
+    }
+
+    #[test]
+    fn power_with_call_operand_is_rejected() {
+        assert_eq!(
+            log_of("  initial y = double(a) ** 2;\n"),
+            "ERROR: [VRFC 10-91] the power operator '**' cannot take function-call operands [t.v:8]\n\
+             WARNING: [VRFC 10-3091] assignment truncates a 32-bit expression to 8 bits [t.v:8]\n"
+        );
+    }
+
+    #[test]
+    fn power_with_variable_operand_is_rejected() {
+        assert_eq!(
+            log_of("  initial y = a ** 2;\n"),
+            "ERROR: [VRFC 10-91] the power operator '**' requires constant operands [t.v:8]\n\
+             WARNING: [VRFC 10-3091] assignment truncates a 32-bit expression to 8 bits [t.v:8]\n"
+        );
+    }
+
+    #[test]
+    fn calls_outside_expressions_that_inline_are_rejected() {
+        let not_allowed = "ERROR: [VRFC 10-91] function call 'double(...)' is not allowed in this \
+                           context (functions are supported in procedural code and continuous \
+                           assignments) [t.v:8]\n";
+        // A delay amount, a case label and a case subject.
+        assert_eq!(
+            log_of("  initial #(double(a)) y = 1;\n"),
+            format!(
+                "{not_allowed}WARNING: [VRFC 10-3091] assignment truncates a 32-bit expression \
+                 to 8 bits [t.v:8]\n"
+            )
+        );
+        assert_eq!(
+            log_of("  initial case (a) double(a): y = 0; endcase\n"),
+            format!(
+                "{not_allowed}WARNING: [VRFC 10-3091] assignment truncates a 32-bit expression \
+                 to 8 bits [t.v:8]\n"
+            )
+        );
+        assert_eq!(
+            log_of("  initial case (double(a)) 8'd0: y = 0; endcase\n"),
+            format!(
+                "{not_allowed}WARNING: [VRFC 10-3091] assignment truncates a 32-bit expression \
+                 to 8 bits [t.v:8]\n"
+            )
+        );
+    }
+
+    /// A call in a continuous assignment compiles into an always
+    /// process that waits on every net its body reads: the argument,
+    /// the inlined argument temporary and the return temporary.
+    #[test]
+    fn call_in_continuous_assign_infers_a_process() {
+        let src = format!("{DOUBLE}  assign w = double(a);\nendmodule\n");
+        let mut sources = SourceMap::new();
+        sources.add_file("t.v", src.as_str());
+        let design = compile(&sources, "tb").expect("compiles");
+        let at = src.find("assign w").expect("assign in source");
+        let process = design
+            .processes
+            .iter()
+            .find(|p| p.name.starts_with("assign_fn@"))
+            .expect("inferred process");
+        assert_eq!(process.name, format!("assign_fn@{at}"));
+        assert_eq!(process.kind, aivril_hdl::ir::ProcessKind::Always);
+        let aivril_hdl::ir::Instr::WaitEvent { triggers } = &process.body[0] else {
+            panic!("first instruction {:?}", process.body[0]);
+        };
+        let sensitivity: Vec<String> = triggers
+            .iter()
+            .map(|t| match t {
+                aivril_hdl::ir::Trigger::AnyChange(id) => design.net(*id).name.clone(),
+                other => panic!("edge trigger {other:?}"),
+            })
+            .collect();
+        assert_eq!(sensitivity, ["a", "$fn1$v", "$fn1$return"]);
+        assert_eq!(process.body.last(), Some(&aivril_hdl::ir::Instr::Jump(0)));
+    }
+
     #[test]
     fn timing_controls_in_function_rejected() {
         let mut sources = SourceMap::new();
