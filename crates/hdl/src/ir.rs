@@ -12,6 +12,8 @@
 //! suspended at `#delay` / `wait` points and resumed by the scheduler —
 //! the standard coroutine-free technique used by interpreted HDL kernels.
 
+use crate::diag::{codes, Diagnostic, Diagnostics};
+use crate::source::Span;
 use crate::vec::LogicVec;
 use std::fmt;
 
@@ -445,6 +447,50 @@ pub enum Instr {
     Halt,
 }
 
+/// Builds one process's instruction program. Forward branches are
+/// emitted with an unknown target and patched once the target is known.
+#[derive(Debug, Default)]
+pub struct Builder {
+    /// The program so far.
+    pub instrs: Vec<Instr>,
+}
+
+impl Builder {
+    /// Appends `i` and returns its index.
+    pub fn emit(&mut self, i: Instr) -> usize {
+        self.instrs.push(i);
+        self.instrs.len() - 1
+    }
+
+    /// Appends a [`Instr::BranchIfFalse`] on `cond` whose target
+    /// [`Builder::patch`] fills in later; returns its index.
+    pub fn emit_branch(&mut self, cond: Expr) -> usize {
+        self.emit(Instr::BranchIfFalse {
+            cond,
+            target: usize::MAX,
+        })
+    }
+
+    /// The index the next emitted instruction will have.
+    #[must_use]
+    pub fn here(&self) -> usize {
+        self.instrs.len()
+    }
+
+    /// Points the jump or branch at `at` to `target`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instruction at `at` is not a jump or branch.
+    pub fn patch(&mut self, at: usize, target: usize) {
+        match &mut self.instrs[at] {
+            Instr::Jump(t) => *t = target,
+            Instr::BranchIfFalse { target: t, .. } => *t = target,
+            other => unreachable!("patched a non-branch instruction: {other:?}"),
+        }
+    }
+}
+
 /// How a process starts and restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessKind {
@@ -561,6 +607,30 @@ impl Design {
             kind: ProcessKind::Always,
             body,
         })
+    }
+
+    /// Fits `rhs` to a `width`-bit assignment target. A wider `rhs` is
+    /// kept and earns a Vivado-style truncation warning at `span`;
+    /// otherwise context-determined operators are widened recursively
+    /// and narrower self-determined values zero-padded
+    /// ([`Expr::widen`]).
+    #[must_use]
+    pub fn fit(&self, mut rhs: Expr, width: u32, span: Span, diags: &mut Diagnostics) -> Expr {
+        let net_width = |id: NetId| self.net(id).width;
+        let rw = rhs.width_with(&net_width);
+        if rw > width {
+            diags.push(Diagnostic::warning(
+                codes::WIDTH_MISMATCH,
+                format!("assignment truncates a {rw}-bit expression to {width} bits"),
+                span,
+            ));
+        } else {
+            // Even at equal widths, context sizing must reach narrower
+            // inner operands (e.g. `credit + (dime << 1)` where `dime`
+            // is 1 bit): widen unconditionally.
+            rhs.widen(width, &net_width);
+        }
+        rhs
     }
 
     /// Finds a net by exact hierarchical name.

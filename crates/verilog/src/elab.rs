@@ -12,11 +12,11 @@ use crate::ast::{self, BinOp, Connections, EventExpr, Item, Module, NetType, Por
 use crate::literal::parse_literal;
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::ir::{
-    BinaryOp, Design, Expr, Instr, LValue, Net, NetId, NetKind, Process, ProcessKind, SysTaskKind,
-    Trigger, UnaryOp,
+    BinaryOp, Builder, Design, Expr, Instr, LValue, Net, NetId, NetKind, Process, ProcessKind,
+    SysTaskKind, Trigger, UnaryOp,
 };
 use aivril_hdl::logic::Logic;
-use aivril_hdl::source::Span;
+use aivril_hdl::source::{FileId, Span};
 use aivril_hdl::vec::LogicVec;
 use std::collections::HashMap;
 
@@ -345,20 +345,16 @@ impl<'a> Elaborator<'a, '_> {
                         let wait_slot = b.emit(Instr::WaitEvent {
                             triggers: Vec::new(),
                         });
-                        let rhs = self.lower_expr_proc(expr, &scope, &mut b);
+                        let rhs = self.lower_expr(expr, &scope, Some(&mut b));
                         if let Some(lv) = self.lower_lvalue(target, &scope, AssignCtx::Continuous) {
-                            let rhs = self.fit_expr(&lv, rhs, *span);
+                            let rhs = self.fit(&lv, rhs, *span);
                             b.emit(Instr::BlockingAssign {
                                 lvalue: lv,
                                 expr: rhs,
                             });
                             b.emit(Instr::Jump(0));
-                            let mut reads = Vec::new();
-                            collect_instr_reads(&b.instrs, &mut reads);
-                            reads.sort_unstable();
-                            reads.dedup();
                             b.instrs[wait_slot] = Instr::WaitEvent {
-                                triggers: reads.into_iter().map(Trigger::AnyChange).collect(),
+                                triggers: any_change(instr_reads(&b.instrs)),
                             };
                             self.design.add_process(Process {
                                 name: format!("{}assign_fn@{}", scope.prefix, span.start),
@@ -367,9 +363,9 @@ impl<'a> Elaborator<'a, '_> {
                             });
                         }
                     } else {
-                        let rhs = self.lower_expr(expr, &scope);
+                        let rhs = self.lower_expr(expr, &scope, None);
                         if let Some(lv) = self.lower_lvalue(target, &scope, AssignCtx::Continuous) {
-                            let rhs = self.fit_expr(&lv, rhs, *span);
+                            let rhs = self.fit(&lv, rhs, *span);
                             self.design.add_continuous_assign(lv, rhs);
                         }
                     }
@@ -382,7 +378,7 @@ impl<'a> Elaborator<'a, '_> {
                     self.compile_stmt(body, &scope, &mut b);
                     b.emit(Instr::Halt);
                     self.design.add_process(Process {
-                        name: format!("{}initial@{}", scope.prefix, span_line(*span)),
+                        name: format!("{}initial@{}", scope.prefix, span.start),
                         kind: ProcessKind::Initial,
                         body: b.instrs,
                     });
@@ -542,7 +538,7 @@ impl<'a> Elaborator<'a, '_> {
             parent_scope,
             span,
         } = binding;
-        let pairs: Vec<(&PortView<'a>, Option<&ast::Expr>, Span)> = match connections {
+        let pairs: Vec<(&PortView<'a>, Option<&'a ast::Expr>, Span)> = match connections {
             Connections::Positional(exprs) => {
                 if exprs.len() > ports.len() {
                     self.error(
@@ -582,9 +578,9 @@ impl<'a> Elaborator<'a, '_> {
             };
             match (port.dir, expr) {
                 (PortDir::Input, Some(e)) => {
-                    let rhs = self.lower_expr(e, parent_scope);
+                    let rhs = self.lower_expr(e, parent_scope, None);
                     let lv = LValue::Net(info.id);
-                    let rhs = self.fit_expr(&lv, rhs, cspan);
+                    let rhs = self.fit(&lv, rhs, cspan);
                     self.design.add_continuous_assign(lv, rhs);
                 }
                 (PortDir::Input, None) => {
@@ -596,7 +592,7 @@ impl<'a> Elaborator<'a, '_> {
                 }
                 (PortDir::Output, Some(e)) => {
                     if let Some(lv) = self.lower_lvalue(e, parent_scope, AssignCtx::Continuous) {
-                        let rhs = self.fit_expr(&lv, Expr::Net(info.id), cspan);
+                        let rhs = self.fit(&lv, Expr::Net(info.id), cspan);
                         self.design.add_continuous_assign(lv, rhs);
                     }
                 }
@@ -605,26 +601,10 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    /// Adjusts `rhs` to the target width: context-determined operators
-    /// are widened recursively (matching IEEE 1364 context-determined
-    /// expression sizing), narrower self-determined values are
-    /// zero-padded, and truncation earns a Vivado-style warning.
-    fn fit_expr(&mut self, lv: &LValue, mut rhs: Expr, span: Span) -> Expr {
-        let lw = lv.width(&self.design);
-        let rw = rhs.width_with(&|id| self.design.net(id).width);
-        if rw > lw {
-            self.warning(
-                codes::WIDTH_MISMATCH,
-                format!("assignment truncates a {rw}-bit expression to {lw} bits"),
-                span,
-            );
-        } else {
-            // Even at equal widths, context sizing must reach narrower
-            // inner operands (e.g. `credit + (dime << 1)` where `dime`
-            // is 1 bit): widen unconditionally.
-            rhs.widen(lw, &|id| self.design.net(id).width);
-        }
-        rhs
+    /// Adjusts `rhs` to the width of `lv` ([`Design::fit`]).
+    fn fit(&mut self, lv: &LValue, rhs: Expr, span: Span) -> Expr {
+        self.design
+            .fit(rhs, lv.width(&self.design), span, self.diags)
     }
 
     // ---------------------------------------------------- const folding
@@ -633,13 +613,10 @@ impl<'a> Elaborator<'a, '_> {
         match self.try_eval_const(e, scope) {
             Some(v) => Some(v),
             None => {
-                let span = e
-                    .span()
-                    .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                 self.error(
                     codes::VLOG_SYNTAX,
                     "expected a constant expression".to_string(),
-                    span,
+                    span_of(e),
                 );
                 None
             }
@@ -702,36 +679,37 @@ impl<'a> Elaborator<'a, '_> {
 
     // -------------------------------------------------------- lowering
 
-    fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
+    /// Lowers `e`. With a builder (a statement context), function calls
+    /// are inlined into it and the call site becomes the return
+    /// temporary; without one, a call is an error.
+    fn lower_expr(
+        &mut self,
+        e: &'a ast::Expr,
+        scope: &Scope<'a>,
+        mut b: Option<&mut Builder>,
+    ) -> Expr {
         match e {
             ast::Expr::Number { text, span } => Expr::Const(parse_literal(text, *span, self.diags)),
             ast::Expr::Ident { name, span } => {
                 if let Some(&v) = scope.params.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name.as_str()) {
+                match self.net(name, *span, scope) {
                     Some(info) => Expr::Net(info.id),
-                    None => {
-                        self.error(
-                            codes::VLOG_UNDECLARED,
-                            format!("'{name}' is not declared"),
-                            *span,
-                        );
-                        Expr::Const(LogicVec::xes(1))
-                    }
+                    None => Expr::Const(LogicVec::xes(1)),
                 }
             }
             ast::Expr::Index { base, index } => {
                 if let ast::Expr::Ident { name, .. } = base.as_ref() {
                     if let Some(mem) = scope.mems.get(name.as_str()) {
-                        let idx = self.lower_expr(index, scope);
+                        let idx = self.lower_expr(index, scope, b);
                         return mem_read_mux(mem, idx);
                     }
                 }
                 let Some(net) = self.base_net(base, scope) else {
                     return Expr::Const(LogicVec::xes(1));
                 };
-                let idx = self.lower_expr(index, scope);
+                let idx = self.lower_expr(index, scope, b);
                 Expr::Index {
                     net,
                     index: Box::new(idx),
@@ -751,115 +729,7 @@ impl<'a> Elaborator<'a, '_> {
                 }
             }
             ast::Expr::Unary { op, operand } => {
-                let inner = self.lower_expr(operand, scope);
-                let op = match op {
-                    UnOp::Not => UnaryOp::Not,
-                    UnOp::LogicalNot => UnaryOp::LogicalNot,
-                    UnOp::Negate => UnaryOp::Negate,
-                    UnOp::Plus => return inner,
-                    UnOp::ReduceAnd => UnaryOp::ReduceAnd,
-                    UnOp::ReduceOr => UnaryOp::ReduceOr,
-                    UnOp::ReduceXor => UnaryOp::ReduceXor,
-                    UnOp::ReduceNand => UnaryOp::ReduceNand,
-                    UnOp::ReduceNor => UnaryOp::ReduceNor,
-                    UnOp::ReduceXnor => UnaryOp::ReduceXnor,
-                };
-                Expr::Unary {
-                    op,
-                    operand: Box::new(inner),
-                }
-            }
-            ast::Expr::Binary { op, operands } => {
-                let [lhs, rhs] = &**operands;
-                if *op == BinOp::Pow {
-                    // Support constant powers only (all the suite needs).
-                    if let Some(v) = self.try_eval_const(e, scope) {
-                        return Expr::Const(LogicVec::from_u64(32, v as u64));
-                    }
-                    let span = e
-                        .span()
-                        .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
-                    self.error(
-                        codes::VLOG_SYNTAX,
-                        "the power operator '**' requires constant operands".to_string(),
-                        span,
-                    );
-                    return Expr::Const(LogicVec::xes(32));
-                }
-                let l = self.lower_expr(lhs, scope);
-                let r = self.lower_expr(rhs, scope);
-                let op = match op {
-                    BinOp::And => BinaryOp::And,
-                    BinOp::Or => BinaryOp::Or,
-                    BinOp::Xor => BinaryOp::Xor,
-                    BinOp::Xnor => BinaryOp::Xnor,
-                    BinOp::LogicalAnd => BinaryOp::LogicalAnd,
-                    BinOp::LogicalOr => BinaryOp::LogicalOr,
-                    BinOp::Add => BinaryOp::Add,
-                    BinOp::Sub => BinaryOp::Sub,
-                    BinOp::Mul => BinaryOp::Mul,
-                    BinOp::Div => BinaryOp::Div,
-                    BinOp::Rem => BinaryOp::Rem,
-                    BinOp::Shl => BinaryOp::Shl,
-                    BinOp::Shr => BinaryOp::Shr,
-                    BinOp::Eq => BinaryOp::Eq,
-                    BinOp::Ne => BinaryOp::Ne,
-                    BinOp::CaseEq => BinaryOp::CaseEq,
-                    BinOp::CaseNe => BinaryOp::CaseNe,
-                    BinOp::Lt => BinaryOp::Lt,
-                    BinOp::Le => BinaryOp::Le,
-                    BinOp::Gt => BinaryOp::Gt,
-                    BinOp::Ge => BinaryOp::Ge,
-                    BinOp::Pow => unreachable!("handled above"),
-                };
-                Expr::Binary {
-                    op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                }
-            }
-            ast::Expr::Ternary { cond, then, els } => Expr::Ternary {
-                cond: Box::new(self.lower_expr(cond, scope)),
-                then: Box::new(self.lower_expr(then, scope)),
-                els: Box::new(self.lower_expr(els, scope)),
-            },
-            ast::Expr::Concat(parts) => {
-                Expr::Concat(parts.iter().map(|p| self.lower_expr(p, scope)).collect())
-            }
-            ast::Expr::Repeat { count, value } => {
-                let n = self.eval_const(count, scope).unwrap_or(1).max(1) as u32;
-                Expr::Repeat {
-                    count: n,
-                    operand: Box::new(self.lower_expr(value, scope)),
-                }
-            }
-            ast::Expr::Time { .. } => Expr::Time,
-            ast::Expr::Call(call) => {
-                self.error(
-                    codes::VLOG_SYNTAX,
-                    format!(
-                        "function call '{}(...)' is not allowed in this context \
-                         (functions are supported in procedural code and continuous assignments)",
-                        call.name
-                    ),
-                    call.span,
-                );
-                Expr::Const(LogicVec::xes(1))
-            }
-        }
-    }
-
-    /// Lowers an expression in a statement context, inlining any
-    /// function calls into `b` (temporaries + the function body) and
-    /// substituting the call site with the return temporary.
-    fn lower_expr_proc(&mut self, e: &'a ast::Expr, scope: &Scope<'a>, b: &mut Builder) -> Expr {
-        if !expr_contains_call(e) {
-            return self.lower_expr(e, scope);
-        }
-        match e {
-            ast::Expr::Call(call) => self.inline_call(&call.name, &call.args, call.span, scope, b),
-            ast::Expr::Unary { op, operand } => {
-                let inner = self.lower_expr_proc(operand, scope, b);
+                let inner = self.lower_expr(operand, scope, b);
                 match unop_of(*op) {
                     Some(op) => Expr::Unary {
                         op,
@@ -870,64 +740,84 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Binary { op, operands } => {
                 let [lhs, rhs] = &**operands;
-                let l = self.lower_expr_proc(lhs, scope, b);
-                let r = self.lower_expr_proc(rhs, scope, b);
-                match binop_of(*op) {
-                    Some(op) => Expr::Binary {
-                        op,
-                        lhs: Box::new(l),
-                        rhs: Box::new(r),
-                    },
-                    None => {
-                        let span = e
-                            .span()
-                            .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
-                        self.error(
-                            codes::VLOG_SYNTAX,
-                            "the power operator '**' cannot take function-call operands"
-                                .to_string(),
-                            span,
-                        );
-                        Expr::Const(LogicVec::xes(32))
-                    }
+                let Some(op) = binop_of(*op) else {
+                    return self.lower_pow(e, operands, scope, b);
+                };
+                let l = self.lower_expr(lhs, scope, b.as_deref_mut());
+                let r = self.lower_expr(rhs, scope, b);
+                Expr::Binary {
+                    op,
+                    lhs: Box::new(l),
+                    rhs: Box::new(r),
                 }
             }
             ast::Expr::Ternary { cond, then, els } => Expr::Ternary {
-                cond: Box::new(self.lower_expr_proc(cond, scope, b)),
-                then: Box::new(self.lower_expr_proc(then, scope, b)),
-                els: Box::new(self.lower_expr_proc(els, scope, b)),
+                cond: Box::new(self.lower_expr(cond, scope, b.as_deref_mut())),
+                then: Box::new(self.lower_expr(then, scope, b.as_deref_mut())),
+                els: Box::new(self.lower_expr(els, scope, b)),
             },
             ast::Expr::Concat(parts) => Expr::Concat(
                 parts
                     .iter()
-                    .map(|p| self.lower_expr_proc(p, scope, b))
+                    .map(|p| self.lower_expr(p, scope, b.as_deref_mut()))
                     .collect(),
             ),
             ast::Expr::Repeat { count, value } => {
                 let n = self.eval_const(count, scope).unwrap_or(1).max(1) as u32;
                 Expr::Repeat {
                     count: n,
-                    operand: Box::new(self.lower_expr_proc(value, scope, b)),
+                    operand: Box::new(self.lower_expr(value, scope, b)),
                 }
             }
-            ast::Expr::Index { base, index } => {
-                if let ast::Expr::Ident { name, .. } = base.as_ref() {
-                    if let Some(mem) = scope.mems.get(name.as_str()) {
-                        let idx = self.lower_expr_proc(index, scope, b);
-                        return mem_read_mux(mem, idx);
-                    }
+            ast::Expr::Time { .. } => Expr::Time,
+            ast::Expr::Call(call) => match b {
+                Some(b) => self.inline_call(&call.name, &call.args, call.span, scope, b),
+                None => {
+                    self.error(
+                        codes::VLOG_SYNTAX,
+                        format!(
+                            "function call '{}(...)' is not allowed in this context \
+                             (functions are supported in procedural code and continuous assignments)",
+                            call.name
+                        ),
+                        call.span,
+                    );
+                    Expr::Const(LogicVec::xes(1))
                 }
-                let Some(net) = self.base_net(base, scope) else {
-                    return Expr::Const(LogicVec::xes(1));
-                };
-                let idx = self.lower_expr_proc(index, scope, b);
-                Expr::Index {
-                    net,
-                    index: Box::new(idx),
-                }
-            }
-            other => self.lower_expr(other, scope),
+            },
         }
+    }
+
+    /// Lowers `lhs ** rhs`, which exists only as a constant fold (all
+    /// the suite needs). In a statement context the operands' calls are
+    /// inlined first, and then rejected.
+    fn lower_pow(
+        &mut self,
+        e: &'a ast::Expr,
+        operands: &'a [ast::Expr; 2],
+        scope: &Scope<'a>,
+        b: Option<&mut Builder>,
+    ) -> Expr {
+        if let Some(b) = b.filter(|_| expr_contains_call(e)) {
+            for operand in operands {
+                self.lower_expr(operand, scope, Some(&mut *b));
+            }
+            self.error(
+                codes::VLOG_SYNTAX,
+                "the power operator '**' cannot take function-call operands".to_string(),
+                span_of(e),
+            );
+            return Expr::Const(LogicVec::xes(32));
+        }
+        if let Some(v) = self.try_eval_const(e, scope) {
+            return Expr::Const(LogicVec::from_u64(32, v as u64));
+        }
+        self.error(
+            codes::VLOG_SYNTAX,
+            "the power operator '**' requires constant operands".to_string(),
+            span_of(e),
+        );
+        Expr::Const(LogicVec::xes(32))
     }
 
     /// Inlines one function call: binds arguments to fresh temporaries,
@@ -981,9 +871,9 @@ impl<'a> Elaborator<'a, '_> {
                 kind: NetKind::Reg,
                 init: None,
             });
-            let value = self.lower_expr_proc(arg_expr, scope, b);
+            let value = self.lower_expr(arg_expr, scope, Some(&mut *b));
             let lv = LValue::Net(id);
-            let value = self.fit_expr(&lv, value, span);
+            let value = self.fit(&lv, value, span);
             b.emit(Instr::BlockingAssign {
                 lvalue: lv,
                 expr: value,
@@ -1036,32 +926,37 @@ impl<'a> Elaborator<'a, '_> {
     /// Resolves the base of a select, which must be a plain identifier.
     fn base_net(&mut self, base: &ast::Expr, scope: &Scope<'a>) -> Option<NetId> {
         match base {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
-                Some(info) => Some(info.id),
-                None => {
-                    self.error(
-                        codes::VLOG_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
-                    None
-                }
-            },
+            ast::Expr::Ident { name, span } => self.net(name, *span, scope).map(|info| info.id),
             other => {
-                let span = other
-                    .span()
-                    .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                 self.error(
                     codes::VLOG_SYNTAX,
                     "bit/part select base must be a simple identifier".to_string(),
-                    span,
+                    span_of(other),
                 );
                 None
             }
         }
     }
 
-    fn lower_lvalue(&mut self, e: &ast::Expr, scope: &Scope<'a>, ctx: AssignCtx) -> Option<LValue> {
+    /// The net `name` refers to in `scope`, or the "not declared" error.
+    fn net(&mut self, name: &str, span: Span, scope: &Scope<'a>) -> Option<NetInfo> {
+        let info = scope.nets.get(name).copied();
+        if info.is_none() {
+            self.error(
+                codes::VLOG_UNDECLARED,
+                format!("'{name}' is not declared"),
+                span,
+            );
+        }
+        info
+    }
+
+    fn lower_lvalue(
+        &mut self,
+        e: &'a ast::Expr,
+        scope: &Scope<'a>,
+        ctx: AssignCtx,
+    ) -> Option<LValue> {
         match e {
             ast::Expr::Ident { name, span } => {
                 let info = self.lvalue_net(name, *span, scope, ctx)?;
@@ -1070,7 +965,7 @@ impl<'a> Elaborator<'a, '_> {
             ast::Expr::Index { base, index } => {
                 let (name, span) = ident_of(base)?;
                 let info = self.lvalue_net(name, span, scope, ctx)?;
-                let idx = self.lower_expr(index, scope);
+                let idx = self.lower_expr(index, scope, None);
                 Some(LValue::Index(info.id, idx))
             }
             ast::Expr::RangeSel { base, msb, lsb } => {
@@ -1089,13 +984,10 @@ impl<'a> Elaborator<'a, '_> {
                 Some(LValue::Concat(lvs))
             }
             other => {
-                let span = other
-                    .span()
-                    .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                 self.error(
                     codes::VLOG_BAD_ASSIGN,
                     "illegal assignment target".to_string(),
-                    span,
+                    span_of(other),
                 );
                 None
             }
@@ -1109,14 +1001,7 @@ impl<'a> Elaborator<'a, '_> {
         scope: &Scope<'a>,
         ctx: AssignCtx,
     ) -> Option<NetInfo> {
-        let Some(&info) = scope.nets.get(name) else {
-            self.error(
-                codes::VLOG_UNDECLARED,
-                format!("'{name}' is not declared"),
-                span,
-            );
-            return None;
-        };
+        let info = self.net(name, span, scope)?;
         match (ctx, info.net_type) {
             (AssignCtx::Continuous, NetType::Reg) => {
                 self.error(
@@ -1164,10 +1049,7 @@ impl<'a> Elaborator<'a, '_> {
                 });
                 self.compile_stmt(body, scope, &mut b);
                 b.emit(Instr::Jump(0));
-                let mut reads = Vec::new();
-                collect_instr_reads(&b.instrs, &mut reads);
-                reads.sort_unstable();
-                reads.dedup();
+                let reads = instr_reads(&b.instrs);
                 if reads.is_empty() {
                     self.warning(
                         codes::SIM_RUNTIME,
@@ -1175,8 +1057,9 @@ impl<'a> Elaborator<'a, '_> {
                         span,
                     );
                 }
-                let triggers = reads.into_iter().map(Trigger::AnyChange).collect();
-                b.instrs[wait_slot] = Instr::WaitEvent { triggers };
+                b.instrs[wait_slot] = Instr::WaitEvent {
+                    triggers: any_change(reads),
+                };
             }
             None => {
                 self.compile_stmt(body, scope, &mut b);
@@ -1198,7 +1081,7 @@ impl<'a> Elaborator<'a, '_> {
             }
         }
         self.design.add_process(Process {
-            name: format!("{}always@{}", scope.prefix, span_line(span)),
+            name: format!("{}always@{}", scope.prefix, span.start),
             kind: ProcessKind::Always,
             body: b.instrs,
         });
@@ -1213,24 +1096,16 @@ impl<'a> Elaborator<'a, '_> {
                 EventExpr::Any(e) => (e, Trigger::AnyChange),
             };
             match expr {
-                ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
-                    Some(info) => triggers.push(ctor(info.id)),
-                    None => self.error(
-                        codes::VLOG_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    ),
-                },
-                other => {
-                    let span = other
-                        .span()
-                        .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
-                    self.error(
-                        codes::VLOG_SYNTAX,
-                        "event expression must be a simple signal name".to_string(),
-                        span,
-                    );
+                ast::Expr::Ident { name, span } => {
+                    if let Some(info) = self.net(name, *span, scope) {
+                        triggers.push(ctor(info.id));
+                    }
                 }
+                other => self.error(
+                    codes::VLOG_SYNTAX,
+                    "event expression must be a simple signal name".to_string(),
+                    span_of(other),
+                ),
             }
         }
         triggers
@@ -1254,7 +1129,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
             } => self.compile_assign(target, value, true, *span, scope, b),
             ast::Stmt::If { cond, then, els } => {
-                let c = self.lower_expr_proc(cond, scope, b);
+                let c = self.lower_expr(cond, scope, Some(&mut *b));
                 let branch = b.emit_branch(c);
                 self.compile_stmt(then, scope, b);
                 match els {
@@ -1292,7 +1167,7 @@ impl<'a> Elaborator<'a, '_> {
             } => {
                 self.compile_stmt(init, scope, b);
                 let head = b.here();
-                let c = self.lower_expr_proc(cond, scope, b);
+                let c = self.lower_expr(cond, scope, Some(&mut *b));
                 let exit = b.emit_branch(c);
                 self.compile_stmt(body, scope, b);
                 self.compile_stmt(step, scope, b);
@@ -1301,7 +1176,7 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Stmt::While { cond, body } => {
                 let head = b.here();
-                let c = self.lower_expr_proc(cond, scope, b);
+                let c = self.lower_expr(cond, scope, Some(&mut *b));
                 let exit = b.emit_branch(c);
                 self.compile_stmt(body, scope, b);
                 b.emit(Instr::Jump(head));
@@ -1315,7 +1190,7 @@ impl<'a> Elaborator<'a, '_> {
                     kind: NetKind::Reg,
                     init: Some(LogicVec::zeros(32)),
                 });
-                let n = self.lower_expr(count, scope);
+                let n = self.lower_expr(count, scope, None);
                 b.emit(Instr::BlockingAssign {
                     lvalue: LValue::Net(counter),
                     expr: n,
@@ -1345,7 +1220,7 @@ impl<'a> Elaborator<'a, '_> {
                 b.emit(Instr::Jump(head));
             }
             ast::Stmt::Delay { amount, then } => {
-                let amt = self.lower_expr(amount, scope);
+                let amt = self.lower_expr(amount, scope, None);
                 b.emit(Instr::Delay { amount: amt });
                 if let Some(s) = then {
                     self.compile_stmt(s, scope, b);
@@ -1368,7 +1243,7 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Stmt::WaitCond { cond, then } => {
                 // head: if (cond) goto end; wait(any net in cond); goto head;
-                let c = self.lower_expr(cond, scope);
+                let c = self.lower_expr(cond, scope, None);
                 let mut reads = Vec::new();
                 c.collect_reads(&mut reads);
                 reads.sort_unstable();
@@ -1378,7 +1253,7 @@ impl<'a> Elaborator<'a, '_> {
                 let jump_end = b.emit(Instr::Jump(usize::MAX));
                 b.patch(to_wait, b.here());
                 b.emit(Instr::WaitEvent {
-                    triggers: reads.into_iter().map(Trigger::AnyChange).collect(),
+                    triggers: any_change(reads),
                 });
                 b.emit(Instr::Jump(head));
                 b.patch(jump_end, b.here());
@@ -1405,7 +1280,7 @@ impl<'a> Elaborator<'a, '_> {
         scope: &Scope<'a>,
         b: &mut Builder,
     ) {
-        let expr = self.lower_expr_proc(value, scope, b);
+        let expr = self.lower_expr(value, scope, Some(&mut *b));
         if let ast::Expr::Index { base, index } = target {
             if let ast::Expr::Ident { name, .. } = base.as_ref() {
                 if let Some(mem) = scope.mems.get(name.as_str()) {
@@ -1415,7 +1290,7 @@ impl<'a> Elaborator<'a, '_> {
             }
         }
         if let Some(lvalue) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
-            let expr = self.fit_expr(&lvalue, expr, span);
+            let expr = self.fit(&lvalue, expr, span);
             b.emit(if nonblocking {
                 Instr::NonblockingAssign { lvalue, expr }
             } else {
@@ -1437,7 +1312,7 @@ impl<'a> Elaborator<'a, '_> {
         scope: &Scope<'a>,
         b: &mut Builder,
     ) {
-        let mut idx = self.lower_expr_proc(index, scope, b);
+        let mut idx = self.lower_expr(index, scope, Some(&mut *b));
         // Evaluate address and data once into temporaries so the demux
         // arms agree even if the expressions have function calls.
         self.inline_counter += 1;
@@ -1460,7 +1335,7 @@ impl<'a> Elaborator<'a, '_> {
             init: None,
         });
         let data_lv = LValue::Net(data_net);
-        let value = self.fit_expr(&data_lv, value, span);
+        let value = self.fit(&data_lv, value, span);
         b.emit(Instr::BlockingAssign {
             lvalue: data_lv,
             expr: value,
@@ -1492,7 +1367,7 @@ impl<'a> Elaborator<'a, '_> {
     #[allow(clippy::too_many_arguments)] // mirrors the AST node's fields
     fn compile_case(
         &mut self,
-        subject: &ast::Expr,
+        subject: &'a ast::Expr,
         arms: &'a [(Box<[ast::Expr]>, ast::Stmt)],
         default: Option<&'a ast::Stmt>,
         wildcard: bool,
@@ -1500,7 +1375,7 @@ impl<'a> Elaborator<'a, '_> {
         scope: &Scope<'a>,
         b: &mut Builder,
     ) {
-        let subj = self.lower_expr(subject, scope);
+        let subj = self.lower_expr(subject, scope, None);
         let mut end_jumps = Vec::new();
         for (labels, body) in arms {
             let mut cond: Option<Expr> = None;
@@ -1547,7 +1422,7 @@ impl<'a> Elaborator<'a, '_> {
                     Expr::Binary {
                         op: BinaryOp::CaseEq,
                         lhs: Box::new(subj.clone()),
-                        rhs: Box::new(self.lower_expr(label, scope)),
+                        rhs: Box::new(self.lower_expr(label, scope, None)),
                     }
                 };
                 cond = Some(match cond {
@@ -1609,7 +1484,7 @@ impl<'a> Elaborator<'a, '_> {
                         None => format = Some(s.clone()),
                     }
                 }
-                ast::SysArg::Expr(e) => exprs.push(self.lower_expr_proc(e, scope, b)),
+                ast::SysArg::Expr(e) => exprs.push(self.lower_expr(e, scope, Some(&mut *b))),
             }
         }
         // $fatal's first argument may be a finish-code number.
@@ -1637,41 +1512,10 @@ fn ident_of(e: &ast::Expr) -> Option<(&str, Span)> {
     }
 }
 
-fn span_line(span: Span) -> u32 {
-    // Best-effort debug tag; real line numbers come from the SourceMap
-    // when diagnostics render.
-    span.start
-}
-
-#[derive(Default)]
-struct Builder {
-    instrs: Vec<Instr>,
-}
-
-impl Builder {
-    fn emit(&mut self, i: Instr) -> usize {
-        self.instrs.push(i);
-        self.instrs.len() - 1
-    }
-
-    fn emit_branch(&mut self, cond: Expr) -> usize {
-        self.emit(Instr::BranchIfFalse {
-            cond,
-            target: usize::MAX,
-        })
-    }
-
-    fn here(&self) -> usize {
-        self.instrs.len()
-    }
-
-    fn patch(&mut self, at: usize, target: usize) {
-        match &mut self.instrs[at] {
-            Instr::Jump(t) => *t = target,
-            Instr::BranchIfFalse { target: t, .. } => *t = target,
-            other => unreachable!("patched a non-branch instruction: {other:?}"),
-        }
-    }
+/// Where a diagnostic about `e` points: its first token, or the start
+/// of the first file for an expression that has none.
+fn span_of(e: &ast::Expr) -> Span {
+    e.span().unwrap_or_else(|| Span::file_start(FileId(0)))
 }
 
 /// Builds the read multiplexer for `mem[idx]`: a ternary chain over the
@@ -1760,24 +1604,34 @@ fn binop_of(op: BinOp) -> Option<BinaryOp> {
     })
 }
 
-/// Collects every net read by the instructions (for `@*` inference).
-fn collect_instr_reads(instrs: &[Instr], out: &mut Vec<NetId>) {
+/// Every net the instructions read, sorted and without repeats (for
+/// `@*` inference).
+fn instr_reads(instrs: &[Instr]) -> Vec<NetId> {
+    let mut out = Vec::new();
     for i in instrs {
         match i {
             Instr::BlockingAssign { lvalue, expr } | Instr::NonblockingAssign { lvalue, expr } => {
-                expr.collect_reads(out);
+                expr.collect_reads(&mut out);
                 if let LValue::Index(_, idx) = lvalue {
-                    idx.collect_reads(out);
+                    idx.collect_reads(&mut out);
                 }
             }
-            Instr::Delay { amount } => amount.collect_reads(out),
-            Instr::BranchIfFalse { cond, .. } => cond.collect_reads(out),
+            Instr::Delay { amount } => amount.collect_reads(&mut out),
+            Instr::BranchIfFalse { cond, .. } => cond.collect_reads(&mut out),
             Instr::SysCall { args, .. } => {
                 for a in args {
-                    a.collect_reads(out);
+                    a.collect_reads(&mut out);
                 }
             }
             Instr::WaitEvent { .. } | Instr::Jump(_) | Instr::Halt => {}
         }
     }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// One any-change trigger per net.
+fn any_change(nets: Vec<NetId>) -> Vec<Trigger> {
+    nets.into_iter().map(Trigger::AnyChange).collect()
 }

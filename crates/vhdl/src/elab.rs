@@ -13,11 +13,11 @@ use crate::ast::{
 };
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::ir::{
-    BinaryOp, Design, Expr, Instr, LValue, Net, NetId, NetKind, Process, ProcessKind, SysTaskKind,
-    Trigger, UnaryOp,
+    BinaryOp, Builder, Design, Expr, Instr, LValue, Net, NetId, NetKind, Process, ProcessKind,
+    SysTaskKind, Trigger, UnaryOp,
 };
 use aivril_hdl::logic::Logic;
-use aivril_hdl::source::Span;
+use aivril_hdl::source::{FileId, Span};
 use aivril_hdl::vec::LogicVec;
 use std::collections::HashMap;
 
@@ -90,6 +90,19 @@ impl<'a> Elaborator<'a, '_> {
 
     fn net_width(&self, id: NetId) -> u32 {
         self.design.net(id).width
+    }
+
+    /// The net `name` refers to in `scope`, or the "not declared" error.
+    fn net(&mut self, name: &str, span: Span, scope: &Scope<'a>) -> Option<NetId> {
+        let id = scope.nets.get(name).copied();
+        if id.is_none() {
+            self.error(
+                codes::VHDL_UNDECLARED,
+                format!("'{name}' is not declared"),
+                span,
+            );
+        }
+        id
     }
 
     fn instantiate(
@@ -185,8 +198,9 @@ impl<'a> Elaborator<'a, '_> {
                     span,
                 } => {
                     if let Some(lv) = self.lower_target(target, &scope) {
-                        let rhs = self.lower_rvalue(value, &scope, lv.width(&self.design));
-                        let rhs = self.fit(rhs, lv.width(&self.design), *span);
+                        let w = lv.width(&self.design);
+                        let rhs = self.lower_rvalue(value, &scope, w);
+                        let rhs = self.design.fit(rhs, w, *span, self.diags);
                         self.design.add_continuous_assign(lv, rhs);
                     }
                 }
@@ -323,12 +337,13 @@ impl<'a> Elaborator<'a, '_> {
                     let lv = LValue::Net(child_net);
                     let w = lv.width(&self.design);
                     let rhs = self.lower_rvalue(e, conn.parent_scope, w);
-                    let rhs = self.fit(rhs, w, *pspan);
+                    let rhs = self.design.fit(rhs, w, *pspan, self.diags);
                     self.design.add_continuous_assign(lv, rhs);
                 }
                 (PortDir::Out, Some(e)) => {
                     if let Some(lv) = self.lower_target(e, conn.parent_scope) {
-                        let rhs = self.fit(Expr::Net(child_net), lv.width(&self.design), *pspan);
+                        let w = lv.width(&self.design);
+                        let rhs = self.design.fit(Expr::Net(child_net), w, *pspan, self.diags);
                         self.design.add_continuous_assign(lv, rhs);
                     }
                 }
@@ -337,33 +352,16 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    fn fit(&mut self, mut e: Expr, w: u32, span: Span) -> Expr {
-        let cur = e.width_with(&|id| self.net_width(id));
-        if cur > w {
-            self.diags.push(Diagnostic::warning(
-                codes::WIDTH_MISMATCH,
-                format!("assignment truncates a {cur}-bit expression to {w} bits"),
-                span,
-            ));
-        } else {
-            e.widen(w, &|id| self.net_width(id));
-        }
-        e
-    }
-
     // ---------------------------------------------------- const folding
 
     fn eval_const(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Option<i64> {
         match self.try_eval_const(e, scope) {
             Some(v) => Some(v),
             None => {
-                let span = e
-                    .span()
-                    .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                 self.error(
                     codes::VHDL_SYNTAX,
                     "expected a constant integer expression".to_string(),
-                    span,
+                    span_of(e),
                 );
                 None
             }
@@ -429,20 +427,17 @@ impl<'a> Elaborator<'a, '_> {
                 match f {
                     Expr::Const(v) => Expr::Const(LogicVec::filled(target_width, v.get(0))),
                     _ => {
-                        let span = e
-                            .span()
-                            .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                         self.error(
                             codes::VHDL_TYPE,
                             "aggregate fill must be a constant".to_string(),
-                            span,
+                            span_of(e),
                         );
                         Expr::Const(LogicVec::xes(target_width))
                     }
                 }
             }
             ast::Expr::When { value, cond, els } => Expr::Ternary {
-                cond: Box::new(self.lower_bool(cond, scope)),
+                cond: Box::new(self.lower_expr(cond, scope)),
                 then: Box::new(self.lower_rvalue(value, scope, target_width)),
                 els: Box::new(self.lower_rvalue(els, scope, target_width)),
             },
@@ -450,13 +445,7 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    /// Lowers a boolean-context expression (if/while/assert conditions).
-    fn lower_bool(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
-        self.lower_expr(e, scope)
-    }
-
     fn lower_expr(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Expr {
-        let fallback_span = || Span::file_start(aivril_hdl::source::FileId(0));
         match e {
             ast::Expr::Int { value, .. } => Expr::Const(LogicVec::from_u64(32, *value as u64)),
             ast::Expr::Bool { value, .. } => Expr::constant(1, u64::from(*value)),
@@ -495,16 +484,9 @@ impl<'a> Elaborator<'a, '_> {
                 if let Some(&v) = scope.consts.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name.as_str()) {
-                    Some(&id) => Expr::Net(id),
-                    None => {
-                        self.error(
-                            codes::VHDL_UNDECLARED,
-                            format!("'{name}' is not declared"),
-                            *span,
-                        );
-                        Expr::Const(LogicVec::xes(1))
-                    }
+                match self.net(name, *span, scope) {
+                    Some(id) => Expr::Net(id),
+                    None => Expr::Const(LogicVec::xes(1)),
                 }
             }
             ast::Expr::Call(call) => self.lower_call(&call.name, &call.args, call.span, scope),
@@ -516,12 +498,7 @@ impl<'a> Elaborator<'a, '_> {
                     span,
                     ..
                 } = &**slice;
-                let Some(&net) = scope.nets.get(name.as_str()) else {
-                    self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
+                let Some(net) = self.net(name, *span, scope) else {
                     return Expr::Const(LogicVec::xes(1));
                 };
                 let l = self.eval_const(left, scope).unwrap_or(0).max(0) as u32;
@@ -531,12 +508,7 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Attr(a) => {
                 let ast::Attr { name, attr, span } = &**a;
-                let Some(&net) = scope.nets.get(name.as_str()) else {
-                    self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
+                let Some(net) = self.net(name, *span, scope) else {
                     return Expr::Const(LogicVec::xes(1));
                 };
                 match attr.as_str() {
@@ -651,7 +623,7 @@ impl<'a> Elaborator<'a, '_> {
                     codes::VHDL_SYNTAX,
                     "conditional expressions are only supported in concurrent assignments"
                         .to_string(),
-                    fallback_span(),
+                    Span::file_start(FileId(0)),
                 );
                 Expr::Const(LogicVec::xes(1))
             }
@@ -688,16 +660,9 @@ impl<'a> Elaborator<'a, '_> {
                     Some(ast::Expr::Ident {
                         name: sig,
                         span: sspan,
-                    }) => match scope.nets.get(sig.as_str()) {
-                        Some(&net) => Expr::EdgeFlag { net, rising },
-                        None => {
-                            self.error(
-                                codes::VHDL_UNDECLARED,
-                                format!("'{sig}' is not declared"),
-                                *sspan,
-                            );
-                            Expr::Const(LogicVec::xes(1))
-                        }
+                    }) => match self.net(sig, *sspan, scope) {
+                        Some(net) => Expr::EdgeFlag { net, rising },
+                        None => Expr::Const(LogicVec::xes(1)),
                     },
                     _ => {
                         self.error(
@@ -790,27 +755,10 @@ impl<'a> Elaborator<'a, '_> {
 
     fn lower_target(&mut self, e: &ast::Expr, scope: &Scope<'a>) -> Option<LValue> {
         match e {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
-                Some(&id) => Some(LValue::Net(id)),
-                None => {
-                    self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
-                    None
-                }
-            },
+            ast::Expr::Ident { name, span } => self.net(name, *span, scope).map(LValue::Net),
             ast::Expr::Call(call) => {
                 let ast::Call { name, args, span } = &**call;
-                let Some(&id) = scope.nets.get(name.as_str()) else {
-                    self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
-                    return None;
-                };
+                let id = self.net(name, *span, scope)?;
                 if args.len() != 1 {
                     self.error(codes::VHDL_SYNTAX, "expected one index".to_string(), *span);
                     return None;
@@ -826,27 +774,17 @@ impl<'a> Elaborator<'a, '_> {
                     span,
                     ..
                 } = &**slice;
-                let Some(&id) = scope.nets.get(name.as_str()) else {
-                    self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *span,
-                    );
-                    return None;
-                };
+                let id = self.net(name, *span, scope)?;
                 let l = self.eval_const(left, scope)?.max(0) as u32;
                 let r = self.eval_const(right, scope)?.max(0) as u32;
                 let (msb, lsb) = if l >= r { (l, r) } else { (r, l) };
                 Some(LValue::Range(id, msb, lsb))
             }
             other => {
-                let span = other
-                    .span()
-                    .unwrap_or_else(|| Span::file_start(aivril_hdl::source::FileId(0)));
                 self.error(
                     codes::VHDL_SYNTAX,
                     "illegal assignment target".to_string(),
-                    span,
+                    span_of(other),
                 );
                 None
             }
@@ -918,13 +856,8 @@ impl<'a> Elaborator<'a, '_> {
         } else {
             let mut triggers = Vec::new();
             for (name, sspan) in sensitivity {
-                match scope.nets.get(name.as_str()) {
-                    Some(&id) => triggers.push(Trigger::AnyChange(id)),
-                    None => self.error(
-                        codes::VHDL_UNDECLARED,
-                        format!("'{name}' is not declared"),
-                        *sspan,
-                    ),
+                if let Some(id) = self.net(name, *sspan, scope) {
+                    triggers.push(Trigger::AnyChange(id));
                 }
             }
             b.emit(Instr::WaitEvent { triggers });
@@ -947,36 +880,27 @@ impl<'a> Elaborator<'a, '_> {
                 target,
                 value,
                 span,
-            } => {
-                if let Some(lv) = self.lower_target(target, scope) {
-                    let w = lv.width(&self.design);
-                    let rhs = self.lower_rvalue(value, scope, w);
-                    let rhs = self.fit(rhs, w, *span);
-                    b.emit(Instr::BlockingAssign {
-                        lvalue: lv,
-                        expr: rhs,
-                    });
-                }
             }
-            SeqStmt::SignalAssign {
+            | SeqStmt::SignalAssign {
                 target,
                 value,
                 span,
             } => {
-                if let Some(lv) = self.lower_target(target, scope) {
-                    let w = lv.width(&self.design);
-                    let rhs = self.lower_rvalue(value, scope, w);
-                    let rhs = self.fit(rhs, w, *span);
-                    b.emit(Instr::NonblockingAssign {
-                        lvalue: lv,
-                        expr: rhs,
+                if let Some(lvalue) = self.lower_target(target, scope) {
+                    let w = lvalue.width(&self.design);
+                    let expr = self.lower_rvalue(value, scope, w);
+                    let expr = self.design.fit(expr, w, *span, self.diags);
+                    b.emit(if matches!(stmt, SeqStmt::SignalAssign { .. }) {
+                        Instr::NonblockingAssign { lvalue, expr }
+                    } else {
+                        Instr::BlockingAssign { lvalue, expr }
                     });
                 }
             }
             SeqStmt::If { arms, els } => {
                 let mut end_jumps = Vec::new();
                 for (cond, body) in arms {
-                    let c = self.lower_bool(cond, scope);
+                    let c = self.lower_expr(cond, scope);
                     let skip = b.emit_branch(c);
                     for s in body {
                         self.compile_seq(s, scope, b);
@@ -1097,7 +1021,7 @@ impl<'a> Elaborator<'a, '_> {
             }
             SeqStmt::While { cond, body } => {
                 let head = b.here();
-                let c = self.lower_bool(cond, scope);
+                let c = self.lower_expr(cond, scope);
                 let exit = b.emit_branch(c);
                 for s in body {
                     self.compile_seq(s, scope, b);
@@ -1130,7 +1054,7 @@ impl<'a> Elaborator<'a, '_> {
                         }
                     }
                 }
-                let c = self.lower_bool(cond, scope);
+                let c = self.lower_expr(cond, scope);
                 let mut reads = Vec::new();
                 c.collect_reads(&mut reads);
                 reads.sort_unstable();
@@ -1161,7 +1085,7 @@ impl<'a> Elaborator<'a, '_> {
                 severity,
                 span: _,
             } => {
-                let c = self.lower_bool(cond, scope);
+                let c = self.lower_expr(cond, scope);
                 let fail = b.emit_branch(c);
                 let ok = b.emit(Instr::Jump(usize::MAX));
                 b.patch(fail, b.here());
@@ -1225,35 +1149,10 @@ fn char_logic(ch: char) -> Logic {
     }
 }
 
-#[derive(Default)]
-struct Builder {
-    instrs: Vec<Instr>,
-}
-
-impl Builder {
-    fn emit(&mut self, i: Instr) -> usize {
-        self.instrs.push(i);
-        self.instrs.len() - 1
-    }
-
-    fn emit_branch(&mut self, cond: Expr) -> usize {
-        self.emit(Instr::BranchIfFalse {
-            cond,
-            target: usize::MAX,
-        })
-    }
-
-    fn here(&self) -> usize {
-        self.instrs.len()
-    }
-
-    fn patch(&mut self, at: usize, target: usize) {
-        match &mut self.instrs[at] {
-            Instr::Jump(t) => *t = target,
-            Instr::BranchIfFalse { target: t, .. } => *t = target,
-            other => unreachable!("patched a non-branch instruction: {other:?}"),
-        }
-    }
+/// Where a diagnostic about `e` points: its first token, or the start
+/// of the first file for an expression that has none.
+fn span_of(e: &ast::Expr) -> Span {
+    e.span().unwrap_or_else(|| Span::file_start(FileId(0)))
 }
 
 #[cfg(test)]
