@@ -194,12 +194,12 @@ impl<'s> Parser<'s, '_> {
     /// `library ident {, ident} ;` — names are recorded nowhere (only
     /// `work`/`ieee` exist here) but the syntax is checked strictly.
     fn parse_library_clause(&mut self) {
-        if self.expect_ident().is_none() {
+        if self.expect_ident_token().is_none() {
             self.skip_past_semi();
             return;
         }
         while self.eat(Punct::Comma) {
-            if self.expect_ident().is_none() {
+            if self.expect_ident_token().is_none() {
                 self.skip_past_semi();
                 return;
             }
@@ -209,7 +209,7 @@ impl<'s> Parser<'s, '_> {
 
     /// `use name.name.all ;` — checked strictly, contents ignored.
     fn parse_use_clause(&mut self) {
-        if self.expect_ident().is_none() {
+        if self.expect_ident_token().is_none() {
             self.skip_past_semi();
             return;
         }
@@ -217,7 +217,7 @@ impl<'s> Parser<'s, '_> {
             if self.eat_kw(Kw::All) {
                 break;
             }
-            if self.expect_ident().is_none() {
+            if self.expect_ident_token().is_none() {
                 self.skip_past_semi();
                 return;
             }
@@ -324,50 +324,49 @@ impl<'s> Parser<'s, '_> {
     }
 
     fn parse_type_mark(&mut self) -> Option<TypeMark> {
-        let (name, span) = self.expect_ident()?;
-        match name.as_str() {
-            "std_logic" | "std_ulogic" | "bit" => Some(TypeMark::StdLogic),
-            "boolean" => Some(TypeMark::Boolean),
-            "integer" | "natural" | "positive" => {
-                // Optional range constraint: `integer range 0 to 255`.
-                if self.peek().is_word("range") {
-                    self.bump();
-                    let _ = self.parse_expr();
-                    if !(self.eat_kw(Kw::To) || self.eat_kw(Kw::Downto)) {
-                        let tok = self.peek();
-                        self.error(
-                            format!("expected 'to' or 'downto', found {}", tok.describe()),
-                            tok.span,
-                        );
-                    }
-                    let _ = self.parse_expr();
-                }
-                Some(TypeMark::Integer)
-            }
-            "std_logic_vector" | "unsigned" | "signed" | "bit_vector" => {
-                self.expect(Punct::LParen)?;
-                let left = self.parse_expr();
-                let downto = if self.eat_kw(Kw::Downto) {
-                    true
-                } else if self.eat_kw(Kw::To) {
-                    false
-                } else {
+        let tok = self.expect_ident_token()?;
+        let is_one_of = |words: &[&str]| words.iter().any(|w| tok.is_word(w));
+        if is_one_of(&["std_logic", "std_ulogic", "bit"]) {
+            Some(TypeMark::StdLogic)
+        } else if tok.is_word("boolean") {
+            Some(TypeMark::Boolean)
+        } else if is_one_of(&["integer", "natural", "positive"]) {
+            // Optional range constraint: `integer range 0 to 255`.
+            if self.peek().is_word("range") {
+                self.bump();
+                let _ = self.parse_expr();
+                if !(self.eat_kw(Kw::To) || self.eat_kw(Kw::Downto)) {
                     let tok = self.peek();
                     self.error(
-                        format!("expected 'downto' or 'to', found {}", tok.describe()),
+                        format!("expected 'to' or 'downto', found {}", tok.describe()),
                         tok.span,
                     );
-                    true
-                };
-                let right = self.parse_expr();
-                self.expect(Punct::RParen)?;
-                let (high, low) = if downto { (left, right) } else { (right, left) };
-                Some(TypeMark::Vector { high, low, downto })
+                }
+                let _ = self.parse_expr();
             }
-            other => {
-                self.error(format!("unsupported type '{other}'"), span);
-                None
-            }
+            Some(TypeMark::Integer)
+        } else if is_one_of(&["std_logic_vector", "unsigned", "signed", "bit_vector"]) {
+            self.expect(Punct::LParen)?;
+            let left = self.parse_expr();
+            let downto = if self.eat_kw(Kw::Downto) {
+                true
+            } else if self.eat_kw(Kw::To) {
+                false
+            } else {
+                let tok = self.peek();
+                self.error(
+                    format!("expected 'downto' or 'to', found {}", tok.describe()),
+                    tok.span,
+                );
+                true
+            };
+            let right = self.parse_expr();
+            self.expect(Punct::RParen)?;
+            let (high, low) = if downto { (left, right) } else { (right, left) };
+            Some(TypeMark::Vector { high, low, downto })
+        } else {
+            self.error(format!("unsupported type '{}'", tok.value()), tok.span);
+            None
         }
     }
 
@@ -523,13 +522,11 @@ impl<'s> Parser<'s, '_> {
                 return None;
             };
             // work.NAME
-            let (lib, _) = self.expect_ident()?;
-            let entity = if self.eat(Punct::Dot) {
-                let (n, _) = self.expect_ident()?;
-                n
-            } else {
-                lib
-            };
+            let mut entity = self.expect_ident_token()?;
+            if self.eat(Punct::Dot) {
+                entity = self.expect_ident_token()?;
+            }
+            let entity = entity.value();
             let mut generic_map = Box::default();
             if self.eat_kw(Kw::Generic) {
                 self.expect_kw(Kw::Map)?;
@@ -798,14 +795,20 @@ impl<'s> Parser<'s, '_> {
         if !self.eat_kw(Kw::Severity) {
             return Some(default);
         }
-        let (name, span) = self.expect_ident()?;
-        match name.as_str() {
-            "note" => Some(SeverityLevel::Note),
-            "warning" => Some(SeverityLevel::Warning),
-            "error" => Some(SeverityLevel::Error),
-            "failure" => Some(SeverityLevel::Failure),
-            other => {
-                self.error(format!("unknown severity level '{other}'"), span);
+        const LEVELS: [(&str, SeverityLevel); 4] = [
+            ("note", SeverityLevel::Note),
+            ("warning", SeverityLevel::Warning),
+            ("error", SeverityLevel::Error),
+            ("failure", SeverityLevel::Failure),
+        ];
+        let tok = self.expect_ident_token()?;
+        match LEVELS.iter().find(|(name, _)| tok.is_word(name)) {
+            Some(&(_, level)) => Some(level),
+            None => {
+                self.error(
+                    format!("unknown severity level '{}'", tok.value()),
+                    tok.span,
+                );
                 Some(default)
             }
         }
@@ -1325,6 +1328,38 @@ end architecture;
         );
         assert_eq!(format!("{upper:?}"), format!("{lower:?}"));
         assert!(format!("{lower:?}").contains("value: 10,"), "{lower:?}");
+    }
+
+    /// Type marks and severity levels match in any case; the errors
+    /// for unknown ones name the word lowercased.
+    #[test]
+    fn type_marks_and_severities_ignore_case() {
+        let src = "library IEEE;\nuse IEEE.Std_Logic_1164.ALL;\n\
+                   entity tb is end entity;\narchitecture sim of tb is\n\
+                   signal a : Std_Logic;\nsignal b : BOOLEAN;\nsignal n : Natural;\n\
+                   signal v : Unsigned(3 downto 0);\nbegin\n\
+                   process\nbegin\n  report \"x\" severity Warning;\n  wait;\nend process;\n\
+                   end architecture;\n";
+        let lower = parse_clean(&src.to_ascii_lowercase().replace("\"x\"", "\"X\""));
+        assert_eq!(
+            format!("{:?}", parse_clean(&src.replace("\"x\"", "\"X\""))),
+            format!("{lower:?}")
+        );
+        let (_, diags) = parse_src(
+            "entity tb is port (a : in Std_Logic_Vec); end entity;\n\
+             architecture sim of tb is begin\n\
+             process begin report \"x\" severity Fatal; wait; end process;\n\
+             end architecture;\n",
+        );
+        let messages: Vec<&str> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "unsupported type 'std_logic_vec'",
+                "expected identifier, found ';'",
+                "unknown severity level 'fatal'"
+            ]
+        );
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn compile_phases_allocate_per_file() {
     // (parse, elab, lower, run) gates per language.
     let gates = [
         (134_000, 142_000, 7_200, 8_500),
-        (78_000, 73_000, 7_200, 8_700),
+        (54_000, 73_000, 7_200, 8_700),
     ];
     for ((lang, p), (parse, elab, lower, run)) in measured.iter().zip(gates) {
         assert!(
