@@ -354,7 +354,10 @@ impl<'a> Elaborator<'a, '_> {
                             });
                             b.emit(Instr::Jump(0));
                             b.instrs[wait_slot] = Instr::WaitEvent {
-                                triggers: any_change(instr_reads(&b.instrs)),
+                                triggers: instr_reads(&b.instrs)
+                                    .into_iter()
+                                    .map(Trigger::AnyChange)
+                                    .collect(),
                             };
                             self.design.add_process(Process {
                                 name: format!("{}assign_fn@{}", scope.prefix, span.start),
@@ -1058,7 +1061,7 @@ impl<'a> Elaborator<'a, '_> {
                     );
                 }
                 b.instrs[wait_slot] = Instr::WaitEvent {
-                    triggers: any_change(reads),
+                    triggers: reads.into_iter().map(Trigger::AnyChange).collect(),
                 };
             }
             None => {
@@ -1253,7 +1256,7 @@ impl<'a> Elaborator<'a, '_> {
                 let jump_end = b.emit(Instr::Jump(usize::MAX));
                 b.patch(to_wait, b.here());
                 b.emit(Instr::WaitEvent {
-                    triggers: any_change(reads),
+                    triggers: reads.into_iter().map(Trigger::AnyChange).collect(),
                 });
                 b.emit(Instr::Jump(head));
                 b.patch(jump_end, b.here());
@@ -1629,9 +1632,4 @@ fn instr_reads(instrs: &[Instr]) -> Vec<NetId> {
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// One any-change trigger per net.
-fn any_change(nets: Vec<NetId>) -> Vec<Trigger> {
-    nets.into_iter().map(Trigger::AnyChange).collect()
 }
