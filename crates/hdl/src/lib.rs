@@ -12,6 +12,9 @@
 //!   ASTs use for names and literal text.
 //! * [`scratch`] — the scratch stacks both parsers build their
 //!   exact-size AST lists on.
+//! * [`vocab`] and [`cursor`] — the keyword and operator tables both
+//!   frontends declare with [`vocabulary!`], and the token cursor both
+//!   parsers read through.
 //! * [`source`] — source files, spans and line/column mapping used by both
 //!   language frontends and by the diagnostics engine.
 //! * [`diag`] — structured diagnostics with Vivado-style log rendering
@@ -35,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod bits;
+pub mod cursor;
 pub mod diag;
 pub mod ir;
 pub mod logic;
@@ -42,6 +46,7 @@ pub mod name;
 pub mod scratch;
 pub mod source;
 pub mod vec;
+pub mod vocab;
 
 pub use bits::{BitsRef, ScratchBuf};
 pub use diag::{Diagnostic, Severity};

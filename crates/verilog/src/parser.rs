@@ -12,7 +12,8 @@
 
 use crate::ast::*;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
-use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::cursor::Cursor;
+use aivril_hdl::diag::{codes, Diagnostics};
 use aivril_hdl::scratch::Lists;
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
@@ -32,11 +33,7 @@ pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
                 unit.modules.push(std::sync::Arc::new(m));
             }
         } else {
-            let tok = p.peek();
-            p.error(
-                format!("expected 'module', found {}", tok.describe()),
-                tok.span,
-            );
+            p.error_expected("'module'");
             p.bump();
             // Skip forward to the next 'module'.
             while !p.at_eof() && !p.check_kw(Kw::Module) {
@@ -82,85 +79,28 @@ impl Lists for Parser<'_, '_> {
     }
 }
 
-impl<'s> Parser<'s, '_> {
-    fn peek(&self) -> Token<'s> {
-        self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Cursor for Parser<'s, '_> {
+    type Token = Token<'s>;
+    const SYNTAX: &'static str = codes::VLOG_SYNTAX;
+
+    fn tokens(&self) -> &[Token<'s>] {
+        &self.tokens
     }
 
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
+    fn pos(&self) -> usize {
+        self.pos
     }
 
-    fn bump(&mut self) -> Token<'s> {
-        let t = self.peek();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    fn pos_mut(&mut self) -> &mut usize {
+        &mut self.pos
     }
 
-    fn check(&self, p: Punct) -> bool {
-        self.peek().kind == TokenKind::Punct(p)
+    fn diags(&mut self) -> &mut Diagnostics {
+        self.diags
     }
+}
 
-    fn check_kw(&self, k: Kw) -> bool {
-        self.peek().kind == TokenKind::Keyword(k)
-    }
-
-    fn eat(&mut self, p: Punct) -> bool {
-        if self.check(p) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kw(&mut self, k: Kw) -> bool {
-        if self.check_kw(k) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn error(&mut self, message: String, span: Span) {
-        // Cap the error count so corrupted files produce focused logs.
-        if self.diags.error_count() < 20 {
-            self.diags
-                .push(Diagnostic::error(codes::VLOG_SYNTAX, message, span));
-        }
-    }
-
-    fn expect(&mut self, p: Punct) -> Option<Token<'s>> {
-        if self.check(p) {
-            return Some(self.bump());
-        }
-        let tok = self.peek();
-        self.error(
-            format!("expected '{p}', found {}", tok.describe()),
-            tok.span,
-        );
-        None
-    }
-
-    fn expect_ident(&mut self) -> Option<(String, Span)> {
-        self.expect_ident_token().map(|t| (t.value(), t.span))
-    }
-
-    fn expect_ident_token(&mut self) -> Option<Token<'s>> {
-        if self.peek().kind == TokenKind::Ident {
-            return Some(self.bump());
-        }
-        let tok = self.peek();
-        self.error(
-            format!("expected identifier, found {}", tok.describe()),
-            tok.span,
-        );
-        None
-    }
-
+impl Parser<'_, '_> {
     /// Skips tokens until after the next `;`, or until a module boundary.
     fn sync_to_semi(&mut self) {
         while !self.at_eof() {
@@ -211,8 +151,7 @@ impl<'s> Parser<'s, '_> {
                 break;
             }
             if p.at_eof() {
-                let tok = p.peek();
-                p.error("expected 'endmodule', found end of file".into(), tok.span);
+                p.error_expected("'endmodule'");
                 break;
             }
             if p.attempt::<Item>(Self::parse_item).is_none() {
@@ -505,14 +444,7 @@ impl<'s> Parser<'s, '_> {
                     Some(())
                 })?;
                 let body = self.parse_stmt()?;
-                if !self.eat_kw(Kw::Endfunction) {
-                    let t = self.peek();
-                    self.error(
-                        format!("expected 'endfunction', found {}", t.describe()),
-                        t.span,
-                    );
-                    return None;
-                }
+                self.expect_kw(Kw::Endfunction)?;
                 self.push(Item::Function(Box::new(FunctionDecl {
                     name,
                     range,
@@ -871,14 +803,7 @@ impl<'s> Parser<'s, '_> {
                         span,
                     })
                 } else {
-                    let t = self.peek();
-                    self.error(
-                        format!(
-                            "expected '=' or '<=' after assignment target, found {}",
-                            t.describe()
-                        ),
-                        t.span,
-                    );
+                    self.error_expected("'=' or '<=' after assignment target");
                     None
                 }
             }
@@ -922,10 +847,7 @@ impl<'s> Parser<'s, '_> {
                     }
                 }
                 _ => {
-                    self.error(
-                        format!("expected delay value, found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_expected("delay value");
                     Expr::Number {
                         text: Name::new("0"),
                         span: tok.span,

@@ -1,8 +1,8 @@
 //! Token definitions for the Verilog-2001 subset.
 
+use aivril_hdl::cursor::Lexeme;
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
-use std::fmt;
 
 /// Kinds of token the lexer produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,239 +28,100 @@ pub enum TokenKind {
     Eof,
 }
 
-/// All reserved words recognised by this subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Keyword {
-    Module,
-    Endmodule,
-    Input,
-    Output,
-    Inout,
-    Wire,
-    Reg,
-    Integer,
-    Parameter,
-    Localparam,
-    Assign,
-    Always,
-    Initial,
-    Begin,
-    End,
-    If,
-    Else,
-    Case,
-    Casez,
-    Casex,
-    Endcase,
-    Default,
-    For,
-    While,
-    Repeat,
-    Forever,
-    Posedge,
-    Negedge,
-    Or,
-    Signed,
-    Generate,
-    Endgenerate,
-    Genvar,
-    Function,
-    Endfunction,
-    Task,
-    Endtask,
-    Wait,
-}
-
-impl Keyword {
+aivril_hdl::vocabulary! {
+    /// All reserved words recognised by this subset.
+    pub enum Keyword {
+        Module => "module",
+        Endmodule => "endmodule",
+        Input => "input",
+        Output => "output",
+        Inout => "inout",
+        Wire => "wire",
+        Reg => "reg",
+        Integer => "integer",
+        Parameter => "parameter",
+        Localparam => "localparam",
+        Assign => "assign",
+        Always => "always",
+        Initial => "initial",
+        Begin => "begin",
+        End => "end",
+        If => "if",
+        Else => "else",
+        Case => "case",
+        Casez => "casez",
+        Casex => "casex",
+        Endcase => "endcase",
+        Default => "default",
+        For => "for",
+        While => "while",
+        Repeat => "repeat",
+        Forever => "forever",
+        Posedge => "posedge",
+        Negedge => "negedge",
+        Or => "or",
+        Signed => "signed",
+        Generate => "generate",
+        Endgenerate => "endgenerate",
+        Genvar => "genvar",
+        Function => "function",
+        Endfunction => "endfunction",
+        Task => "task",
+        Endtask => "endtask",
+        Wait => "wait",
+    }
     /// Looks up a keyword from identifier text.
-    #[allow(clippy::should_implement_trait)] // fallible lookup, not parsing
-    #[must_use]
-    pub fn from_str(s: &str) -> Option<Keyword> {
-        use Keyword::*;
-        Some(match s {
-            "module" => Module,
-            "endmodule" => Endmodule,
-            "input" => Input,
-            "output" => Output,
-            "inout" => Inout,
-            "wire" => Wire,
-            "reg" => Reg,
-            "integer" => Integer,
-            "parameter" => Parameter,
-            "localparam" => Localparam,
-            "assign" => Assign,
-            "always" => Always,
-            "initial" => Initial,
-            "begin" => Begin,
-            "end" => End,
-            "if" => If,
-            "else" => Else,
-            "case" => Case,
-            "casez" => Casez,
-            "casex" => Casex,
-            "endcase" => Endcase,
-            "default" => Default,
-            "for" => For,
-            "while" => While,
-            "repeat" => Repeat,
-            "forever" => Forever,
-            "posedge" => Posedge,
-            "negedge" => Negedge,
-            "or" => Or,
-            "signed" => Signed,
-            "generate" => Generate,
-            "endgenerate" => Endgenerate,
-            "genvar" => Genvar,
-            "function" => Function,
-            "endfunction" => Endfunction,
-            "task" => Task,
-            "endtask" => Endtask,
-            "wait" => Wait,
-            _ => return None,
-        })
-    }
-
-    /// Canonical source spelling.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        use Keyword::*;
-        match self {
-            Module => "module",
-            Endmodule => "endmodule",
-            Input => "input",
-            Output => "output",
-            Inout => "inout",
-            Wire => "wire",
-            Reg => "reg",
-            Integer => "integer",
-            Parameter => "parameter",
-            Localparam => "localparam",
-            Assign => "assign",
-            Always => "always",
-            Initial => "initial",
-            Begin => "begin",
-            End => "end",
-            If => "if",
-            Else => "else",
-            Case => "case",
-            Casez => "casez",
-            Casex => "casex",
-            Endcase => "endcase",
-            Default => "default",
-            For => "for",
-            While => "while",
-            Repeat => "repeat",
-            Forever => "forever",
-            Posedge => "posedge",
-            Negedge => "negedge",
-            Or => "or",
-            Signed => "signed",
-            Generate => "generate",
-            Endgenerate => "endgenerate",
-            Genvar => "genvar",
-            Function => "function",
-            Endfunction => "endfunction",
-            Task => "task",
-            Endtask => "endtask",
-            Wait => "wait",
-        }
-    }
+    pub fn from_str;
 }
 
-/// Operators and punctuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Punct {
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Semi,
-    Comma,
-    Colon,
-    Dot,
-    Hash,
-    At,
-    Question,
-    Assign,  // =
-    LtEqual, // <= (both relational and nonblocking)
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Percent,
-    Amp,        // &
-    AmpAmp,     // &&
-    Pipe,       // |
-    PipePipe,   // ||
-    Caret,      // ^
-    TildeCaret, // ~^ (also ^~)
-    Tilde,      // ~
-    TildeAmp,   // ~&
-    TildePipe,  // ~|
-    Bang,       // !
-    EqEq,       // ==
-    NotEq,      // !=
-    CaseEq,     // ===
-    CaseNotEq,  // !==
-    Lt,
-    Gt,
-    GtEq,
-    Shl,   // <<
-    Shr,   // >>
-    Star2, // **
-}
-
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Punct::*;
-        let s = match self {
-            LParen => "(",
-            RParen => ")",
-            LBracket => "[",
-            RBracket => "]",
-            LBrace => "{",
-            RBrace => "}",
-            Semi => ";",
-            Comma => ",",
-            Colon => ":",
-            Dot => ".",
-            Hash => "#",
-            At => "@",
-            Question => "?",
-            Assign => "=",
-            LtEqual => "<=",
-            Plus => "+",
-            Minus => "-",
-            Star => "*",
-            Slash => "/",
-            Percent => "%",
-            Amp => "&",
-            AmpAmp => "&&",
-            Pipe => "|",
-            PipePipe => "||",
-            Caret => "^",
-            TildeCaret => "~^",
-            Tilde => "~",
-            TildeAmp => "~&",
-            TildePipe => "~|",
-            Bang => "!",
-            EqEq => "==",
-            NotEq => "!=",
-            CaseEq => "===",
-            CaseNotEq => "!==",
-            Lt => "<",
-            Gt => ">",
-            GtEq => ">=",
-            Shl => "<<",
-            Shr => ">>",
-            Star2 => "**",
-        };
-        f.write_str(s)
+aivril_hdl::vocabulary! {
+    /// Operators and punctuation.
+    pub enum Punct {
+        LParen => "(",
+        RParen => ")",
+        LBracket => "[",
+        RBracket => "]",
+        LBrace => "{",
+        RBrace => "}",
+        Semi => ";",
+        Comma => ",",
+        Colon => ":",
+        Dot => ".",
+        Hash => "#",
+        At => "@",
+        Question => "?",
+        Assign => "=",
+        /// Both relational and nonblocking.
+        LtEqual => "<=",
+        Plus => "+",
+        Minus => "-",
+        Star => "*",
+        Slash => "/",
+        Percent => "%",
+        Amp => "&",
+        AmpAmp => "&&",
+        Pipe => "|",
+        PipePipe => "||",
+        Caret => "^",
+        /// Also written `^~`.
+        TildeCaret => "~^",
+        Tilde => "~",
+        TildeAmp => "~&",
+        TildePipe => "~|",
+        Bang => "!",
+        EqEq => "==",
+        NotEq => "!=",
+        CaseEq => "===",
+        CaseNotEq => "!==",
+        Lt => "<",
+        Gt => ">",
+        GtEq => ">=",
+        Shl => "<<",
+        Shr => ">>",
+        Star2 => "**",
     }
+    /// Looks up an operator from its canonical spelling.
+    pub fn from_str;
 }
 
 /// One lexed token: a `Copy` view into the source text. Lexing
@@ -319,6 +180,39 @@ impl Token<'_> {
     }
 }
 
+impl Lexeme for Token<'_> {
+    type Keyword = Keyword;
+    type Punct = Punct;
+
+    fn is_eof(&self) -> bool {
+        self.kind == TokenKind::Eof
+    }
+
+    fn is_ident(&self) -> bool {
+        self.kind == TokenKind::Ident
+    }
+
+    fn is_keyword(&self, k: Keyword) -> bool {
+        self.kind == TokenKind::Keyword(k)
+    }
+
+    fn is_punct(&self, p: Punct) -> bool {
+        self.kind == TokenKind::Punct(p)
+    }
+
+    fn span(&self) -> Span {
+        self.span
+    }
+
+    fn describe(&self) -> String {
+        Token::describe(self)
+    }
+
+    fn value(&self) -> String {
+        Token::value(self)
+    }
+}
+
 /// Decodes the escapes of raw string-literal contents into a string of
 /// exactly the decoded length.
 fn unescape(raw: &str) -> String {
@@ -347,4 +241,59 @@ fn unescape(raw: &str) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Every spelling of a vocabulary in table order, space-separated,
+    /// after checking that each spelling is unique, looks up its own
+    /// variant and is at most `max_len` bytes long, the longest one
+    /// exactly.
+    fn spellings<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &[T],
+        as_str: fn(T) -> &'static str,
+        from_str: fn(&str) -> Option<T>,
+        max_len: usize,
+    ) -> String {
+        let mut seen = HashSet::new();
+        for &v in all {
+            assert_eq!(from_str(as_str(v)), Some(v), "{v:?}");
+            assert!(seen.insert(as_str(v)), "{v:?} repeats a spelling");
+        }
+        assert_eq!(seen.iter().map(|s| s.len()).max(), Some(max_len));
+        all.iter().map(|&v| as_str(v)).collect::<Vec<_>>().join(" ")
+    }
+
+    #[test]
+    fn keywords_are_spelled_once_and_pinned() {
+        assert_eq!(
+            spellings(
+                Keyword::ALL,
+                Keyword::as_str,
+                Keyword::from_str,
+                Keyword::MAX_LEN
+            ),
+            "module endmodule input output inout wire reg integer parameter localparam \
+             assign always initial begin end if else case casez casex endcase default for \
+             while repeat forever posedge negedge or signed generate endgenerate genvar \
+             function endfunction task endtask wait"
+        );
+        // Verilog is case-sensitive.
+        assert_eq!(Keyword::from_str("Module"), None);
+        assert_eq!(Keyword::Endmodule.to_string(), "endmodule");
+    }
+
+    #[test]
+    fn operators_are_spelled_once_and_pinned() {
+        assert_eq!(
+            spellings(Punct::ALL, Punct::as_str, Punct::from_str, Punct::MAX_LEN),
+            "( ) [ ] { } ; , : . # @ ? = <= + - * / % & && | || ^ ~^ ~ ~& ~| ! == != \
+             === !== < > >= << >> **"
+        );
+        // `^~` lexes as `~^`; only the canonical spelling is in the table.
+        assert_eq!(Punct::from_str("^~"), None);
+    }
 }

@@ -5,10 +5,10 @@
 //! where an AST node stores them. Like the Verilog lexer, this one is
 //! *total* — corrupted input produces located diagnostics, never panics.
 
+use aivril_hdl::cursor::Lexeme;
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::{FileId, Span};
 use aivril_hdl::Name;
-use std::fmt;
 
 /// Kinds of token the VHDL lexer produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,62 +31,64 @@ pub enum TokenKind {
     Eof,
 }
 
-/// Reserved words of the supported subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Keyword {
-    Library,
-    Use,
-    Entity,
-    Architecture,
-    Of,
-    Is,
-    Begin,
-    End,
-    Port,
-    Generic,
-    Map,
-    In,
-    Out,
-    Inout,
-    Signal,
-    Constant,
-    Variable,
-    Process,
-    If,
-    Then,
-    Elsif,
-    Else,
-    Case,
-    When,
-    Others,
-    For,
-    Loop,
-    To,
-    Downto,
-    While,
-    Wait,
-    Until,
-    And,
-    Or,
-    Xor,
-    Nand,
-    Nor,
-    Xnor,
-    Not,
-    Mod,
-    Rem,
-    Sll,
-    Srl,
-    Report,
-    Severity,
-    Assert,
-    Null,
-    After,
-    All,
-    Component,
-    True,
-    False,
+aivril_hdl::vocabulary! {
+    /// Reserved words of the supported subset.
+    pub enum Keyword {
+        Library => "library",
+        Use => "use",
+        Entity => "entity",
+        Architecture => "architecture",
+        Of => "of",
+        Is => "is",
+        Begin => "begin",
+        End => "end",
+        Port => "port",
+        Generic => "generic",
+        Map => "map",
+        In => "in",
+        Out => "out",
+        Inout => "inout",
+        Signal => "signal",
+        Constant => "constant",
+        Variable => "variable",
+        Process => "process",
+        If => "if",
+        Then => "then",
+        Elsif => "elsif",
+        Else => "else",
+        Case => "case",
+        When => "when",
+        Others => "others",
+        For => "for",
+        Loop => "loop",
+        To => "to",
+        Downto => "downto",
+        While => "while",
+        Wait => "wait",
+        Until => "until",
+        And => "and",
+        Or => "or",
+        Xor => "xor",
+        Nand => "nand",
+        Nor => "nor",
+        Xnor => "xnor",
+        Not => "not",
+        Mod => "mod",
+        Rem => "rem",
+        Sll => "sll",
+        Srl => "srl",
+        Report => "report",
+        Severity => "severity",
+        Assert => "assert",
+        Null => "null",
+        After => "after",
+        All => "all",
+        Component => "component",
+        True => "true",
+        False => "false",
+    }
+    /// Looks up a keyword by its lowercase spelling.
+    fn from_lowercase;
 }
 
 impl Keyword {
@@ -94,187 +96,45 @@ impl Keyword {
     /// allocating.
     #[must_use]
     pub fn from_str(s: &str) -> Option<Keyword> {
-        use Keyword::*;
         // Lowercase into a buffer as long as the longest keyword.
-        let mut buf = [0u8; "architecture".len()];
+        let mut buf = [0u8; Keyword::MAX_LEN];
         let lower = buf.get_mut(..s.len())?;
         lower.copy_from_slice(s.as_bytes());
         lower.make_ascii_lowercase();
-        Some(match &*lower {
-            b"library" => Library,
-            b"use" => Use,
-            b"entity" => Entity,
-            b"architecture" => Architecture,
-            b"of" => Of,
-            b"is" => Is,
-            b"begin" => Begin,
-            b"end" => End,
-            b"port" => Port,
-            b"generic" => Generic,
-            b"map" => Map,
-            b"in" => In,
-            b"out" => Out,
-            b"inout" => Inout,
-            b"signal" => Signal,
-            b"constant" => Constant,
-            b"variable" => Variable,
-            b"process" => Process,
-            b"if" => If,
-            b"then" => Then,
-            b"elsif" => Elsif,
-            b"else" => Else,
-            b"case" => Case,
-            b"when" => When,
-            b"others" => Others,
-            b"for" => For,
-            b"loop" => Loop,
-            b"to" => To,
-            b"downto" => Downto,
-            b"while" => While,
-            b"wait" => Wait,
-            b"until" => Until,
-            b"and" => And,
-            b"or" => Or,
-            b"xor" => Xor,
-            b"nand" => Nand,
-            b"nor" => Nor,
-            b"xnor" => Xnor,
-            b"not" => Not,
-            b"mod" => Mod,
-            b"rem" => Rem,
-            b"sll" => Sll,
-            b"srl" => Srl,
-            b"report" => Report,
-            b"severity" => Severity,
-            b"assert" => Assert,
-            b"null" => Null,
-            b"after" => After,
-            b"all" => All,
-            b"component" => Component,
-            b"true" => True,
-            b"false" => False,
-            _ => return None,
-        })
-    }
-
-    /// Canonical lowercase spelling.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        use Keyword::*;
-        match self {
-            Library => "library",
-            Use => "use",
-            Entity => "entity",
-            Architecture => "architecture",
-            Of => "of",
-            Is => "is",
-            Begin => "begin",
-            End => "end",
-            Port => "port",
-            Generic => "generic",
-            Map => "map",
-            In => "in",
-            Out => "out",
-            Inout => "inout",
-            Signal => "signal",
-            Constant => "constant",
-            Variable => "variable",
-            Process => "process",
-            If => "if",
-            Then => "then",
-            Elsif => "elsif",
-            Else => "else",
-            Case => "case",
-            When => "when",
-            Others => "others",
-            For => "for",
-            Loop => "loop",
-            To => "to",
-            Downto => "downto",
-            While => "while",
-            Wait => "wait",
-            Until => "until",
-            And => "and",
-            Or => "or",
-            Xor => "xor",
-            Nand => "nand",
-            Nor => "nor",
-            Xnor => "xnor",
-            Not => "not",
-            Mod => "mod",
-            Rem => "rem",
-            Sll => "sll",
-            Srl => "srl",
-            Report => "report",
-            Severity => "severity",
-            Assert => "assert",
-            Null => "null",
-            After => "after",
-            All => "all",
-            Component => "component",
-            True => "true",
-            False => "false",
-        }
+        // ASCII lowercasing keeps the text UTF-8.
+        Keyword::from_lowercase(std::str::from_utf8(lower).ok()?)
     }
 }
 
-/// Operators and punctuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Punct {
-    LParen,
-    RParen,
-    Semi,
-    Comma,
-    Colon,
-    Dot,
-    Amp,
-    Tick,
-    Bar,
-    Assign,    // :=
-    SigAssign, // <=  (also relational less-equal; context decides)
-    Arrow,     // =>
-    Eq,        // =
-    Ne,        // /=
-    Lt,
-    Gt,
-    Ge,
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Star2,
-}
-
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Punct::*;
-        let s = match self {
-            LParen => "(",
-            RParen => ")",
-            Semi => ";",
-            Comma => ",",
-            Colon => ":",
-            Dot => ".",
-            Amp => "&",
-            Tick => "'",
-            Bar => "|",
-            Assign => ":=",
-            SigAssign => "<=",
-            Arrow => "=>",
-            Eq => "=",
-            Ne => "/=",
-            Lt => "<",
-            Gt => ">",
-            Ge => ">=",
-            Plus => "+",
-            Minus => "-",
-            Star => "*",
-            Slash => "/",
-            Star2 => "**",
-        };
-        f.write_str(s)
+aivril_hdl::vocabulary! {
+    /// Operators and punctuation.
+    pub enum Punct {
+        LParen => "(",
+        RParen => ")",
+        Semi => ";",
+        Comma => ",",
+        Colon => ":",
+        Dot => ".",
+        Amp => "&",
+        Tick => "'",
+        Bar => "|",
+        Assign => ":=",
+        /// Also relational less-or-equal; the context decides.
+        SigAssign => "<=",
+        Arrow => "=>",
+        Eq => "=",
+        Ne => "/=",
+        Lt => "<",
+        Gt => ">",
+        Ge => ">=",
+        Plus => "+",
+        Minus => "-",
+        Star => "*",
+        Slash => "/",
+        Star2 => "**",
     }
+    /// Looks up an operator from its spelling.
+    pub fn from_str;
 }
 
 /// One lexed token: a `Copy` view into the source text. Lexing
@@ -333,6 +193,39 @@ impl Token<'_> {
             TokenKind::StrLit => format!("\"{}\"", self.text),
             _ => format!("'{}'", self.value()),
         }
+    }
+}
+
+impl Lexeme for Token<'_> {
+    type Keyword = Keyword;
+    type Punct = Punct;
+
+    fn is_eof(&self) -> bool {
+        self.kind == TokenKind::Eof
+    }
+
+    fn is_ident(&self) -> bool {
+        self.kind == TokenKind::Ident
+    }
+
+    fn is_keyword(&self, k: Keyword) -> bool {
+        self.kind == TokenKind::Keyword(k)
+    }
+
+    fn is_punct(&self, p: Punct) -> bool {
+        self.kind == TokenKind::Punct(p)
+    }
+
+    fn span(&self) -> Span {
+        self.span
+    }
+
+    fn describe(&self) -> String {
+        Token::describe(self)
+    }
+
+    fn value(&self) -> String {
+        Token::value(self)
     }
 }
 
@@ -685,6 +578,66 @@ mod tests {
         let messages: Vec<_> = diags.all().iter().map(|d| d.message.as_str()).collect();
         assert_eq!(messages, ["unterminated bit-string literal"]);
         assert_eq!(span_of(diags.all()[0].span.expect("located")), (0, 4));
+    }
+
+    /// Every spelling of a vocabulary in table order, space-separated,
+    /// after checking that each spelling is unique, looks up its own
+    /// variant and is at most `max_len` bytes long, the longest one
+    /// exactly.
+    fn spellings<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &[T],
+        as_str: fn(T) -> &'static str,
+        from_str: fn(&str) -> Option<T>,
+        max_len: usize,
+    ) -> String {
+        let mut seen = std::collections::HashSet::new();
+        for &v in all {
+            assert_eq!(from_str(as_str(v)), Some(v), "{v:?}");
+            assert!(seen.insert(as_str(v)), "{v:?} repeats a spelling");
+        }
+        assert_eq!(seen.iter().map(|s| s.len()).max(), Some(max_len));
+        all.iter().map(|&v| as_str(v)).collect::<Vec<_>>().join(" ")
+    }
+
+    #[test]
+    fn keywords_are_spelled_once_match_in_any_case_and_are_pinned() {
+        assert_eq!(
+            spellings(
+                Keyword::ALL,
+                Keyword::as_str,
+                Keyword::from_str,
+                Keyword::MAX_LEN
+            ),
+            "library use entity architecture of is begin end port generic map in out inout \
+             signal constant variable process if then elsif else case when others for loop \
+             to downto while wait until and or xor nand nor xnor not mod rem sll srl report \
+             severity assert null after all component true false"
+        );
+        for &k in Keyword::ALL {
+            let upper = k.as_str().to_ascii_uppercase();
+            let mixed: String = (k.as_str().char_indices())
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            assert_eq!(Keyword::from_str(&upper), Some(k), "{upper}");
+            assert_eq!(Keyword::from_str(&mixed), Some(k), "{mixed}");
+        }
+        // Longer than every keyword: not one, and no overrun.
+        assert_eq!(Keyword::from_str("Architectures"), None);
+        assert_eq!(Keyword::Downto.to_string(), "downto");
+    }
+
+    #[test]
+    fn operators_are_spelled_once_and_pinned() {
+        assert_eq!(
+            spellings(Punct::ALL, Punct::as_str, Punct::from_str, Punct::MAX_LEN),
+            "( ) ; , : . & ' | := <= => = /= < > >= + - * / **"
+        );
     }
 
     #[test]

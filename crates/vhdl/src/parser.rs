@@ -6,7 +6,8 @@
 
 use crate::ast::*;
 use crate::lexer::{Keyword as Kw, Punct, Token, TokenKind};
-use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::cursor::Cursor;
+use aivril_hdl::diag::{codes, Diagnostics};
 use aivril_hdl::scratch::Lists;
 use aivril_hdl::source::Span;
 use aivril_hdl::Name;
@@ -40,14 +41,7 @@ pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
                 p.skip_to_design_unit();
             }
         } else {
-            let tok = p.peek();
-            p.error(
-                format!(
-                    "expected 'entity' or 'architecture', found {}",
-                    tok.describe()
-                ),
-                tok.span,
-            );
+            p.error_expected("'entity' or 'architecture'");
             p.bump();
             p.skip_to_design_unit();
         }
@@ -88,100 +82,28 @@ impl Lists for Parser<'_, '_> {
     }
 }
 
-impl<'s> Parser<'s, '_> {
-    fn peek(&self) -> Token<'s> {
-        self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Cursor for Parser<'s, '_> {
+    type Token = Token<'s>;
+    const SYNTAX: &'static str = codes::VHDL_SYNTAX;
+
+    fn tokens(&self) -> &[Token<'s>] {
+        &self.tokens
     }
 
-    fn peek2(&self) -> Token<'s> {
-        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
+    fn pos(&self) -> usize {
+        self.pos
     }
 
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
+    fn pos_mut(&mut self) -> &mut usize {
+        &mut self.pos
     }
 
-    fn bump(&mut self) -> Token<'s> {
-        let t = self.peek();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    fn diags(&mut self) -> &mut Diagnostics {
+        self.diags
     }
+}
 
-    fn check(&self, p: Punct) -> bool {
-        self.peek().kind == TokenKind::Punct(p)
-    }
-
-    fn check_kw(&self, k: Kw) -> bool {
-        self.peek().kind == TokenKind::Keyword(k)
-    }
-
-    fn eat(&mut self, p: Punct) -> bool {
-        if self.check(p) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kw(&mut self, k: Kw) -> bool {
-        if self.check_kw(k) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn error(&mut self, message: String, span: Span) {
-        if self.diags.error_count() < 20 {
-            self.diags
-                .push(Diagnostic::error(codes::VHDL_SYNTAX, message, span));
-        }
-    }
-
-    fn expect(&mut self, p: Punct) -> Option<Token<'s>> {
-        if self.check(p) {
-            return Some(self.bump());
-        }
-        let tok = self.peek();
-        self.error(
-            format!("expected '{p}', found {}", tok.describe()),
-            tok.span,
-        );
-        None
-    }
-
-    fn expect_kw(&mut self, k: Kw) -> Option<()> {
-        if self.eat_kw(k) {
-            return Some(());
-        }
-        let tok = self.peek();
-        self.error(
-            format!("expected '{}', found {}", k.as_str(), tok.describe()),
-            tok.span,
-        );
-        None
-    }
-
-    fn expect_ident(&mut self) -> Option<(String, Span)> {
-        self.expect_ident_token().map(|t| (t.value(), t.span))
-    }
-
-    fn expect_ident_token(&mut self) -> Option<Token<'s>> {
-        if self.peek().kind == TokenKind::Ident {
-            return Some(self.bump());
-        }
-        let tok = self.peek();
-        self.error(
-            format!("expected identifier, found {}", tok.describe()),
-            tok.span,
-        );
-        None
-    }
-
+impl Parser<'_, '_> {
     fn skip_past_semi(&mut self) {
         while !self.at_eof() {
             if self.eat(Punct::Semi) {
@@ -275,11 +197,7 @@ impl<'s> Parser<'s, '_> {
                 } else if p.eat_kw(Kw::Inout) {
                     PortDir::Inout
                 } else {
-                    let tok = p.peek();
-                    p.error(
-                        format!("expected port direction, found {}", tok.describe()),
-                        tok.span,
-                    );
+                    p.error_expected("port direction");
                     PortDir::In
                 };
                 let ty = p.parse_type_mark()?;
@@ -336,11 +254,7 @@ impl<'s> Parser<'s, '_> {
                 self.bump();
                 let _ = self.parse_expr();
                 if !(self.eat_kw(Kw::To) || self.eat_kw(Kw::Downto)) {
-                    let tok = self.peek();
-                    self.error(
-                        format!("expected 'to' or 'downto', found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_expected("'to' or 'downto'");
                 }
                 let _ = self.parse_expr();
             }
@@ -353,11 +267,7 @@ impl<'s> Parser<'s, '_> {
             } else if self.eat_kw(Kw::To) {
                 false
             } else {
-                let tok = self.peek();
-                self.error(
-                    format!("expected 'downto' or 'to', found {}", tok.describe()),
-                    tok.span,
-                );
+                self.error_expected("'downto' or 'to'");
                 true
             };
             let right = self.parse_expr();
@@ -416,11 +326,7 @@ impl<'s> Parser<'s, '_> {
                         p.bump();
                     }
                 } else {
-                    let tok = p.peek();
-                    p.error(
-                        format!("expected declaration or 'begin', found {}", tok.describe()),
-                        tok.span,
-                    );
+                    p.error_expected("declaration or 'begin'");
                     return None;
                 }
             }
@@ -477,7 +383,6 @@ impl<'s> Parser<'s, '_> {
             // Process-declarative part: variable declarations.
             let variables = self.try_list(|p| {
                 while !p.check_kw(Kw::Begin) && !p.at_eof() {
-                    let tok = p.peek();
                     if p.eat_kw(Kw::Variable) {
                         let names = p.parse_ident_list()?;
                         p.expect(Punct::Colon)?;
@@ -490,10 +395,7 @@ impl<'s> Parser<'s, '_> {
                         p.expect(Punct::Semi)?;
                         p.push(VarDecl { names, ty, init });
                     } else {
-                        p.error(
-                            format!("expected 'variable' or 'begin', found {}", tok.describe()),
-                            tok.span,
-                        );
+                        p.error_expected("'variable' or 'begin'");
                         return None;
                     }
                 }
@@ -664,12 +566,7 @@ impl<'s> Parser<'s, '_> {
         }
         if self.eat_kw(Kw::For) {
             let (var, _) = self.expect_ident()?;
-            if !(self.peek().kind == TokenKind::Keyword(Kw::In)) {
-                let t = self.peek();
-                self.error(format!("expected 'in', found {}", t.describe()), t.span);
-                return None;
-            }
-            self.bump();
+            self.expect_kw(Kw::In)?;
             let from = self.parse_expr();
             let downto = if self.eat_kw(Kw::Downto) {
                 true
@@ -783,11 +680,7 @@ impl<'s> Parser<'s, '_> {
         if self.peek().kind == TokenKind::StrLit {
             return Some(self.bump().value());
         }
-        let tok = self.peek();
-        self.error(
-            format!("expected a string message, found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_expected("a string message");
         None
     }
 
@@ -1152,10 +1045,7 @@ impl<'s> Parser<'s, '_> {
     fn parse_name_expr(&mut self) -> Option<Expr> {
         let tok = self.peek();
         if tok.kind != TokenKind::Ident {
-            self.error(
-                format!("expected a signal name, found {}", tok.describe()),
-                tok.span,
-            );
+            self.error_expected("a signal name");
             return None;
         }
         match self.parse_primary() {
