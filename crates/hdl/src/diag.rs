@@ -161,6 +161,11 @@ impl Diagnostics {
             .count()
     }
 
+    /// Drops every diagnostic after the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.diags.truncate(len);
+    }
+
     /// All recorded diagnostics in order.
     #[must_use]
     pub fn all(&self) -> &[Diagnostic] {

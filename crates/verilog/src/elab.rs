@@ -48,6 +48,7 @@ pub fn elaborate(unit: &ast::SourceUnit, top: &str, diags: &mut Diagnostics) -> 
         diags,
         inline_counter: 0,
         inline_depth: 0,
+        nesting_error_end: None,
     };
     el.instantiate(top_module, String::new(), HashMap::new(), None, 0);
     if el.diags.has_errors() {
@@ -117,6 +118,11 @@ struct Elaborator<'a, 'd> {
     inline_counter: u32,
     /// Guard against (mutually) recursive functions.
     inline_depth: u32,
+    /// The log length just after a "call nesting exceeds 16" error,
+    /// until the outermost call returns: what the enclosing bodies
+    /// report meanwhile was lowered against the error's placeholder
+    /// value, once per level, and is dropped.
+    nesting_error_end: Option<usize>,
 }
 
 impl<'a> Elaborator<'a, '_> {
@@ -860,6 +866,7 @@ impl<'a> Elaborator<'a, '_> {
                 format!("function '{name}': call nesting exceeds 16 (recursion?)"),
                 span,
             );
+            self.nesting_error_end = Some(self.diags.all().len());
             return Expr::Const(LogicVec::xes(sig.width));
         }
         self.inline_counter += 1;
@@ -906,6 +913,11 @@ impl<'a> Elaborator<'a, '_> {
         self.inline_depth += 1;
         self.compile_stmt(sig.body, &inner, b);
         self.inline_depth -= 1;
+        if self.inline_depth == 0 {
+            if let Some(end) = self.nesting_error_end.take() {
+                self.diags.truncate(end);
+            }
+        }
         // IEEE 1364 §10.3.4: function bodies may not contain timing
         // controls or nonblocking assignments.
         if b.instrs[body_start..].iter().any(|i| {
