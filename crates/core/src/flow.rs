@@ -618,6 +618,17 @@ impl<'t> Aivril2<'t> {
             } else {
                 usize::MAX
             };
+            // A revision may have broken compilation again; route the
+            // failure to the appropriate agent. The prompt is built
+            // before a rollback replaces `rtl`, so compile messages quote
+            // the revision they were reported against.
+            let corrective = (iter < self.config.max_functional_iters).then(|| {
+                self.corrective(if report.compiled {
+                    Feedback::Functional(&report)
+                } else {
+                    Feedback::Syntax(&report.compile_messages, rtl, "RTL module")
+                })
+            });
             // The agent produced at least the testbench and RTL to reach
             // this loop, but guard the underflow anyway now that
             // generations can fail.
@@ -639,16 +650,9 @@ impl<'t> Aivril2<'t> {
                 }
                 _ => best = Some((failures, current_version)),
             }
-            if iter == self.config.max_functional_iters {
+            let Some(corrective) = corrective else {
                 break;
-            }
-            // A revision may have broken compilation again; route the
-            // failure to the appropriate agent.
-            let corrective = self.corrective(if report.compiled {
-                Feedback::Functional(&report)
-            } else {
-                Feedback::Syntax(&report.compile_messages, rtl, "RTL module")
-            });
+            };
             let Some(gen) = run.ask(Stage::FunctionalLoop, "revise after simulation", |agent| {
                 agent.revise(corrective.clone())
             }) else {
@@ -875,6 +879,10 @@ mod rollback_tests {
     const V3: &str = "module inv(input wire a, output wire y);\n  assign y = ~a;\nendmodule\n";
     // Does not compile: a missing semicolon.
     const BROKEN: &str = "module inv(input wire a, output wire y);\n  assign y = ~a\nendmodule\n";
+    // Does not compile: the header lacks its semicolon, so the error
+    // points at line 2, which differs from V1's line 2.
+    const BROKEN_HEADER: &str =
+        "module inv(input wire a, output wire y)\n  assign y = ~a;\nendmodule\n";
 
     fn task() -> TaskInput {
         TaskInput {
@@ -907,6 +915,30 @@ mod rollback_tests {
             "expected a rollback event, got:\n{narration}"
         );
         assert_eq!(result.final_rtl, V3);
+    }
+
+    /// The Review prompt for a revision that stops compiling quotes that
+    /// revision, not the version the loop rolls back to.
+    #[test]
+    fn review_prompt_quotes_the_revision_that_broke_compilation() {
+        let mut model = Scripted {
+            replies: vec![TB, V1, BROKEN_HEADER, V3],
+            at: 0,
+            prompts: Vec::new(),
+        };
+        let tools = XsimToolSuite::new();
+        let result = Aivril2::new(&tools, Aivril2Config::default()).run(&mut model, &task());
+        let narration = result.trace.narration();
+        assert!(
+            narration.contains("rollback: revision regressed to compile-breaking failure(s)"),
+            "{narration}"
+        );
+        // Prompts: testbench, RTL, revise V1, then revise the broken RTL.
+        let prompt = &model.prompts[3];
+        assert!(prompt.contains("inv.v:2"), "{prompt}");
+        assert!(prompt.contains("assign y = ~a;"), "{prompt}");
+        assert!(!prompt.contains("1'b1"), "{prompt}");
+        assert!(result.functional_pass, "{narration}");
     }
 
     /// The errors-only ablation withholds locations, snippets and hints

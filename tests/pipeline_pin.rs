@@ -224,7 +224,7 @@ fn ci_fault_plan_is_pinned() {
         d.saw("revision failed to compile"),
         "slice never breaks compilation"
     );
-    assert_pinned("CI fault plan", got, 0x763e_a9e6_f2f1_a74b);
+    assert_pinned("CI fault plan", got, 0x43d9_16ad_5a43_da19);
 }
 
 #[test]
