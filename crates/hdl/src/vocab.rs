@@ -81,7 +81,6 @@ macro_rules! vocabulary {
             }
 
             $(#[$lmeta])*
-            #[allow(clippy::should_implement_trait)] // fallible lookup, not parsing
             #[must_use]
             $lvis fn $lookup(s: &str) -> Option<$name> {
                 match s {

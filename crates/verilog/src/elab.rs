@@ -118,10 +118,10 @@ struct Elaborator<'a, 'd> {
     inline_counter: u32,
     /// Guard against (mutually) recursive functions.
     inline_depth: u32,
-    /// The log length just after a "call nesting exceeds 16" error,
-    /// until the outermost call returns: what the enclosing bodies
-    /// report meanwhile was lowered against the error's placeholder
-    /// value, once per level, and is dropped.
+    /// The log length just after the first "call nesting exceeds 16"
+    /// error, until the outermost call returns: what the enclosing
+    /// bodies report meanwhile was lowered against the error's
+    /// placeholder value, once per level, and is dropped.
     nesting_error_end: Option<usize>,
 }
 
@@ -866,7 +866,8 @@ impl<'a> Elaborator<'a, '_> {
                 format!("function '{name}': call nesting exceeds 16 (recursion?)"),
                 span,
             );
-            self.nesting_error_end = Some(self.diags.all().len());
+            let end = self.diags.all().len();
+            self.nesting_error_end.get_or_insert(end);
             return Expr::Const(LogicVec::xes(sig.width));
         }
         self.inline_counter += 1;
