@@ -165,13 +165,73 @@ impl FutureQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Pops the earliest pending batch: its time and its `(pid,
+    /// generation)` entries in scheduling order.
+    fn pop_batch(q: &mut FutureQueue, now: u64) -> Option<(u64, Vec<(usize, u64)>)> {
+        let t = q.next_time(now)?;
+        let mut batch = Vec::new();
+        q.pop_at(t, &mut batch);
+        Some((t, batch))
+    }
+
+    /// One step of a random queue workload: schedule `(pid,
+    /// generation)` `delay` ticks ahead, or (`delay == 0`) pop the next
+    /// batch.
+    fn op_strategy() -> impl Strategy<Value = (u64, usize, u64)> {
+        let delay = prop_oneof![
+            Just(0u64),
+            Just(0u64),
+            1u64..=200,
+            1u64..=4,
+            Just(64u64),
+            Just(65u64),
+            Just(128u64),
+        ];
+        (delay, 0usize..6, 0u64..3)
+    }
+
+    proptest! {
+        /// The queue wakes exactly what a `BTreeMap` of per-time `Vec`s
+        /// wakes, batch by batch and in scheduling order, and counts the
+        /// same distinct pending times. Delays straddle 64 ticks and
+        /// small delays make many same-time events.
+        #[test]
+        fn queue_matches_a_btreemap_reference(ops in pvec(op_strategy(), 1..120)) {
+            let mut q = FutureQueue::new();
+            let mut reference: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
+            let mut now = 0;
+            for (delay, pid, generation) in ops {
+                if delay == 0 {
+                    let expected = reference.pop_first();
+                    let got = pop_batch(&mut q, now);
+                    prop_assert_eq!(&got, &expected);
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                } else {
+                    q.schedule(now, now + delay, pid, generation);
+                    reference.entry(now + delay).or_default().push((pid, generation));
+                }
+                prop_assert_eq!(q.distinct_times(), reference.len());
+            }
+            while let Some(expected) = reference.pop_first() {
+                let got = pop_batch(&mut q, now);
+                prop_assert_eq!(got.as_ref(), Some(&expected));
+                now = expected.0;
+                prop_assert_eq!(q.distinct_times(), reference.len());
+            }
+            prop_assert_eq!(pop_batch(&mut q, now), None);
+        }
+    }
 
     fn drain(q: &mut FutureQueue, now: u64) -> Vec<(u64, Vec<(usize, u64)>)> {
         let mut now = now;
         let mut out = Vec::new();
-        while let Some(t) = q.next_time(now) {
-            let mut batch = Vec::new();
-            q.pop_at(t, &mut batch);
+        while let Some((t, batch)) = pop_batch(q, now) {
             out.push((t, batch));
             now = t;
         }
