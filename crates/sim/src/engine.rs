@@ -123,18 +123,10 @@ pub struct Simulator<'d> {
     runnable: VecDeque<usize>,
     /// `#0`-delayed processes (inactive region of the current step).
     inactive: Vec<usize>,
-    /// Drained counterpart of `inactive`; the two swap every flush so
-    /// neither ever gives its capacity back.
-    inactive_spare: Vec<usize>,
-    /// Pending timed wake-ups, indexed by the wheel/heap hybrid.
+    /// Pending timed wake-ups, one heap ordered by `(time, seq)`.
     sched: FutureQueue,
-    /// Reused receive buffer for [`FutureQueue::pop_at`].
-    wake_batch: Vec<(usize, u64)>,
     /// Pending nonblocking commits, in program order.
     nba: Vec<NbaEntry>,
-    /// Drained counterpart of `nba` (same double-buffer trick as
-    /// `inactive_spare`).
-    nba_spare: Vec<NbaEntry>,
     /// Values staged by nonblocking assignments, cleared by the flush.
     /// Pre-sized to the summed word widths of the design's nonblocking
     /// targets, so staging each assignment once per flush never
@@ -437,11 +429,8 @@ impl<'d> Simulator<'d> {
             arena,
             runnable,
             inactive: Vec::new(),
-            inactive_spare: Vec::new(),
-            sched: FutureQueue::new(),
-            wake_batch: Vec::new(),
+            sched: FutureQueue::default(),
             nba: Vec::new(),
-            nba_spare: Vec::new(),
             nba_store: NbaStore {
                 aval: Vec::with_capacity(nba_words),
                 bval: Vec::with_capacity(nba_words),
@@ -536,26 +525,23 @@ impl<'d> Simulator<'d> {
                 continue;
             }
             if !self.inactive.is_empty() {
-                // Double-buffer swap: drain through the spare so both
-                // Vecs keep their capacity across steps.
-                std::mem::swap(&mut self.inactive, &mut self.inactive_spare);
-                for i in 0..self.inactive_spare.len() {
-                    let pid = self.inactive_spare[i];
+                for pid in self.inactive.drain(..) {
                     self.procs[pid].status = Status::Runnable;
                     self.runnable.push_back(pid);
                 }
-                self.inactive_spare.clear();
                 continue;
             }
             if !self.nba.is_empty() {
-                let mut batch =
-                    std::mem::replace(&mut self.nba, std::mem::take(&mut self.nba_spare));
                 if let Some(ks) = &mut self.kstats {
-                    ks.nba.observe(batch.len() as f64);
+                    ks.nba.observe(self.nba.len() as f64);
                 }
-                // The store comes out of `self` for the duration of the
-                // flush so a staged value can be committed while `self`
-                // is mutably borrowed by the write.
+                // The batch and the store come out of `self` for the
+                // duration of the flush, so a staged value can be
+                // committed while `self` is mutably borrowed by the
+                // write; both go back emptied, keeping their capacity.
+                // A write only wakes processes, so no commit is staged
+                // meanwhile.
+                let mut batch = std::mem::take(&mut self.nba);
                 let mut store = std::mem::take(&mut self.nba_store);
                 for e in batch.drain(..) {
                     self.write_window(e.target, store.get(e.at, e.width));
@@ -563,7 +549,7 @@ impl<'d> Simulator<'d> {
                 store.aval.clear();
                 store.bval.clear();
                 self.nba_store = store;
-                self.nba_spare = batch;
+                self.nba = batch;
                 continue;
             }
             // Time step is quiescent: the $monitor observes it, then time
@@ -573,13 +559,11 @@ impl<'d> Simulator<'d> {
                 ks.delta.observe(self.activations_this_step as f64);
                 ks.queue.observe(self.sched.distinct_times() as f64);
             }
-            match self.sched.next_time(self.time) {
+            match self.sched.next_time() {
                 Some(t) if t <= self.config.max_time => {
                     self.activations_this_step = 0;
-                    let mut batch = std::mem::take(&mut self.wake_batch);
-                    self.sched.pop_at(t, &mut batch);
                     self.time = t;
-                    for &(pid, generation) in &batch {
+                    while let Some((pid, generation)) = self.sched.pop_due(t) {
                         let p = &mut self.procs[pid];
                         if p.generation == generation && p.status == Status::Sleeping {
                             p.status = Status::Runnable;
@@ -588,8 +572,6 @@ impl<'d> Simulator<'d> {
                             self.runnable.push_back(pid);
                         }
                     }
-                    batch.clear();
-                    self.wake_batch = batch;
                 }
                 Some(_) => break, // beyond the time horizon
                 None => {
@@ -767,8 +749,7 @@ impl<'d> Simulator<'d> {
                     } else {
                         self.procs[pid].status = Status::Sleeping;
                         let generation = self.procs[pid].generation;
-                        self.sched
-                            .schedule(self.time, self.time + amt, pid, generation);
+                        self.sched.schedule(self.time + amt, pid, generation);
                     }
                     return;
                 }

@@ -1,163 +1,70 @@
-//! Indexed future-event scheduling: a timing-wheel / binary-heap hybrid.
+//! The simulator's future-event queue: one binary heap of timed
+//! wake-ups.
 //!
-//! The kernel used to keep its pending wake-ups in a
-//! `BTreeMap<u64, Vec<(process, generation)>>`. Every `#delay` paid a
-//! tree insert and every quiescent step paid a tree lookup plus a
-//! node removal — and the per-time `Vec` values were allocated and
-//! dropped once per distinct wake time. [`FutureQueue`] replaces that
-//! with:
+//! A `#delay` pushes `(time, seq, process, generation)`; the kernel
+//! peeks the earliest time when a step goes quiescent and pops that
+//! time's entries one by one. `seq` is a global counter that increases
+//! with every push, so same-time entries pop in exactly the order they
+//! were scheduled: the `(time, seq)` order is the FIFO order the
+//! kernel's earlier `BTreeMap<u64, Vec<(process, generation)>>` kept
+//! per time. Determinism of every downstream artifact depends on this.
 //!
-//! * a **timing wheel** of [`WHEEL_SIZE`] buckets for events within
-//!   [`WHEEL_SIZE`] ticks of the current time (the overwhelmingly
-//!   common case: clock half-periods), giving O(1) amortised insert
-//!   and in-place bucket reuse with zero steady-state allocation;
-//! * a **binary heap** ordered by `(time, seq)` for far-future events
-//!   (timeouts, watchdogs);
-//! * a global monotonically increasing sequence number so same-time
-//!   events pop in exactly the order they were scheduled — the order
-//!   the old `BTreeMap`'s per-time `Vec` preserved. Determinism of
-//!   every downstream artifact depends on this.
-//!
-//! The distinct-pending-time count (the old `future.len()`) feeds the
-//! `sim_event_queue_depth` histogram, so [`FutureQueue::distinct_times`]
-//! tracks it exactly via a `HashSet<u64>`; only its `len()` is ever
-//! observed, so the set's iteration order cannot leak anywhere.
+//! A testbench keeps only a handful of wake-ups pending (a clock and a
+//! stimulus process), so the heap stays a few entries deep.
+//! [`FutureQueue::distinct_times`] counts the distinct pending times on
+//! demand for the `sim_event_queue_depth` histogram, which is read only
+//! while kernel telemetry is collected.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Wheel span in ticks. Events scheduled at most this far ahead of the
-/// current time go to a wheel bucket; everything else goes to the heap.
-const WHEEL_SIZE: u64 = 64;
+use std::collections::BinaryHeap;
 
 /// One pending wake-up: absolute time, global sequence, process,
 /// process generation at scheduling time.
 type Entry = (u64, u64, usize, u64);
 
 /// The simulator's future-event queue. See the module docs for the
-/// wheel/heap split and the determinism contract.
-#[derive(Debug)]
+/// determinism contract.
+#[derive(Debug, Default)]
 pub(crate) struct FutureQueue {
-    wheel: Vec<Vec<Entry>>,
-    /// Total entries currently stored in wheel buckets, so
-    /// [`FutureQueue::next_time`] can skip the bucket scan entirely
-    /// when the wheel is empty.
-    wheel_len: usize,
     heap: BinaryHeap<Reverse<Entry>>,
-    /// Times with at least one pending (possibly stale) entry.
-    times: HashSet<u64>,
     seq: u64,
-    /// Reused merge buffers for [`FutureQueue::pop_at`]: `(seq, pid,
-    /// generation)` from the wheel bucket and from the heap.
-    merge_wheel: Vec<(u64, usize, u64)>,
-    merge_heap: Vec<(u64, usize, u64)>,
 }
 
 impl FutureQueue {
-    pub(crate) fn new() -> FutureQueue {
-        FutureQueue {
-            wheel: (0..WHEEL_SIZE).map(|_| Vec::new()).collect(),
-            wheel_len: 0,
-            heap: BinaryHeap::new(),
-            times: HashSet::new(),
-            seq: 0,
-            merge_wheel: Vec::new(),
-            merge_heap: Vec::new(),
-        }
-    }
-
-    /// Number of distinct pending wake times — the exact quantity the
-    /// old `BTreeMap::len` reported for the queue-depth histogram.
+    /// Number of distinct pending wake times, stale entries included:
+    /// what the `BTreeMap`'s `len()` reported. Quadratic in the pending
+    /// entries, which a testbench keeps to a handful.
     pub(crate) fn distinct_times(&self) -> usize {
-        self.times.len()
+        let pending = self.heap.as_slice();
+        pending
+            .iter()
+            .enumerate()
+            .filter(|&(i, Reverse(e))| pending[..i].iter().all(|Reverse(f)| f.0 != e.0))
+            .count()
     }
 
-    /// Schedules `(pid, generation)` to wake at absolute `time`.
-    /// `now` is the current simulation time; `time` must be `> now`
-    /// (zero delays go to the inactive region, not here).
-    pub(crate) fn schedule(&mut self, now: u64, time: u64, pid: usize, generation: u64) {
-        debug_assert!(time > now, "future events are strictly in the future");
-        let seq = self.seq;
+    /// Schedules `(pid, generation)` to wake at absolute `time`, which
+    /// lies in the future (zero delays go to the inactive region, not
+    /// here).
+    pub(crate) fn schedule(&mut self, time: u64, pid: usize, generation: u64) {
+        self.heap.push(Reverse((time, self.seq, pid, generation)));
         self.seq += 1;
-        self.times.insert(time);
-        if time - now <= WHEEL_SIZE {
-            self.wheel[(time % WHEEL_SIZE) as usize].push((time, seq, pid, generation));
-            self.wheel_len += 1;
-        } else {
-            self.heap.push(Reverse((time, seq, pid, generation)));
-        }
     }
 
     /// Earliest pending wake time, or `None` when the queue is empty.
-    /// Because simulation time only ever advances *to* this minimum,
-    /// every stored entry satisfies `entry.time > now`, and every wheel
-    /// entry satisfies
-    /// `entry.time <= insertion_now + WHEEL_SIZE <= now + WHEEL_SIZE`,
-    /// so scanning the next [`WHEEL_SIZE`] ticks covers the whole wheel.
-    pub(crate) fn next_time(&self, now: u64) -> Option<u64> {
-        let heap_min = self.heap.peek().map(|Reverse((t, _, _, _))| *t);
-        let mut wheel_min = None;
-        if self.wheel_len > 0 {
-            for off in 1..=WHEEL_SIZE {
-                let Some(t) = now.checked_add(off) else {
-                    break;
-                };
-                let bucket = &self.wheel[(t % WHEEL_SIZE) as usize];
-                if bucket.iter().any(|e| e.0 == t) {
-                    wheel_min = Some(t);
-                    break;
-                }
-            }
-        }
-        match (wheel_min, heap_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    pub(crate) fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.0)
     }
 
-    /// Removes every entry scheduled for exactly `time` and appends
-    /// them to `out` as `(pid, generation)` in scheduling order.
-    pub(crate) fn pop_at(&mut self, time: u64, out: &mut Vec<(usize, u64)>) {
-        self.times.remove(&time);
-        let from_wheel = &mut self.merge_wheel;
-        from_wheel.clear();
-        let bucket = &mut self.wheel[(time % WHEEL_SIZE) as usize];
-        bucket.retain(|&(t, seq, pid, generation)| {
-            if t == time {
-                from_wheel.push((seq, pid, generation));
-                false
-            } else {
-                true
+    /// Pops the next `(pid, generation)` due at `time`, in scheduling
+    /// order; `None` once no entry for `time` is left.
+    pub(crate) fn pop_due(&mut self, time: u64) -> Option<(usize, u64)> {
+        match self.heap.peek() {
+            Some(&Reverse((t, _, pid, generation))) if t == time => {
+                self.heap.pop();
+                Some((pid, generation))
             }
-        });
-        self.wheel_len -= from_wheel.len();
-        let from_heap = &mut self.merge_heap;
-        from_heap.clear();
-        while let Some(&Reverse((t, _, _, _))) = self.heap.peek() {
-            if t != time {
-                break;
-            }
-            let Reverse((_, seq, pid, generation)) = self.heap.pop().expect("peeked");
-            from_heap.push((seq, pid, generation));
-        }
-        // Bucket entries arrive in push (= seq) order and heap pops are
-        // (time, seq)-sorted; merge the two runs by seq to reproduce the
-        // old per-time Vec's push order exactly.
-        let (mut i, mut j) = (0, 0);
-        while i < from_wheel.len() && j < from_heap.len() {
-            if from_wheel[i].0 < from_heap[j].0 {
-                out.push((from_wheel[i].1, from_wheel[i].2));
-                i += 1;
-            } else {
-                out.push((from_heap[j].1, from_heap[j].2));
-                j += 1;
-            }
-        }
-        for &(_, pid, generation) in &from_wheel[i..] {
-            out.push((pid, generation));
-        }
-        for &(_, pid, generation) in &from_heap[j..] {
-            out.push((pid, generation));
+            _ => None,
         }
     }
 }
@@ -171,11 +78,9 @@ mod tests {
 
     /// Pops the earliest pending batch: its time and its `(pid,
     /// generation)` entries in scheduling order.
-    fn pop_batch(q: &mut FutureQueue, now: u64) -> Option<(u64, Vec<(usize, u64)>)> {
-        let t = q.next_time(now)?;
-        let mut batch = Vec::new();
-        q.pop_at(t, &mut batch);
-        Some((t, batch))
+    fn pop_batch(q: &mut FutureQueue) -> Option<(u64, Vec<(usize, u64)>)> {
+        let t = q.next_time()?;
+        Some((t, std::iter::from_fn(|| q.pop_due(t)).collect()))
     }
 
     /// One step of a random queue workload: schedule `(pid,
@@ -201,53 +106,46 @@ mod tests {
         /// small delays make many same-time events.
         #[test]
         fn queue_matches_a_btreemap_reference(ops in pvec(op_strategy(), 1..120)) {
-            let mut q = FutureQueue::new();
+            let mut q = FutureQueue::default();
             let mut reference: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
             let mut now = 0;
             for (delay, pid, generation) in ops {
                 if delay == 0 {
                     let expected = reference.pop_first();
-                    let got = pop_batch(&mut q, now);
+                    let got = pop_batch(&mut q);
                     prop_assert_eq!(&got, &expected);
                     if let Some((t, _)) = got {
                         now = t;
                     }
                 } else {
-                    q.schedule(now, now + delay, pid, generation);
+                    q.schedule(now + delay, pid, generation);
                     reference.entry(now + delay).or_default().push((pid, generation));
                 }
                 prop_assert_eq!(q.distinct_times(), reference.len());
             }
             while let Some(expected) = reference.pop_first() {
-                let got = pop_batch(&mut q, now);
+                let got = pop_batch(&mut q);
                 prop_assert_eq!(got.as_ref(), Some(&expected));
-                now = expected.0;
                 prop_assert_eq!(q.distinct_times(), reference.len());
             }
-            prop_assert_eq!(pop_batch(&mut q, now), None);
+            prop_assert_eq!(pop_batch(&mut q), None);
         }
     }
 
-    fn drain(q: &mut FutureQueue, now: u64) -> Vec<(u64, Vec<(usize, u64)>)> {
-        let mut now = now;
-        let mut out = Vec::new();
-        while let Some((t, batch)) = pop_batch(q, now) {
-            out.push((t, batch));
-            now = t;
-        }
-        out
+    fn drain(q: &mut FutureQueue) -> Vec<(u64, Vec<(usize, u64)>)> {
+        std::iter::from_fn(|| pop_batch(q)).collect()
     }
 
     #[test]
     fn pops_in_time_then_schedule_order() {
-        let mut q = FutureQueue::new();
-        q.schedule(0, 10, 1, 0); // wheel
-        q.schedule(0, 5, 2, 0); // wheel
-        q.schedule(0, 10, 3, 0); // wheel, same time as first
-        q.schedule(0, 500, 4, 0); // heap
-        q.schedule(0, 10, 5, 0); // wheel again
+        let mut q = FutureQueue::default();
+        q.schedule(10, 1, 0);
+        q.schedule(5, 2, 0);
+        q.schedule(10, 3, 0); // same time as the first
+        q.schedule(500, 4, 0);
+        q.schedule(10, 5, 0);
         assert_eq!(q.distinct_times(), 3);
-        let batches = drain(&mut q, 0);
+        let batches = drain(&mut q);
         assert_eq!(
             batches,
             vec![
@@ -260,46 +158,31 @@ mod tests {
     }
 
     #[test]
-    fn same_time_merges_wheel_and_heap_by_seq() {
-        let mut q = FutureQueue::new();
-        // Seq 0 lands in the heap (far future), seq 1 in the wheel once
-        // time has advanced close enough, seq 2 back in the... there is
-        // no way back: so interleave by scheduling around the boundary.
-        q.schedule(0, 100, 7, 0); // heap (100 - 0 > 64)
-        q.schedule(50, 100, 8, 0); // wheel (100 - 50 <= 64)
-        q.schedule(50, 100, 9, 1); // wheel
-        let mut batch = Vec::new();
-        assert_eq!(q.next_time(50), Some(100));
-        q.pop_at(100, &mut batch);
+    fn same_time_entries_pop_in_seq_order() {
+        let mut q = FutureQueue::default();
+        // A delay of 100 scheduled at time 0, then two of 40 scheduled
+        // at time 60: all three are due at 100.
+        q.schedule(100, 7, 0);
+        q.schedule(60, 1, 0);
+        assert_eq!(pop_batch(&mut q), Some((60, vec![(1, 0)])));
+        q.schedule(100, 8, 0);
+        q.schedule(100, 9, 1);
+        assert_eq!(q.next_time(), Some(100));
+        assert_eq!(q.pop_due(99), None, "nothing is due before 100");
         assert_eq!(
-            batch,
-            vec![(7, 0), (8, 0), (9, 1)],
-            "seq order across stores"
+            pop_batch(&mut q),
+            Some((100, vec![(7, 0), (8, 0), (9, 1)])),
+            "scheduling order within one time"
         );
     }
 
     #[test]
-    fn wheel_wraparound_keeps_times_apart() {
-        let mut q = FutureQueue::new();
-        q.schedule(0, 64, 1, 0); // bucket 0
-        let mut batch = Vec::new();
-        q.pop_at(64, &mut batch);
-        assert_eq!(batch, vec![(1, 0)]);
-        // Same bucket, next lap of the wheel.
-        q.schedule(64, 128, 2, 0); // bucket 0 again
-        assert_eq!(q.next_time(64), Some(128));
-        batch.clear();
-        q.pop_at(128, &mut batch);
-        assert_eq!(batch, vec![(2, 0)]);
-    }
-
-    #[test]
     fn distinct_times_counts_times_not_entries() {
-        let mut q = FutureQueue::new();
+        let mut q = FutureQueue::default();
         for pid in 0..10 {
-            q.schedule(0, 7, pid, 0);
+            q.schedule(7, pid, 0);
         }
-        q.schedule(0, 9, 99, 0);
+        q.schedule(9, 99, 0);
         assert_eq!(q.distinct_times(), 2);
     }
 }
