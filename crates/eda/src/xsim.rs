@@ -1120,7 +1120,7 @@ impl XsimToolSuite {
         }
         let result = sim.run();
         self.fold_kernel(&sim.perf());
-        log.push_str(&result.log_text());
+        result.write_log(&mut log);
         if result.finished {
             let _ = writeln!(
                 log,

@@ -513,6 +513,7 @@ impl<'d> Simulator<'d> {
 
     /// Runs the simulation to completion (`$finish`, event starvation,
     /// the time horizon, or a resource limit) and returns the outcome.
+    /// The log lines move into the result.
     pub fn run(&mut self) -> SimResult {
         while !self.finished && self.limit_hit.is_none() {
             if let Some(pid) = self.runnable.pop_front() {
@@ -596,7 +597,7 @@ impl<'d> Simulator<'d> {
         }
         SimResult {
             end_time: self.time,
-            lines: self.lines.clone(),
+            lines: std::mem::take(&mut self.lines),
             error_count: self.error_count,
             finished: self.finished,
             starved: self.starved,

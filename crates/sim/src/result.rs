@@ -104,11 +104,17 @@ impl SimResult {
     #[must_use]
     pub fn log_text(&self) -> String {
         let mut out = String::new();
+        self.write_log(&mut out);
+        out
+    }
+
+    /// Appends the full log to `out`, each line ended by a newline:
+    /// [`SimResult::log_text`] without the intermediate `String`.
+    pub fn write_log(&self, out: &mut String) {
         for line in &self.lines {
             out.push_str(&line.text);
             out.push('\n');
         }
-        out
     }
 
     /// Iterates over error lines only.
@@ -172,6 +178,9 @@ mod tests {
             instructions_executed: 0,
         };
         assert_eq!(r.log_text(), "a\nb\n");
+        let mut log = String::from("head\n");
+        r.write_log(&mut log);
+        assert_eq!(log, "head\na\nb\n");
         assert_eq!(r.error_lines().count(), 1);
     }
 
