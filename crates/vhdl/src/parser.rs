@@ -147,9 +147,21 @@ impl Parser<'_, '_> {
         self.expect(Punct::Semi);
     }
 
+    /// Recovery after a failed design unit: skips to the next `entity`
+    /// or `architecture`, or past the failed unit's own
+    /// `end entity|architecture [name] ;`, whose keyword does not start
+    /// a unit.
     fn skip_to_design_unit(&mut self) {
         while !self.at_eof() && !self.check_kw(Kw::Entity) && !self.check_kw(Kw::Architecture) {
-            self.bump();
+            if !self.eat_kw(Kw::End) {
+                self.bump();
+            } else if self.eat_kw(Kw::Entity) || self.eat_kw(Kw::Architecture) {
+                if self.peek().kind == TokenKind::Ident {
+                    self.bump();
+                }
+                self.eat(Punct::Semi);
+                return;
+            }
         }
     }
 
@@ -1246,10 +1258,30 @@ end architecture;
             messages,
             [
                 "unsupported type 'std_logic_vec'",
-                "expected identifier, found ';'",
                 "unknown severity level 'fatal'"
             ]
         );
+    }
+
+    #[test]
+    fn a_failed_unit_resumes_after_its_own_end() {
+        // The `entity` of the failed entity's own `end entity` starts no
+        // new unit: one error, and the architecture after it parses.
+        let (unit, diags) = parse_src(
+            "entity tb is port (a : in std_logic_vec); end entity tb;\n\
+             architecture sim of tb is begin end architecture;\n",
+        );
+        let messages: Vec<&str> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(messages, ["unsupported type 'std_logic_vec'"]);
+        assert_eq!(unit.architectures.len(), 1);
+        // Likewise after a failed architecture.
+        let (unit, diags) = parse_src(
+            "architecture sim of tb is bogus; begin end architecture sim;\n\
+             entity m is end entity;\n",
+        );
+        let messages: Vec<&str> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(messages, ["expected declaration or 'begin', found 'bogus'"]);
+        assert_eq!(unit.entities.len(), 1);
     }
 
     #[test]

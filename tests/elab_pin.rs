@@ -172,7 +172,7 @@ fn vhdl_mutants_are_pinned() {
         elaborated > 0 && elaborated < compiles,
         "{elaborated}/{compiles} elaborate"
     );
-    assert_pinned("vhdl mutants", got, 0x2d9c_7be3_7871_511b);
+    assert_pinned("vhdl mutants", got, 0xf602_cf47_1f3d_970f);
 }
 
 /// A testbench around `body` that declares the functions every case

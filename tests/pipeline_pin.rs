@@ -159,7 +159,7 @@ fn default_config_is_pinned() {
         d.saw_kind(TraceEventKind::Rollback),
         "slice has no rollback"
     );
-    assert_pinned("default", got, 0x332d_69b5_34fe_7fd1);
+    assert_pinned("default", got, 0xd4ba_7ce3_4b9a_7945);
 }
 
 #[test]
@@ -170,7 +170,7 @@ fn without_testbench_first_is_pinned() {
     };
     let (got, d) = pin(Flow::Aivril2, config, FaultConfig::off());
     assert!(!d.saw_kind(TraceEventKind::Analysis));
-    assert_pinned("testbench_first=false", got, 0x153e_df27_936e_84f4);
+    assert_pinned("testbench_first=false", got, 0xb0e0_86a5_ee87_92f6);
 }
 
 #[test]
@@ -180,7 +180,7 @@ fn errors_only_prompts_are_pinned() {
         ..Aivril2Config::default()
     };
     let (got, _) = pin(Flow::Aivril2, config, FaultConfig::off());
-    assert_pinned("errors-only", got, 0x7719_6460_13a0_8e35);
+    assert_pinned("errors-only", got, 0x058f_ad97_699e_e1c8);
 }
 
 /// Fault-free revisions never break compilation, so only a faulted run
@@ -200,7 +200,7 @@ fn errors_only_prompts_under_faults_are_pinned() {
     );
     // Moved when the functional loop's compile-broken prompt stopped
     // ignoring `PromptDetail` (it was always the detailed one).
-    assert_pinned("errors-only under faults", got, 0x0ef7_05ec_ee7f_7950);
+    assert_pinned("errors-only under faults", got, 0xd484_745a_53e7_c0aa);
 }
 
 #[test]
@@ -211,7 +211,7 @@ fn budgets_of_one_are_pinned() {
         ..Aivril2Config::default()
     };
     let (got, _) = pin(Flow::Aivril2, config, FaultConfig::off());
-    assert_pinned("budgets of 1", got, 0xe373_6cc8_5cfe_d73b);
+    assert_pinned("budgets of 1", got, 0xf2a1_a3e5_5f24_bef7);
 }
 
 #[test]
@@ -224,7 +224,7 @@ fn ci_fault_plan_is_pinned() {
         d.saw("revision failed to compile"),
         "slice never breaks compilation"
     );
-    assert_pinned("CI fault plan", got, 0x43d9_16ad_5a43_da19);
+    assert_pinned("CI fault plan", got, 0x88fb_c3c2_148b_b150);
 }
 
 #[test]
@@ -242,5 +242,5 @@ fn clarification_run_is_pinned() {
         FaultConfig::off(),
     );
     assert!(d.saw("user supplied additional detail"));
-    assert_pinned("clarification", got, 0xe8be_a9c5_303f_772c);
+    assert_pinned("clarification", got, 0x35d4_77d7_63d3_1d2d);
 }
