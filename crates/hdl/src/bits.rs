@@ -15,9 +15,9 @@
 //! * [`ScratchBuf`] — an owned, capacity-retaining plane pair whose
 //!   operations size the destination and then run a `BitsMut` kernel.
 //!
-//! [`LogicVec`](crate::vec::LogicVec) runs the same kernels over its own
-//! planes (inline for ≤ 64 bits, so narrow results stay heap-free); its
-//! ops only choose the result width. `crates/hdl/tests/logicvec_diff.rs`
+//! [`LogicVec`] runs the same kernels over its own planes (inline for
+//! ≤ 64 bits, so narrow results stay heap-free); its ops only choose
+//! the result width. `crates/hdl/tests/logicvec_diff.rs`
 //! checks both owners against a scalar per-bit reference.
 //!
 //! # Invariant
