@@ -4,10 +4,9 @@
 //! A `#delay` pushes `(time, seq, process, generation)`; the kernel
 //! peeks the earliest time when a step goes quiescent and pops that
 //! time's entries one by one. `seq` is a global counter that increases
-//! with every push, so same-time entries pop in exactly the order they
-//! were scheduled: the `(time, seq)` order is the FIFO order the
-//! kernel's earlier `BTreeMap<u64, Vec<(process, generation)>>` kept
-//! per time. Determinism of every downstream artifact depends on this.
+//! with every push, so the `(time, seq)` order pops same-time entries
+//! in exactly the order they were scheduled. Determinism of every
+//! downstream artifact depends on this.
 //!
 //! A testbench keeps only a handful of wake-ups pending (a clock and a
 //! stimulus process), so the heap stays a few entries deep.
@@ -31,9 +30,9 @@ pub(crate) struct FutureQueue {
 }
 
 impl FutureQueue {
-    /// Number of distinct pending wake times, stale entries included:
-    /// what the `BTreeMap`'s `len()` reported. Quadratic in the pending
-    /// entries, which a testbench keeps to a handful.
+    /// Number of distinct pending wake times, stale entries included.
+    /// Quadratic in the pending entries, which a testbench keeps to a
+    /// handful.
     pub(crate) fn distinct_times(&self) -> usize {
         let pending = self.heap.as_slice();
         pending
