@@ -131,10 +131,6 @@ mod tests {
         }
     }
 
-    fn drain(q: &mut FutureQueue) -> Vec<(u64, Vec<(usize, u64)>)> {
-        std::iter::from_fn(|| pop_batch(q)).collect()
-    }
-
     #[test]
     fn pops_in_time_then_schedule_order() {
         let mut q = FutureQueue::default();
@@ -144,7 +140,7 @@ mod tests {
         q.schedule(500, 4, 0);
         q.schedule(10, 5, 0);
         assert_eq!(q.distinct_times(), 3);
-        let batches = drain(&mut q);
+        let batches: Vec<_> = std::iter::from_fn(|| pop_batch(&mut q)).collect();
         assert_eq!(
             batches,
             vec![
